@@ -35,7 +35,7 @@ source = em.PhantomSource(cfg.phantom, cfg.intensity_jitter)
 started = time.perf_counter()
 corpus, model, reports = em.run_em(
     cases, cfg.em, judge, oracle, phantom_source=source, threads=2,
-    tumor_min_component_voxels=cfg.model.tumor_min_component_voxels)
+    new_model=cfg.build_model)
 elapsed = time.perf_counter() - started
 
 print(f"\nit  mean_dsc  keep  auto  route  escalate  esc_frac")

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import os
 import sys
 from pathlib import Path
@@ -30,7 +29,6 @@ from .errors import (
     UndefinedRateError,
     VolumeFormatError,
 )
-from .grid import CaseRecord
 from .loop import (
     EscalationQueue,
     RunRecorder,
@@ -61,10 +59,6 @@ _IO_ERRORS = (VolumeFormatError, FileNotFoundError, NotADirectoryError,
 _INVARIANT_ERRORS = (ShapeError, CatalogError, UndefinedRateError, ModelError, ProtocolError)
 
 
-def _json_dump(path: Path, obj: dict) -> None:
-    volume_io.write_json(path, obj)
-
-
 def _resolve_out(args) -> Path:
     out = os.environ.get("EMCURATE_OUT", None)
     if getattr(args, "out", None):
@@ -79,7 +73,10 @@ def _resolve_threads(args) -> int:
         return int(args.threads)
     env = os.environ.get("EMCURATE_THREADS")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ConfigError(f"EMCURATE_THREADS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -102,10 +99,6 @@ def _prepare_out_dir(out_dir: Path, force: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
 
 
-def _load_corpus(path: str) -> tuple[list[CaseRecord], "object"]:
-    return volume_io.read_corpus(path)
-
-
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
     out_dir = _resolve_out(args)
@@ -113,22 +106,19 @@ def cmd_generate(args) -> int:
     cases, logs = generate_corpus(cfg.phantom, cfg.noise, cfg.corpus.n_cases,
                                   cfg.corpus.gold_fraction, cfg.em.seed)
     manifest = volume_io.write_corpus(out_dir, cases, cfg.catalog)
-    with (out_dir / "injections.jsonl").open("w") as fh:
-        for case_id in manifest["case_ids"]:
-            row = {"case_id": case_id, "ops": [op.to_dict() for op in logs[case_id]]}
-            fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+    volume_io.write_jsonl(out_dir / "injections.jsonl",
+                          [{"case_id": case_id, "ops": [op.to_dict() for op in logs[case_id]]}
+                           for case_id in manifest["case_ids"]])
     print(f"wrote {len(cases)} cases to {out_dir}")
     return EXIT_OK
 
 
 def cmd_audit(args) -> int:
     cfg = _load_config(args)
-    cases, _catalog = _load_corpus(args.corpus)
+    cases, _catalog = volume_io.read_corpus(args.corpus)
     out_dir = _resolve_out(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = fit_model(cases, organ_connectivity=cfg.metrics.organ_connectivity,
-                      tumor_connectivity=cfg.metrics.tumor_connectivity,
-                      tumor_min_component_voxels=cfg.model.tumor_min_component_voxels)
+    model = fit_model(cases, new_model=cfg.build_model)
     model.save(out_dir / "model.json")
     rows = []
     changes = []
@@ -144,13 +134,10 @@ def cmd_audit(args) -> int:
             case, log = apply_update_rule(case, outcome)
             changes.extend(log)
         updated.append(case)
-    _json_dump(out_dir / "audit.json", {"cases": rows})
+    volume_io.write_json(out_dir / "audit.json", {"cases": rows})
     if args.apply:
         volume_io.write_corpus(out_dir / "refined", updated, cfg.catalog)
-        with (out_dir / "changes.jsonl").open("w") as fh:
-            for entry in changes:
-                fh.write(json.dumps(entry.to_dict(), sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+        volume_io.write_jsonl(out_dir / "changes.jsonl", [e.to_dict() for e in changes])
     print(f"audited {len(cases)} cases -> {out_dir / 'audit.json'}")
     return EXIT_OK
 
@@ -158,29 +145,22 @@ def cmd_audit(args) -> int:
 def cmd_refine(args) -> int:
     """One full expectation pass (audit, auto-replace, judge, escalate)."""
     cfg = _load_config(args)
-    cases, _catalog = _load_corpus(args.corpus)
+    threads = _resolve_threads(args)
+    cases, _catalog = volume_io.read_corpus(args.corpus)
     out_dir = _resolve_out(args)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = fit_model(cases, organ_connectivity=cfg.metrics.organ_connectivity,
-                      tumor_connectivity=cfg.metrics.tumor_connectivity,
-                      tumor_min_component_voxels=cfg.model.tumor_min_component_voxels)
+    model = fit_model(cases, new_model=cfg.build_model)
     judge = cfg.build_judge()
     oracle = cfg.build_oracle()
     updated, queue, stats = expectation_pass(cases, model, judge, oracle, cfg.em,
-                                             threads=_resolve_threads(args))
+                                             threads=threads)
     volume_io.write_corpus(out_dir / "refined", updated, cfg.catalog)
     for entry in queue.entries:
         entry.materialize_overlays()
     queue.save(out_dir / "queue.json")
-    with (out_dir / "changes.jsonl").open("w") as fh:
-        for entry in stats.all_changes:
-            fh.write(json.dumps(entry.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
-    _json_dump(out_dir / "refine_stats.json", {
-        "structures_audited": stats.structures_audited,
-        "keep": stats.n_keep, "auto_replace": stats.n_auto_replace,
-        "route": stats.n_route, "escalated": stats.n_escalated,
-        "tournament_decided": stats.n_tournament_decided,
-        "auto_resolved": stats.n_auto_resolved, "unresolved": stats.n_unresolved,
+    volume_io.write_jsonl(out_dir / "changes.jsonl", [e.to_dict() for e in stats.all_changes])
+    volume_io.write_json(out_dir / "refine_stats.json", {
+        **stats.to_dict(),
         "escalation_fraction": stats.escalation_fraction,
         "change_fraction": stats.change_fraction,
     })
@@ -190,7 +170,7 @@ def cmd_refine(args) -> int:
 
 def cmd_roc(args) -> int:
     cfg = _load_config(args)
-    cases, catalog = _load_corpus(args.corpus)
+    cases, catalog = volume_io.read_corpus(args.corpus)
     out_dir = _resolve_out(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     tumor_labels = catalog.tumor_labels
@@ -201,13 +181,11 @@ def cmd_roc(args) -> int:
         if case.gold is None:
             raise ConfigError(f"case {case.case_id} lacks gold labels; "
                               "the ROC workflow is a simulation against gold")
-    model = fit_model(cases, organ_connectivity=cfg.metrics.organ_connectivity,
-                      tumor_connectivity=cfg.metrics.tumor_connectivity,
-                      tumor_min_component_voxels=cfg.model.tumor_min_component_voxels)
+    model = fit_model(cases, new_model=cfg.build_model)
     probs = [model.predict_prob(c.volume, tumor) for c in cases]
     refs = [c.gold.labels == tumor for c in cases]
     curve = build_roc(probs, refs, default_threshold_grid(cfg.metrics.roc_points),
-                      connectivity=cfg.metrics.tumor_connectivity,
+                      connectivity=model.tumor_connectivity,
                       fp_min_voxels=cfg.metrics.fp_min_voxels)
     with (out_dir / "roc_curve.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -217,16 +195,16 @@ def cmd_roc(args) -> int:
                              f"{p.fp_per_scan:.9f}", f"{p.specificity:.9f}"])
     policy = select_threshold(curve, args.target if args.target is not None
                               else cfg.metrics.roc_target_sensitivity)
-    _json_dump(out_dir / "policy.json", policy.to_dict())
+    volume_io.write_json(out_dir / "policy.json", policy.to_dict())
     workloads = []
     for case, prob in zip(cases, probs):
         pred = prob > policy.selected_threshold
         gold = case.gold.labels == tumor
         _cleaned, workload = process_case(case, pred, gold, cfg.cost,
-                                          connectivity=cfg.metrics.tumor_connectivity)
+                                          connectivity=model.tumor_connectivity)
         workloads.append(workload)
     savings = annotation_savings(workloads, cfg.cost)
-    _json_dump(out_dir / "savings.json", savings.to_dict())
+    volume_io.write_json(out_dir / "savings.json", savings.to_dict())
     print(f"threshold {policy.selected_threshold:.3f} "
           f"(sensitivity {policy.achieved_sensitivity:.3f}, "
           f"{policy.fp_per_scan:.2f} FP/scan) -> {out_dir}")
@@ -235,10 +213,11 @@ def cmd_roc(args) -> int:
 
 def cmd_run_loop(args) -> int:
     cfg = _load_config(args)
+    threads = _resolve_threads(args)
     out_dir = _resolve_out(args)
     _prepare_out_dir(out_dir, args.force)
     if args.corpus:
-        cases, _catalog = _load_corpus(args.corpus)
+        cases, _catalog = volume_io.read_corpus(args.corpus)
     else:
         cases, _logs = generate_corpus(cfg.phantom, cfg.noise, cfg.corpus.n_cases,
                                        cfg.corpus.gold_fraction, cfg.em.seed)
@@ -249,10 +228,7 @@ def cmd_run_loop(args) -> int:
     source = PhantomSource(cfg.phantom, intensity_jitter=cfg.intensity_jitter)
     corpus, model, reports = run_em(
         cases, cfg.em, judge, oracle, phantom_source=source, recorder=recorder,
-        threads=_resolve_threads(args),
-        organ_connectivity=cfg.metrics.organ_connectivity,
-        tumor_connectivity=cfg.metrics.tumor_connectivity,
-        tumor_min_component_voxels=cfg.model.tumor_min_component_voxels)
+        threads=threads, new_model=cfg.build_model)
     volume_io.write_corpus(out_dir / "final_corpus", corpus, cfg.catalog)
     recorder.summary({
         "iterations": len(reports),
@@ -267,7 +243,7 @@ def cmd_run_loop(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
-    cases, catalog = _load_corpus(args.corpus)
+    cases, catalog = volume_io.read_corpus(args.corpus)
     out_dir = _resolve_out(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = SurfaceDistanceSpec(tolerance_mm=cfg.metrics.nsd_tolerance_mm,
@@ -287,7 +263,7 @@ def cmd_evaluate(args) -> int:
         },
         "aggregate": corpus_summary(reports, catalog),
     }
-    _json_dump(out_dir / "evaluation.json", payload)
+    volume_io.write_json(out_dir / "evaluation.json", payload)
     print(f"mean DSC {payload['aggregate']['mean_dsc']:.4f} -> {out_dir / 'evaluation.json'}")
     return EXIT_OK
 

@@ -8,7 +8,7 @@ config file is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
@@ -18,9 +18,16 @@ import yaml
 from .errors import ConfigError
 from .expert import AnatomicalPrior, ExternalJudge, FallbackJudge, RuleBasedJudge
 from .grid import StructureCatalog, StructureKind
-from .loop import EMConfig, SimulatedExpert, TieKeeperOracle
+from .loop import (
+    EMConfig,
+    InteractiveCliOracle,
+    SimulatedExpert,
+    TieKeeperOracle,
+    require_terminal,
+)
 from .phantom import NoiseSpec, PhantomSpec, ShapeKind, StructureShapeSpec, TumorSpec
 from .roc import CostModel
+from .verifier import GaussianIntensityModel
 
 
 @dataclass(frozen=True)
@@ -78,14 +85,14 @@ class RunConfig:
         return self.phantom.catalog
 
     def with_seed(self, seed: int) -> "RunConfig":
-        em = EMConfig(**{**_em_kwargs(self.em), "seed": seed})
-        raw = dict(self.raw)
-        raw.setdefault("em", {})
-        raw["em"] = {**raw["em"], "seed": seed}
-        return RunConfig(phantom=self.phantom, noise=self.noise, em=em, cost=self.cost,
-                         priors=self.priors, judge=self.judge, oracle=self.oracle,
-                         corpus=self.corpus, metrics=self.metrics, model=self.model,
-                         intensity_jitter=self.intensity_jitter, raw=raw)
+        raw = {**self.raw, "em": {**self.raw.get("em", {}), "seed": seed}}
+        return replace(self, em=replace(self.em, seed=seed), raw=raw)
+
+    def build_model(self, catalog: StructureCatalog) -> GaussianIntensityModel:
+        """A fresh, unfitted segmentation model with the configured settings."""
+        return GaussianIntensityModel(catalog, self.metrics.organ_connectivity,
+                                      self.metrics.tumor_connectivity,
+                                      self.model.tumor_min_component_voxels)
 
     def build_judge(self):
         rule = RuleBasedJudge(self.priors, tie_epsilon=self.judge.tie_epsilon)
@@ -105,25 +112,9 @@ class RunConfig:
         if self.oracle.kind == "tie_keeper":
             return TieKeeperOracle()
         if self.oracle.kind == "interactive":
-            import sys
-            if not sys.stdin.isatty():
-                raise ConfigError("interactive review needs a terminal; use the "
-                                  "simulated expert oracle in batch runs")
-            from .loop import InteractiveCliOracle
+            require_terminal()
             return InteractiveCliOracle()
         raise ConfigError(f"unknown oracle kind '{self.oracle.kind}'")
-
-
-def _em_kwargs(em: EMConfig) -> dict:
-    return {
-        "max_iterations": em.max_iterations, "auto_replace_dsc": em.auto_replace_dsc,
-        "route_dsc": em.route_dsc,
-        "escalation_budget_fraction": em.escalation_budget_fraction,
-        "convergence_epsilon": em.convergence_epsilon,
-        "convergence_mode": em.convergence_mode, "data_mix": em.data_mix,
-        "annealing_enabled": em.annealing_enabled, "annealing_weight": em.annealing_weight,
-        "low_confidence_floor": em.low_confidence_floor, "seed": em.seed,
-    }
 
 
 def _require(d: dict, key: str, where: str):

@@ -32,6 +32,7 @@ from .grid import (
     front_view_projection,
     largest_component,
 )
+from .volume_io import canonical_json
 
 log = logging.getLogger(__name__)
 
@@ -332,7 +333,7 @@ class JudgePairRequest:
     height: int
 
     def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.__dict__)
 
 
 class ExternalJudge:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -28,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .expert import Preference, rle_decode, rle_encode, run_tournament, shape_cleanup
-from .grid import BACKGROUND, CaseRecord
+from .grid import CaseRecord
 from .metrics import dsc
 from .phantom import PhantomSource
 from .verifier import (
@@ -36,11 +37,14 @@ from .verifier import (
     AuditOutcome,
     ChangeLogEntry,
     GaussianIntensityModel,
+    ModelFactory,
+    SegmentationModel,
     audit_case,
     apply_update_rule,
+    fit_model,
+    write_structure,
 )
-
-SCHEMA_VERSION = 1
+from .volume_io import SCHEMA_VERSION, read_json, write_json, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,7 @@ class EscalationEntry:
 
     def materialize_overlays(self) -> None:
         if self.overlays is None and self.candidates is not None:
-            self.overlays = [c.any(axis=1) for c in self.candidates]
+            self.overlays = front_overlays(self.candidates)
             nx, nz = self.overlays[0].shape
             self.width, self.height = nx, nz
 
@@ -134,12 +138,11 @@ class EscalationQueue:
                 "width": e.width, "height": e.height,
                 "overlays": [rle_encode(o) for o in overlays],
             })
-        payload = {"schema_version": SCHEMA_VERSION, "entries": rows}
-        Path(path).write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
+        write_json(path, {"entries": rows})
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "EscalationQueue":
-        payload = json.loads(Path(path).read_text())
+        payload = read_json(path)
         queue = cls()
         for row in payload["entries"]:
             overlays = [rle_decode(o, row["width"], row["height"]) for o in row["overlays"]]
@@ -204,18 +207,9 @@ class InteractiveCliOracle:
 
     def review(self, case: CaseRecord, structure: int,
                candidates: Sequence[np.ndarray], context: str) -> Optional[int]:
-        ask = self.input_fn if self.input_fn is not None else input
-        self.print_fn(f"review {context}: case {case.case_id}, structure {structure}")
-        for i, mask in enumerate(candidates):
-            self.print_fn(f"--- candidate {i + 1} ---")
-            self.print_fn(render_overlay_ascii(mask.any(axis=1)))
-        while True:
-            answer = ask("choose 1/2/skip> ").strip().lower()
-            if answer in ("1", "2"):
-                return int(answer) - 1
-            if answer in ("s", "skip", ""):
-                return None
-            self.print_fn("please answer 1, 2 or skip")
+        return prompt_choice(
+            f"review {context}: case {case.case_id}, structure {structure}",
+            front_overlays(candidates), self.input_fn, self.print_fn)
 
 
 @dataclass
@@ -231,6 +225,15 @@ class ExpectationStats:
     changed_structures: int = 0
     per_case_audit_dsc: dict[str, float] = field(default_factory=dict)
     all_changes: list[ChangeLogEntry] = field(default_factory=list)
+
+    def to_dict(self) -> dict[str, int]:
+        """The counts under the key names of the iteration reports."""
+        return {"keep": self.n_keep, "auto_replace": self.n_auto_replace,
+                "route": self.n_route, "escalate": self.n_escalated,
+                "tournament_decided": self.n_tournament_decided,
+                "auto_resolved": self.n_auto_resolved,
+                "unresolved": self.n_unresolved,
+                "structures_audited": self.structures_audited}
 
     @property
     def escalation_fraction(self) -> float:
@@ -298,22 +301,8 @@ class _CaseResult:
     n_changed: int = 0  # structures whose voxels actually changed
 
 
-def _write_structure_mask(labels: np.ndarray, structure: int, mask: np.ndarray,
-                          tumor_labels: set[int]) -> int:
-    """Replace one structure's voxels by `mask` under the label-precedence
-    rule; returns the number of conflicting voxels encountered."""
-    labels[labels == structure] = BACKGROUND
-    if structure in tumor_labels or not tumor_labels:
-        blocked = np.zeros_like(mask)
-    else:
-        blocked = np.isin(labels, list(tumor_labels))
-    occupied = labels != BACKGROUND
-    conflicts = int(np.count_nonzero(mask & (occupied | blocked)))
-    labels[mask & ~blocked] = structure
-    return conflicts
-
-
-def _expectation_case(case: CaseRecord, model, judge, cfg: EMConfig) -> _CaseResult:
+def _expectation_case(case: CaseRecord, model: SegmentationModel, judge,
+                      cfg: EMConfig) -> _CaseResult:
     outcome = audit_case(model, case, cfg.auto_replace_dsc, cfg.route_dsc)
     updated, changes = apply_update_rule(case, outcome)
     routed = sorted(outcome.actions(AuditAction.ROUTE_TO_EXPERT))
@@ -327,8 +316,8 @@ def _expectation_case(case: CaseRecord, model, judge, cfg: EMConfig) -> _CaseRes
         return result
 
     catalog = updated.pseudo.catalog
-    tumor_labels = set(catalog.tumor_labels)
-    incumbent = shape_cleanup(updated.pseudo)
+    incumbent = shape_cleanup(updated.pseudo, model.organ_connectivity,
+                              model.tumor_connectivity)
     challenger = outcome.prediction
     tournament, _selected = run_tournament(updated, [incumbent, challenger], judge,
                                            structures=routed)
@@ -338,23 +327,16 @@ def _expectation_case(case: CaseRecord, model, judge, cfg: EMConfig) -> _CaseRes
         verdict = verdicts[s]
         incumbent_mask = incumbent.labels == s
         challenger_mask = challenger.labels == s
-        if verdict.preference is Preference.TIE and \
-                np.array_equal(incumbent_mask, challenger_mask):
-            before = int(np.count_nonzero(labels == s))
-            changed = not np.array_equal(labels == s, incumbent_mask)
-            _write_structure_mask(labels, s, incumbent_mask, tumor_labels)
-            result.n_auto_resolved += 1
-            result.changes.append(ChangeLogEntry(
-                case.case_id, s, "expert_auto_resolved", before,
-                int(np.count_nonzero(labels == s))))
-            result.n_changed += int(changed)
-            continue
+        tie = verdict.preference is Preference.TIE
         # verdicts with both scores under the floor are uninformative, tie
         # or not: neither candidate resembles the expected anatomy
         low_confidence = (verdict.scored
                           and max(verdict.score_first, verdict.score_second)
                           < cfg.low_confidence_floor)
-        if low_confidence or verdict.preference is Preference.TIE:
+        if tie and np.array_equal(incumbent_mask, challenger_mask):
+            action, mask = "expert_auto_resolved", incumbent_mask
+            result.n_auto_resolved += 1
+        elif low_confidence or tie:
             if low_confidence:
                 reason = EscalationReason.LOW_CONFIDENCE
             elif verdict.protocol_issue:
@@ -365,16 +347,15 @@ def _expectation_case(case: CaseRecord, model, judge, cfg: EMConfig) -> _CaseRes
                 case_id=case.case_id, structure=s, reason=reason,
                 candidates=[incumbent_mask, challenger_mask]))
             continue
-        chosen = challenger_mask if verdict.preference is Preference.FIRST else incumbent_mask
-        action = "expert_replace" if verdict.preference is Preference.FIRST else "expert_keep"
-        before = int(np.count_nonzero(labels == s))
-        changed = not np.array_equal(labels == s, chosen)
-        conflicts = _write_structure_mask(labels, s, chosen, tumor_labels)
-        result.n_decided += 1
+        elif verdict.preference is Preference.FIRST:
+            action, mask = "expert_replace", challenger_mask
+            result.n_decided += 1
+        else:
+            action, mask = "expert_keep", incumbent_mask
+            result.n_decided += 1
+        entry, changed = write_structure(labels, catalog, case.case_id, s, mask, action)
+        result.changes.append(entry)
         result.n_changed += int(changed)
-        result.changes.append(ChangeLogEntry(
-            case.case_id, s, action, before, int(np.count_nonzero(labels == s)),
-            conflicts=conflicts))
     result.case = updated.with_pseudo(updated.pseudo.with_labels(labels))
     return result
 
@@ -405,7 +386,6 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
         stats.per_case_audit_dsc[result.case.case_id] = result.outcome.mean_dsc
 
         case = result.case
-        tumor_labels = set(case.pseudo.catalog.tumor_labels)
         for entry in result.escalations:
             stats.n_escalated += 1
             queue.entries.append(entry)
@@ -422,16 +402,12 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
             queue.resolved[entry.key()] = ReviewDecision(
                 entry.case_id, entry.structure, int(chosen), type(oracle).__name__)
             labels = case.pseudo.labels.copy()
-            before = int(np.count_nonzero(labels == entry.structure))
-            changed = not np.array_equal(labels == entry.structure,
-                                         entry.candidates[int(chosen)])
-            _write_structure_mask(labels, entry.structure,
-                                  entry.candidates[int(chosen)], tumor_labels)
+            change, changed = write_structure(
+                labels, case.pseudo.catalog, entry.case_id, entry.structure,
+                entry.candidates[int(chosen)], f"escalated_{int(chosen)}")
             case = case.with_pseudo(case.pseudo.with_labels(labels))
             result.n_changed += int(changed)
-            result.changes.append(ChangeLogEntry(
-                entry.case_id, entry.structure, f"escalated_{int(chosen)}",
-                before, int(np.count_nonzero(labels == entry.structure))))
+            result.changes.append(change)
         stats.changed_structures += result.n_changed
         stats.all_changes.extend(result.changes)
         updated_corpus.append(case)
@@ -443,9 +419,7 @@ def maximization_pass(corpus: Sequence[CaseRecord], cfg: EMConfig,
                       loss_proxy: Optional[dict[str, float]] = None,
                       phantom_source: Optional[PhantomSource] = None,
                       iteration: int = 1,
-                      organ_connectivity: int = 26,
-                      tumor_connectivity: int = 6,
-                      tumor_min_component_voxels: int = 20) -> GaussianIntensityModel:
+                      new_model: ModelFactory = GaussianIntensityModel) -> SegmentationModel:
     """Refit the model on the data mix, with optional gold-subset annealing.
 
     The training multiset is: a deterministic sample of round(labeled*N)
@@ -500,9 +474,7 @@ def maximization_pass(corpus: Sequence[CaseRecord], cfg: EMConfig,
                 train.append(c)
                 weights.append(cfg.annealing_weight)
 
-    model = GaussianIntensityModel(corpus[0].pseudo.catalog,
-                                   organ_connectivity, tumor_connectivity,
-                                   tumor_min_component_voxels)
+    model = new_model(corpus[0].pseudo.catalog)
     model.fit(train, weights)
     return model
 
@@ -531,62 +503,50 @@ class RunRecorder:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.include_timing = include_timing
 
-    def _dump(self, name: str, obj) -> None:
-        path = self.out_dir / name
-        path.write_text(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-
     def config_snapshot(self, config: dict) -> None:
-        self._dump("config_snapshot.json", {"schema_version": SCHEMA_VERSION, **config})
+        write_json(self.out_dir / "config_snapshot.json", config)
 
     def model_snapshot(self, iteration: int, model: GaussianIntensityModel) -> str:
-        snapshot = model.to_dict()
-        blob = json.dumps(snapshot, sort_keys=True, separators=(",", ":"))
-        snapshot_id = hashlib.sha256(blob.encode()).hexdigest()[:12]
-        self._dump(f"model_{iteration:03d}.json", snapshot)
-        return snapshot_id
+        blob = model.save(self.out_dir / f"model_{iteration:03d}.json")
+        return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     def iteration_report(self, report: IterationReport) -> None:
-        self._dump(f"iteration_{report.iteration:03d}.json",
+        write_json(self.out_dir / f"iteration_{report.iteration:03d}.json",
                    report.to_dict(self.include_timing))
 
     def changes(self, iteration: int, entries: Sequence[ChangeLogEntry]) -> None:
-        path = self.out_dir / f"changes_{iteration:03d}.jsonl"
-        with path.open("w") as fh:
-            for e in entries:
-                fh.write(json.dumps(e.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+        write_jsonl(self.out_dir / f"changes_{iteration:03d}.jsonl",
+                    [e.to_dict() for e in entries])
 
     def resolutions(self, iteration: int, queue: EscalationQueue) -> None:
-        path = self.out_dir / "resolutions.jsonl"
-        with path.open("a") as fh:
-            for entry in queue.entries:
-                decision = queue.resolved.get(entry.key())
-                row = {"iteration": iteration, "reason": entry.reason.value}
-                row.update(decision.to_dict() if decision else
-                           {"case_id": entry.case_id, "structure": entry.structure,
-                            "chosen": None, "source": None})
-                fh.write(json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n")
+        rows = []
+        for entry in queue.entries:
+            decision = queue.resolved.get(entry.key())
+            row = {"iteration": iteration, "reason": entry.reason.value}
+            row.update(decision.to_dict() if decision else
+                       {"case_id": entry.case_id, "structure": entry.structure,
+                        "chosen": None, "source": None})
+            rows.append(row)
+        write_jsonl(self.out_dir / "resolutions.jsonl", rows, append=True)
 
     def summary(self, obj: dict) -> None:
-        self._dump("summary.json", {"schema_version": SCHEMA_VERSION, **obj})
+        write_json(self.out_dir / "summary.json", obj)
 
 
 def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOracle,
            phantom_source: Optional[PhantomSource] = None,
            recorder: Optional[RunRecorder] = None, threads: int = 1,
-           organ_connectivity: int = 26, tumor_connectivity: int = 6,
-           tumor_min_component_voxels: int = 20
-           ) -> tuple[list[CaseRecord], GaussianIntensityModel, list[IterationReport]]:
+           new_model: ModelFactory = GaussianIntensityModel
+           ) -> tuple[list[CaseRecord], SegmentationModel, list[IterationReport]]:
     """Alternate expectation and maximization passes until convergence.
 
     Stops at max_iterations or when the convergence metric (mean DSC vs gold,
     or the fraction of changed structures in no-gold mode) improves by less
     than convergence_epsilon. Deterministic given corpus, config and seed.
+    Every model, the initial fit and each refit, comes from `new_model`.
     """
     corpus = list(corpus)
-    model = GaussianIntensityModel(corpus[0].pseudo.catalog,
-                                   organ_connectivity, tumor_connectivity,
-                                   tumor_min_component_voxels)
-    model.fit(corpus)
+    model = fit_model(corpus, new_model=new_model)
     reports: list[IterationReport] = []
     if recorder is not None:
         recorder.model_snapshot(0, model)
@@ -599,22 +559,14 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
         corpus, queue, stats = expectation_pass(corpus, model, judge, oracle, cfg,
                                                 iteration=iteration, threads=threads)
         model = maximization_pass(corpus, cfg, stats.per_case_audit_dsc, phantom_source,
-                                  iteration=iteration,
-                                  organ_connectivity=organ_connectivity,
-                                  tumor_connectivity=tumor_connectivity,
-                                  tumor_min_component_voxels=tumor_min_component_voxels)
+                                  iteration=iteration, new_model=new_model)
         snapshot_id = recorder.model_snapshot(iteration, model) if recorder else ""
         mean_gold, per_structure = (None, None)
         if cfg.convergence_mode == "gold" or any(c.gold is not None for c in corpus):
             mean_gold, per_structure = _gold_metrics(corpus)
         report = IterationReport(
             iteration=iteration,
-            counts={"keep": stats.n_keep, "auto_replace": stats.n_auto_replace,
-                    "route": stats.n_route, "escalate": stats.n_escalated,
-                    "tournament_decided": stats.n_tournament_decided,
-                    "auto_resolved": stats.n_auto_resolved,
-                    "unresolved": stats.n_unresolved,
-                    "structures_audited": stats.structures_audited},
+            counts=stats.to_dict(),
             escalation_fraction=stats.escalation_fraction,
             budget_breached=stats.escalation_fraction > cfg.escalation_budget_fraction,
             change_fraction=stats.change_fraction,
@@ -652,6 +604,36 @@ def render_overlay_ascii(overlay: np.ndarray, on: str = "#", off: str = ".") -> 
     return "\n".join(rows)
 
 
+def front_overlays(masks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Front-view silhouettes (x-z) of 3D candidate masks."""
+    return [m.any(axis=1) for m in masks]
+
+
+def require_terminal() -> None:
+    if not sys.stdin.isatty():
+        raise ConfigError("interactive review needs a terminal; "
+                          "use the simulated expert oracle in batch runs")
+
+
+def prompt_choice(header: str, overlays: Sequence[np.ndarray],
+                  input_fn: Optional[Callable[[str], str]] = None,
+                  print_fn: Callable[[str], None] = print) -> Optional[int]:
+    """Show the candidates' overlays and prompt 1/2/skip; returns the chosen
+    candidate index, or None when skipped."""
+    ask = input_fn if input_fn is not None else input  # late: tests patch builtins
+    print_fn(header)
+    for i, overlay in enumerate(overlays):
+        print_fn(f"--- candidate {i + 1} ---")
+        print_fn(render_overlay_ascii(overlay))
+    while True:
+        answer = ask("choose 1/2/skip> ").strip().lower()
+        if answer in ("1", "2"):
+            return int(answer) - 1
+        if answer in ("s", "skip", ""):
+            return None
+        print_fn("please answer 1, 2 or skip")
+
+
 def interactive_review(queue: EscalationQueue,
                        input_fn: Optional[Callable[[str], str]] = None,
                        print_fn: Callable[[str], None] = print,
@@ -660,41 +642,21 @@ def interactive_review(queue: EscalationQueue,
     if not queue.entries:
         raise ShapeError("escalation queue is empty")
     if require_tty:
-        import sys
-        if not sys.stdin.isatty():
-            raise ConfigError("interactive review needs a terminal; "
-                              "use the simulated expert oracle in batch runs")
-    if input_fn is None:
-        input_fn = input  # late binding so test harnesses can patch builtins
+        require_terminal()
     decisions: list[ReviewDecision] = []
     for entry in queue.entries:
-        overlays = entry.overlays
-        if overlays is None and entry.candidates is not None:
-            overlays = [c.any(axis=1) for c in entry.candidates]
-        print_fn(f"case {entry.case_id}  structure {entry.structure}  "
-                 f"[{entry.reason.value}]")
-        for i, overlay in enumerate(overlays or []):
-            print_fn(f"--- candidate {i + 1} ---")
-            print_fn(render_overlay_ascii(overlay))
-        while True:
-            answer = input_fn("choose 1/2/skip> ").strip().lower()
-            if answer in ("1", "2"):
-                decision = ReviewDecision(entry.case_id, entry.structure,
-                                          int(answer) - 1, "interactive")
-                break
-            if answer in ("s", "skip", ""):
-                decision = ReviewDecision(entry.case_id, entry.structure, None, "interactive")
-                break
-            print_fn("please answer 1, 2 or skip")
+        entry.materialize_overlays()
+        chosen = prompt_choice(
+            f"case {entry.case_id}  structure {entry.structure}  [{entry.reason.value}]",
+            entry.overlays or [], input_fn, print_fn)
+        decision = ReviewDecision(entry.case_id, entry.structure, chosen, "interactive")
         decisions.append(decision)
         queue.resolved[entry.key()] = decision
     return decisions
 
 
 def save_decisions(path: Union[str, Path], decisions: Sequence[ReviewDecision]) -> None:
-    with Path(path).open("w") as fh:
-        for d in decisions:
-            fh.write(json.dumps(d.to_dict(), sort_keys=True, separators=(",", ":")) + "\n")
+    write_jsonl(path, [d.to_dict() for d in decisions])
 
 
 def load_decisions(path: Union[str, Path]) -> list[ReviewDecision]:

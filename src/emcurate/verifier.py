@@ -11,11 +11,10 @@ is kept untouched. Both thresholds are configuration constants.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Protocol, Sequence, Union
+from typing import Callable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -31,6 +30,7 @@ from .grid import (
     largest_component,
 )
 from .metrics import dsc
+from .volume_io import canonical_json, read_json
 
 STD_FLOOR = 1e-3
 PROB_FLOOR = 0.01  # posterior below this is clamped to exact zero (sparse maps)
@@ -92,6 +92,9 @@ class ChangeLogEntry:
 
 
 class SegmentationModel(Protocol):
+    organ_connectivity: int
+    tumor_connectivity: int
+
     def fit(self, corpus: Sequence[CaseRecord],
             weights: Optional[Sequence[float]] = None) -> None: ...
 
@@ -303,6 +306,7 @@ class GaussianIntensityModel:
             "catalog_id": self.catalog.catalog_id,
             "organ_connectivity": self.organ_connectivity,
             "tumor_connectivity": self.tumor_connectivity,
+            "tumor_min_component_voxels": self.tumor_min_component_voxels,
             "background": {"mean": self.background[0], "std": self.background[1]},
             "structures": {
                 str(s): {
@@ -315,6 +319,8 @@ class GaussianIntensityModel:
     @classmethod
     def from_dict(cls, d: dict, catalog: StructureCatalog) -> "GaussianIntensityModel":
         model = cls(catalog, d["organ_connectivity"], d["tumor_connectivity"])
+        model.tumor_min_component_voxels = int(
+            d.get("tumor_min_component_voxels", model.tumor_min_component_voxels))
         model.background = (float(d["background"]["mean"]), float(d["background"]["std"]))
         model.params = {
             int(s): _StructureParams(
@@ -324,24 +330,26 @@ class GaussianIntensityModel:
         }
         return model
 
-    def save(self, path: Union[str, Path]) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True,
-                                         separators=(",", ":")) + "\n")
+    def save(self, path: Union[str, Path]) -> str:
+        """Write the snapshot (unversioned); returns its canonical JSON."""
+        blob = canonical_json(self.to_dict())
+        Path(path).write_text(blob + "\n")
+        return blob
 
     @classmethod
     def load(cls, path: Union[str, Path], catalog: StructureCatalog) -> "GaussianIntensityModel":
-        return cls.from_dict(json.loads(Path(path).read_text()), catalog)
+        return cls.from_dict(read_json(path), catalog)
+
+
+ModelFactory = Callable[[StructureCatalog], SegmentationModel]
 
 
 def fit_model(corpus: Sequence[CaseRecord], weights: Optional[Sequence[float]] = None,
-              organ_connectivity: int = 26, tumor_connectivity: int = 6,
-              tumor_min_component_voxels: int = 20) -> GaussianIntensityModel:
-    """Fit the reference intensity model on a corpus' pseudo annotations."""
+              new_model: ModelFactory = GaussianIntensityModel) -> SegmentationModel:
+    """Fit a fresh model from `new_model` on a corpus' pseudo annotations."""
     if len(corpus) == 0:
         raise ModelError("fit_model requires a nonempty corpus")
-    model = GaussianIntensityModel(corpus[0].pseudo.catalog,
-                                   organ_connectivity, tumor_connectivity,
-                                   tumor_min_component_voxels)
+    model = new_model(corpus[0].pseudo.catalog)
     model.fit(corpus, weights)
     return model
 
@@ -359,38 +367,44 @@ def audit_case(model: SegmentationModel, case: CaseRecord,
                         prediction=prediction)
 
 
+def write_structure(labels: np.ndarray, catalog: StructureCatalog, case_id: str,
+                    structure: int, mask: np.ndarray, action: str
+                    ) -> tuple[ChangeLogEntry, bool]:
+    """Replace one structure's voxels in `labels` (in place) by `mask`.
+
+    Tumor labels take precedence: a non-tumor structure never overwrites a
+    tumor voxel. Any other occupied voxel goes to the written structure.
+    Voxels of `mask` that held another label are counted as conflicts.
+    Returns the change-log entry and whether the structure's voxels changed.
+    """
+    old = labels == structure
+    changed = not np.array_equal(old, mask)
+    before = int(np.count_nonzero(old))
+    labels[old] = BACKGROUND
+    tumor_labels = catalog.tumor_labels
+    if structure in tumor_labels or not tumor_labels:
+        blocked = np.zeros_like(mask)
+    else:
+        blocked = np.isin(labels, tumor_labels)
+    conflicts = int(np.count_nonzero(mask & ((labels != BACKGROUND) | blocked)))
+    labels[mask & ~blocked] = structure
+    entry = ChangeLogEntry(case_id, structure, action, before,
+                           int(np.count_nonzero(labels == structure)), conflicts)
+    return entry, changed
+
+
 def apply_update_rule(case: CaseRecord, outcome: AuditOutcome
                       ) -> tuple[CaseRecord, list[ChangeLogEntry]]:
     """Replace auto_replace structures with the audited prediction.
 
-    Keep/route structures are untouched voxel-for-voxel. When a replacement
-    would overwrite a voxel already holding another label, tumor labels take
-    precedence over organ/vessel labels; otherwise the replaced structure
-    wins over the stale label. Conflicting voxels are counted in the log.
+    Keep/route structures are untouched voxel-for-voxel; the replacements
+    follow the label precedence of `write_structure`.
     """
-    catalog = case.pseudo.catalog
     to_replace = outcome.actions(AuditAction.AUTO_REPLACE)
     if not to_replace:
         return case, []
     labels = case.pseudo.labels.copy()
-    tumor_labels = set(catalog.tumor_labels)
-    log: list[ChangeLogEntry] = []
-    for s in sorted(to_replace):
-        pred_mask = outcome.prediction.labels == s
-        before = int(np.count_nonzero(labels == s))
-        labels[labels == s] = BACKGROUND
-        occupied = labels != BACKGROUND
-        if s in tumor_labels:
-            blocked = np.zeros_like(pred_mask)
-        else:
-            blocked = np.isin(labels, list(tumor_labels)) if tumor_labels else \
-                np.zeros_like(pred_mask)
-        writable = pred_mask & ~blocked
-        conflicts = int(np.count_nonzero(pred_mask & occupied & ~blocked)) + \
-            int(np.count_nonzero(pred_mask & blocked))
-        labels[writable] = s
-        log.append(ChangeLogEntry(case_id=case.case_id, structure=s, action="auto_replace",
-                                  voxels_before=before,
-                                  voxels_after=int(np.count_nonzero(labels == s)),
-                                  conflicts=conflicts))
+    log = [write_structure(labels, case.pseudo.catalog, case.case_id, s,
+                           outcome.prediction.labels == s, "auto_replace")[0]
+           for s in sorted(to_replace)]
     return case.with_pseudo(case.pseudo.with_labels(labels)), log

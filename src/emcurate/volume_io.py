@@ -21,7 +21,7 @@ import hashlib
 import json
 import struct
 from pathlib import Path
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -37,14 +37,21 @@ SCHEMA_VERSION = 1
 _HEADER = struct.Struct("<4sHB3I3f")
 
 
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+def canonical_json(obj) -> str:
+    """The one JSON encoding of every artifact: sorted keys, no whitespace."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def write_json(path: Union[str, Path], obj: dict) -> None:
-    obj = dict(obj)
-    obj.setdefault("schema_version", SCHEMA_VERSION)
-    Path(path).write_text(_canonical_json(obj))
+    """Write a JSON artifact, stamped with SCHEMA_VERSION unless it has one."""
+    Path(path).write_text(canonical_json({"schema_version": SCHEMA_VERSION, **obj}) + "\n")
+
+
+def write_jsonl(path: Union[str, Path], rows: Iterable[dict], append: bool = False) -> None:
+    """Write (or append) one canonical JSON object per line; rows are not stamped."""
+    with Path(path).open("a" if append else "w") as fh:
+        for row in rows:
+            fh.write(canonical_json(row) + "\n")
 
 
 def read_json(path: Union[str, Path]) -> dict:

@@ -59,7 +59,7 @@ def default_run(cfg, default_corpus):
     started = time.perf_counter()
     corpus, model, reports = em.run_em(
         default_corpus, cfg.em, judge, oracle, phantom_source=source, threads=1,
-        tumor_min_component_voxels=cfg.model.tumor_min_component_voxels)
+        new_model=cfg.build_model)
     elapsed = time.perf_counter() - started
     return corpus, model, reports, elapsed
 
@@ -133,9 +133,7 @@ def test_criterion_3_update_rule_law():
 def test_criterion_4_expectation_idempotence(cfg, default_corpus):
     with criterion(4, "a full expectation pass then re-audit under the frozen "
                       "model yields zero further auto-replacements"):
-        model = fit_model(
-            default_corpus,
-            tumor_min_component_voxels=cfg.model.tumor_min_component_voxels)
+        model = fit_model(default_corpus, new_model=cfg.build_model)
         judge = cfg.build_judge()
         oracle = cfg.build_oracle()
         updated, _queue, _stats = expectation_pass(default_corpus, model, judge,
@@ -206,8 +204,7 @@ def test_criterion_7_roc_workflow(cfg):
                       "exhaustive sweep; report suppression; savings arithmetic"):
         cases = [em.generate_case(cfg.phantom, 40_000 + s, case_id=f"v{s:03d}")
                  for s in range(30)]
-        model = fit_model(
-            cases, tumor_min_component_voxels=cfg.model.tumor_min_component_voxels)
+        model = fit_model(cases, new_model=cfg.build_model)
         tumor = cfg.catalog.tumor_labels[0]
         probs = [model.predict_prob(c.volume, tumor) for c in cases]
         refs = [c.gold.labels == tumor for c in cases]

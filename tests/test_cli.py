@@ -157,6 +157,15 @@ def test_refine_outputs(cfg_file, tmp_path):
     assert (out / "queue.json").exists()
 
 
+def test_bad_thread_count_env_is_config_error(cfg_file, tmp_path, monkeypatch, capsys):
+    corpus = tmp_path / "corpus"
+    main(["generate", "--config", cfg_file, "--out", str(corpus)])
+    monkeypatch.setenv("EMCURATE_THREADS", "two")
+    assert main(["refine", "--config", cfg_file, "--corpus", str(corpus),
+                 "--out", str(tmp_path / "refine")]) == 2
+    assert "EMCURATE_THREADS" in capsys.readouterr().err
+
+
 def test_roc_command(cfg_file, tmp_path):
     cfg = dict(BASE_CFG)
     cfg["corpus"] = {"n_cases": 8, "gold_fraction": 1.0}

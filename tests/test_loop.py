@@ -143,6 +143,9 @@ def test_low_confidence_escalation(run_cfg_module):
     pred_labels[blob_b] = 1
 
     class Fixed:
+        organ_connectivity = 26
+        tumor_connectivity = 6
+
         def predict(self, volume):
             return case.pseudo.with_labels(pred_labels)
 
@@ -151,6 +154,69 @@ def test_low_confidence_escalation(run_cfg_module):
                                        em_cfg())
     reasons = {e.structure: e.reason for e in queue.entries}
     assert reasons.get(1) is EscalationReason.LOW_CONFIDENCE
+
+
+def test_shape_cleanup_uses_model_connectivity(noisy_corpus, judge, monkeypatch):
+    """The judge's incumbent is cleaned with the model's connectivities, not
+    with shape_cleanup's defaults."""
+    import emcurate.loop as loop_mod
+    from emcurate.expert import shape_cleanup
+    from emcurate.verifier import GaussianIntensityModel
+    cases, _ = noisy_corpus
+    model = em.fit_model(cases, new_model=lambda catalog: GaussianIntensityModel(
+        catalog, organ_connectivity=6, tumor_connectivity=26))
+    seen = []
+
+    def spy(label_map, organ_connectivity=26, tumor_connectivity=6):
+        seen.append((organ_connectivity, tumor_connectivity))
+        return shape_cleanup(label_map, organ_connectivity, tumor_connectivity)
+
+    monkeypatch.setattr(loop_mod, "shape_cleanup", spy)
+    expectation_pass(cases, model, judge, TieKeeperOracle(), em_cfg())
+    assert seen and set(seen) == {(6, 26)}
+
+
+def test_escalated_write_logs_conflicts():
+    # the reviewer picks the challenger organ mask, which runs across a kept
+    # tumor voxel: the tumor keeps the voxel and the row counts the conflict
+    from conftest import make_case
+    from emcurate.expert import JudgeVerdict, Preference
+    from emcurate.grid import StructureCatalog, StructureEntry, StructureKind
+    cat = StructureCatalog((
+        StructureEntry(1, "organ_a", StructureKind.ORGAN),
+        StructureEntry(2, "tumor_a", StructureKind.TUMOR),
+    ))
+    labels = np.zeros((8, 1, 1), np.uint16)
+    labels[0:3, 0, 0] = 1        # organ annotation
+    labels[4, 0, 0] = 2          # tumor annotation at voxels 4 ...
+    labels[7, 0, 0] = 2          # ... and 7
+    pred_labels = np.zeros((8, 1, 1), np.uint16)
+    pred_labels[2:6, 0, 0] = 1   # organ predicted across voxel 4 (dsc 2/7: route)
+    pred_labels[7, 0, 0] = 2     # tumor dsc 2/3: keep
+    case = make_case(np.zeros((8, 1, 1)), labels, cat)
+
+    class FixedModel:
+        organ_connectivity = 26
+        tumor_connectivity = 6
+
+        def predict(self, volume):
+            return case.pseudo.with_labels(pred_labels)
+
+    class TieJudge:
+        def compare(self, case_id, structure, volume, mask_a, mask_b):
+            return JudgeVerdict(Preference.TIE, 0.5, 0.5)
+
+    class PickChallenger:
+        def review(self, case, structure, candidates, context):
+            return 1
+
+    updated, queue, stats = expectation_pass([case], FixedModel(), TieJudge(),
+                                             PickChallenger(), em_cfg())
+    assert [e.structure for e in queue.entries] == [1]
+    row = next(e for e in stats.all_changes if e.action == "escalated_1")
+    assert row.conflicts == 1
+    assert updated[0].pseudo.labels[4, 0, 0] == 2
+    assert list(updated[0].pseudo.labels[2:6, 0, 0]) == [1, 1, 2, 1]
 
 
 def test_maximization_full_labeled_equals_plain_fit(noisy_corpus):
@@ -185,14 +251,8 @@ def test_maximization_selective_duplicates_worst_case(noisy_corpus):
             seen["corpus"] = list(corpus)
             seen["weights"] = list(weights)
 
-    import emcurate.loop as loop_mod
-    orig = loop_mod.GaussianIntensityModel
-    loop_mod.GaussianIntensityModel = SpyModel
-    try:
-        cfg = em_cfg(data_mix=(0.7, 0.0, 0.3), annealing_enabled=False)
-        maximization_pass(cases, cfg, loss_proxy=loss)
-    finally:
-        loop_mod.GaussianIntensityModel = orig
+    cfg = em_cfg(data_mix=(0.7, 0.0, 0.3), annealing_enabled=False)
+    maximization_pass(cases, cfg, loss_proxy=loss, new_model=SpyModel)
     import math
     extra = [c for c in seen["corpus"] if c.case_id == cases[3].case_id]
     n_lab = round(0.7 * n)
@@ -210,15 +270,9 @@ def test_maximization_annealing_weights_gold(noisy_corpus):
         def fit(self, corpus, weights):
             seen["pairs"] = [(c.case_id, w) for c, w in zip(corpus, weights)]
 
-    import emcurate.loop as loop_mod
-    orig = loop_mod.GaussianIntensityModel
-    loop_mod.GaussianIntensityModel = lambda *a, **k: SpyModel()
-    try:
-        cfg = em_cfg(data_mix=(1.0, 0.0, 0.0), annealing_enabled=True,
-                     annealing_weight=5.0)
-        maximization_pass(cases, cfg)
-    finally:
-        loop_mod.GaussianIntensityModel = orig
+    cfg = em_cfg(data_mix=(1.0, 0.0, 0.0), annealing_enabled=True,
+                 annealing_weight=5.0)
+    maximization_pass(cases, cfg, new_model=lambda *a, **k: SpyModel())
     gold_ids = {c.case_id for c in cases if c.meta.is_gold}
     weighted = {cid for cid, w in seen["pairs"] if w == 5.0}
     assert weighted == gold_ids

@@ -269,13 +269,17 @@ def test_injected_deletions_recovered_at_injected_rate(run_cfg):
 
 def test_model_serialization_round_trip(run_cfg, tmp_path):
     cases = [em.generate_case(run_cfg.phantom, s, case_id=f"c{s}") for s in range(3)]
-    model = em.fit_model(cases)
-    path = tmp_path / "model.json"
-    model.save(path)
-    loaded = GaussianIntensityModel.load(path, run_cfg.catalog)
-    pred_a = model.predict(cases[0].volume)
-    pred_b = loaded.predict(cases[0].volume)
-    assert np.array_equal(pred_a.labels, pred_b.labels)
+    # the default model, and one whose tumor size filter differs from the default
+    for new_model in (GaussianIntensityModel,
+                      lambda catalog: GaussianIntensityModel(
+                          catalog, tumor_min_component_voxels=400)):
+        model = em.fit_model(cases, new_model=new_model)
+        path = tmp_path / "model.json"
+        model.save(path)
+        loaded = GaussianIntensityModel.load(path, run_cfg.catalog)
+        pred_a = model.predict(cases[0].volume)
+        pred_b = loaded.predict(cases[0].volume)
+        assert np.array_equal(pred_a.labels, pred_b.labels)
 
 
 def test_fit_deterministic(small_corpus):
