@@ -197,9 +197,8 @@ def cmd_roc(args) -> int:
                               else cfg.metrics.roc_target_sensitivity)
     volume_io.write_json(out_dir / "policy.json", policy.to_dict())
     workloads = []
-    for case, prob in zip(cases, probs):
+    for case, prob, gold in zip(cases, probs, refs):
         pred = prob > policy.selected_threshold
-        gold = case.gold.labels == tumor
         _cleaned, workload = process_case(case, pred, gold, cfg.cost,
                                           connectivity=model.tumor_connectivity)
         workloads.append(workload)

@@ -39,6 +39,18 @@ class MetricsConfig:
     roc_target_sensitivity: float = 0.99
     fp_min_voxels: int = 1
 
+    def __post_init__(self):
+        if self.nsd_tolerance_mm <= 0:
+            raise ConfigError(f"metrics.nsd_tolerance_mm must be > 0, got {self.nsd_tolerance_mm}")
+        for name in ("organ_connectivity", "tumor_connectivity"):
+            if getattr(self, name) not in (6, 26):
+                raise ConfigError(f"metrics.{name} must be 6 or 26, got {getattr(self, name)}")
+        if self.roc_points < 1:
+            raise ConfigError(f"metrics.roc_points must be >= 1, got {self.roc_points}")
+        if not 0.0 < self.roc_target_sensitivity <= 1.0:
+            raise ConfigError("metrics.roc_target_sensitivity must lie in (0, 1], "
+                              f"got {self.roc_target_sensitivity}")
+
 
 @dataclass(frozen=True)
 class ModelConfig:

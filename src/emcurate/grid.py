@@ -295,6 +295,28 @@ def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentL
     return ComponentLabeling(ids=_freeze(ids), count=int(count), sizes=_freeze(sizes))
 
 
+def component_hits(comp: ComponentLabeling, other_mask: np.ndarray) -> np.ndarray:
+    """Per-component overlap with another mask, in one pass: entry k-1 is the
+    number of voxels of component k that lie in other_mask."""
+    other = np.asarray(other_mask, dtype=bool)
+    if other.shape != comp.ids.shape:
+        raise ShapeError(f"mask shape {other.shape} != component grid {comp.ids.shape}")
+    return np.bincount(comp.ids[other], minlength=comp.count + 1)[1:]
+
+
+def nonzero_box(mask: np.ndarray) -> tuple[slice, ...]:
+    """Slices of the smallest box holding every true voxel of mask, from
+    per-axis any() projections; every slice is empty when the mask is."""
+    mask = np.asarray(mask, dtype=bool)
+    box = []
+    for axis in range(mask.ndim):
+        hit = np.flatnonzero(mask.any(axis=tuple(a for a in range(mask.ndim) if a != axis)))
+        if hit.size == 0:
+            return (slice(0, 0),) * mask.ndim
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+    return tuple(box)
+
+
 def largest_component(mask: np.ndarray, connectivity: int = 26) -> np.ndarray:
     """Keep only the largest connected component (first in raster order on ties)."""
     comp = connected_components(mask, connectivity)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ShapeError, UndefinedRateError
-from .grid import LabelMap, StructureCatalog, connected_components
+from .grid import LabelMap, StructureCatalog, component_hits, connected_components, nonzero_box
 
 FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
@@ -194,26 +194,19 @@ def patient_wise_detection(pred_tumor, ref_tumor) -> DetectionOutcome:
 def tumor_wise_detection(pred_tumor, ref_tumor, connectivity: int = 6,
                          fp_min_voxels: int = 1) -> ConfusionCounts:
     """Instance-level counts: a reference component is TP iff it meets the
-    prediction; predicted components meeting no reference voxel are FP.
-    TN is undefined at instance level and reported as 0.
+    prediction; predicted components of at least fp_min_voxels voxels meeting
+    no reference voxel are FP. TN is undefined at instance level and reported
+    as 0.
     """
     pred, ref = _as_mask_pair(pred_tumor, ref_tumor)
+    box = nonzero_box(pred | ref)
+    pred, ref = pred[box], ref[box]
     ref_comp = connected_components(ref, connectivity)
-    tp = fn = 0
-    for k in range(1, ref_comp.count + 1):
-        if bool(pred[ref_comp.ids == k].any()):
-            tp += 1
-        else:
-            fn += 1
+    tp = int(np.count_nonzero(component_hits(ref_comp, pred)))
     pred_comp = connected_components(pred, connectivity)
-    fp = 0
-    for k in range(1, pred_comp.count + 1):
-        inst = pred_comp.ids == k
-        if int(pred_comp.sizes[k - 1]) < fp_min_voxels:
-            continue
-        if not bool(ref[inst].any()):
-            fp += 1
-    return ConfusionCounts(tp=tp, tn=0, fp=fp, fn=fn)
+    fp = int(np.count_nonzero((component_hits(pred_comp, ref) == 0)
+                              & (pred_comp.sizes >= fp_min_voxels)))
+    return ConfusionCounts(tp=tp, tn=0, fp=fp, fn=ref_comp.count - tp)
 
 
 def diagnosis_confusion(pred: Sequence, ref: Sequence,
@@ -260,22 +253,25 @@ def build_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray],
     if len(prob_maps) == 0 or len(prob_maps) != len(refs):
         raise ShapeError("need matching, nonempty prob_maps and refs")
     ts = _check_thresholds(thresholds)
-    probs = [np.asarray(p, dtype=np.float64) for p in prob_maps]
-    masks = [np.asarray(r, dtype=bool) for r in refs]
-    for p, r in zip(probs, masks):
+    cases = []
+    for p, r in zip(prob_maps, refs):
+        p, r = np.asarray(p, dtype=np.float64), np.asarray(r, dtype=bool)
         if p.shape != r.shape:
             raise ShapeError(f"probability map shape {p.shape} != reference {r.shape}")
+        # Thresholds are >= 0, so prob > t never holds outside the box of (prob > 0) | ref.
+        box = nonzero_box((p > 0) | r)
+        cases.append((p[box], r[box]))
 
     # Per reference instance, detection at threshold t only depends on the
     # max probability over the instance; precompute it once per instance.
     inst_max: list[float] = []
     n_neg_cases = 0
-    for p, r in zip(probs, masks):
+    for p, r in cases:
         comp = connected_components(r, connectivity)
         if comp.count == 0:
             n_neg_cases += 1
-        for k in range(1, comp.count + 1):
-            inst_max.append(float(p[comp.ids == k].max()))
+        else:
+            inst_max.extend(ndimage.maximum(p, comp.ids, np.arange(1, comp.count + 1)))
     inst_max_arr = np.array(inst_max, dtype=np.float64)
     n_instances = len(inst_max)
 
@@ -285,19 +281,15 @@ def build_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray],
         sens = tp / n_instances if n_instances else 0.0
         fp_total = 0
         tn_cases = 0
-        fp_cases = 0
-        for p, r in zip(probs, masks):
+        for p, r in cases:
             pred = p > t
             counts = tumor_wise_detection(pred, r, connectivity, fp_min_voxels)
             fp_total += counts.fp
-            if not r.any():
-                if pred.any():
-                    fp_cases += 1
-                else:
-                    tn_cases += 1
+            if not r.any() and not pred.any():
+                tn_cases += 1
         spec = tn_cases / n_neg_cases if n_neg_cases else float("nan")
         points.append(RocPoint(threshold=t, sensitivity=sens,
-                               fp_per_scan=fp_total / len(probs), specificity=spec))
+                               fp_per_scan=fp_total / len(cases), specificity=spec))
     return RocCurve(points=tuple(points))
 
 

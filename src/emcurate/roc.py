@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UndefinedRateError
-from .grid import CaseRecord, connected_components
+from .grid import CaseRecord, component_hits, connected_components
 from .metrics import RocCurve
 
 
@@ -120,13 +120,9 @@ def simulate_fp_erasure(case: CaseRecord, tumor_pred: np.ndarray,
     if pred.shape != gold.shape:
         raise ShapeError("prediction/gold dims differ")
     comp = connected_components(pred, connectivity)
-    cleaned = pred.copy()
-    clicks = 0
-    for k in range(1, comp.count + 1):
-        inst = comp.ids == k
-        if not gold[inst].any():
-            cleaned[inst] = False
-            clicks += 1
+    erased = np.flatnonzero(component_hits(comp, gold) == 0) + 1
+    cleaned = pred & ~np.isin(comp.ids, erased)
+    clicks = len(erased)
     return cleaned, clicks, clicks * cost.seconds_per_fp_removal
 
 
@@ -142,10 +138,7 @@ def process_case(case: CaseRecord, tumor_pred: np.ndarray, gold_tumor: np.ndarra
         pred = after
     cleaned, clicks, _ = simulate_fp_erasure(case, pred, gold_tumor, cost, connectivity)
     gold_comp = connected_components(np.asarray(gold_tumor, dtype=bool), connectivity)
-    missed = 0
-    for k in range(1, gold_comp.count + 1):
-        if not cleaned[gold_comp.ids == k].any():
-            missed += 1
+    missed = int(np.count_nonzero(component_hits(gold_comp, cleaned) == 0))
     return cleaned, CaseWorkload(case_id=case.case_id, gold_instances=gold_comp.count,
                                  missed_instances=missed, fp_clicks=clicks,
                                  report_suppressed=suppressed)

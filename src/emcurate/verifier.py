@@ -28,6 +28,7 @@ from .grid import (
     VoxelGrid,
     connected_components,
     largest_component,
+    nonzero_box,
 )
 from .metrics import dsc
 from .volume_io import canonical_json, read_json
@@ -173,9 +174,9 @@ class GaussianIntensityModel:
                 vals = intensities[m]
                 acc[s] += (w * n, w * vals.sum(), w * (vals * vals).sum())
                 if s != BACKGROUND:
-                    idx = np.nonzero(m)
-                    lo = np.array([a.min() for a in idx])
-                    hi = np.array([a.max() for a in idx])
+                    box = nonzero_box(m)
+                    lo = np.array([b.start for b in box])
+                    hi = np.array([b.stop - 1 for b in box])
                     if boxes[s] is None:
                         boxes[s] = np.concatenate([lo, hi])
                     else:

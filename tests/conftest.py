@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import emcurate as em
 from emcurate.grid import CaseMeta, CaseRecord, ContrastPhase, LabelMap, Sex, VoxelGrid
+
+# Property tests replay the same examples on every run, write no example
+# database and take a bounded time.
+settings.register_profile("emcurate", derandomize=True, deadline=None, max_examples=60,
+                          database=None)
+settings.load_profile("emcurate")
 
 
 @pytest.fixture(scope="session")

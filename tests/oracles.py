@@ -87,8 +87,10 @@ def brute_nsd(a: np.ndarray, b: np.ndarray, tolerance_mm: float, spacing) -> flo
     return close / (len(surf_a) + len(surf_b))
 
 
-def brute_tumor_wise(pred: np.ndarray, ref: np.ndarray, connectivity: int):
-    """(tp, fp, fn) by exhaustive component-intersection matching."""
+def brute_tumor_wise(pred: np.ndarray, ref: np.ndarray, connectivity: int,
+                     fp_min_voxels: int = 1):
+    """(tp, fp, fn) by exhaustive component-intersection matching; predicted
+    components smaller than fp_min_voxels are never FP."""
     pred_set = {tuple(v) for v in np.argwhere(pred)}
     ref_set = {tuple(v) for v in np.argwhere(ref)}
     tp = fn = fp = 0
@@ -98,7 +100,7 @@ def brute_tumor_wise(pred: np.ndarray, ref: np.ndarray, connectivity: int):
         else:
             fn += 1
     for comp in brute_components(pred, connectivity):
-        if not (comp & ref_set):
+        if len(comp) >= fp_min_voxels and not (comp & ref_set):
             fp += 1
     return tp, fp, fn
 

@@ -114,6 +114,16 @@ def test_invariant_violation_is_exit_4(tmp_path):
                  "--out", str(tmp_path / "roc")]) == 4
 
 
+def test_invalid_roc_points_is_config_error(tmp_path, capsys):
+    cfg = dict(BASE_CFG, metrics={"roc_points": -1})
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    assert main(["roc", "--config", str(path), "--corpus", str(tmp_path / "absent"),
+                 "--out", str(tmp_path / "roc")]) == 2
+    assert "roc_points" in capsys.readouterr().err
+    assert not (tmp_path / "roc").exists()
+
+
 def test_audit_and_evaluate(cfg_file, tmp_path):
     corpus = tmp_path / "corpus"
     main(["generate", "--config", cfg_file, "--out", str(corpus)])

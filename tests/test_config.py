@@ -90,3 +90,22 @@ def test_unknown_judge_and_oracle_kinds(run_cfg, tmp_path):
     path.write_text(yaml.safe_dump(raw))
     with pytest.raises(ConfigError):
         load_run_config(path).build_judge()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("roc_points", -1),
+    ("roc_points", 0),
+    ("nsd_tolerance_mm", 0.0),
+    ("nsd_tolerance_mm", -2.0),
+    ("organ_connectivity", 18),
+    ("tumor_connectivity", 4),
+    ("roc_target_sensitivity", 0.0),
+    ("roc_target_sensitivity", 1.5),
+])
+def test_invalid_metrics_rejected_at_load(run_cfg, tmp_path, field, value):
+    raw = dict(run_cfg.raw)
+    raw["metrics"] = {**raw.get("metrics", {}), field: value}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    with pytest.raises(ConfigError, match=f"metrics.{field}"):
+        load_run_config(path)

@@ -7,9 +7,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# 05_roc_workflow.py is left out: its 101-threshold ROC sweep takes ~40 s.
 DEMOS = ("01_phantoms_and_noise.py", "02_metrics_tour.py", "03_audit_and_update.py",
-         "04_projection_judge.py", "06_full_em_run.py")
+         "04_projection_judge.py", "05_roc_workflow.py", "06_full_em_run.py")
 
 
 def test_demos_exit_zero():

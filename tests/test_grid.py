@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emcurate import (
     CatalogError,
@@ -13,7 +16,7 @@ from emcurate import (
     front_view_projection,
     largest_component,
 )
-from emcurate.grid import StructuredReport, TumorType
+from emcurate.grid import StructuredReport, TumorType, component_hits, nonzero_box
 
 from conftest import make_label_map
 from oracles import brute_components, brute_front_overlay
@@ -124,6 +127,59 @@ def test_connected_components_match_flood_fill(connectivity):
                for k in range(1, comp.count + 1)]
         assert sorted(map(sorted, got)) == sorted(map(sorted, expected))
         assert sorted(comp.sizes.tolist()) == sorted(len(c) for c in expected)
+
+
+SHAPES = st.tuples(*[st.integers(1, 6)] * 3)
+
+
+@st.composite
+def mask_pairs(draw):
+    shape = draw(SHAPES)
+    return draw(arrays(bool, shape)), draw(arrays(bool, shape))
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+@given(pair=mask_pairs())
+def test_component_hits_matches_flood_fill(connectivity, pair):
+    mask, other = pair
+    comp = connected_components(mask, connectivity)
+    hits = component_hits(comp, other)
+    expected = brute_components(mask, connectivity)
+    assert hits.shape == (comp.count,) == (len(expected),)
+    other_voxels = set(map(tuple, np.argwhere(other)))
+    for voxels in expected:
+        k = comp.ids[next(iter(voxels))]
+        assert hits[k - 1] == len(voxels & other_voxels)
+
+
+def test_component_hits_rejects_other_shape():
+    comp = connected_components(np.ones((2, 2, 2), bool), 6)
+    with pytest.raises(ShapeError):
+        component_hits(comp, np.ones((2, 2, 3), bool))
+
+
+@given(mask=SHAPES.flatmap(lambda shape: arrays(bool, shape)))
+def test_nonzero_box_matches_argwhere(mask):
+    box = nonzero_box(mask)
+    idx = np.argwhere(mask)
+    if len(idx) == 0:
+        assert box == (slice(0, 0),) * 3
+    else:
+        assert box == tuple(slice(int(lo), int(hi) + 1)
+                            for lo, hi in zip(idx.min(axis=0), idx.max(axis=0)))
+    assert np.count_nonzero(mask[box]) == np.count_nonzero(mask)
+
+
+def test_nonzero_box_empty_full_and_border_voxels():
+    dims = (4, 5, 6)
+    assert nonzero_box(np.zeros(dims, bool)) == (slice(0, 0),) * 3
+    assert nonzero_box(np.zeros((0, 3, 3), bool)) == (slice(0, 0),) * 3
+    assert nonzero_box(np.ones(dims, bool)) == tuple(slice(0, n) for n in dims)
+    for corner in np.ndindex(2, 2, 2):
+        voxel = tuple(c * (n - 1) for c, n in zip(corner, dims))
+        mask = np.zeros(dims, bool)
+        mask[voxel] = True
+        assert nonzero_box(mask) == tuple(slice(v, v + 1) for v in voxel)
 
 
 def test_largest_component_deterministic_tie():

@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emcurate import (
     ConfusionCounts,
@@ -205,6 +210,30 @@ def test_tumor_wise_matches_oracle(connectivity):
             __import__("oracles").brute_components(ref, connectivity))
 
 
+@st.composite
+def border_mask_pairs(draw):
+    """Random (pred, ref) masks with one voxel of each on the grid border."""
+    shape = draw(st.tuples(*[st.integers(1, 7)] * 3))
+    masks = []
+    for _ in range(2):
+        mask = draw(arrays(bool, shape))
+        axis = draw(st.integers(0, 2))
+        voxel = [draw(st.integers(0, n - 1)) for n in shape]
+        voxel[axis] = draw(st.sampled_from([0, shape[axis] - 1]))
+        mask[tuple(voxel)] = True
+        masks.append(mask)
+    return tuple(masks)
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+@given(pair=border_mask_pairs(), fp_min_voxels=st.integers(1, 3))
+def test_tumor_wise_matches_oracle_at_border(connectivity, pair, fp_min_voxels):
+    pred, ref = pair
+    counts = tumor_wise_detection(pred, ref, connectivity, fp_min_voxels)
+    assert (counts.tp, counts.fp, counts.fn) == \
+        brute_tumor_wise(pred, ref, connectivity, fp_min_voxels)
+
+
 # -- diagnosis confusion -----------------------------------------------------
 
 def test_diagnosis_identity():
@@ -285,6 +314,50 @@ def test_roc_matches_per_threshold_recomputation():
         assert point.sensitivity == pytest.approx(tp / (tp + fn))
         assert point.fp_per_scan == pytest.approx(fp / len(probs))
         assert point.specificity == pytest.approx(tn_cases / n_neg)
+
+
+ROC_LEVELS = [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]
+
+
+@st.composite
+def sparse_roc_cases(draw):
+    """Probability maps that are zero outside a sub-box (on the levels, so
+    thresholds tie with voxel values), with references anywhere."""
+    shape = draw(st.tuples(*[st.integers(2, 7)] * 3))
+    cases = []
+    for _ in range(draw(st.integers(1, 3))):
+        lo = [draw(st.integers(0, n - 1)) for n in shape]
+        hi = [draw(st.integers(a, n - 1)) for a, n in zip(lo, shape)]
+        box = tuple(slice(a, b + 1) for a, b in zip(lo, hi))
+        prob = np.zeros(shape)
+        prob[box] = draw(arrays(np.float64, prob[box].shape,
+                                elements=st.sampled_from(ROC_LEVELS)))
+        ref = draw(arrays(bool, shape))
+        cases.append((prob, ref))
+    return cases
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+@given(cases=sparse_roc_cases(), fp_min_voxels=st.integers(1, 3))
+def test_roc_on_sparse_maps_matches_uncropped_oracle(connectivity, cases, fp_min_voxels):
+    thresholds = [1.0, 0.8, 0.7, 0.4, 0.2, 0.1, 0.0]
+    curve = build_roc([c[0] for c in cases], [c[1] for c in cases], thresholds,
+                      connectivity, fp_min_voxels)
+    for point in curve.points:
+        tp = fp = fn = tn_cases = n_neg = 0
+        for prob, ref in cases:
+            pred = prob > point.threshold
+            t, f, n = brute_tumor_wise(pred, ref, connectivity, fp_min_voxels)
+            tp, fp, fn = tp + t, fp + f, fn + n
+            if not ref.any():
+                n_neg += 1
+                tn_cases += int(not pred.any())
+        assert point.sensitivity == (tp / (tp + fn) if tp + fn else 0.0)
+        assert point.fp_per_scan == fp / len(cases)
+        if n_neg:
+            assert point.specificity == tn_cases / n_neg
+        else:
+            assert math.isnan(point.specificity)
 
 
 def test_roc_validates_inputs():

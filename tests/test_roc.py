@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import emcurate as em
 from emcurate import (
@@ -124,6 +127,42 @@ def test_erasure_never_removes_touching_components():
             inst = comp.ids == k
             if gold[inst].any():
                 assert cleaned[inst].all()
+
+
+@st.composite
+def erasure_inputs(draw):
+    shape = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    return (draw(arrays(bool, shape)), draw(arrays(bool, shape)),
+            draw(st.booleans()), draw(st.sampled_from([6, 26])))
+
+
+@given(inputs=erasure_inputs())
+def test_erasure_and_process_case_match_component_loop(inputs):
+    pred, gold, report_positive, connectivity = inputs
+    labels = gold.astype(np.uint16)
+    case = make_case(np.zeros(pred.shape), labels, CAT, gold_labels=labels,
+                     tumor_count=int(report_positive))
+    # reference: one full-grid scan per component
+    kept = pred if report_positive else np.zeros_like(pred)
+    expected = kept.copy()
+    clicks = 0
+    comp = em.connected_components(kept, connectivity)
+    for k in range(1, comp.count + 1):
+        inst = comp.ids == k
+        if not gold[inst].any():
+            expected[inst] = False
+            clicks += 1
+    gold_comp = em.connected_components(gold, connectivity)
+    missed = sum(not expected[gold_comp.ids == k].any()
+                 for k in range(1, gold_comp.count + 1))
+
+    cleaned, n_clicks, seconds = simulate_fp_erasure(case, kept, gold, COST, connectivity)
+    assert np.array_equal(cleaned, expected)
+    assert (n_clicks, seconds) == (clicks, clicks * COST.seconds_per_fp_removal)
+    cleaned, workload = process_case(case, pred, gold, COST, connectivity)
+    assert np.array_equal(cleaned, expected)
+    assert workload == CaseWorkload(case.case_id, gold_comp.count, missed, clicks,
+                                    not report_positive)
 
 
 def test_savings_perfect_detector():
