@@ -53,9 +53,7 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
 
-_CONFIG_ERRORS = (ConfigError,)
-_IO_ERRORS = (VolumeFormatError, FileNotFoundError, NotADirectoryError,
-              PermissionError, IsADirectoryError, OSError)
+_IO_ERRORS = (VolumeFormatError, OSError)
 _INVARIANT_ERRORS = (ShapeError, CatalogError, UndefinedRateError, ModelError, ProtocolError)
 
 
@@ -69,15 +67,18 @@ def _resolve_out(args) -> Path:
 
 
 def _resolve_threads(args) -> int:
-    if getattr(args, "threads", None):
-        return int(args.threads)
-    env = os.environ.get("EMCURATE_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"EMCURATE_THREADS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+    source, value = "--threads", args.threads
+    if value is None:
+        source, value = "EMCURATE_THREADS", os.environ.get("EMCURATE_THREADS")
+        if not value:
+            return os.cpu_count() or 1
+    try:
+        threads = int(value)
+    except ValueError:
+        raise ConfigError(f"{source} must be an integer, got {value!r}") from None
+    if threads < 1:
+        raise ConfigError(f"{source} must be >= 1, got {threads}")
+    return threads
 
 
 def _load_config(args) -> RunConfig:
@@ -280,13 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="EM-style annotation refinement on phantoms")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=True):
+    def common(p, threads=False):
         p.add_argument("--config", help="run config YAML (defaults to packaged config)")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: all cores)")
-        if needs_out:
-            p.add_argument("--out", help="output directory (or EMCURATE_OUT)")
+        if threads:
+            p.add_argument("--threads", type=int, default=None,
+                           help="worker threads, >= 1 (or EMCURATE_THREADS; default: all cores)")
+        p.add_argument("--out", help="output directory (or EMCURATE_OUT)")
 
     p = sub.add_parser("generate", help="generate a phantom corpus")
     common(p)
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("refine", help="one expectation pass incl. judge and escalation")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--corpus", required=True)
     p.set_defaults(func=cmd_refine)
 
@@ -312,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roc)
 
     p = sub.add_parser("run-loop", help="full EM loop")
-    common(p)
+    common(p, threads=True)
     p.add_argument("--corpus", help="existing corpus dir (default: generate per config)")
     p.add_argument("--force", action="store_true")
     p.add_argument("--timing", action="store_true",
@@ -339,7 +340,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except _INVARIANT_ERRORS as exc:

@@ -8,10 +8,10 @@ config file is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -97,7 +97,7 @@ class RunConfig:
         return self.phantom.catalog
 
     def with_seed(self, seed: int) -> "RunConfig":
-        raw = {**self.raw, "em": {**self.raw.get("em", {}), "seed": seed}}
+        raw = {**self.raw, "em": {**(self.raw.get("em") or {}), "seed": seed}}
         return replace(self, em=replace(self.em, seed=seed), raw=raw)
 
     def build_model(self, catalog: StructureCatalog) -> GaussianIntensityModel:
@@ -129,16 +129,10 @@ class RunConfig:
         raise ConfigError(f"unknown oracle kind '{self.oracle.kind}'")
 
 
-def _require(d: dict, key: str, where: str):
-    if key not in d:
-        raise ConfigError(f"missing '{key}' in {where}")
-    return d[key]
-
-
 def _parse_phantom(d: dict) -> PhantomSpec:
     structures = []
-    for s in _require(d, "structures", "phantom"):
-        intensity = _require(s, "intensity", f"structure {s.get('name')}")
+    for s in d["structures"]:
+        intensity = s["intensity"]
         structures.append(StructureShapeSpec(
             label=int(s["label"]), name=str(s["name"]), kind=StructureKind(s["kind"]),
             shape=ShapeKind(s["shape"]), center=tuple(s["center"]), radii=tuple(s["radii"]),
@@ -152,54 +146,79 @@ def _parse_phantom(d: dict) -> PhantomSpec:
                           radius_range=tuple(float(v) for v in t["radius_range"]),
                           intensity_offset=float(t["intensity_offset"]),
                           intensity_std=float(t["intensity_std"]))
-    bg = _require(d, "background", "phantom")
+    bg = d["background"]
     return PhantomSpec(structures=tuple(structures), tumor=tumor,
                        background_mean=float(bg["mean"]), background_std=float(bg["std"]),
                        dims=tuple(int(v) for v in d.get("dims", (64, 64, 64))),
                        spacing=tuple(float(v) for v in d.get("spacing", (1.0, 1.0, 1.0))))
 
 
-def _parse_noise(d: dict) -> NoiseSpec:
+_DATA_MIX_KEYS = ("labeled", "synthetic", "selective")
+_TOP_LEVEL_KEYS = ("schema_version", "phantom", "priors_file", "noise", "corpus", "em",
+                   "judge", "oracle", "cost", "metrics", "model", "synthetic")
+
+
+def _mapping(value, where: str, allowed) -> dict:
+    """The config mapping at ``where`` ({} when absent or null), keys in ``allowed`` only."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{where}' must be a mapping, got {value!r}")
+    for key in value:
+        if key not in allowed:
+            raise ConfigError(f"unknown key '{where}.{key}'" if where else f"unknown key '{key}'")
+    return value
+
+
+def _coerce(hint, value):
+    """``value`` converted to the declared field type ``hint``."""
+    if get_origin(hint) is Union:  # Optional[X]
+        return None if value is None else _coerce(get_args(hint)[0], value)
+    if get_origin(hint) is tuple:
+        kinds = get_args(hint)
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        kinds = (kinds[0],) * len(value) if kinds[-1] is Ellipsis else kinds
+        if len(value) != len(kinds):
+            raise ValueError(f"expected {len(kinds)} values, got {len(value)}")
+        return tuple(_coerce(k, v) for k, v in zip(kinds, value))
+    # no implicit conversion to or from bool, nor to str
+    if (hint is bool) != isinstance(value, bool) or (hint is str and not isinstance(value, str)):
+        raise TypeError(f"expected {hint.__name__}, got {value!r}")
+    if hint is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return hint(value)
+
+
+def _section(cls, value, where: str):
+    """Build the dataclass ``cls`` from the config section ``where``: an absent
+    key keeps its default, an unknown key or an unconvertible value is a ConfigError."""
+    hints = get_type_hints(cls)
+    names = [f.name for f in fields(cls)]
     kwargs = {}
-    for name in ("delete", "shift", "fragment", "spurious", "boundary_jitter",
-                 "tumor_miss", "tumor_fp_rate"):
-        if name in d:
-            kwargs[name] = float(d[name])
-    if "shift_voxels" in d:
-        kwargs["shift_voxels"] = tuple(int(v) for v in d["shift_voxels"])
-    if "shift_axes" in d:
-        kwargs["shift_axes"] = tuple(float(v) for v in d["shift_axes"])
-    for name in ("fragment_thickness", "spurious_margin"):
-        if name in d:
-            kwargs[name] = int(d[name])
-    for name in ("spurious_radius", "tumor_fp_radius"):
-        if name in d:
-            kwargs[name] = tuple(float(v) for v in d[name])
-    if d.get("tumor_fp_host") is not None:
-        kwargs["tumor_fp_host"] = int(d["tumor_fp_host"])
-    return NoiseSpec(**kwargs)
+    for key, v in _mapping(value, where, names).items():
+        try:
+            kwargs[key] = _coerce(hints[key], v)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}.{key}: {exc}") from None
+    return cls(**kwargs)
 
 
-def _parse_em(d: dict) -> EMConfig:
-    mix = d.get("data_mix", {})
-    if isinstance(mix, dict):
-        data_mix = (float(mix.get("labeled", 1.0)), float(mix.get("synthetic", 0.0)),
-                    float(mix.get("selective", 0.0)))
-    else:
-        data_mix = tuple(float(v) for v in mix)
-    annealing = d.get("annealing", {})
-    return EMConfig(
-        max_iterations=int(d.get("max_iterations", 4)),
-        auto_replace_dsc=float(d.get("auto_replace_dsc", 0.0)),
-        route_dsc=float(d.get("route_dsc", 0.5)),
-        escalation_budget_fraction=float(d.get("escalation_budget_fraction", 0.05)),
-        convergence_epsilon=float(d.get("convergence_epsilon", 1e-4)),
-        convergence_mode=str(d.get("convergence_mode", "gold")),
-        data_mix=data_mix,
-        annealing_enabled=bool(annealing.get("enabled", True)),
-        annealing_weight=float(annealing.get("weight", 5.0)),
-        low_confidence_floor=float(d.get("low_confidence_floor", 0.05)),
-        seed=int(d.get("seed", 0)))
+def _parse_em(d) -> EMConfig:
+    """The ``em`` section, whose ``annealing: {enabled, weight}`` mapping
+    fills the ``annealing_*`` fields and whose ``data_mix`` mapping is
+    ordered (labeled, synthetic, selective)."""
+    plain = [f.name for f in fields(EMConfig) if not f.name.startswith("annealing_")]
+    d = dict(_mapping(d, "em", plain + ["annealing"]))
+    annealing = _mapping(d.pop("annealing", None), "em.annealing", ("enabled", "weight"))
+    if "data_mix" in d:
+        mix = d["data_mix"]
+        if not isinstance(mix, dict) or set(mix) != set(_DATA_MIX_KEYS):
+            raise ConfigError("em.data_mix must be a mapping with exactly the keys "
+                              f"{', '.join(_DATA_MIX_KEYS)}, got {mix!r}")
+        d["data_mix"] = [mix[k] for k in _DATA_MIX_KEYS]
+    d.update({f"annealing_{k}": v for k, v in annealing.items()})
+    return _section(EMConfig, d, "em")
 
 
 def load_priors(path: Union[str, Path]) -> dict[int, AnatomicalPrior]:
@@ -208,7 +227,7 @@ def load_priors(path: Union[str, Path]) -> dict[int, AnatomicalPrior]:
     except OSError as exc:
         raise ConfigError(f"cannot read priors file {path}: {exc}") from exc
     priors: dict[int, AnatomicalPrior] = {}
-    for row in _require(payload, "priors", str(path)):
+    for row in payload["priors"]:
         cb = row["centroid_box"]
         prior = AnatomicalPrior(
             label=int(row["label"]), name=str(row["name"]), prompt=str(row["prompt"]).strip(),
@@ -238,54 +257,32 @@ def load_run_config(path: Optional[Union[str, Path]] = None) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"config {cfg_path} must be a mapping")
 
-    phantom = _parse_phantom(_require(raw, "phantom", "config"))
-    noise = _parse_noise(raw.get("noise", {}))
-    em = _parse_em(raw.get("em", {}))
-    cost_d = raw.get("cost", {})
-    cost = CostModel(
-        seconds_per_fp_removal=float(cost_d.get("seconds_per_fp_removal", 5.0)),
-        seconds_per_scratch_annotation=float(cost_d.get("seconds_per_scratch_annotation", 270.0)),
-        report_autoremoval=bool(cost_d.get("report_autoremoval", True)))
-
-    priors_ref = raw.get("priors_file", "default_priors.yaml")
-    priors_path = Path(priors_ref)
-    if not priors_path.is_absolute():
-        local = cfg_path.parent / priors_path
-        priors_path = local if local.exists() else _data_path(priors_ref)
-    if not priors_path.exists():
-        raise ConfigError(f"priors file {priors_path} does not exist")
-    priors = load_priors(priors_path)
-    for label in phantom.catalog.labels:
-        if label not in priors:
-            raise ConfigError(f"no prior for catalog structure {label}")
-
-    judge_d = raw.get("judge", {})
-    judge = JudgeConfig(kind=str(judge_d.get("kind", "rule_based")),
-                        command=tuple(judge_d.get("command", []) or ()),
-                        timeout_s=float(judge_d.get("timeout_s", 10.0)),
-                        tie_epsilon=float(judge_d.get("tie_epsilon", 0.02)))
-    oracle_d = raw.get("oracle", {})
-    oracle = OracleConfig(kind=str(oracle_d.get("kind", "simulated")),
-                          accuracy=float(oracle_d.get("accuracy", 0.9)))
-    corpus_d = raw.get("corpus", {})
-    corpus = CorpusConfig(n_cases=int(corpus_d.get("n_cases", 100)),
-                          gold_fraction=float(corpus_d.get("gold_fraction", 0.1)))
-    metrics_d = raw.get("metrics", {})
-    metrics = MetricsConfig(
-        nsd_tolerance_mm=float(metrics_d.get("nsd_tolerance_mm", 2.0)),
-        organ_connectivity=int(metrics_d.get("organ_connectivity", 26)),
-        tumor_connectivity=int(metrics_d.get("tumor_connectivity", 6)),
-        roc_points=int(metrics_d.get("roc_points", 101)),
-        roc_target_sensitivity=float(metrics_d.get("roc_target_sensitivity", 0.99)),
-        fp_min_voxels=int(metrics_d.get("fp_min_voxels", 1)))
-
-    model = ModelConfig(tumor_min_component_voxels=int(
-        raw.get("model", {}).get("tumor_min_component_voxels", 20)))
-    return RunConfig(phantom=phantom, noise=noise, em=em, cost=cost, priors=priors,
-                     judge=judge, oracle=oracle, corpus=corpus, metrics=metrics,
-                     model=model,
-                     intensity_jitter=float(raw.get("synthetic", {}).get("intensity_jitter", 3.0)),
-                     raw=raw)
+    try:
+        _mapping(raw, "", _TOP_LEVEL_KEYS)
+        phantom = _parse_phantom(raw["phantom"])
+        priors_ref = raw.get("priors_file", "default_priors.yaml")
+        priors_path = Path(priors_ref)
+        if not priors_path.is_absolute():
+            local = cfg_path.parent / priors_path
+            priors_path = local if local.exists() else _data_path(priors_ref)
+        if not priors_path.exists():
+            raise ConfigError(f"priors file {priors_path} does not exist")
+        priors = load_priors(priors_path)
+        for label in phantom.catalog.labels:
+            if label not in priors:
+                raise ConfigError(f"no prior for catalog structure {label}")
+        synthetic = _mapping(raw.get("synthetic"), "synthetic", ("intensity_jitter",))
+        return RunConfig(
+            phantom=phantom, noise=_section(NoiseSpec, raw.get("noise"), "noise"),
+            em=_parse_em(raw.get("em")), cost=_section(CostModel, raw.get("cost"), "cost"),
+            priors=priors, judge=_section(JudgeConfig, raw.get("judge"), "judge"),
+            oracle=_section(OracleConfig, raw.get("oracle"), "oracle"),
+            corpus=_section(CorpusConfig, raw.get("corpus"), "corpus"),
+            metrics=_section(MetricsConfig, raw.get("metrics"), "metrics"),
+            model=_section(ModelConfig, raw.get("model"), "model"),
+            intensity_jitter=float(synthetic.get("intensity_jitter", 3.0)), raw=raw)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed config {cfg_path}: {type(exc).__name__}: {exc}") from None
 
 
 def default_run_config() -> RunConfig:

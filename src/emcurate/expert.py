@@ -342,9 +342,9 @@ class ExternalJudge:
 
     Requests carry the structure name, its prompt text and both overlays
     run-length encoded; the response echoes the request id with a preference
-    of "first", "second" or "tie". A timeout yields a tie with a warning;
-    a malformed response raises ProtocolError so the caller can fall back
-    to the rule-based judge.
+    of "first", "second" or "tie". A timeout yields a tie with a warning and
+    a fresh child for the next request; a malformed response raises
+    ProtocolError so the caller can fall back to the rule-based judge.
     """
 
     def __init__(self, command: Sequence[str], priors: dict[int, AnatomicalPrior],
@@ -363,11 +363,16 @@ class ExternalJudge:
                 text=True, bufsize=1)
         return self._proc
 
-    def close(self) -> None:
-        if self._proc is not None and self._proc.poll() is None:
-            self._proc.stdin.close()
-            self._proc.wait(timeout=5)
-        self._proc = None
+    def close(self, wait_s: float = 5.0) -> None:
+        """Close the child's input; kill it if it has not exited within ``wait_s``."""
+        proc, self._proc = self._proc, None
+        if proc is not None and proc.poll() is None:
+            proc.stdin.close()
+            try:
+                proc.wait(timeout=wait_s)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                proc.wait()
 
     def _read_line(self, proc: subprocess.Popen) -> Optional[str]:
         box: list[Optional[str]] = [None]
@@ -405,6 +410,8 @@ class ExternalJudge:
             except (BrokenPipeError, OSError) as exc:
                 raise ProtocolError(f"judge process unavailable: {exc}") from exc
             line = self._read_line(proc)
+            if line is None:
+                self.close(wait_s=0)  # its late reply must not answer the next request
         if line is None:
             log.warning("external judge timed out on %s; treating as tie", request.id)
             return JudgeVerdict(preference=Preference.TIE, score_first=0.0, score_second=0.0,

@@ -20,7 +20,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence, Union
@@ -34,7 +34,6 @@ from .metrics import dsc
 from .phantom import PhantomSource
 from .verifier import (
     AuditAction,
-    AuditOutcome,
     ChangeLogEntry,
     GaussianIntensityModel,
     ModelFactory,
@@ -235,6 +234,15 @@ class ExpectationStats:
                 "unresolved": self.n_unresolved,
                 "structures_audited": self.structures_audited}
 
+    def merge(self, other: "ExpectationStats") -> None:
+        """Add the counts of ``other`` to these and append its changes."""
+        for f in fields(self):
+            mine = getattr(self, f.name)
+            if isinstance(mine, int):
+                setattr(self, f.name, mine + getattr(other, f.name))
+        self.per_case_audit_dsc.update(other.per_case_audit_dsc)
+        self.all_changes.extend(other.all_changes)
+
     @property
     def escalation_fraction(self) -> float:
         if self.structures_audited == 0:
@@ -290,15 +298,8 @@ def ordered_parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
 @dataclass
 class _CaseResult:
     case: CaseRecord
-    changes: list[ChangeLogEntry]
     escalations: list[EscalationEntry]
-    outcome: AuditOutcome
-    n_keep: int = 0
-    n_auto: int = 0
-    n_route: int = 0
-    n_decided: int = 0
-    n_auto_resolved: int = 0
-    n_changed: int = 0  # structures whose voxels actually changed
+    stats: ExpectationStats  # this case's counts and changes
 
 
 def _expectation_case(case: CaseRecord, model: SegmentationModel, judge,
@@ -307,11 +308,13 @@ def _expectation_case(case: CaseRecord, model: SegmentationModel, judge,
     updated, changes = apply_update_rule(case, outcome)
     routed = sorted(outcome.actions(AuditAction.ROUTE_TO_EXPERT))
     n_auto = len(outcome.actions(AuditAction.AUTO_REPLACE))
-    result = _CaseResult(
-        case=updated, changes=list(changes), escalations=[], outcome=outcome,
-        n_keep=len(outcome.actions(AuditAction.KEEP)),
-        n_auto=n_auto, n_route=len(routed),
-        n_changed=n_auto)  # a zero-overlap replacement always changes voxels
+    stats = ExpectationStats(
+        structures_audited=len(outcome.per_structure),
+        n_keep=len(outcome.actions(AuditAction.KEEP)), n_auto_replace=n_auto,
+        n_route=len(routed),
+        changed_structures=n_auto,  # a zero-overlap replacement always changes voxels
+        per_case_audit_dsc={case.case_id: outcome.mean_dsc}, all_changes=list(changes))
+    result = _CaseResult(case=updated, escalations=[], stats=stats)
     if not routed:
         return result
 
@@ -335,7 +338,7 @@ def _expectation_case(case: CaseRecord, model: SegmentationModel, judge,
                           < cfg.low_confidence_floor)
         if tie and np.array_equal(incumbent_mask, challenger_mask):
             action, mask = "expert_auto_resolved", incumbent_mask
-            result.n_auto_resolved += 1
+            stats.n_auto_resolved += 1
         elif low_confidence or tie:
             if low_confidence:
                 reason = EscalationReason.LOW_CONFIDENCE
@@ -349,13 +352,13 @@ def _expectation_case(case: CaseRecord, model: SegmentationModel, judge,
             continue
         elif verdict.preference is Preference.FIRST:
             action, mask = "expert_replace", challenger_mask
-            result.n_decided += 1
+            stats.n_tournament_decided += 1
         else:
             action, mask = "expert_keep", incumbent_mask
-            result.n_decided += 1
+            stats.n_tournament_decided += 1
         entry, changed = write_structure(labels, catalog, case.case_id, s, mask, action)
-        result.changes.append(entry)
-        result.n_changed += int(changed)
+        stats.all_changes.append(entry)
+        stats.changed_structures += int(changed)
     result.case = updated.with_pseudo(updated.pseudo.with_labels(labels))
     return result
 
@@ -377,17 +380,9 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
     queue = EscalationQueue()
     updated_corpus: list[CaseRecord] = []
     for result in results:
-        stats.structures_audited += len(result.outcome.per_structure)
-        stats.n_keep += result.n_keep
-        stats.n_auto_replace += result.n_auto
-        stats.n_route += result.n_route
-        stats.n_tournament_decided += result.n_decided
-        stats.n_auto_resolved += result.n_auto_resolved
-        stats.per_case_audit_dsc[result.case.case_id] = result.outcome.mean_dsc
-
-        case = result.case
+        case, case_stats = result.case, result.stats
         for entry in result.escalations:
-            stats.n_escalated += 1
+            case_stats.n_escalated += 1
             queue.entries.append(entry)
             context = f"{iteration}:{entry.case_id}:{entry.structure}"
             try:
@@ -395,7 +390,7 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
             except Exception:
                 chosen = None
             if chosen is None:
-                stats.n_unresolved += 1
+                case_stats.n_unresolved += 1
                 queue.resolved[entry.key()] = ReviewDecision(
                     entry.case_id, entry.structure, None, type(oracle).__name__)
                 continue
@@ -406,10 +401,9 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
                 labels, case.pseudo.catalog, entry.case_id, entry.structure,
                 entry.candidates[int(chosen)], f"escalated_{int(chosen)}")
             case = case.with_pseudo(case.pseudo.with_labels(labels))
-            result.n_changed += int(changed)
-            result.changes.append(change)
-        stats.changed_structures += result.n_changed
-        stats.all_changes.extend(result.changes)
+            case_stats.changed_structures += int(changed)
+            case_stats.all_changes.append(change)
+        stats.merge(case_stats)
         updated_corpus.append(case)
 
     return updated_corpus, queue, stats

@@ -118,7 +118,7 @@ def _as_mask_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
 def dsc(a, b) -> float:
     """Dice similarity 2|A.B| / (|A|+|B|); 1.0 when both masks are empty."""
     a, b = _as_mask_pair(a, b)
-    total = int(a.sum()) + int(b.sum())
+    total = int(np.count_nonzero(a)) + int(np.count_nonzero(b))
     if total == 0:
         return 1.0
     return 2.0 * int(np.count_nonzero(a & b)) / total

@@ -38,6 +38,7 @@ from .grid import (
     TumorType,
     VoxelGrid,
     connected_components,
+    nonzero_box,
 )
 
 FACE = ndimage.generate_binary_structure(3, 1)
@@ -170,23 +171,66 @@ def _normalized_axes(dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(((np.arange(n) + 0.5) / n).astype(np.float64) for n in dims)
 
 
+def _span(hit: np.ndarray) -> Optional[slice]:
+    """Slice from the first to the last true entry of a 1D mask; None if there is none."""
+    idx = np.flatnonzero(hit)
+    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else None
+
+
 def _shape_mask(dims, shape: ShapeKind, center, radii) -> np.ndarray:
     xs, ys, zs = _normalized_axes(dims)
     dx = (xs - center[0]) / radii[0]
     dy = (ys - center[1]) / radii[1]
     dz = (zs - center[2]) / radii[2]
+    out = np.zeros(dims, dtype=bool)
+    # a sum of squares <= 1 needs every term <= 1, so the shape lies inside
+    # this box; evaluating the same expressions there gives the same voxels
+    box = tuple(_span(np.abs(d) <= 1.0) for d in (dx, dy, dz))
+    if None in box:
+        return out
+    dx, dy, dz = dx[box[0]], dy[box[1]], dz[box[2]]
     if shape is ShapeKind.CYLINDER:
         # axis along z: elliptical cross-section, slab in z
         radial = dx[:, None] ** 2 + dy[None, :] ** 2
-        return (radial[:, :, None] <= 1.0) & (np.abs(dz)[None, None, :] <= 1.0)
-    q = dx[:, None, None] ** 2 + dy[None, :, None] ** 2 + dz[None, None, :] ** 2
-    return q <= 1.0
+        out[box] = (radial[:, :, None] <= 1.0) & (np.abs(dz)[None, None, :] <= 1.0)
+    else:
+        q = dx[:, None, None] ** 2 + dy[None, :, None] ** 2 + dz[None, None, :] ** 2
+        out[box] = q <= 1.0
+    return out
 
 
 def _sphere_mask_vox(dims, center_vox, radius_vox) -> np.ndarray:
-    grids = np.ogrid[0:dims[0], 0:dims[1], 0:dims[2]]
+    out = np.zeros(dims, dtype=bool)
+    box = tuple(_span((np.arange(n) - c) ** 2 <= radius_vox ** 2)
+                for n, c in zip(dims, center_vox))
+    if None in box:
+        return out
+    grids = np.ogrid[box]
     q = sum((g - c) ** 2 for g, c in zip(grids, center_vox))
-    return q <= radius_vox ** 2
+    out[box] = q <= radius_vox ** 2
+    return out
+
+
+def _padded_box(mask: np.ndarray) -> tuple[slice, ...]:
+    """The mask's bounding box grown by one voxel per side, clipped to the grid."""
+    return tuple(slice(max(b.start - 1, 0), min(b.stop + 1, n))
+                 for b, n in zip(nonzero_box(mask), mask.shape))
+
+
+def _dilate(mask: np.ndarray) -> np.ndarray:
+    """Face-connected dilation, computed on the padded bounding box only."""
+    box = _padded_box(mask)
+    out = np.zeros_like(mask)
+    out[box] = ndimage.binary_dilation(mask[box], structure=FACE)
+    return out
+
+
+def _erode(mask: np.ndarray) -> np.ndarray:
+    """Face-connected erosion with the grid border outside, on the padded box only."""
+    box = _padded_box(mask)
+    out = np.zeros_like(mask)
+    out[box] = ndimage.binary_erosion(mask[box], structure=FACE, border_value=0)
+    return out
 
 
 def _sample_tumors(spec: PhantomSpec, rng: np.random.Generator) -> list[tuple[tuple, float]]:
@@ -245,12 +289,13 @@ def generate_case(spec: PhantomSpec, seed: Union[int, np.random.SeedSequence],
     for s in spec.structures:
         m = labels == s.label
         data[m] = intens_rng.normal(s.intensity_mean, s.intensity_std,
-                                    size=int(m.sum())).astype(np.float32)
+                                    size=int(np.count_nonzero(m))).astype(np.float32)
     if spec.tumor is not None and tumors:
         host = spec.host_spec()
         m = labels == spec.tumor.label
         data[m] = intens_rng.normal(host.intensity_mean + spec.tumor.intensity_offset,
-                                    spec.tumor.intensity_std, size=int(m.sum())).astype(np.float32)
+                                    spec.tumor.intensity_std,
+                                    size=int(np.count_nonzero(m))).astype(np.float32)
 
     n_tumors = len(tumors)
     tumor_type = None
@@ -317,14 +362,14 @@ def _apply_op(labels: np.ndarray, op: InjectionOp) -> None:
         labels[blob & (labels == BACKGROUND)] = s
     elif op.op == "jitter":
         if p["mode"] == "dilate":
-            grown = ndimage.binary_dilation(mask, structure=FACE)
-            labels[grown & (labels == BACKGROUND)] = s
+            labels[_dilate(mask) & (labels == BACKGROUND)] = s
         else:
-            interior = ndimage.binary_erosion(mask, structure=FACE, border_value=0)
-            labels[mask & ~interior] = BACKGROUND
+            labels[mask & ~_erode(mask)] = BACKGROUND
     elif op.op == "tumor_miss":
-        comp = connected_components(mask, connectivity=6)
-        labels[comp.ids == int(p["instance"])] = BACKGROUND
+        # raster-order ids are the same on the bounding box as on the grid
+        box = nonzero_box(mask)
+        comp = connected_components(mask[box], connectivity=6)
+        labels[box][comp.ids == int(p["instance"])] = BACKGROUND
     elif op.op == "tumor_fp":
         blob = _sphere_mask_vox(labels.shape, p["center"], float(p["radius"]))
         labels[blob & (labels == int(p["host"]))] = s
@@ -388,7 +433,7 @@ def inject_noise(case: CaseRecord, noise: NoiseSpec,
                 # annotation slips land near the structure, not anywhere
                 idx = np.nonzero(mask)
                 r = float(rng.uniform(*noise.spurious_radius))
-                near_self = ndimage.binary_dilation(mask, structure=FACE)
+                near_self = _dilate(mask)
                 for _ in range(50):
                     center = []
                     for axis, d in enumerate(dims):
@@ -407,7 +452,7 @@ def inject_noise(case: CaseRecord, noise: NoiseSpec,
 
     for tumor_label in catalog.tumor_labels:
         tumor_mask = labels == tumor_label
-        comp = connected_components(tumor_mask, connectivity=6)
+        comp = connected_components(tumor_mask[nonzero_box(tumor_mask)], connectivity=6)
         for inst in range(1, comp.count + 1):
             if rng.random() < noise.tumor_miss:
                 fire(InjectionOp(tumor_label, "tumor_miss", {"instance": inst}))
@@ -419,6 +464,7 @@ def inject_noise(case: CaseRecord, noise: NoiseSpec,
                 break
             r = float(rng.uniform(*noise.tumor_fp_radius))
             placed = False
+            near_tumor = _dilate(labels == tumor_label)
             for _ in range(50):
                 if noise.tumor_fp_host is not None:
                     host = int(noise.tumor_fp_host)
@@ -429,7 +475,6 @@ def inject_noise(case: CaseRecord, noise: NoiseSpec,
                     break
                 center = host_vox[int(rng.integers(0, len(host_vox)))]
                 blob = _sphere_mask_vox(dims, center, r)
-                near_tumor = ndimage.binary_dilation(labels == tumor_label, structure=FACE)
                 if not (blob & near_tumor).any():
                     fire(InjectionOp(tumor_label, "tumor_fp",
                                      {"center": [int(c) for c in center], "radius": r,

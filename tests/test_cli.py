@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 import emcurate.volume_io as vio
-from emcurate.cli import main
+from emcurate.cli import build_parser, main
 
 BASE_CFG = {
     "phantom": {
@@ -174,6 +174,26 @@ def test_bad_thread_count_env_is_config_error(cfg_file, tmp_path, monkeypatch, c
     assert main(["refine", "--config", cfg_file, "--corpus", str(corpus),
                  "--out", str(tmp_path / "refine")]) == 2
     assert "EMCURATE_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag,env", [("0", None), ("-3", None), (None, "0")])
+def test_thread_count_below_one_is_config_error(cfg_file, tmp_path, monkeypatch, capsys,
+                                                flag, env):
+    if env is not None:
+        monkeypatch.setenv("EMCURATE_THREADS", env)
+    argv = ["run-loop", "--config", cfg_file, "--out", str(tmp_path / "run")]
+    assert main(argv + (["--threads", flag] if flag else [])) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "audit", "roc", "evaluate"])
+def test_threads_flag_only_where_it_is_read(command):
+    argv = [command, "--out", "o"] + ([] if command == "generate" else ["--corpus", "c"])
+    build_parser().parse_args(argv)
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv + ["--threads", "2"])
+    assert exc.value.code == 2
 
 
 def test_roc_command(cfg_file, tmp_path):

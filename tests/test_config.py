@@ -4,8 +4,16 @@ import pytest
 import yaml
 
 import emcurate as em
-from emcurate import ConfigError
-from emcurate.config import load_run_config
+from emcurate import ConfigError, EMConfig
+from emcurate.cli import main
+from emcurate.config import (
+    CorpusConfig,
+    JudgeConfig,
+    MetricsConfig,
+    ModelConfig,
+    OracleConfig,
+    load_run_config,
+)
 
 
 def test_default_config_loads_consistently(run_cfg):
@@ -18,29 +26,120 @@ def test_default_config_loads_consistently(run_cfg):
     assert run_cfg.cost.seconds_per_scratch_annotation == 270.0
 
 
-def test_every_noise_yaml_key_reaches_the_spec(run_cfg, tmp_path):
-    """Guards against silently ignored config keys."""
-    overrides = {
+# A non-default value for every key of each section; em's nested mappings
+# are flattened to their fields by `_fields`.
+OVERRIDES = {
+    "noise": {
         "delete": 0.11, "shift": 0.21, "fragment": 0.31, "spurious": 0.41,
         "boundary_jitter": 0.51, "shift_voxels": [2, 3],
         "shift_axes": [0.2, 0.3, 0.5], "fragment_thickness": 4,
         "spurious_radius": [1.0, 2.0], "spurious_margin": 7,
         "tumor_miss": 0.61, "tumor_fp_rate": 0.71,
         "tumor_fp_radius": [1.5, 2.5], "tumor_fp_host": 5,
-    }
-    raw = dict(run_cfg.raw)
-    raw["noise"] = overrides
+    },
+    "em": {
+        "max_iterations": 7, "auto_replace_dsc": 0.1, "route_dsc": 0.6,
+        "escalation_budget_fraction": 0.2, "convergence_epsilon": 0.01,
+        "convergence_mode": "changes",
+        "data_mix": {"labeled": 0.5, "synthetic": 0.3, "selective": 0.2},
+        "annealing": {"enabled": False, "weight": 2.0},
+        "low_confidence_floor": 0.1, "seed": 9,
+    },
+    "cost": {"seconds_per_fp_removal": 7.0, "seconds_per_scratch_annotation": 100.0,
+             "report_autoremoval": False},
+    "judge": {"kind": "external", "command": ["judge", "--fast"], "timeout_s": 3.0,
+              "tie_epsilon": 0.05},
+    "oracle": {"kind": "tie_keeper", "accuracy": 0.8},
+    "corpus": {"n_cases": 7, "gold_fraction": 0.3},
+    "metrics": {"nsd_tolerance_mm": 1.5, "organ_connectivity": 6, "tumor_connectivity": 26,
+                "roc_points": 11, "roc_target_sensitivity": 0.9, "fp_min_voxels": 3},
+    "model": {"tumor_min_component_voxels": 5},
+}
+SECTIONS = {"noise": em.NoiseSpec, "em": EMConfig, "cost": em.CostModel,
+            "judge": JudgeConfig, "oracle": OracleConfig, "corpus": CorpusConfig,
+            "metrics": MetricsConfig, "model": ModelConfig}
+
+
+def _fields(section: str, values: dict) -> dict:
+    """The YAML keys of a section under their dataclass field names."""
+    values = dict(values)
+    if section == "em":
+        mix = values.pop("data_mix")
+        values["data_mix"] = [mix["labeled"], mix["synthetic"], mix["selective"]]
+        values.update({f"annealing_{k}": v for k, v in values.pop("annealing").items()})
+    return values
+
+
+def _write(run_cfg, tmp_path, **sections):
     path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(raw))
-    noise = load_run_config(path).noise
-    for key, value in overrides.items():
-        got = getattr(noise, key)
+    path.write_text(yaml.safe_dump({**run_cfg.raw, **sections}))
+    return path
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+def test_every_yaml_key_reaches_its_dataclass(run_cfg, tmp_path, section):
+    """Guards against silently ignored config keys."""
+    overrides = OVERRIDES[section]
+    assert set(run_cfg.raw[section]) <= set(overrides)
+    cls = SECTIONS[section]
+    expected = _fields(section, overrides)
+    # the table names every field, each with a value other than its default
+    assert set(expected) == {f.name for f in dataclasses.fields(cls)}
+    for key, value in expected.items():
+        assert getattr(cls(), key) != (tuple(value) if isinstance(value, list) else value), key
+    loaded = getattr(load_run_config(_write(run_cfg, tmp_path, **{section: overrides})),
+                     section)
+    for key, value in expected.items():
+        got = getattr(loaded, key)
         if isinstance(value, list):
             assert tuple(got) == tuple(value), key
         else:
             assert got == value, key
-    # and the dataclass has no extra fields the test missed
-    assert set(overrides) == {f.name for f in dataclasses.fields(em.NoiseSpec)}
+
+
+@pytest.mark.parametrize("section", sorted(SECTIONS))
+def test_empty_section_means_defaults(run_cfg, tmp_path, section):
+    path = tmp_path / "cfg.yaml"
+    text = yaml.safe_dump({k: v for k, v in run_cfg.raw.items() if k != section})
+    path.write_text(text + f"{section}:\n")
+    cfg = load_run_config(path)
+    assert getattr(cfg, section) == SECTIONS[section]()
+    assert cfg.with_seed(3).em.seed == 3
+
+
+def test_em_without_data_mix_gets_the_dataclass_default(run_cfg, tmp_path):
+    em_section = {k: v for k, v in run_cfg.raw["em"].items() if k != "data_mix"}
+    cfg = load_run_config(_write(run_cfg, tmp_path, em=em_section))
+    assert cfg.em.data_mix == EMConfig().data_mix
+
+
+MALFORMED = [
+    *[({s: {"bogus_key": 1}}, f"{s}.bogus_key") for s in sorted(SECTIONS)],
+    ({"bogus_key": 1}, "bogus_key"),
+    ({"synthetic": {"bogus_key": 1}}, "synthetic.bogus_key"),
+    ({"em": {"annealing": {"bogus_key": 1}}}, "em.annealing.bogus_key"),
+    ({"em": {"annealing_enabled": False}}, "em.annealing_enabled"),
+    ({"metrics": 3}, "'metrics'"),
+    ({"judge": {"timeout_s": "fast"}}, "judge.timeout_s"),
+    ({"cost": {"report_autoremoval": "yes"}}, "cost.report_autoremoval"),
+    ({"corpus": {"n_cases": True}}, "corpus.n_cases"),
+    ({"corpus": {"n_cases": 2.7}}, "corpus.n_cases"),
+    ({"judge": {"command": ["judge", 5]}}, "judge.command"),
+    ({"noise": {"shift_voxels": [4]}}, "noise.shift_voxels"),
+    ({"em": {"data_mix": [0.7, 0.2, 0.1]}}, "em.data_mix"),
+    ({"em": {"data_mix": {"labeled": 0.8, "synthetic": 0.2}}}, "em.data_mix"),
+    ({"phantom": {"structures": [3]}}, "malformed config"),
+]
+
+
+@pytest.mark.parametrize("sections,where", MALFORMED, ids=[w for _, w in MALFORMED])
+def test_malformed_config_exits_2(run_cfg, tmp_path, capsys, sections, where):
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(_write(run_cfg, tmp_path, **sections)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_with_seed_rewrites_em_and_snapshot(run_cfg):

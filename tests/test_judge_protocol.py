@@ -29,6 +29,15 @@ SLOW = textwrap.dedent("""
         time.sleep(5)
 """)
 
+SLOW_ON_SLOW_IDS = textwrap.dedent("""
+    import json, sys, time
+    for line in sys.stdin:
+        req = json.loads(line)
+        if req["id"].startswith("slow/"):
+            time.sleep(5)
+        print(json.dumps({"id": req["id"], "preference": "first"}), flush=True)
+""")
+
 
 def judge_command(script: str) -> list[str]:
     return [sys.executable, "-u", "-c", script]
@@ -111,8 +120,21 @@ def test_timeout_yields_protocol_tie(run_cfg):
         assert verdict.preference is Preference.TIE
         assert verdict.protocol_issue is True
     finally:
-        judge._proc.kill()
-        judge._proc = None
+        judge.close()
+
+
+def test_late_reply_cannot_answer_a_later_request(run_cfg):
+    """A timed-out child is replaced, so its late reply is never read as the
+    answer to the requests that follow."""
+    vol, a, b = masks(run_cfg)
+    judge = ExternalJudge(judge_command(SLOW_ON_SLOW_IDS), run_cfg.priors, timeout_s=2.0)
+    try:
+        verdicts = [judge.compare(case_id, 6, vol, a, b)
+                    for case_id in ("slow", "fast", "fast", "fast", "fast")]
+    finally:
+        judge.close()
+    assert [v.preference for v in verdicts] == [Preference.TIE] + [Preference.FIRST] * 4
+    assert [v.protocol_issue for v in verdicts] == [True] + [False] * 4
 
 
 def test_request_payload_shape(run_cfg, monkeypatch):
