@@ -30,7 +30,7 @@ print(f"corpus: {n_cases} cases, baseline mean DSC vs gold {mean_dsc(cases):.4f}
 
 judge = cfg.build_judge()
 oracle = cfg.build_oracle()            # simulated reviewer, 90% accurate
-source = em.PhantomSource(cfg.phantom, cfg.intensity_jitter)
+source = em.PhantomSource(cfg.phantom, cfg.synthetic.intensity_jitter)
 
 started = time.perf_counter()
 corpus, model, reports = em.run_em(

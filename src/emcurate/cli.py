@@ -225,7 +225,7 @@ def cmd_run_loop(args) -> int:
     recorder.config_snapshot(cfg.raw)
     judge = cfg.build_judge()
     oracle = cfg.build_oracle()
-    source = PhantomSource(cfg.phantom, intensity_jitter=cfg.intensity_jitter)
+    source = PhantomSource(cfg.phantom, intensity_jitter=cfg.synthetic.intensity_jitter)
     corpus, model, reports = run_em(
         cases, cfg.em, judge, oracle, phantom_source=source, recorder=recorder,
         threads=threads, new_model=cfg.build_model)

@@ -8,16 +8,16 @@ config file is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .errors import ConfigError
+from .errors import CatalogError, ConfigError
 from .expert import AnatomicalPrior, ExternalJudge, FallbackJudge, RuleBasedJudge
-from .grid import StructureCatalog, StructureKind
+from .grid import StructureCatalog
 from .loop import (
     EMConfig,
     InteractiveCliOracle,
@@ -25,9 +25,10 @@ from .loop import (
     TieKeeperOracle,
     require_terminal,
 )
-from .phantom import NoiseSpec, PhantomSpec, ShapeKind, StructureShapeSpec, TumorSpec
+from .phantom import NoiseSpec, PhantomSpec, StructureShapeSpec
 from .roc import CostModel
 from .verifier import GaussianIntensityModel
+from .volume_io import SCHEMA_VERSION
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,11 @@ class CorpusConfig:
 
 
 @dataclass(frozen=True)
+class SyntheticConfig:
+    intensity_jitter: float = 3.0
+
+
+@dataclass(frozen=True)
 class RunConfig:
     phantom: PhantomSpec
     noise: NoiseSpec
@@ -89,7 +95,7 @@ class RunConfig:
     corpus: CorpusConfig
     metrics: MetricsConfig
     model: ModelConfig
-    intensity_jitter: float
+    synthetic: SyntheticConfig
     raw: dict
 
     @property
@@ -129,33 +135,8 @@ class RunConfig:
         raise ConfigError(f"unknown oracle kind '{self.oracle.kind}'")
 
 
-def _parse_phantom(d: dict) -> PhantomSpec:
-    structures = []
-    for s in d["structures"]:
-        intensity = s["intensity"]
-        structures.append(StructureShapeSpec(
-            label=int(s["label"]), name=str(s["name"]), kind=StructureKind(s["kind"]),
-            shape=ShapeKind(s["shape"]), center=tuple(s["center"]), radii=tuple(s["radii"]),
-            intensity_mean=float(intensity["mean"]), intensity_std=float(intensity["std"])))
-    tumor = None
-    if d.get("tumor"):
-        t = d["tumor"]
-        tumor = TumorSpec(label=int(t["label"]), name=str(t.get("name", "tumor")),
-                          host_label=int(t["host_label"]),
-                          count_range=tuple(int(v) for v in t["count_range"]),
-                          radius_range=tuple(float(v) for v in t["radius_range"]),
-                          intensity_offset=float(t["intensity_offset"]),
-                          intensity_std=float(t["intensity_std"]))
-    bg = d["background"]
-    return PhantomSpec(structures=tuple(structures), tumor=tumor,
-                       background_mean=float(bg["mean"]), background_std=float(bg["std"]),
-                       dims=tuple(int(v) for v in d.get("dims", (64, 64, 64))),
-                       spacing=tuple(float(v) for v in d.get("spacing", (1.0, 1.0, 1.0))))
-
-
-_DATA_MIX_KEYS = ("labeled", "synthetic", "selective")
-_TOP_LEVEL_KEYS = ("schema_version", "phantom", "priors_file", "noise", "corpus", "em",
-                   "judge", "oracle", "cost", "metrics", "model", "synthetic")
+# The group of a section: the YAML sub-mapping ``g: {a, b}`` that fills its fields ``g_a``, ``g_b``.
+_GROUPS = {EMConfig: "annealing", PhantomSpec: "background", StructureShapeSpec: "intensity"}
 
 
 def _mapping(value, where: str, allowed) -> dict:
@@ -170,10 +151,13 @@ def _mapping(value, where: str, allowed) -> dict:
     return value
 
 
-def _coerce(hint, value):
-    """``value`` converted to the declared field type ``hint``."""
+def _coerce(hint, value, where: str):
+    """``value`` converted to the declared field type ``hint``; a dataclass is
+    built from the config mapping at ``where``."""
+    if is_dataclass(hint):
+        return _section(hint, value, where)
     if get_origin(hint) is Union:  # Optional[X]
-        return None if value is None else _coerce(get_args(hint)[0], value)
+        return None if value is None else _coerce(get_args(hint)[0], value, where)
     if get_origin(hint) is tuple:
         kinds = get_args(hint)
         if not isinstance(value, list):
@@ -181,7 +165,13 @@ def _coerce(hint, value):
         kinds = (kinds[0],) * len(value) if kinds[-1] is Ellipsis else kinds
         if len(value) != len(kinds):
             raise ValueError(f"expected {len(kinds)} values, got {len(value)}")
-        return tuple(_coerce(k, v) for k, v in zip(kinds, value))
+        return tuple(_coerce(k, v, f"{where}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
+    if get_origin(hint) is dict:
+        if not isinstance(value, dict):
+            raise TypeError(f"expected a mapping, got {value!r}")
+        key_hint, value_hint = get_args(hint)
+        return {_coerce(key_hint, k, where): _coerce(value_hint, v, f"{where}.{k}")
+                for k, v in value.items()}
     # no implicit conversion to or from bool, nor to str
     if (hint is bool) != isinstance(value, bool) or (hint is str and not isinstance(value, str)):
         raise TypeError(f"expected {hint.__name__}, got {value!r}")
@@ -191,53 +181,75 @@ def _coerce(hint, value):
 
 
 def _section(cls, value, where: str):
-    """Build the dataclass ``cls`` from the config section ``where``: an absent
-    key keeps its default, an unknown key or an unconvertible value is a ConfigError."""
+    """Build the dataclass ``cls`` from the config mapping at ``where``: an
+    absent key keeps its default; a missing required key, an unknown key or
+    an unconvertible value is a ConfigError naming its key path. The fields
+    ``g_a``, ``g_b`` of the group ``g`` of ``cls`` are read from ``g: {a, b}``."""
     hints = get_type_hints(cls)
-    names = [f.name for f in fields(cls)]
+    group = _GROUPS.get(cls)
+    keys = {(f.name.replace("_", ".", 1) if group and f.name.startswith(group + "_")
+             else f.name): f for f in fields(cls)}
+    values = dict(_mapping(value, where, {k.split(".")[0] for k in keys}))
+    if group in values:
+        names = [k.split(".")[1] for k in keys if "." in k]
+        values.update({f"{group}.{k}": v for k, v in
+                       _mapping(values.pop(group), f"{where}.{group}", names).items()})
     kwargs = {}
-    for key, v in _mapping(value, where, names).items():
+    for key, v in values.items():
+        name = keys[key].name
         try:
-            kwargs[key] = _coerce(hints[key], v)
+            kwargs[name] = _coerce(hints[name], v, f"{where}.{key}")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}.{key}: {exc}") from None
+    for key, f in keys.items():
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key '{where}.{key}'")
     return cls(**kwargs)
 
 
-def _parse_em(d) -> EMConfig:
-    """The ``em`` section, whose ``annealing: {enabled, weight}`` mapping
-    fills the ``annealing_*`` fields and whose ``data_mix`` mapping is
-    ordered (labeled, synthetic, selective)."""
-    plain = [f.name for f in fields(EMConfig) if not f.name.startswith("annealing_")]
-    d = dict(_mapping(d, "em", plain + ["annealing"]))
-    annealing = _mapping(d.pop("annealing", None), "em.annealing", ("enabled", "weight"))
-    if "data_mix" in d:
-        mix = d["data_mix"]
-        if not isinstance(mix, dict) or set(mix) != set(_DATA_MIX_KEYS):
-            raise ConfigError("em.data_mix must be a mapping with exactly the keys "
-                              f"{', '.join(_DATA_MIX_KEYS)}, got {mix!r}")
-        d["data_mix"] = [mix[k] for k in _DATA_MIX_KEYS]
-    d.update({f"annealing_{k}": v for k, v in annealing.items()})
-    return _section(EMConfig, d, "em")
+def _ordered(value, key: str, where: str, names) -> dict:
+    """``value`` with its sub-mapping ``key``, which must have exactly the keys
+    ``names``, turned into the list of its values in that order."""
+    if not isinstance(value, dict) or key not in value:
+        return value
+    sub = _mapping(value[key], f"{where}.{key}", names)
+    if set(sub) != set(names):
+        raise ConfigError(f"'{where}.{key}' needs the keys {', '.join(names)}, got {sub!r}")
+    return {**value, key: [sub[name] for name in names]}
+
+
+def _read_yaml(path: Path) -> dict:
+    """A config file's top-level mapping; its schema_version, if any, must be ours."""
+    try:
+        raw = yaml.safe_load(path.read_text())
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"cannot load {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path} must be a mapping")
+    version = raw.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    return raw
 
 
 def load_priors(path: Union[str, Path]) -> dict[int, AnatomicalPrior]:
-    try:
-        payload = yaml.safe_load(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read priors file {path}: {exc}") from exc
+    """The anatomical priors file at ``path``, by structure label. Each row's
+    ``centroid_box: {x, z}`` becomes (x range, z range) and its prompt is stripped."""
+    raw = _read_yaml(Path(path))
     priors: dict[int, AnatomicalPrior] = {}
-    for row in payload["priors"]:
-        cb = row["centroid_box"]
-        prior = AnatomicalPrior(
-            label=int(row["label"]), name=str(row["name"]), prompt=str(row["prompt"]).strip(),
-            centroid_box=(tuple(float(v) for v in cb["x"]), tuple(float(v) for v in cb["z"])),
-            components=tuple(int(v) for v in row["components"]),
-            vertical_extent=tuple(float(v) for v in row["vertical_extent"]),
-            elongation=tuple(float(v) for v in row["elongation"]),
-            weights={str(k): float(v) for k, v in row.get("weights", {}).items()},
-            centroid_falloff=float(row.get("centroid_falloff", 0.15)))
-        priors[prior.label] = prior
+    try:
+        rows = _mapping(raw, "", ("schema_version", "priors")).get("priors")
+        if not isinstance(rows, list):
+            raise ConfigError(f"'priors' must be a list, got {rows!r}")
+        for i, row in enumerate(rows):
+            where = f"priors[{i}]"
+            prior = _section(AnatomicalPrior, _ordered(row, "centroid_box", where, ("x", "z")),
+                             where)
+            if prior.label in priors:
+                raise ConfigError(f"{where}: label {prior.label} is listed twice")
+            priors[prior.label] = replace(prior, prompt=prior.prompt.strip())
+    except ConfigError as exc:
+        raise ConfigError(f"malformed priors file {path}: {exc}") from None
     return priors
 
 
@@ -246,43 +258,28 @@ def _data_path(name: str) -> Path:
 
 
 def load_run_config(path: Optional[Union[str, Path]] = None) -> RunConfig:
-    """Load and validate a run config; None loads the packaged defaults."""
+    """Load and validate a run config; None loads the packaged defaults. Each
+    dataclass-typed field of RunConfig is built from the section of its name."""
     cfg_path = _data_path("default_run.yaml") if path is None else Path(path)
+    raw = _read_yaml(cfg_path)
+    priors_ref = raw.get("priors_file", "default_priors.yaml")
+    if not isinstance(priors_ref, str):
+        raise ConfigError(f"{cfg_path}: priors_file must be a path, got {priors_ref!r}")
+    local = cfg_path.parent / priors_ref
+    priors = load_priors(local if local.exists() else _data_path(priors_ref))
+    hints = get_type_hints(RunConfig)
+    names = [name for name, hint in hints.items() if is_dataclass(hint)]
     try:
-        raw = yaml.safe_load(cfg_path.read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {cfg_path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"malformed YAML in {cfg_path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config {cfg_path} must be a mapping")
-
-    try:
-        _mapping(raw, "", _TOP_LEVEL_KEYS)
-        phantom = _parse_phantom(raw["phantom"])
-        priors_ref = raw.get("priors_file", "default_priors.yaml")
-        priors_path = Path(priors_ref)
-        if not priors_path.is_absolute():
-            local = cfg_path.parent / priors_path
-            priors_path = local if local.exists() else _data_path(priors_ref)
-        if not priors_path.exists():
-            raise ConfigError(f"priors file {priors_path} does not exist")
-        priors = load_priors(priors_path)
-        for label in phantom.catalog.labels:
+        _mapping(raw, "", (*names, "schema_version", "priors_file"))
+        values = {**raw, "em": _ordered(raw.get("em"), "data_mix", "em",
+                                          ("labeled", "synthetic", "selective"))}
+        sections = {name: _section(hints[name], values.get(name), name) for name in names}
+        for label in sections["phantom"].catalog.labels:
             if label not in priors:
                 raise ConfigError(f"no prior for catalog structure {label}")
-        synthetic = _mapping(raw.get("synthetic"), "synthetic", ("intensity_jitter",))
-        return RunConfig(
-            phantom=phantom, noise=_section(NoiseSpec, raw.get("noise"), "noise"),
-            em=_parse_em(raw.get("em")), cost=_section(CostModel, raw.get("cost"), "cost"),
-            priors=priors, judge=_section(JudgeConfig, raw.get("judge"), "judge"),
-            oracle=_section(OracleConfig, raw.get("oracle"), "oracle"),
-            corpus=_section(CorpusConfig, raw.get("corpus"), "corpus"),
-            metrics=_section(MetricsConfig, raw.get("metrics"), "metrics"),
-            model=_section(ModelConfig, raw.get("model"), "model"),
-            intensity_jitter=float(synthetic.get("intensity_jitter", 3.0)), raw=raw)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed config {cfg_path}: {type(exc).__name__}: {exc}") from None
+    except (CatalogError, ConfigError) as exc:
+        raise ConfigError(f"malformed config {cfg_path}: {exc}") from None
+    return RunConfig(priors=priors, raw=raw, **sections)
 
 
 def default_run_config() -> RunConfig:

@@ -37,6 +37,7 @@ from .volume_io import canonical_json
 log = logging.getLogger(__name__)
 
 TIE_EPSILON = 0.02
+CRITERIA = ("centroid", "components", "extent", "elongation")
 FACE = ndimage.generate_binary_structure(3, 1)
 
 
@@ -79,6 +80,11 @@ class AnatomicalPrior:
             raise ConfigError(f"prior '{self.name}': bad component range")
         if self.elongation[0] <= 0 or self.elongation[1] < self.elongation[0]:
             raise ConfigError(f"prior '{self.name}': bad elongation range")
+        if not set(self.weights) <= set(CRITERIA) or min(self.weights.values(), default=0) < 0:
+            raise ConfigError(f"prior '{self.name}': weights must map some of "
+                              f"{', '.join(CRITERIA)} to values >= 0, got {self.weights}")
+        if self.centroid_falloff <= 0:
+            raise ConfigError(f"prior '{self.name}': centroid_falloff must be > 0")
 
     def weight(self, criterion: str) -> float:
         return float(self.weights.get(criterion, 1.0))
@@ -166,16 +172,22 @@ def overlay_features(proj: Projection2D) -> Optional[dict]:
     }
 
 
-def score_overlay(prior: AnatomicalPrior, proj: Projection2D) -> float:
-    """Weighted product of the per-criterion scores; an empty overlay scores 0."""
+def _scored(prior: AnatomicalPrior, proj: Projection2D) -> tuple[float, dict[str, float]]:
+    """The weighted product of the per-criterion scores, and those scores;
+    an empty overlay scores 0 with no criterion scores."""
     feats = overlay_features(proj)
     if feats is None:
-        return 0.0
+        return 0.0, {}
     scores = criterion_scores(prior, feats)
     total = 1.0
     for criterion, s in scores.items():
         total *= s ** prior.weight(criterion)
-    return float(total)
+    return float(total), scores
+
+
+def score_overlay(prior: AnatomicalPrior, proj: Projection2D) -> float:
+    """Weighted product of the per-criterion scores; an empty overlay scores 0."""
+    return _scored(prior, proj)[0]
 
 
 def criterion_scores(prior: AnatomicalPrior, feats: dict) -> dict[str, float]:
@@ -192,29 +204,20 @@ def criterion_scores(prior: AnatomicalPrior, feats: dict) -> dict[str, float]:
 
     s_extent = _interval_iou(feats["extent"], prior.vertical_extent)
     s_elong = _range_score(feats["elongation"], *prior.elongation)
-    return {"centroid": s_centroid, "components": s_comp,
-            "extent": s_extent, "elongation": s_elong}
+    return dict(zip(CRITERIA, (s_centroid, s_comp, s_extent, s_elong)))
 
 
 def judge_pair(volume: VoxelGrid, mask_a: np.ndarray, mask_b: np.ndarray,
                prior: AnatomicalPrior, tie_epsilon: float = TIE_EPSILON) -> JudgeVerdict:
     """Score two candidate masks against a prior; a score gap below
     tie_epsilon is a tie (absorbs projection quantization noise)."""
-    proj_a = front_view_projection(volume, mask_a)
-    proj_b = front_view_projection(volume, mask_b)
-    score_a = score_overlay(prior, proj_a)
-    score_b = score_overlay(prior, proj_b)
+    score_a, sa = _scored(prior, front_view_projection(volume, mask_a))
+    score_b, sb = _scored(prior, front_view_projection(volume, mask_b))
     if abs(score_a - score_b) < tie_epsilon:
         pref = Preference.TIE
     else:
         pref = Preference.FIRST if score_a > score_b else Preference.SECOND
-    feats_a = overlay_features(proj_a)
-    feats_b = overlay_features(proj_b)
-    rationale = {}
-    if feats_a is not None and feats_b is not None:
-        sa = criterion_scores(prior, feats_a)
-        sb = criterion_scores(prior, feats_b)
-        rationale = {k: (sa[k], sb[k]) for k in sa}
+    rationale = {k: (sa[k], sb[k]) for k in sa} if sa and sb else {}
     return JudgeVerdict(preference=pref, score_first=score_a, score_second=score_b,
                         rationale=rationale)
 

@@ -241,8 +241,7 @@ class CaseRecord:
         return replace(self, pseudo=pseudo)
 
     def without_gold(self) -> "CaseRecord":
-        meta = CaseMeta(self.meta.age, self.meta.sex, self.meta.phase, is_gold=False)
-        return replace(self, gold=None, meta=meta)
+        return replace(self, gold=None, meta=replace(self.meta, is_gold=False))
 
 
 @dataclass(frozen=True)

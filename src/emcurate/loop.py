@@ -20,7 +20,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence, Union
@@ -109,8 +109,7 @@ class ReviewDecision:
     source: str
 
     def to_dict(self) -> dict:
-        return {"case_id": self.case_id, "structure": self.structure,
-                "chosen": self.chosen, "source": self.source}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ReviewDecision":

@@ -16,7 +16,7 @@ for a fixed seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Sequence, Union
 
@@ -74,7 +74,7 @@ class StructureShapeSpec:
 @dataclass(frozen=True)
 class TumorSpec:
     label: int
-    name: str
+    name: str = field(default="tumor", kw_only=True)
     host_label: int
     count_range: tuple[int, int]
     radius_range: tuple[float, float]  # normalized units
@@ -92,7 +92,7 @@ class TumorSpec:
 @dataclass(frozen=True)
 class PhantomSpec:
     structures: tuple[StructureShapeSpec, ...]
-    tumor: Optional[TumorSpec]
+    tumor: Optional[TumorSpec] = field(default=None, kw_only=True)
     background_mean: float
     background_std: float
     dims: tuple[int, int, int] = (64, 64, 64)
@@ -497,7 +497,7 @@ class PhantomSource:
     intensity while keeping clean labels.
     """
 
-    def __init__(self, spec: PhantomSpec, intensity_jitter: float = 3.0):
+    def __init__(self, spec: PhantomSpec, intensity_jitter: float):
         self.spec = spec
         self.intensity_jitter = float(intensity_jitter)
 
@@ -506,19 +506,13 @@ class PhantomSource:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         jitter_ss, case_ss = ss.spawn(2)
         rng = np.random.default_rng(jitter_ss)
-        structures = []
-        for s in self.spec.structures:
-            delta = float(rng.uniform(-self.intensity_jitter, self.intensity_jitter))
-            structures.append(StructureShapeSpec(
-                label=s.label, name=s.name, kind=s.kind, shape=s.shape, center=s.center,
-                radii=s.radii, intensity_mean=s.intensity_mean + delta,
-                intensity_std=s.intensity_std))
-        jittered = PhantomSpec(structures=tuple(structures), tumor=self.spec.tumor,
-                               background_mean=self.spec.background_mean
-                               + float(rng.uniform(-self.intensity_jitter, self.intensity_jitter)),
-                               background_std=self.spec.background_std,
-                               dims=self.spec.dims, spacing=self.spec.spacing)
-        return generate_case(jittered, case_ss, case_id=case_id)
+        j = self.intensity_jitter
+        # each structure's draw first, then the background's
+        structures = tuple(replace(s, intensity_mean=s.intensity_mean + float(rng.uniform(-j, j)))
+                           for s in self.spec.structures)
+        spec = replace(self.spec, structures=structures,
+                       background_mean=self.spec.background_mean + float(rng.uniform(-j, j)))
+        return generate_case(spec, case_ss, case_id=case_id)
 
 
 def generate_corpus(spec: PhantomSpec, noise: Optional[NoiseSpec], n_cases: int,

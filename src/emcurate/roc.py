@@ -9,7 +9,7 @@ annotating every tumor from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -28,13 +28,7 @@ class ThresholdPolicy:
     feasible: bool
 
     def to_dict(self) -> dict:
-        return {
-            "target_sensitivity": self.target_sensitivity,
-            "selected_threshold": self.selected_threshold,
-            "achieved_sensitivity": self.achieved_sensitivity,
-            "fp_per_scan": self.fp_per_scan,
-            "feasible": self.feasible,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -69,14 +63,7 @@ class SavingsReport:
     total_clicks: int
 
     def to_dict(self) -> dict:
-        return {
-            "scratch_seconds": self.scratch_seconds,
-            "workflow_seconds": self.workflow_seconds,
-            "ratio": self.ratio,
-            "total_gold_instances": self.total_gold_instances,
-            "total_missed": self.total_missed,
-            "total_clicks": self.total_clicks,
-        }
+        return asdict(self)
 
 
 def select_threshold(curve: RocCurve, target: float) -> ThresholdPolicy:

@@ -11,7 +11,7 @@ is kept untouched. Both thresholds are configuration constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence, Union
@@ -87,9 +87,7 @@ class ChangeLogEntry:
     conflicts: int = 0
 
     def to_dict(self) -> dict:
-        return {"case_id": self.case_id, "structure": self.structure, "action": self.action,
-                "voxels_before": self.voxels_before, "voxels_after": self.voxels_after,
-                "conflicts": self.conflicts}
+        return asdict(self)
 
 
 class SegmentationModel(Protocol):
@@ -136,10 +134,6 @@ class GaussianIntensityModel:
     @property
     def fitted(self) -> bool:
         return self.background is not None
-
-    def _connectivity(self, label: int) -> int:
-        kind = self.catalog.entry(label).kind
-        return self.tumor_connectivity if kind is StructureKind.TUMOR else self.organ_connectivity
 
     def fit(self, corpus: Sequence[CaseRecord],
             weights: Optional[Sequence[float]] = None) -> None:
@@ -244,7 +238,7 @@ class GaussianIntensityModel:
                 if small.size:
                     out[np.isin(comp.ids, small)] = BACKGROUND
             else:
-                kept = largest_component(m, self._connectivity(s))
+                kept = largest_component(m, self.organ_connectivity)
                 out[m & ~kept] = BACKGROUND
         return LabelMap(dims=volume.dims, spacing=volume.spacing, labels=out,
                         catalog=self.catalog)

@@ -21,7 +21,7 @@ import hashlib
 import json
 import struct
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -54,8 +54,12 @@ def write_jsonl(path: Union[str, Path], rows: Iterable[dict], append: bool = Fal
             fh.write(canonical_json(row) + "\n")
 
 
-def read_json(path: Union[str, Path]) -> dict:
-    return json.loads(Path(path).read_text())
+def read_json(path: Union[str, Path], raw: Optional[bytes] = None) -> dict:
+    """The JSON file at ``path``; ``raw`` is its bytes when already read."""
+    try:
+        return json.loads(Path(path).read_bytes() if raw is None else raw)
+    except ValueError as exc:
+        raise VolumeFormatError(f"{path}: malformed JSON: {exc}") from None
 
 
 def volume_bytes(dims, spacing, payload: np.ndarray, dtype_code: int) -> bytes:
@@ -72,8 +76,10 @@ def write_label_map(path: Union[str, Path], label_map: LabelMap) -> None:
                                         label_map.labels, DTYPE_U16))
 
 
-def _read_volume(path: Union[str, Path]) -> tuple[int, tuple, tuple, np.ndarray]:
-    raw = Path(path).read_bytes()
+def _read_volume(path: Union[str, Path], raw: Optional[bytes] = None
+                 ) -> tuple[int, tuple, tuple, np.ndarray]:
+    """Decode the volume file at ``path``; ``raw`` is its bytes when already read."""
+    raw = Path(path).read_bytes() if raw is None else raw
     if len(raw) < _HEADER.size:
         raise VolumeFormatError(f"{path}: truncated header")
     magic, version, dtype_code, nx, ny, nz, sx, sy, sz = _HEADER.unpack_from(raw)
@@ -96,15 +102,16 @@ def _read_volume(path: Union[str, Path]) -> tuple[int, tuple, tuple, np.ndarray]
     return dtype_code, dims, (sx, sy, sz), data
 
 
-def read_voxel_grid(path: Union[str, Path]) -> VoxelGrid:
-    dtype_code, dims, spacing, data = _read_volume(path)
+def read_voxel_grid(path: Union[str, Path], raw: Optional[bytes] = None) -> VoxelGrid:
+    dtype_code, dims, spacing, data = _read_volume(path, raw)
     if dtype_code != DTYPE_F32:
         raise VolumeFormatError(f"{path}: expected intensity volume, found dtype {dtype_code}")
     return VoxelGrid(dims=dims, spacing=spacing, data=data)
 
 
-def read_label_map(path: Union[str, Path], catalog: StructureCatalog) -> LabelMap:
-    dtype_code, dims, spacing, data = _read_volume(path)
+def read_label_map(path: Union[str, Path], catalog: StructureCatalog,
+                   raw: Optional[bytes] = None) -> LabelMap:
+    dtype_code, dims, spacing, data = _read_volume(path, raw)
     if dtype_code != DTYPE_U16:
         raise VolumeFormatError(f"{path}: expected label volume, found dtype {dtype_code}")
     return LabelMap(dims=dims, spacing=spacing, labels=data, catalog=catalog)
@@ -137,17 +144,30 @@ def write_case(out_dir: Union[str, Path], case: CaseRecord) -> list[str]:
     return [f"{case.case_id}.json"] + sorted(files.values())
 
 
-def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCatalog) -> CaseRecord:
+def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCatalog,
+              checksums: dict[str, str]) -> CaseRecord:
+    """One case of a corpus directory; each file's bytes must have the sha256
+    that ``checksums`` (the manifest's) lists for its name."""
     corpus_dir = Path(corpus_dir)
-    sidecar = read_json(corpus_dir / f"{case_id}.json")
+
+    def read(name: str) -> bytes:
+        path = corpus_dir / name
+        if name not in checksums:
+            raise VolumeFormatError(f"{path}: not listed in the corpus manifest")
+        raw = path.read_bytes()
+        if hashlib.sha256(raw).hexdigest() != checksums[name]:
+            raise VolumeFormatError(f"{path}: sha256 differs from the corpus manifest")
+        return raw
+
+    sidecar = read_json(corpus_dir / f"{case_id}.json", read(f"{case_id}.json"))
     files = sidecar["files"]
     gold = None
     if "gold" in files:
-        gold = read_label_map(corpus_dir / files["gold"], catalog)
+        gold = read_label_map(corpus_dir / files["gold"], catalog, read(files["gold"]))
     return CaseRecord(
         case_id=sidecar["case_id"],
-        volume=read_voxel_grid(corpus_dir / files["volume"]),
-        pseudo=read_label_map(corpus_dir / files["pseudo"], catalog),
+        volume=read_voxel_grid(corpus_dir / files["volume"], read(files["volume"])),
+        pseudo=read_label_map(corpus_dir / files["pseudo"], catalog, read(files["pseudo"])),
         gold=gold,
         report=StructuredReport.from_dict(sidecar["report"]),
         meta=CaseMeta.from_dict(sidecar["meta"]),
@@ -172,10 +192,15 @@ def write_corpus(out_dir: Union[str, Path], cases: list[CaseRecord],
 
 
 def read_corpus(corpus_dir: Union[str, Path]) -> tuple[list[CaseRecord], StructureCatalog]:
-    corpus_dir = Path(corpus_dir)
-    manifest = read_json(corpus_dir / "manifest.json")
-    catalog = StructureCatalog.from_dict(manifest["catalog"])
-    cases = [read_case(corpus_dir, cid, catalog) for cid in manifest["case_ids"]]
+    """Read a corpus directory, checking every file against the manifest's sha256."""
+    path = Path(corpus_dir) / "manifest.json"
+    manifest = read_json(path)
+    try:
+        catalog = StructureCatalog.from_dict(manifest["catalog"])
+        case_ids, checksums = manifest["case_ids"], manifest["checksums"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise VolumeFormatError(f"{path}: malformed manifest: {exc!r}") from None
+    cases = [read_case(path.parent, cid, catalog, checksums) for cid in case_ids]
     return cases, catalog
 
 

@@ -55,7 +55,7 @@ def default_run(cfg, default_corpus):
     """Full single-threaded EM run on the default corpus, timed."""
     judge = cfg.build_judge()
     oracle = cfg.build_oracle()
-    source = em.PhantomSource(cfg.phantom, cfg.intensity_jitter)
+    source = em.PhantomSource(cfg.phantom, cfg.synthetic.intensity_jitter)
     started = time.perf_counter()
     corpus, model, reports = em.run_em(
         default_corpus, cfg.em, judge, oracle, phantom_source=source, threads=1,
@@ -281,7 +281,7 @@ def test_criterion_9_no_gold_leakage(cfg):
                                convergence_epsilon=1e-4, data_mix=cfg.em.data_mix,
                                annealing_enabled=True, seed=99)
         judge = RuleBasedJudge(cfg.priors, tie_epsilon=cfg.judge.tie_epsilon)
-        source = em.PhantomSource(cfg.phantom, cfg.intensity_jitter)
+        source = em.PhantomSource(cfg.phantom, cfg.synthetic.intensity_jitter)
         with_gold, _, _ = em.run_em(cases, loop_cfg, judge, em.TieKeeperOracle(),
                                     phantom_source=source)
         without_gold, _, _ = em.run_em(stripped, loop_cfg, judge,

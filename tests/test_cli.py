@@ -99,6 +99,46 @@ def test_missing_corpus_is_io_error(cfg_file, tmp_path):
                  str(tmp_path / "nocorpus"), "--out", str(tmp_path / "o")]) == 3
 
 
+def _flip_byte(path: Path, offset: int) -> None:
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def _truncate(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:40])
+
+
+def _unlist(path: Path) -> None:
+    manifest = json.loads(path.read_text())
+    del manifest["checksums"]["case_0001_vol.smai"]
+    path.write_text(json.dumps(manifest))
+
+
+CORRUPTIONS = {
+    "label_byte": ("case_0001_pseudo.smai", lambda p: _flip_byte(p, 5000)),
+    "intensity_byte": ("case_0001_vol.smai", lambda p: _flip_byte(p, 5000)),
+    "sidecar_truncated": ("case_0001.json", _truncate),
+    "manifest_truncated": ("manifest.json", _truncate),
+    "file_not_in_manifest": ("manifest.json", _unlist),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+def test_corrupt_corpus_is_io_error(cfg_file, tmp_path, capsys, corruption):
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", cfg_file, "--out", str(corpus)]) == 0
+    name, corrupt = CORRUPTIONS[corruption]
+    corrupt(corpus / name)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", cfg_file, "--corpus", str(corpus),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "case_0001" in err or "manifest.json" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_invariant_violation_is_exit_4(tmp_path):
     # a corpus whose gold contains zero tumor instances makes the savings
     # ratio undefined -> invariant-violation exit code

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import re
 
 import pytest
 import yaml
@@ -12,6 +14,8 @@ from emcurate.config import (
     MetricsConfig,
     ModelConfig,
     OracleConfig,
+    SyntheticConfig,
+    _data_path,
     load_run_config,
 )
 
@@ -54,10 +58,11 @@ OVERRIDES = {
     "metrics": {"nsd_tolerance_mm": 1.5, "organ_connectivity": 6, "tumor_connectivity": 26,
                 "roc_points": 11, "roc_target_sensitivity": 0.9, "fp_min_voxels": 3},
     "model": {"tumor_min_component_voxels": 5},
+    "synthetic": {"intensity_jitter": 1.5},
 }
 SECTIONS = {"noise": em.NoiseSpec, "em": EMConfig, "cost": em.CostModel,
             "judge": JudgeConfig, "oracle": OracleConfig, "corpus": CorpusConfig,
-            "metrics": MetricsConfig, "model": ModelConfig}
+            "metrics": MetricsConfig, "model": ModelConfig, "synthetic": SyntheticConfig}
 
 
 def _fields(section: str, values: dict) -> dict:
@@ -113,10 +118,20 @@ def test_em_without_data_mix_gets_the_dataclass_default(run_cfg, tmp_path):
     assert cfg.em.data_mix == EMConfig().data_mix
 
 
+PACKAGED_RUN = yaml.safe_load(_data_path("default_run.yaml").read_text())
+PACKAGED_PRIORS = yaml.safe_load(_data_path("default_priors.yaml").read_text())
+
+
+def _phantom(edit) -> dict:
+    """The packaged phantom section changed in place by ``edit``."""
+    phantom = copy.deepcopy(PACKAGED_RUN["phantom"])
+    edit(phantom)
+    return {"phantom": phantom}
+
+
 MALFORMED = [
     *[({s: {"bogus_key": 1}}, f"{s}.bogus_key") for s in sorted(SECTIONS)],
     ({"bogus_key": 1}, "bogus_key"),
-    ({"synthetic": {"bogus_key": 1}}, "synthetic.bogus_key"),
     ({"em": {"annealing": {"bogus_key": 1}}}, "em.annealing.bogus_key"),
     ({"em": {"annealing_enabled": False}}, "em.annealing_enabled"),
     ({"metrics": 3}, "'metrics'"),
@@ -129,6 +144,15 @@ MALFORMED = [
     ({"em": {"data_mix": [0.7, 0.2, 0.1]}}, "em.data_mix"),
     ({"em": {"data_mix": {"labeled": 0.8, "synthetic": 0.2}}}, "em.data_mix"),
     ({"phantom": {"structures": [3]}}, "malformed config"),
+    (_phantom(lambda p: p.update(tumour=p.pop("tumor"))), "phantom.tumour"),
+    (_phantom(lambda p: p["structures"][0].update(colour="red")), "phantom.structures[0].colour"),
+    (_phantom(lambda p: p["background"].update(sd=5.0)), "phantom.background.sd"),
+    (_phantom(lambda p: p["structures"][1]["intensity"].update(sdev=5.0)),
+     "phantom.structures[1].intensity.sdev"),
+    (_phantom(lambda p: p["tumor"].update(radius=0.04)), "phantom.tumor.radius"),
+    (_phantom(lambda p: p.update(dim=[32, 32, 32])), "phantom.dim"),
+    (_phantom(lambda p: p["structures"][0].update(label=1.7)), "phantom.structures[0].label"),
+    ({"schema_version": 99}, "schema_version"),
 ]
 
 
@@ -140,6 +164,97 @@ def test_malformed_config_exits_2(run_cfg, tmp_path, capsys, sections, where):
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
     assert not out.exists()
+
+
+def _edit_priors(edit) -> dict:
+    """The packaged priors file changed in place by ``edit``."""
+    priors = copy.deepcopy(PACKAGED_PRIORS)
+    edit(priors)
+    return priors
+
+
+MALFORMED_PRIORS = [
+    (_edit_priors(lambda p: p["priors"][0].update(centroid_falof=0.2)),
+     "priors[0].centroid_falof"),
+    (_edit_priors(lambda p: p["priors"][2]["centroid_box"].update(y=[0.3, 0.4])),
+     "priors[2].centroid_box.y"),
+    (_edit_priors(lambda p: p.update(bogus_key=1)), "'bogus_key'"),
+    (_edit_priors(lambda p: p["priors"][6]["weights"].update(extnet=0.0)), "weights must map"),
+    (_edit_priors(lambda p: p["priors"][6].update(centroid_falloff=0.0)),
+     "centroid_falloff must be > 0"),
+    ("priors: [unclosed", "cannot load"),
+]
+
+
+@pytest.mark.parametrize("priors,where", MALFORMED_PRIORS, ids=[w for _, w in MALFORMED_PRIORS])
+def test_malformed_priors_file_exits_2(run_cfg, tmp_path, capsys, priors, where):
+    (tmp_path / "priors.yaml").write_text(priors if isinstance(priors, str)
+                                          else yaml.safe_dump(priors))
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(_write(run_cfg, tmp_path, priors_file="priors.yaml")),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "priors.yaml" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+# For each part: the path to its packaged mapping (in the priors file when it
+# starts with "priors", else in the run config), its key path in error
+# messages, and the object the loader builds from it.
+PARTS = {
+    "structure": (("phantom", "structures", 0), "phantom.structures[0]",
+                  lambda cfg: cfg.phantom.structures[0]),
+    "tumor": (("phantom", "tumor"), "phantom.tumor", lambda cfg: cfg.phantom.tumor),
+    "background": (("phantom", "background"), "phantom.background", lambda cfg: cfg.phantom),
+    "prior": (("priors", 6), "priors[6]", lambda cfg: cfg.priors[7]),
+}
+
+
+def _as_fields(part: str, mapping: dict) -> dict:
+    """The packaged mapping of ``part`` under its dataclass field names."""
+    if part == "background":
+        return {f"background_{k}": v for k, v in mapping.items()}
+    values = dict(mapping)
+    if part == "structure":
+        values.update({f"intensity_{k}": v for k, v in values.pop("intensity").items()})
+    if part == "prior":
+        values["centroid_box"] = [values["centroid_box"]["x"], values["centroid_box"]["z"]]
+        values["prompt"] = values["prompt"].strip()
+    return values
+
+
+@pytest.mark.parametrize("part", sorted(PARTS))
+def test_every_packaged_key_reaches_a_field(run_cfg, tmp_path, part):
+    """Every packaged key of the part reaches a field and every field has a
+    key; the same key misspelled is rejected, not dropped."""
+    path, where, built = PARTS[part]
+    packaged = copy.deepcopy(PACKAGED_PRIORS if path[0] == "priors" else PACKAGED_RUN)
+    mapping = packaged
+    for key in path:
+        mapping = mapping[key]
+    obj = built(run_cfg)
+    expected = _as_fields(part, mapping)
+    names = {f.name for f in dataclasses.fields(obj)}
+    if part == "background":
+        names = {n for n in names if n.startswith("background_")}
+    assert set(expected) == names
+    for name, value in expected.items():
+        assert getattr(obj, name) == _tuples(value), name
+
+    for key in list(mapping):
+        mapping[f"{key}_typo"] = mapping.pop(key)
+        if path[0] == "priors":
+            (tmp_path / "priors.yaml").write_text(yaml.safe_dump(packaged))
+            cfg_path = _write(run_cfg, tmp_path, priors_file="priors.yaml")
+        else:
+            cfg_path = _write(run_cfg, tmp_path, phantom=packaged["phantom"])
+        with pytest.raises(ConfigError, match=re.escape(f"'{where}.{key}_typo'")):
+            load_run_config(cfg_path)
+        mapping[key] = mapping.pop(f"{key}_typo")
 
 
 def test_with_seed_rewrites_em_and_snapshot(run_cfg):

@@ -298,7 +298,8 @@ def test_run_em_zero_iterations(noisy_corpus, run_cfg_module, judge):
 
 def test_run_em_noise_free_converges_immediately(run_cfg_module, judge):
     cases, _ = em.generate_corpus(run_cfg_module.phantom, None, 6, 1.0, seed=5)
-    source = em.PhantomSource(run_cfg_module.phantom)
+    source = em.PhantomSource(run_cfg_module.phantom,
+                               run_cfg_module.synthetic.intensity_jitter)
     corpus, _, reports = run_em(cases, em_cfg(max_iterations=4), judge,
                                 TieKeeperOracle(), phantom_source=source)
     assert len(reports) == 1  # zero improvement after the first pass
@@ -311,7 +312,8 @@ def test_run_em_no_gold_mode_changes_convergence(run_cfg_module, judge):
     cases, _ = em.generate_corpus(run_cfg_module.phantom, run_cfg_module.noise,
                                   10, 0.0, seed=13)
     stripped = [c.without_gold() for c in cases]
-    source = em.PhantomSource(run_cfg_module.phantom)
+    source = em.PhantomSource(run_cfg_module.phantom,
+                               run_cfg_module.synthetic.intensity_jitter)
     cfg = em_cfg(convergence_mode="changes", max_iterations=4)
     corpus, _, reports = run_em(stripped, cfg, judge, TieKeeperOracle(),
                                 phantom_source=source)
@@ -325,7 +327,8 @@ def test_no_gold_leakage(run_cfg_module, judge):
                                   10, 0.0, seed=31)
     stripped = [c.without_gold() for c in cases]
     cfg = em_cfg(convergence_mode="changes", max_iterations=2)
-    source = em.PhantomSource(run_cfg_module.phantom)
+    source = em.PhantomSource(run_cfg_module.phantom,
+                               run_cfg_module.synthetic.intensity_jitter)
     with_gold, _, _ = run_em(cases, cfg, judge, TieKeeperOracle(),
                              phantom_source=source)
     without_gold, _, _ = run_em(stripped, cfg, judge, TieKeeperOracle(),
@@ -340,7 +343,8 @@ def test_recorder_outputs(tmp_path, noisy_corpus, run_cfg_module, judge):
     cases, _ = noisy_corpus
     recorder = RunRecorder(tmp_path)
     recorder.config_snapshot({"hello": 1})
-    source = em.PhantomSource(run_cfg_module.phantom)
+    source = em.PhantomSource(run_cfg_module.phantom,
+                               run_cfg_module.synthetic.intensity_jitter)
     run_em(cases, em_cfg(max_iterations=1), judge, SimulatedExpert(seed=0),
            phantom_source=source, recorder=recorder)
     names = {p.name for p in tmp_path.iterdir()}
