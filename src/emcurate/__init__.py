@@ -25,7 +25,6 @@ from .grid import (
     TumorType,
     VoxelGrid,
     connected_components,
-    extract_structure_mask,
     front_view_projection,
     largest_component,
 )

@@ -8,6 +8,7 @@ config file is given.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -172,11 +173,16 @@ def _coerce(hint, value, where: str):
         key_hint, value_hint = get_args(hint)
         return {_coerce(key_hint, k, where): _coerce(value_hint, v, f"{where}.{k}")
                 for k, v in value.items()}
-    # no implicit conversion to or from bool, nor to str
+    # no implicit conversion to or from bool, nor to str, nor from str to a number
     if (hint is bool) != isinstance(value, bool) or (hint is str and not isinstance(value, str)):
         raise TypeError(f"expected {hint.__name__}, got {value!r}")
-    if hint is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
+    if hint in (int, float):
+        if not isinstance(value, (int, float)):
+            raise TypeError(f"expected a number, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {value!r}")
+        if hint is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
     return hint(value)
 
 

@@ -30,6 +30,7 @@ from .grid import (
     StructureKind,
     VoxelGrid,
     front_view_projection,
+    label_boxes,
     largest_component,
 )
 from .volume_io import canonical_json
@@ -240,19 +241,28 @@ class RuleBasedJudge:
 def shape_cleanup(label_map: LabelMap, organ_connectivity: int = 26,
                   tumor_connectivity: int = 6) -> LabelMap:
     """Largest-component retention plus one-voxel morphological closing per
-    structure (closing only claims background voxels)."""
+    structure (closing only claims background voxels).
+
+    Each structure is processed inside its input box grown by one voxel and
+    clipped to the grid, which is exact: earlier structures' closings only
+    claim background, so no label's voxels move before its turn; the face
+    closing of a mask never leaves the mask's box; and the extra layer gives
+    the dilation room, while beyond it (as beyond the grid border) every
+    voxel is outside the dilated mask, so the erosion sees the full grid's
+    values. Component order inside a sub-box is the full grid's."""
     labels = label_map.labels.copy()
-    catalog = label_map.catalog
-    for entry in catalog.entries:
-        s = entry.label
-        mask = labels == s
-        if not mask.any():
+    boxes = label_boxes(labels, len(label_map.catalog.entries))
+    for entry in label_map.catalog.entries:
+        box = boxes[entry.label]
+        if box is None:
             continue
+        region = labels[tuple(slice(max(b.start - 1, 0), b.stop + 1) for b in box)]  # a view
+        mask = region == entry.label
         conn = tumor_connectivity if entry.kind is StructureKind.TUMOR else organ_connectivity
         kept = largest_component(mask, conn)
-        labels[mask & ~kept] = BACKGROUND
+        region[mask & ~kept] = BACKGROUND
         closed = ndimage.binary_closing(kept, structure=FACE)
-        labels[closed & (labels == BACKGROUND)] = s
+        region[closed & (region == BACKGROUND)] = entry.label
     return label_map.with_labels(labels)
 
 

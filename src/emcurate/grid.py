@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -273,13 +273,6 @@ _STRUCTS = {
 }
 
 
-def extract_structure_mask(label_map: LabelMap, label: int) -> np.ndarray:
-    """Boolean mask of one catalog structure; raises CatalogError for unknown labels."""
-    if label not in label_map.catalog:
-        raise CatalogError(f"label {label} not in catalog '{label_map.catalog_id}'")
-    return label_map.labels == label
-
-
 def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentLabeling:
     """Label connected components of a 3D boolean mask.
 
@@ -314,6 +307,32 @@ def nonzero_box(mask: np.ndarray) -> tuple[slice, ...]:
             return (slice(0, 0),) * mask.ndim
         box.append(slice(int(hit[0]), int(hit[-1]) + 1))
     return tuple(box)
+
+
+def label_boxes(labels: np.ndarray, n_labels: int) -> dict[int, Optional[tuple[slice, ...]]]:
+    """The box of every label 1..n_labels from one ndimage.find_objects pass:
+    entry s is nonzero_box(labels == s), or None when label s is absent."""
+    if n_labels < 1:  # find_objects reads max_label < 1 as "every label present"
+        return {}
+    return dict(enumerate(ndimage.find_objects(np.asarray(labels), max_label=n_labels),
+                          start=1))
+
+
+def structure_mask_pairs(a: np.ndarray, b: np.ndarray, labels: Sequence[int]
+                         ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per label s: (s, a == s, b == s), both masks cropped to the hull of the
+    two label boxes. That hull is nonzero_box((a == s) | (b == s)), so every
+    voxel of either mask lies inside it; an empty pair gives two empty crops."""
+    n = max(labels, default=0)
+    boxes_a, boxes_b = label_boxes(a, n), label_boxes(b, n)
+    for s in labels:
+        box_a, box_b = boxes_a[s], boxes_b[s]
+        if box_a is None or box_b is None:
+            box = box_a or box_b or (slice(0, 0),) * a.ndim
+        else:
+            box = tuple(slice(min(x.start, y.start), max(x.stop, y.stop))
+                        for x, y in zip(box_a, box_b))
+        yield s, a[box] == s, b[box] == s
 
 
 def largest_component(mask: np.ndarray, connectivity: int = 26) -> np.ndarray:

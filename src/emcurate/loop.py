@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .expert import Preference, rle_decode, rle_encode, run_tournament, shape_cleanup
-from .grid import CaseRecord
+from .grid import CaseRecord, structure_mask_pairs
 from .metrics import dsc
 from .phantom import PhantomSource
 from .verifier import (
@@ -477,10 +477,13 @@ def _gold_metrics(corpus: Sequence[CaseRecord]) -> tuple[Optional[float], Option
     if not cases:
         return None, None
     catalog = cases[0].pseudo.catalog
+    scores_of: dict[int, list[float]] = {s: [] for s in catalog.labels}
+    for c in cases:
+        for s, a, b in structure_mask_pairs(c.pseudo.labels, c.gold.labels, catalog.labels):
+            scores_of[s].append(dsc(a, b))
     per_structure: dict[int, dict[str, float]] = {}
     all_scores = []
-    for s in catalog.labels:
-        scores = [dsc(c.pseudo.labels == s, c.gold.labels == s) for c in cases]
+    for s, scores in scores_of.items():
         all_scores.extend(scores)
         per_structure[s] = {"mean": float(np.mean(scores)), "median": float(np.median(scores))}
     return float(np.mean(all_scores)), per_structure

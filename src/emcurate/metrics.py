@@ -24,7 +24,14 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ShapeError, UndefinedRateError
-from .grid import LabelMap, StructureCatalog, component_hits, connected_components, nonzero_box
+from .grid import (
+    LabelMap,
+    StructureCatalog,
+    component_hits,
+    connected_components,
+    nonzero_box,
+    structure_mask_pairs,
+)
 
 FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
@@ -137,6 +144,12 @@ def nsd(a, b, spec: SurfaceDistanceSpec) -> float:
     Boundary voxels of each mask are tested against the exact Euclidean
     distance (in mm, via the spacing-scaled distance transform) to the other
     mask's boundary; the score is the fraction strictly within tolerance.
+
+    Cropping both masks to any box that holds nonzero_box(a | b) leaves the
+    score unchanged (evaluate_pair passes such crops): a mask voxel on the
+    crop edge has a face neighbor outside the mask, so it is a surface voxel
+    either way, and every boundary voxel, hence every nearest one, lies
+    inside the crop. Only the EDTs' cost shrinks.
     """
     a, b = _as_mask_pair(a, b)
     surf_a = boundary_voxels(a)
@@ -295,18 +308,21 @@ def build_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray],
 
 def evaluate_pair(pred: LabelMap, ref: LabelMap, spec: SurfaceDistanceSpec,
                   with_nsd: bool = True) -> MetricReport:
-    """Per-structure DSC (and optionally NSD) between two label maps."""
+    """Per-structure DSC (and optionally NSD) between two label maps.
+
+    Each structure's mask pair is built only inside the hull of its two
+    label boxes (structure_mask_pairs), which is nonzero_box(a | b): DSC and
+    the voxel counts see every voxel of both masks, and NSD is unchanged by
+    such a crop (see nsd)."""
     if pred.dims != ref.dims or pred.spacing != ref.spacing:
         raise ShapeError("label map lattices differ")
     scores: dict[int, StructureScores] = {}
-    for label in pred.catalog.labels:
-        a = pred.labels == label
-        b = ref.labels == label
+    for label, a, b in structure_mask_pairs(pred.labels, ref.labels, pred.catalog.labels):
         scores[label] = StructureScores(
             dsc=dsc(a, b),
             nsd=nsd(a, b, spec) if with_nsd else None,
-            pred_voxels=int(a.sum()),
-            ref_voxels=int(b.sum()),
+            pred_voxels=int(np.count_nonzero(a)),
+            ref_voxels=int(np.count_nonzero(b)),
         )
     return MetricReport(per_structure=scores)
 

@@ -27,8 +27,9 @@ from .grid import (
     StructureKind,
     VoxelGrid,
     connected_components,
+    label_boxes,
     largest_component,
-    nonzero_box,
+    structure_mask_pairs,
 )
 from .metrics import dsc
 from .volume_io import canonical_json, read_json
@@ -152,30 +153,33 @@ class GaussianIntensityModel:
         if any(w < 0 for w in weights) or sum(weights) == 0:
             raise ModelError("weights must be nonnegative and not all zero")
 
-        labels_of_interest = [BACKGROUND] + self.catalog.labels
-        acc = {s: np.zeros(3) for s in labels_of_interest}  # [sum_w, sum_wx, sum_wx2]
+        # per label: [sum_w, sum_wx, sum_wx2]
+        acc = {s: np.zeros(3) for s in [BACKGROUND] + self.catalog.labels}
         boxes: dict[int, Optional[np.ndarray]] = {s: None for s in self.catalog.labels}
+
+        def accumulate(s: int, vals: np.ndarray, w: float) -> None:
+            acc[s] += (w * vals.size, w * vals.sum(), w * (vals * vals).sum())
+
         for case, w in zip(corpus, weights):
             if w == 0.0:
                 continue
             intensities = case.volume.data.astype(np.float64)
             lab = case.pseudo.labels
-            for s in labels_of_interest:
-                m = lab == s
-                n = int(np.count_nonzero(m))
-                if n == 0:
+            accumulate(BACKGROUND, intensities[lab == BACKGROUND], w)
+            # Boolean indexing inside a label's box picks the same voxels in
+            # the same raster order as on the full grid, so the sums are
+            # bit-identical to full-grid sums.
+            for s, box in label_boxes(lab, len(self.catalog.entries)).items():
+                if box is None:
                     continue
-                vals = intensities[m]
-                acc[s] += (w * n, w * vals.sum(), w * (vals * vals).sum())
-                if s != BACKGROUND:
-                    box = nonzero_box(m)
-                    lo = np.array([b.start for b in box])
-                    hi = np.array([b.stop - 1 for b in box])
-                    if boxes[s] is None:
-                        boxes[s] = np.concatenate([lo, hi])
-                    else:
-                        boxes[s][:3] = np.minimum(boxes[s][:3], lo)
-                        boxes[s][3:] = np.maximum(boxes[s][3:], hi)
+                accumulate(s, intensities[box][lab[box] == s], w)
+                lo = np.array([b.start for b in box])
+                hi = np.array([b.stop - 1 for b in box])
+                if boxes[s] is None:
+                    boxes[s] = np.concatenate([lo, hi])
+                else:
+                    boxes[s][:3] = np.minimum(boxes[s][:3], lo)
+                    boxes[s][3:] = np.maximum(boxes[s][3:], hi)
 
         def stats(s: int) -> tuple[float, float, float]:
             sw, sx, sx2 = acc[s]
@@ -208,38 +212,47 @@ class GaussianIntensityModel:
     def _loglik(data: np.ndarray, mean: float, std: float) -> np.ndarray:
         return -np.log(std) - 0.5 * ((data - mean) / std) ** 2
 
+    def _box(self, s: int) -> tuple[slice, ...]:
+        p = self.params[s]
+        return tuple(slice(lo, hi + 1) for lo, hi in zip(p.bbox_lo, p.bbox_hi))
+
     def predict(self, volume: VoxelGrid) -> LabelMap:
         """Maximum-likelihood labeling gated by spatial priors, then component
         cleanup: single-instance structures keep their largest connected
         component; tumor-kind structures keep every component at least
         tumor_min_component_voxels large (tumors are legitimately
-        multi-instance, so largest-only would drop real instances)."""
+        multi-instance, so largest-only would drop real instances).
+
+        The cleanup of structure s runs inside its learned box. This is
+        exact: s is only ever written inside that box, and raster order
+        within a sub-box keeps the full grid's component order, so component
+        ids and the first-on-ties pick are unchanged."""
         self._require_fitted()
         data = volume.data.astype(np.float64)
         bg_mean, bg_std = self.background
         best = self._loglik(data, bg_mean, bg_std)
         out = np.zeros(volume.dims, dtype=np.uint16)
-        for s in self.catalog.labels:
+        modeled = [s for s in self.catalog.labels if self.params[s].modeled]
+        for s in modeled:
             p = self.params[s]
-            if not p.modeled:
-                continue
-            sl = tuple(slice(lo, hi + 1) for lo, hi in zip(p.bbox_lo, p.bbox_hi))
+            sl = self._box(s)
             ll = self._loglik(data[sl], p.mean, p.std)
             better = ll > best[sl]
             out[sl][better] = s
             best[sl][better] = ll[better]
-        for s in self.catalog.labels:
-            m = out == s
+        for s in modeled:
+            region = out[self._box(s)]  # a view: writes land in out
+            m = region == s
             if not m.any():
                 continue
             if self.catalog.entry(s).kind is StructureKind.TUMOR:
                 comp = connected_components(m, self.tumor_connectivity)
                 small = np.flatnonzero(comp.sizes < self.tumor_min_component_voxels) + 1
                 if small.size:
-                    out[np.isin(comp.ids, small)] = BACKGROUND
+                    region[np.isin(comp.ids, small)] = BACKGROUND
             else:
                 kept = largest_component(m, self.organ_connectivity)
-                out[m & ~kept] = BACKGROUND
+                region[m & ~kept] = BACKGROUND
         return LabelMap(dims=volume.dims, spacing=volume.spacing, labels=out,
                         catalog=self.catalog)
 
@@ -351,11 +364,15 @@ def fit_model(corpus: Sequence[CaseRecord], weights: Optional[Sequence[float]] =
 
 def audit_case(model: SegmentationModel, case: CaseRecord,
                auto_replace_dsc: float = 0.0, route_dsc: float = 0.5) -> AuditOutcome:
-    """Score every catalog structure's pseudo mask against the model prediction."""
+    """Score every catalog structure's pseudo mask against the model prediction.
+
+    Each DSC is taken on the two masks cropped to the hull of their label
+    boxes (structure_mask_pairs), which holds every voxel of both."""
     prediction = model.predict(case.volume)
     per_structure: dict[int, StructureAudit] = {}
-    for s in case.pseudo.catalog.labels:
-        d = dsc(case.pseudo.labels == s, prediction.labels == s)
+    for s, a, b in structure_mask_pairs(case.pseudo.labels, prediction.labels,
+                                        case.pseudo.catalog.labels):
+        d = dsc(a, b)
         per_structure[s] = StructureAudit(label=s, dsc=d,
                                           action=classify_action(d, auto_replace_dsc, route_dsc))
     return AuditOutcome(case_id=case.case_id, per_structure=per_structure,

@@ -42,9 +42,12 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def write_json(path: Union[str, Path], obj: dict) -> None:
-    """Write a JSON artifact, stamped with SCHEMA_VERSION unless it has one."""
-    Path(path).write_text(canonical_json({"schema_version": SCHEMA_VERSION, **obj}) + "\n")
+def write_json(path: Union[str, Path], obj: dict) -> bytes:
+    """Write a JSON artifact, stamped with SCHEMA_VERSION unless it has one;
+    returns the bytes written."""
+    raw = (canonical_json({"schema_version": SCHEMA_VERSION, **obj}) + "\n").encode()
+    Path(path).write_bytes(raw)
+    return raw
 
 
 def write_jsonl(path: Union[str, Path], rows: Iterable[dict], append: bool = False) -> None:
@@ -67,13 +70,18 @@ def volume_bytes(dims, spacing, payload: np.ndarray, dtype_code: int) -> bytes:
     return header + payload.tobytes(order="F")
 
 
-def write_voxel_grid(path: Union[str, Path], grid: VoxelGrid) -> None:
-    Path(path).write_bytes(volume_bytes(grid.dims, grid.spacing, grid.data, DTYPE_F32))
+def write_voxel_grid(path: Union[str, Path], grid: VoxelGrid) -> bytes:
+    """Write an intensity volume; returns the bytes written."""
+    raw = volume_bytes(grid.dims, grid.spacing, grid.data, DTYPE_F32)
+    Path(path).write_bytes(raw)
+    return raw
 
 
-def write_label_map(path: Union[str, Path], label_map: LabelMap) -> None:
-    Path(path).write_bytes(volume_bytes(label_map.dims, label_map.spacing,
-                                        label_map.labels, DTYPE_U16))
+def write_label_map(path: Union[str, Path], label_map: LabelMap) -> bytes:
+    """Write a label volume; returns the bytes written."""
+    raw = volume_bytes(label_map.dims, label_map.spacing, label_map.labels, DTYPE_U16)
+    Path(path).write_bytes(raw)
+    return raw
 
 
 def _read_volume(path: Union[str, Path], raw: Optional[bytes] = None
@@ -117,22 +125,21 @@ def read_label_map(path: Union[str, Path], catalog: StructureCatalog,
     return LabelMap(dims=dims, spacing=spacing, labels=data, catalog=catalog)
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def write_case(out_dir: Union[str, Path], case: CaseRecord) -> list[str]:
-    """Write one case (volume, label maps, sidecar); returns relative file names."""
+def write_case(out_dir: Union[str, Path], case: CaseRecord) -> dict[str, str]:
+    """Write one case (volume, label maps, sidecar); returns the sha256 of
+    each written file's bytes by relative file name."""
     out_dir = Path(out_dir)
     files = {
         "volume": f"{case.case_id}_vol.smai",
         "pseudo": f"{case.case_id}_pseudo.smai",
     }
-    write_voxel_grid(out_dir / files["volume"], case.volume)
-    write_label_map(out_dir / files["pseudo"], case.pseudo)
+    written = {
+        files["volume"]: write_voxel_grid(out_dir / files["volume"], case.volume),
+        files["pseudo"]: write_label_map(out_dir / files["pseudo"], case.pseudo),
+    }
     if case.gold is not None:
         files["gold"] = f"{case.case_id}_gold.smai"
-        write_label_map(out_dir / files["gold"], case.gold)
+        written[files["gold"]] = write_label_map(out_dir / files["gold"], case.gold)
     sidecar = {
         "case_id": case.case_id,
         "report": case.report.to_dict(),
@@ -140,8 +147,8 @@ def write_case(out_dir: Union[str, Path], case: CaseRecord) -> list[str]:
         "files": files,
         "catalog_id": case.pseudo.catalog_id,
     }
-    write_json(out_dir / f"{case.case_id}.json", sidecar)
-    return [f"{case.case_id}.json"] + sorted(files.values())
+    written[f"{case.case_id}.json"] = write_json(out_dir / f"{case.case_id}.json", sidecar)
+    return {name: hashlib.sha256(raw).hexdigest() for name, raw in written.items()}
 
 
 def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCatalog,
@@ -179,13 +186,13 @@ def write_corpus(out_dir: Union[str, Path], cases: list[CaseRecord],
     """Write a corpus directory with a checksummed manifest; returns the manifest."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    all_files: list[str] = []
+    checksums: dict[str, str] = {}
     for case in cases:
-        all_files.extend(write_case(out_dir, case))
+        checksums.update(write_case(out_dir, case))
     manifest = {
         "catalog": catalog.to_dict(),
         "case_ids": [c.case_id for c in cases],
-        "checksums": {name: _sha256(out_dir / name) for name in sorted(all_files)},
+        "checksums": dict(sorted(checksums.items())),
     }
     write_json(out_dir / "manifest.json", manifest)
     return manifest
@@ -202,9 +209,3 @@ def read_corpus(corpus_dir: Union[str, Path]) -> tuple[list[CaseRecord], Structu
         raise VolumeFormatError(f"{path}: malformed manifest: {exc!r}") from None
     cases = [read_case(path.parent, cid, catalog, checksums) for cid in case_ids]
     return cases, catalog
-
-
-def strip_gold(corpus_dir: Union[str, Path], out_dir: Union[str, Path]) -> None:
-    """Copy a corpus without its gold annotations (for no-gold deployments)."""
-    cases, catalog = read_corpus(corpus_dir)
-    write_corpus(out_dir, [c.without_gold() for c in cases], catalog)

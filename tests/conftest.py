@@ -1,9 +1,21 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import emcurate as em
-from emcurate.grid import CaseMeta, CaseRecord, ContrastPhase, LabelMap, Sex, VoxelGrid
+from emcurate.grid import (
+    CaseMeta,
+    CaseRecord,
+    ContrastPhase,
+    LabelMap,
+    Sex,
+    StructureCatalog,
+    StructureEntry,
+    StructureKind,
+    VoxelGrid,
+)
 
 # Property tests replay the same examples on every run, write no example
 # database and take a bounded time.
@@ -46,3 +58,33 @@ def make_case(volume_data, labels, catalog, case_id="t0", gold_labels=None,
     meta = CaseMeta(age=60, sex=Sex.FEMALE, phase=ContrastPhase.VENOUS, is_gold=is_gold)
     return CaseRecord(case_id=case_id, volume=volume, pseudo=pseudo, gold=gold,
                       report=report, meta=meta)
+
+
+# Catalog of the box-cropping property tests: organs and a tumor, so both
+# cleanup kinds run.
+CAT4 = StructureCatalog((
+    StructureEntry(1, "organ_a", StructureKind.ORGAN),
+    StructureEntry(2, "organ_b", StructureKind.ORGAN),
+    StructureEntry(3, "tumor_c", StructureKind.TUMOR),
+    StructureEntry(4, "organ_d", StructureKind.ORGAN),
+))
+
+
+@st.composite
+def label_volumes(draw, n: int = 1):
+    """n CAT4 label arrays of one random shape (sides 1..7). Each draws its
+    highest label and its share of background, so structures are absent,
+    sparse or dense, and often touch the grid border."""
+    shape = draw(st.tuples(*[st.integers(1, 7)] * 3))
+    volumes = []
+    for _ in range(n):
+        top = draw(st.integers(1, 4))
+        pool = [0] * draw(st.integers(0, 6)) + list(range(1, top + 1))
+        volumes.append(draw(arrays(np.uint16, shape, elements=st.sampled_from(pool))))
+    return tuple(volumes)
+
+
+def intensities_for(labels, rng) -> np.ndarray:
+    """Float32 intensities whose per-label levels overlap, so a fitted model
+    predicts fragmented structures."""
+    return (labels * 20.0 + rng.normal(0.0, 12.0, labels.shape)).astype(np.float32)

@@ -1,13 +1,17 @@
-"""Independent brute-force reference implementations used as test oracles.
+"""Independent reference implementations used as test oracles.
 
-Everything here is deliberately written with plain loops and sets, sharing
-no code paths with the package under test.
+The brute_* functions are deliberately written with plain loops and sets.
+The full_grid_* functions are the package's per-structure kernels as they
+were before they were cropped to label boxes: every mask spans the whole
+grid, built with numpy and scipy directly. Nothing here calls the package
+under test; the full_grid_* functions only read a model's fitted attributes.
 """
 
 from __future__ import annotations
 
 
 import numpy as np
+from scipy import ndimage
 
 FACE_NEIGHBORS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
@@ -115,3 +119,124 @@ def brute_front_overlay(mask: np.ndarray) -> np.ndarray:
                     out[x, z] = True
                     break
     return out
+
+
+STRUCTURES = {6: ndimage.generate_binary_structure(3, 1),
+              26: ndimage.generate_binary_structure(3, 3)}
+STD_FLOOR = 1e-3
+
+
+def _largest(mask: np.ndarray, connectivity: int) -> np.ndarray:
+    """Largest component on the full grid, first in raster order on ties."""
+    ids, count = ndimage.label(mask, structure=STRUCTURES[connectivity])
+    if count <= 1:
+        return mask.copy()
+    return ids == int(np.argmax(np.bincount(ids.ravel())[1:])) + 1
+
+
+def full_grid_fit(cases, weights, labels) -> dict:
+    """GaussianIntensityModel.fit on full-grid masks, given (intensities,
+    labels) per case; returns the "background" and "structures" entries of
+    the model's to_dict()."""
+    acc = {s: np.zeros(3) for s in [0] + list(labels)}
+    boxes: dict = {}
+    for (data, lab), w in zip(cases, weights):
+        if w == 0.0:
+            continue
+        x = data.astype(np.float64)
+        for s in acc:
+            m = lab == s
+            n = int(np.count_nonzero(m))
+            if n == 0:
+                continue
+            vals = x[m]
+            acc[s] += (w * n, w * vals.sum(), w * (vals * vals).sum())
+            if s:
+                idx = np.argwhere(m)
+                lo, hi = idx.min(axis=0), idx.max(axis=0)
+                if s in boxes:
+                    lo, hi = np.minimum(boxes[s][0], lo), np.maximum(boxes[s][1], hi)
+                boxes[s] = (lo, hi)
+
+    def stats(s):
+        sw, sx, sx2 = acc[s]
+        if sw == 0:
+            return 0.0, 0.0, STD_FLOOR
+        mean = sx / sw
+        return sw, mean, max(float(np.sqrt(max(sx2 / sw - mean * mean, 0.0))), STD_FLOOR)
+
+    _, bg_mean, bg_std = stats(0)
+    structures = {}
+    for s in labels:
+        sw, mean, std = stats(s)
+        if sw == 0 or s not in boxes:
+            structures[str(s)] = {"mean": 0.0, "std": STD_FLOOR, "modeled": False,
+                                  "bbox_lo": [0, 0, 0], "bbox_hi": [0, 0, 0]}
+        else:
+            structures[str(s)] = {"mean": mean, "std": std, "modeled": True,
+                                  "bbox_lo": [int(v) for v in boxes[s][0]],
+                                  "bbox_hi": [int(v) for v in boxes[s][1]]}
+    return {"background": {"mean": bg_mean, "std": bg_std}, "structures": structures}
+
+
+def full_grid_predict(model, data: np.ndarray) -> np.ndarray:
+    """GaussianIntensityModel.predict's labels with the component cleanup run
+    on full-grid masks."""
+    def loglik(x, mean, std):
+        return -np.log(std) - 0.5 * ((x - mean) / std) ** 2
+
+    data = data.astype(np.float64)
+    best = loglik(data, *model.background)
+    out = np.zeros(data.shape, dtype=np.uint16)
+    for s in model.catalog.labels:
+        p = model.params[s]
+        if not p.modeled:
+            continue
+        sl = tuple(slice(lo, hi + 1) for lo, hi in zip(p.bbox_lo, p.bbox_hi))
+        ll = loglik(data[sl], p.mean, p.std)
+        better = ll > best[sl]
+        out[sl][better] = s
+        best[sl][better] = ll[better]
+    for entry in model.catalog.entries:
+        m = out == entry.label
+        if not m.any():
+            continue
+        if entry.kind.value == "tumor":
+            ids, count = ndimage.label(m, structure=STRUCTURES[model.tumor_connectivity])
+            small = np.bincount(ids.ravel(), minlength=count + 1) < model.tumor_min_component_voxels
+            small[0] = False
+            out[small[ids]] = 0
+        else:
+            out[m & ~_largest(m, model.organ_connectivity)] = 0
+    return out
+
+
+def full_grid_shape_cleanup(labels: np.ndarray, kinds: dict, organ_connectivity: int,
+                            tumor_connectivity: int) -> np.ndarray:
+    """expert.shape_cleanup on full-grid masks; kinds maps label -> kind value."""
+    labels = labels.copy()
+    for s, kind in kinds.items():
+        mask = labels == s
+        if not mask.any():
+            continue
+        kept = _largest(mask, tumor_connectivity if kind == "tumor" else organ_connectivity)
+        labels[mask & ~kept] = 0
+        closed = ndimage.binary_closing(kept, structure=STRUCTURES[6])
+        labels[closed & (labels == 0)] = s
+    return labels
+
+
+def full_grid_nsd(a: np.ndarray, b: np.ndarray, tolerance_mm: float, spacing) -> float:
+    """metrics.nsd on the full grid: two whole-grid EDTs."""
+    surf_a = a & ~ndimage.binary_erosion(a, structure=STRUCTURES[6], border_value=0)
+    surf_b = b & ~ndimage.binary_erosion(b, structure=STRUCTURES[6], border_value=0)
+    n_a, n_b = int(np.count_nonzero(surf_a)), int(np.count_nonzero(surf_b))
+    if n_a == 0 and n_b == 0:
+        return 1.0
+    if n_a == 0 or n_b == 0:
+        return 0.0
+    dist_to_b = ndimage.distance_transform_edt(~surf_b, sampling=spacing)
+    dist_to_a = ndimage.distance_transform_edt(~surf_a, sampling=spacing)
+    close = (int(np.count_nonzero(dist_to_b[surf_a] < tolerance_mm))
+             + int(np.count_nonzero(dist_to_a[surf_b] < tolerance_mm)))
+    return close / (n_a + n_b)

@@ -153,6 +153,12 @@ MALFORMED = [
     (_phantom(lambda p: p.update(dim=[32, 32, 32])), "phantom.dim"),
     (_phantom(lambda p: p["structures"][0].update(label=1.7)), "phantom.structures[0].label"),
     ({"schema_version": 99}, "schema_version"),
+    ({"judge": {"timeout_s": "10"}}, "judge.timeout_s: expected a number"),
+    (_phantom(lambda p: p["structures"][0].update(label="1")),
+     "phantom.structures[0].label: expected a number"),
+    ({"noise": {"shift_axes": [1.0, "0", 1.0]}}, "noise.shift_axes"),
+    ({"metrics": {"nsd_tolerance_mm": float("nan")}}, "metrics.nsd_tolerance_mm"),
+    ({"em": {"convergence_epsilon": float("-inf")}}, "em.convergence_epsilon"),
 ]
 
 

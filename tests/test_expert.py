@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import emcurate as em
 from emcurate import Preference, RuleBasedJudge, judge_pair, run_tournament, score_overlay
@@ -7,6 +9,9 @@ from emcurate.errors import ShapeError
 from emcurate.expert import AnatomicalPrior, shape_cleanup
 from emcurate.grid import front_view_projection
 from emcurate.phantom import InjectionOp, apply_injections
+
+from conftest import CAT4, label_volumes, make_label_map
+from oracles import full_grid_shape_cleanup
 
 
 def aorta_prior(run_cfg):
@@ -181,3 +186,24 @@ def test_judge_benchmark_sample(run_cfg):
                 losses += 1
     assert total > 0
     assert wins >= losses  # full >=90% bar lives in the acceptance suite
+
+
+# Equal-size components of every structure, each touching the grid border.
+TIES = np.zeros((5, 4, 3), np.uint16)
+TIES[0, 0, 0] = TIES[4, 3, 2] = 1
+TIES[0:2, 3, 0] = TIES[3:5, 0, 2] = 2
+TIES[2, 0, 1] = TIES[2, 3, 1] = 3
+TIES[0, 2, 2] = TIES[4, 1, 0] = 4
+
+
+@given(volumes=label_volumes(), organ_connectivity=st.sampled_from([6, 26]),
+       tumor_connectivity=st.sampled_from([6, 26]))
+@example(volumes=(TIES,), organ_connectivity=26, tumor_connectivity=6)
+@example(volumes=(TIES,), organ_connectivity=6, tumor_connectivity=26)
+def test_shape_cleanup_matches_full_grid_oracle(volumes, organ_connectivity,
+                                                tumor_connectivity):
+    (labels,) = volumes
+    got = shape_cleanup(make_label_map(labels, CAT4), organ_connectivity, tumor_connectivity)
+    kinds = {e.label: e.kind.value for e in CAT4.entries}
+    assert np.array_equal(got.labels, full_grid_shape_cleanup(
+        labels, kinds, organ_connectivity, tumor_connectivity))

@@ -12,13 +12,19 @@ from emcurate import (
     StructureKind,
     VoxelGrid,
     connected_components,
-    extract_structure_mask,
     front_view_projection,
     largest_component,
 )
-from emcurate.grid import StructuredReport, TumorType, component_hits, nonzero_box
+from emcurate.grid import (
+    StructuredReport,
+    TumorType,
+    component_hits,
+    label_boxes,
+    nonzero_box,
+    structure_mask_pairs,
+)
 
-from conftest import make_label_map
+from conftest import label_volumes, make_label_map
 from oracles import brute_components, brute_front_overlay
 
 CAT = StructureCatalog((
@@ -63,24 +69,6 @@ def test_report_invariants():
     with pytest.raises(ShapeError):
         StructuredReport(tumor_present=True, tumor_count=1, tumor_type=None)
     StructuredReport(tumor_present=False, tumor_count=0)  # valid
-
-
-def test_extract_structure_mask_saturated_and_empty():
-    lm = make_label_map(np.full((2, 2, 2), 3), CAT)
-    assert extract_structure_mask(lm, 3).all()
-    assert not extract_structure_mask(lm, 2).any()
-
-
-def test_extract_structure_mask_direct():
-    lm = make_label_map(np.array([1, 2, 1, 0], dtype=np.uint16).reshape(2, 2, 1), CAT)
-    mask = extract_structure_mask(lm, 1)
-    assert mask.ravel().tolist() == [True, False, True, False]
-
-
-def test_extract_structure_mask_unknown_label():
-    lm = make_label_map(np.zeros((2, 2, 2)), CAT)
-    with pytest.raises(CatalogError):
-        extract_structure_mask(lm, 9)
 
 
 def test_label_masks_partition_voxels():
@@ -180,6 +168,28 @@ def test_nonzero_box_empty_full_and_border_voxels():
         mask = np.zeros(dims, bool)
         mask[voxel] = True
         assert nonzero_box(mask) == tuple(slice(v, v + 1) for v in voxel)
+
+
+@given(volumes=label_volumes())
+def test_label_boxes_match_nonzero_box(volumes):
+    (labels,) = volumes
+    boxes = label_boxes(labels, 4)
+    assert sorted(boxes) == [1, 2, 3, 4]
+    for s, box in boxes.items():
+        mask = labels == s
+        assert box == (nonzero_box(mask) if mask.any() else None)
+    assert label_boxes(labels, 0) == {}
+
+
+@given(volumes=label_volumes(n=2))
+def test_structure_mask_pairs_crop_to_the_pair_box(volumes):
+    a, b = volumes
+    pairs = list(structure_mask_pairs(a, b, [1, 2, 3, 4]))
+    assert [s for s, _, _ in pairs] == [1, 2, 3, 4]
+    for s, mask_a, mask_b in pairs:
+        box = nonzero_box((a == s) | (b == s))
+        assert np.array_equal(mask_a, (a == s)[box])
+        assert np.array_equal(mask_b, (b == s)[box])
 
 
 def test_largest_component_deterministic_tie():

@@ -20,9 +20,10 @@ from emcurate import (
     patient_wise_detection,
     tumor_wise_detection,
 )
-from emcurate.metrics import RocCurve, RocPoint, boundary_voxels, f1_score
+from emcurate.metrics import RocCurve, RocPoint, boundary_voxels, evaluate_pair, f1_score
 
-from oracles import brute_boundary, brute_nsd, brute_tumor_wise
+from conftest import CAT4, label_volumes, make_label_map
+from oracles import brute_boundary, brute_dsc, brute_nsd, brute_tumor_wise, full_grid_nsd
 
 UNIT = SurfaceDistanceSpec(tolerance_mm=1.0, spacing=(1.0, 1.0, 1.0))
 
@@ -389,3 +390,20 @@ def test_roc_sensitivity_monotone_random():
         curve = build_roc(probs, refs, list(np.linspace(1, 0, 21)))
         sens = [p.sensitivity for p in curve.points]
         assert all(a <= b + 1e-15 for a, b in zip(sens, sens[1:]))
+
+
+# -- evaluate_pair -----------------------------------------------------------
+
+@given(volumes=label_volumes(n=2),
+       spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 2.5), (1.5, 0.7, 1.1)]),
+       tolerance_mm=st.sampled_from([0.5, 1.0, 1.6, 3.0]))
+def test_evaluate_pair_matches_full_grid_oracle(volumes, spacing, tolerance_mm):
+    pred, ref = volumes
+    report = evaluate_pair(make_label_map(pred, CAT4, spacing), make_label_map(ref, CAT4, spacing),
+                           SurfaceDistanceSpec(tolerance_mm, spacing))
+    for s in CAT4.labels:
+        a, b = pred == s, ref == s
+        got = report.per_structure[s]
+        assert got.dsc == brute_dsc(a, b)
+        assert got.nsd == full_grid_nsd(a, b, tolerance_mm, spacing)
+        assert (got.pred_voxels, got.ref_voxels) == (np.count_nonzero(a), np.count_nonzero(b))

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import emcurate as em
 from emcurate import AuditAction, ModelError, classify_action
-from emcurate.grid import StructureCatalog, StructureEntry, StructureKind
+from emcurate.grid import StructureCatalog, StructureEntry, StructureKind, VoxelGrid
 from emcurate.verifier import GaussianIntensityModel, apply_update_rule, audit_case
 
-from conftest import make_case
+from conftest import CAT4, intensities_for, label_volumes, make_case
+from oracles import full_grid_fit, full_grid_predict
 
 CAT2 = StructureCatalog((
     StructureEntry(1, "organ_a", StructureKind.ORGAN),
@@ -287,3 +290,34 @@ def test_fit_deterministic(small_corpus):
     a = em.fit_model(cases)
     b = em.fit_model(cases)
     assert a.to_dict() == b.to_dict()
+
+
+@given(volumes=label_volumes(n=2), seed=st.integers(0, 2**32 - 1),
+       weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=2, max_size=2)
+       .filter(any))
+def test_fit_matches_full_grid_oracle_bit_for_bit(volumes, seed, weights):
+    rng = np.random.default_rng(seed)
+    cases = [make_case(intensities_for(labels, rng), labels, CAT4, case_id=f"c{i}")
+             for i, labels in enumerate(volumes)]
+    model = GaussianIntensityModel(CAT4)
+    model.fit(cases, weights)
+    expected = full_grid_fit([(c.volume.data, c.pseudo.labels) for c in cases], weights,
+                             CAT4.labels)
+    got = model.to_dict()
+    assert got["background"] == expected["background"]
+    assert got["structures"] == expected["structures"]
+
+
+@given(volumes=label_volumes(n=2), seed=st.integers(0, 2**32 - 1),
+       organ_connectivity=st.sampled_from([6, 26]), tumor_connectivity=st.sampled_from([6, 26]),
+       tumor_min_component_voxels=st.integers(1, 4))
+def test_predict_matches_full_grid_oracle(volumes, seed, organ_connectivity,
+                                          tumor_connectivity, tumor_min_component_voxels):
+    train, test = volumes
+    rng = np.random.default_rng(seed)
+    model = GaussianIntensityModel(CAT4, organ_connectivity, tumor_connectivity,
+                                   tumor_min_component_voxels)
+    model.fit([make_case(intensities_for(train, rng), train, CAT4)])
+    volume = VoxelGrid(dims=test.shape, spacing=(1.0, 1.0, 1.0),
+                       data=intensities_for(test, rng))
+    assert np.array_equal(model.predict(volume).labels, full_grid_predict(model, volume.data))

@@ -1,8 +1,19 @@
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import emcurate.volume_io as vio
 from emcurate import VolumeFormatError, VoxelGrid, generate_case, generate_corpus
+from emcurate.cli import main
+
+from conftest import CAT4, intensities_for, label_volumes, make_case
 
 
 def test_voxel_grid_round_trip(tmp_path, run_cfg):
@@ -90,11 +101,52 @@ def test_rewrite_same_corpus_identical_checksums(tmp_path, run_cfg):
     assert m1["checksums"] == m2["checksums"]
 
 
-def test_strip_gold(tmp_path, run_cfg):
-    cases, _ = generate_corpus(run_cfg.phantom, run_cfg.noise, 2, 1.0, seed=4)
-    vio.write_corpus(tmp_path / "full", cases, run_cfg.catalog)
-    vio.strip_gold(tmp_path / "full", tmp_path / "nogold")
-    stripped, _ = vio.read_corpus(tmp_path / "nogold")
-    assert all(c.gold is None and not c.meta.is_gold for c in stripped)
-    assert all(np.array_equal(a.pseudo.labels, b.pseudo.labels)
-               for a, b in zip(cases, stripped))
+@st.composite
+def corpora(draw):
+    """1-3 small CAT4 cases of one lattice, some with gold labels."""
+    n = draw(st.integers(1, 3))
+    volumes = draw(label_volumes(n=2 * n))
+    spacing = draw(st.sampled_from([(1.0, 1.0, 1.0), (0.75, 0.75, 2.5)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cases = []
+    for i in range(n):
+        pseudo, gold = volumes[2 * i], volumes[2 * i + 1]
+        has_gold = draw(st.booleans())
+        cases.append(make_case(intensities_for(pseudo, rng), pseudo, CAT4, case_id=f"case_{i:04d}",
+                               gold_labels=gold if has_gold else None,
+                               tumor_count=draw(st.integers(0, 2)), spacing=spacing,
+                               is_gold=has_gold and draw(st.booleans())))
+    return cases
+
+
+@given(cases=corpora(), which=st.integers(0, 2**16), offset=st.integers(0, 2**16),
+       bit=st.integers(0, 7))
+def test_corpus_round_trip_and_any_flipped_byte_exits_3(cases, which, offset, bit):
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        manifest = vio.write_corpus(corpus, cases, CAT4)
+        assert json.loads((corpus / "manifest.json").read_text()) == \
+            {"schema_version": vio.SCHEMA_VERSION, **manifest}
+        back, catalog = vio.read_corpus(corpus)
+        assert catalog == CAT4
+        assert [c.case_id for c in back] == [c.case_id for c in cases]
+        for orig, loaded in zip(cases, back):
+            assert np.array_equal(loaded.volume.data, orig.volume.data)
+            assert loaded.volume.spacing == orig.volume.spacing
+            assert np.array_equal(loaded.pseudo.labels, orig.pseudo.labels)
+            assert (loaded.gold is None) == (orig.gold is None)
+            if orig.gold is not None:
+                assert np.array_equal(loaded.gold.labels, orig.gold.labels)
+            assert (loaded.report, loaded.meta) == (orig.report, orig.meta)
+
+        listed = sorted(manifest["checksums"])
+        path = corpus / listed[which % len(listed)]
+        raw = bytearray(path.read_bytes())
+        raw[offset % len(raw)] ^= 1 << bit
+        path.write_bytes(bytes(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--corpus", str(corpus), "--out", str(Path(tmp) / "eval"),
+                         "--no-nsd"])
+        assert code == 3
+        assert path.name in err.getvalue() and "Traceback" not in err.getvalue()
