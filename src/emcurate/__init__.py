@@ -89,7 +89,6 @@ from .roc import (
 )
 from .loop import (
     EMConfig,
-    EscalationQueue,
     IterationReport,
     SimulatedExpert,
     TieKeeperOracle,

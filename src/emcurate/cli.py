@@ -30,12 +30,12 @@ from .errors import (
     VolumeFormatError,
 )
 from .loop import (
-    EscalationQueue,
     RunRecorder,
     expectation_pass,
     interactive_review,
+    load_queue,
     run_em,
-    save_decisions,
+    save_queue,
 )
 from .metrics import (
     SurfaceDistanceSpec,
@@ -153,12 +153,10 @@ def cmd_refine(args) -> int:
     model = fit_model(cases, new_model=cfg.build_model)
     judge = cfg.build_judge()
     oracle = cfg.build_oracle()
-    updated, queue, stats = expectation_pass(cases, model, judge, oracle, cfg.em,
-                                             threads=threads)
+    updated, entries, stats = expectation_pass(cases, model, judge, oracle, cfg.em,
+                                               threads=threads)
     volume_io.write_corpus(out_dir / "refined", updated, cfg.catalog)
-    for entry in queue.entries:
-        entry.materialize_overlays()
-    queue.save(out_dir / "queue.json")
+    save_queue(out_dir / "queue.json", entries)
     volume_io.write_jsonl(out_dir / "changes.jsonl", [e.to_dict() for e in stats.all_changes])
     volume_io.write_json(out_dir / "refine_stats.json", {
         **stats.to_dict(),
@@ -269,10 +267,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_review(args) -> int:
-    queue = EscalationQueue.load(args.queue)
-    decisions = interactive_review(queue, require_tty=not args.allow_pipe)
-    save_decisions(args.decisions, decisions)
-    print(f"recorded {len(decisions)} decisions -> {args.decisions}")
+    entries = load_queue(args.queue)
+    interactive_review(entries, require_tty=not args.allow_pipe)
+    volume_io.write_jsonl(args.decisions, [e.decision() for e in entries])
+    print(f"recorded {len(entries)} decisions -> {args.decisions}")
     return EXIT_OK
 
 

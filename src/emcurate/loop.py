@@ -15,19 +15,19 @@ case, structure), so outputs are byte-identical regardless of thread count.
 from __future__ import annotations
 
 import hashlib
-import json
+import logging
 import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ProtocolError, ShapeError, VolumeFormatError
 from .expert import Preference, rle_decode, rle_encode, run_tournament, shape_cleanup
 from .grid import CaseRecord, structure_mask_pairs
 from .metrics import dsc
@@ -43,7 +43,9 @@ from .verifier import (
     fit_model,
     write_structure,
 )
-from .volume_io import SCHEMA_VERSION, read_json, write_json, write_jsonl
+from .volume_io import read_json, write_json, write_jsonl
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -83,72 +85,50 @@ class EscalationReason(str, Enum):
 
 @dataclass
 class EscalationEntry:
+    """A structure neither the audit nor the judge could settle, and how it
+    was resolved. ``candidates`` are the 3D masks (None when read back from
+    a queue file); ``chosen`` (a candidate index) and ``source`` (who
+    answered) stay None until the entry is resolved, and ``chosen`` stays
+    None when the answer was a skip."""
     case_id: str
     structure: int
     reason: EscalationReason
-    candidates: Optional[list[np.ndarray]] = None  # 3D masks, incumbent first
-    overlays: Optional[list[np.ndarray]] = None    # 2D front-view silhouettes
-    width: int = 0
-    height: int = 0
+    overlays: list[np.ndarray]  # 2D front-view silhouettes, incumbent first
+    candidates: Optional[list[np.ndarray]] = None
+    chosen: Optional[int] = None
+    source: Optional[str] = None
 
-    def key(self) -> tuple[str, int]:
-        return (self.case_id, self.structure)
-
-    def materialize_overlays(self) -> None:
-        if self.overlays is None and self.candidates is not None:
-            self.overlays = front_overlays(self.candidates)
-            nx, nz = self.overlays[0].shape
-            self.width, self.height = nx, nz
+    def decision(self) -> dict:
+        """The row of a resolution or decisions file."""
+        return {"case_id": self.case_id, "structure": self.structure,
+                "chosen": self.chosen, "source": self.source}
 
 
-@dataclass(frozen=True)
-class ReviewDecision:
-    case_id: str
-    structure: int
-    chosen: Optional[int]  # candidate index; None = skipped/unresolved
-    source: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ReviewDecision":
-        return cls(d["case_id"], int(d["structure"]), d["chosen"], d["source"])
+def save_queue(path: Union[str, Path], entries: Sequence[EscalationEntry]) -> None:
+    """Write the entries' overlays, run-length encoded, as a review queue."""
+    rows = []
+    for e in entries:
+        width, height = e.overlays[0].shape
+        rows.append({
+            "case_id": e.case_id, "structure": e.structure, "reason": e.reason.value,
+            "width": width, "height": height,
+            "overlays": [rle_encode(o) for o in e.overlays],
+        })
+    write_json(path, {"entries": rows})
 
 
-@dataclass
-class EscalationQueue:
-    entries: list[EscalationEntry] = field(default_factory=list)
-    resolved: dict[tuple[str, int], ReviewDecision] = field(default_factory=dict)
-
-    @property
-    def unresolved(self) -> list[EscalationEntry]:
-        return [e for e in self.entries
-                if self.resolved.get(e.key()) is None
-                or self.resolved[e.key()].chosen is None]
-
-    def save(self, path: Union[str, Path]) -> None:
-        rows = []
-        for e in self.entries:
-            overlays = e.overlays or []
-            rows.append({
-                "case_id": e.case_id, "structure": e.structure, "reason": e.reason.value,
-                "width": e.width, "height": e.height,
-                "overlays": [rle_encode(o) for o in overlays],
-            })
-        write_json(path, {"entries": rows})
-
-    @classmethod
-    def load(cls, path: Union[str, Path]) -> "EscalationQueue":
-        payload = read_json(path)
-        queue = cls()
-        for row in payload["entries"]:
-            overlays = [rle_decode(o, row["width"], row["height"]) for o in row["overlays"]]
-            queue.entries.append(EscalationEntry(
-                case_id=row["case_id"], structure=int(row["structure"]),
-                reason=EscalationReason(row["reason"]), overlays=overlays,
-                width=int(row["width"]), height=int(row["height"])))
-        return queue
+def load_queue(path: Union[str, Path]) -> list[EscalationEntry]:
+    """The unresolved entries of a queue file written by save_queue."""
+    payload = read_json(path)
+    try:
+        return [EscalationEntry(
+                    case_id=row["case_id"], structure=int(row["structure"]),
+                    reason=EscalationReason(row["reason"]),
+                    overlays=[rle_decode(o, row["width"], row["height"])
+                              for o in row["overlays"]])
+                for row in payload["entries"]]
+    except (KeyError, TypeError, ValueError, AttributeError, ProtocolError) as exc:
+        raise VolumeFormatError(f"{path}: malformed escalation queue: {exc!r}") from None
 
 
 class HumanOracle(Protocol):
@@ -269,7 +249,6 @@ class IterationReport:
 
     def to_dict(self, include_timing: bool = False) -> dict:
         d = {
-            "schema_version": SCHEMA_VERSION,
             "iteration": self.iteration,
             "counts": self.counts,
             "escalation_fraction": self.escalation_fraction,
@@ -345,9 +324,10 @@ def _expectation_case(case: CaseRecord, model: SegmentationModel, judge,
                 reason = EscalationReason.PROTOCOL_FAILURE
             else:
                 reason = EscalationReason.EXPERT_TIE
+            candidates = [incumbent_mask, challenger_mask]
             result.escalations.append(EscalationEntry(
                 case_id=case.case_id, structure=s, reason=reason,
-                candidates=[incumbent_mask, challenger_mask]))
+                overlays=front_overlays(candidates), candidates=candidates))
             continue
         elif verdict.preference is Preference.FIRST:
             action, mask = "expert_replace", challenger_mask
@@ -364,48 +344,47 @@ def _expectation_case(case: CaseRecord, model: SegmentationModel, judge,
 
 def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOracle,
                      cfg: EMConfig, iteration: int = 1, threads: int = 1
-                     ) -> tuple[list[CaseRecord], EscalationQueue, ExpectationStats]:
+                     ) -> tuple[list[CaseRecord], list[EscalationEntry], ExpectationStats]:
     """One full audit/repair sweep over the corpus.
 
     Per case: audit against the model, apply zero-overlap replacements, route
     low-agreement structures through the judge, and escalate per-structure
     ties to the oracle. Escalations are resolved serially in case order so
-    results do not depend on the thread count.
+    results do not depend on the thread count; each returned entry carries
+    the oracle's answer and the oracle's class name as its source.
     """
     results = ordered_parallel_map(
         lambda case: _expectation_case(case, model, judge, cfg), list(corpus), threads)
 
     stats = ExpectationStats()
-    queue = EscalationQueue()
+    entries: list[EscalationEntry] = []
     updated_corpus: list[CaseRecord] = []
     for result in results:
         case, case_stats = result.case, result.stats
         for entry in result.escalations:
             case_stats.n_escalated += 1
-            queue.entries.append(entry)
+            entries.append(entry)
             context = f"{iteration}:{entry.case_id}:{entry.structure}"
             try:
                 chosen = oracle.review(case, entry.structure, entry.candidates, context)
             except Exception:
                 chosen = None
+            entry.source = type(oracle).__name__
             if chosen is None:
                 case_stats.n_unresolved += 1
-                queue.resolved[entry.key()] = ReviewDecision(
-                    entry.case_id, entry.structure, None, type(oracle).__name__)
                 continue
-            queue.resolved[entry.key()] = ReviewDecision(
-                entry.case_id, entry.structure, int(chosen), type(oracle).__name__)
+            entry.chosen = int(chosen)
             labels = case.pseudo.labels.copy()
             change, changed = write_structure(
                 labels, case.pseudo.catalog, entry.case_id, entry.structure,
-                entry.candidates[int(chosen)], f"escalated_{int(chosen)}")
+                entry.candidates[entry.chosen], f"escalated_{entry.chosen}")
             case = case.with_pseudo(case.pseudo.with_labels(labels))
             case_stats.changed_structures += int(changed)
             case_stats.all_changes.append(change)
         stats.merge(case_stats)
         updated_corpus.append(case)
 
-    return updated_corpus, queue, stats
+    return updated_corpus, entries, stats
 
 
 def maximization_pass(corpus: Sequence[CaseRecord], cfg: EMConfig,
@@ -459,17 +438,13 @@ def maximization_pass(corpus: Sequence[CaseRecord], cfg: EMConfig,
     if cfg.annealing_enabled:
         gold_cases = [c for c in corpus if c.meta.is_gold]
         if not gold_cases:
-            import logging
-            logging.getLogger(__name__).warning(
-                "annealing enabled but corpus has no gold cases; skipping")
+            log.warning("annealing enabled but corpus has no gold cases; skipping")
         else:
             for c in gold_cases:
                 train.append(c)
                 weights.append(cfg.annealing_weight)
 
-    model = new_model(corpus[0].pseudo.catalog)
-    model.fit(train, weights)
-    return model
+    return fit_model(train, weights, new_model)
 
 
 def _gold_metrics(corpus: Sequence[CaseRecord]) -> tuple[Optional[float], Optional[dict]]:
@@ -514,16 +489,10 @@ class RunRecorder:
         write_jsonl(self.out_dir / f"changes_{iteration:03d}.jsonl",
                     [e.to_dict() for e in entries])
 
-    def resolutions(self, iteration: int, queue: EscalationQueue) -> None:
-        rows = []
-        for entry in queue.entries:
-            decision = queue.resolved.get(entry.key())
-            row = {"iteration": iteration, "reason": entry.reason.value}
-            row.update(decision.to_dict() if decision else
-                       {"case_id": entry.case_id, "structure": entry.structure,
-                        "chosen": None, "source": None})
-            rows.append(row)
-        write_jsonl(self.out_dir / "resolutions.jsonl", rows, append=True)
+    def resolutions(self, iteration: int, entries: Sequence[EscalationEntry]) -> None:
+        write_jsonl(self.out_dir / "resolutions.jsonl",
+                    [{"iteration": iteration, "reason": e.reason.value, **e.decision()}
+                     for e in entries], append=True)
 
     def summary(self, obj: dict) -> None:
         write_json(self.out_dir / "summary.json", obj)
@@ -552,14 +521,12 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
     prev_metric, _ = _gold_metrics(corpus) if cfg.convergence_mode == "gold" else (None, None)
     for iteration in range(1, cfg.max_iterations + 1):
         started = time.perf_counter()
-        corpus, queue, stats = expectation_pass(corpus, model, judge, oracle, cfg,
-                                                iteration=iteration, threads=threads)
+        corpus, entries, stats = expectation_pass(corpus, model, judge, oracle, cfg,
+                                                  iteration=iteration, threads=threads)
         model = maximization_pass(corpus, cfg, stats.per_case_audit_dsc, phantom_source,
                                   iteration=iteration, new_model=new_model)
         snapshot_id = recorder.model_snapshot(iteration, model) if recorder else ""
-        mean_gold, per_structure = (None, None)
-        if cfg.convergence_mode == "gold" or any(c.gold is not None for c in corpus):
-            mean_gold, per_structure = _gold_metrics(corpus)
+        mean_gold, per_structure = _gold_metrics(corpus)
         report = IterationReport(
             iteration=iteration,
             counts=stats.to_dict(),
@@ -575,7 +542,7 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
         if recorder is not None:
             recorder.iteration_report(report)
             recorder.changes(iteration, stats.all_changes)
-            recorder.resolutions(iteration, queue)
+            recorder.resolutions(iteration, entries)
 
         if cfg.convergence_mode == "gold" and mean_gold is not None:
             if prev_metric is not None and mean_gold - prev_metric < cfg.convergence_epsilon:
@@ -630,35 +597,18 @@ def prompt_choice(header: str, overlays: Sequence[np.ndarray],
         print_fn("please answer 1, 2 or skip")
 
 
-def interactive_review(queue: EscalationQueue,
+def interactive_review(entries: Sequence[EscalationEntry],
                        input_fn: Optional[Callable[[str], str]] = None,
                        print_fn: Callable[[str], None] = print,
-                       require_tty: bool = False) -> list[ReviewDecision]:
-    """Prompt 1/2/skip for each escalated entry; skipped entries stay unresolved."""
-    if not queue.entries:
+                       require_tty: bool = False) -> None:
+    """Prompt 1/2/skip for each escalated entry and record the answer on it
+    with source "interactive"; a skipped entry keeps ``chosen`` None."""
+    if not entries:
         raise ShapeError("escalation queue is empty")
     if require_tty:
         require_terminal()
-    decisions: list[ReviewDecision] = []
-    for entry in queue.entries:
-        entry.materialize_overlays()
-        chosen = prompt_choice(
+    for entry in entries:
+        entry.chosen = prompt_choice(
             f"case {entry.case_id}  structure {entry.structure}  [{entry.reason.value}]",
-            entry.overlays or [], input_fn, print_fn)
-        decision = ReviewDecision(entry.case_id, entry.structure, chosen, "interactive")
-        decisions.append(decision)
-        queue.resolved[entry.key()] = decision
-    return decisions
-
-
-def save_decisions(path: Union[str, Path], decisions: Sequence[ReviewDecision]) -> None:
-    write_jsonl(path, [d.to_dict() for d in decisions])
-
-
-def load_decisions(path: Union[str, Path]) -> list[ReviewDecision]:
-    decisions = []
-    with Path(path).open() as fh:
-        for line in fh:
-            if line.strip():
-                decisions.append(ReviewDecision.from_dict(json.loads(line)))
-    return decisions
+            entry.overlays, input_fn, print_fn)
+        entry.source = "interactive"

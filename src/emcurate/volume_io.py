@@ -207,5 +207,7 @@ def read_corpus(corpus_dir: Union[str, Path]) -> tuple[list[CaseRecord], Structu
         case_ids, checksums = manifest["case_ids"], manifest["checksums"]
     except (KeyError, TypeError, ValueError) as exc:
         raise VolumeFormatError(f"{path}: malformed manifest: {exc!r}") from None
+    if not case_ids:
+        raise VolumeFormatError(f"{path}: malformed manifest: no case ids")
     cases = [read_case(path.parent, cid, catalog, checksums) for cid in case_ids]
     return cases, catalog

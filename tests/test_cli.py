@@ -109,10 +109,12 @@ def _truncate(path: Path) -> None:
     path.write_bytes(path.read_bytes()[:40])
 
 
-def _unlist(path: Path) -> None:
-    manifest = json.loads(path.read_text())
-    del manifest["checksums"]["case_0001_vol.smai"]
-    path.write_text(json.dumps(manifest))
+def _edit_json(edit):
+    def corrupt(path: Path) -> None:
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+    return corrupt
 
 
 CORRUPTIONS = {
@@ -120,7 +122,9 @@ CORRUPTIONS = {
     "intensity_byte": ("case_0001_vol.smai", lambda p: _flip_byte(p, 5000)),
     "sidecar_truncated": ("case_0001.json", _truncate),
     "manifest_truncated": ("manifest.json", _truncate),
-    "file_not_in_manifest": ("manifest.json", _unlist),
+    "file_not_in_manifest": ("manifest.json",
+                             _edit_json(lambda m: m["checksums"].pop("case_0001_vol.smai"))),
+    "no_cases": ("manifest.json", _edit_json(lambda m: m.update(case_ids=[]))),
 }
 
 
@@ -294,14 +298,13 @@ def test_run_loop_byte_identical_across_threads(cfg_file, tmp_path):
 
 
 def test_review_scripted(tmp_path, monkeypatch, capsys):
-    from emcurate.loop import EscalationEntry, EscalationQueue, EscalationReason
+    from emcurate.loop import EscalationEntry, EscalationReason, save_queue
     overlay = np.zeros((3, 3), bool)
     overlay[1, 1] = True
-    queue = EscalationQueue(entries=[EscalationEntry(
-        case_id="c", structure=1, reason=EscalationReason.EXPERT_TIE,
-        overlays=[overlay, ~overlay], width=3, height=3)])
     qpath = tmp_path / "q.json"
-    queue.save(qpath)
+    save_queue(qpath, [EscalationEntry(
+        case_id="c", structure=1, reason=EscalationReason.EXPERT_TIE,
+        overlays=[overlay, ~overlay])])
     answers = iter(["2"])
     monkeypatch.setattr("builtins.input", lambda prompt="": next(answers))
     dpath = tmp_path / "d.jsonl"
@@ -310,6 +313,32 @@ def test_review_scripted(tmp_path, monkeypatch, capsys):
     rows = [json.loads(line) for line in dpath.read_text().splitlines()]
     assert rows == [{"case_id": "c", "structure": 1, "chosen": 1,
                      "source": "interactive"}]
+
+
+QUEUE_ROW = {"case_id": "c", "structure": 1, "reason": "expert_tie", "width": 3,
+             "height": 3, "overlays": ["0:4 1:1 0:4", "1:4 0:1 1:4"]}
+
+QUEUE_CORRUPTIONS = {
+    "missing_key": lambda q: q["entries"][0].pop("overlays"),
+    "bogus_reason": lambda q: q["entries"][0].update(reason="bogus"),
+    "short_rle": lambda q: q["entries"][0].update(overlays=["0:4 1:1"]),
+    "entries_not_a_list": lambda q: q.update(entries=3),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(QUEUE_CORRUPTIONS))
+def test_malformed_queue_is_io_error(tmp_path, monkeypatch, capsys, corruption):
+    qpath = tmp_path / "q.json"
+    qpath.write_text(json.dumps({"schema_version": 1, "entries": [dict(QUEUE_ROW)]}))
+    _edit_json(QUEUE_CORRUPTIONS[corruption])(qpath)
+    monkeypatch.setattr("builtins.input", lambda prompt="": "1")
+    dpath = tmp_path / "d.jsonl"
+    assert main(["review", "--queue", str(qpath), "--decisions", str(dpath),
+                 "--allow-pipe"]) == 3
+    err = capsys.readouterr().err
+    assert str(qpath) in err
+    assert "Traceback" not in err
+    assert not dpath.exists()
 
 
 def test_roc_csv_matches_pinned_fixture(tmp_path):

@@ -8,16 +8,14 @@ from emcurate import EMConfig, RuleBasedJudge, SimulatedExpert, TieKeeperOracle
 from emcurate.errors import ConfigError, ShapeError
 from emcurate.loop import (
     EscalationEntry,
-    EscalationQueue,
     EscalationReason,
-    ReviewDecision,
     expectation_pass,
     interactive_review,
-    load_decisions,
+    load_queue,
     maximization_pass,
     render_overlay_ascii,
     run_em,
-    save_decisions,
+    save_queue,
 )
 
 
@@ -59,11 +57,11 @@ def test_expectation_fixed_point(run_cfg_module, judge):
              for s in range(4)]
     model = em.fit_model(cases)
     consistent = [c.with_pseudo(model.predict(c.volume)) for c in cases]
-    updated, queue, stats = expectation_pass(consistent, model, judge,
-                                             TieKeeperOracle(), em_cfg())
+    updated, entries, stats = expectation_pass(consistent, model, judge,
+                                               TieKeeperOracle(), em_cfg())
     assert stats.changed_structures == 0
     assert stats.n_escalated == 0
-    assert queue.entries == []
+    assert entries == []
     for before, after in zip(consistent, updated):
         assert np.array_equal(before.pseudo.labels, after.pseudo.labels)
 
@@ -76,8 +74,8 @@ def test_expectation_single_deletion(run_cfg_module, judge):
     labels = consistent[0].pseudo.labels.copy()
     labels[labels == 2] = 0
     consistent[0] = consistent[0].with_pseudo(consistent[0].pseudo.with_labels(labels))
-    updated, queue, stats = expectation_pass(consistent, model, judge,
-                                             TieKeeperOracle(), em_cfg())
+    updated, entries, stats = expectation_pass(consistent, model, judge,
+                                               TieKeeperOracle(), em_cfg())
     assert stats.n_auto_replace == 1
     assert stats.n_escalated == 0
     assert (updated[0].pseudo.labels == 2).any()
@@ -86,11 +84,11 @@ def test_expectation_single_deletion(run_cfg_module, judge):
 def test_expectation_counts_sum(noisy_corpus, run_cfg_module, judge):
     cases, _ = noisy_corpus
     model = em.fit_model(cases)
-    _, queue, stats = expectation_pass(cases, model, judge, TieKeeperOracle(), em_cfg())
+    _, entries, stats = expectation_pass(cases, model, judge, TieKeeperOracle(), em_cfg())
     assert stats.n_keep + stats.n_auto_replace + stats.n_route == stats.structures_audited
     routed_not_tournament = stats.n_route - stats.n_tournament_decided
     assert stats.n_escalated + stats.n_auto_resolved == routed_not_tournament
-    assert len(queue.entries) == stats.n_escalated
+    assert len(entries) == stats.n_escalated
 
 
 def test_expectation_thread_count_invariant(noisy_corpus, run_cfg_module, judge):
@@ -150,9 +148,9 @@ def test_low_confidence_escalation(run_cfg_module):
             return case.pseudo.with_labels(pred_labels)
 
     judge = RuleBasedJudge(run_cfg_module.priors)
-    _, queue, stats = expectation_pass([case], Fixed(), judge, TieKeeperOracle(),
-                                       em_cfg())
-    reasons = {e.structure: e.reason for e in queue.entries}
+    _, entries, stats = expectation_pass([case], Fixed(), judge, TieKeeperOracle(),
+                                         em_cfg())
+    reasons = {e.structure: e.reason for e in entries}
     assert reasons.get(1) is EscalationReason.LOW_CONFIDENCE
 
 
@@ -210,9 +208,9 @@ def test_escalated_write_logs_conflicts():
         def review(self, case, structure, candidates, context):
             return 1
 
-    updated, queue, stats = expectation_pass([case], FixedModel(), TieJudge(),
-                                             PickChallenger(), em_cfg())
-    assert [e.structure for e in queue.entries] == [1]
+    updated, entries, stats = expectation_pass([case], FixedModel(), TieJudge(),
+                                               PickChallenger(), em_cfg())
+    assert [e.structure for e in entries] == [1]
     row = next(e for e in stats.all_changes if e.action == "escalated_1")
     assert row.conflicts == 1
     assert updated[0].pseudo.labels[4, 0, 0] == 2
@@ -361,26 +359,25 @@ def test_recorder_outputs(tmp_path, noisy_corpus, run_cfg_module, judge):
 
 # -- escalation queue & interactive review -----------------------------------
 
-def make_queue():
+def make_entries():
     overlay_a = np.zeros((4, 3), bool)
     overlay_a[1, 1] = True
     overlay_b = np.zeros((4, 3), bool)
     overlay_b[2, 2] = True
-    entry = EscalationEntry(case_id="c1", structure=2,
+    return [EscalationEntry(case_id="c1", structure=2,
                             reason=EscalationReason.EXPERT_TIE,
-                            overlays=[overlay_a, overlay_b], width=4, height=3)
-    return EscalationQueue(entries=[entry])
+                            overlays=[overlay_a, overlay_b])]
 
 
 def test_queue_round_trip(tmp_path):
-    queue = make_queue()
-    queue.save(tmp_path / "q.json")
-    loaded = EscalationQueue.load(tmp_path / "q.json")
-    assert len(loaded.entries) == 1
-    entry = loaded.entries[0]
+    entries = make_entries()
+    save_queue(tmp_path / "q.json", entries)
+    loaded = load_queue(tmp_path / "q.json")
+    assert len(loaded) == 1
+    entry = loaded[0]
     assert entry.case_id == "c1" and entry.structure == 2
-    assert np.array_equal(entry.overlays[0], queue.entries[0].overlays[0])
-    assert np.array_equal(entry.overlays[1], queue.entries[0].overlays[1])
+    assert np.array_equal(entry.overlays[0], entries[0].overlays[0])
+    assert np.array_equal(entry.overlays[1], entries[0].overlays[1])
 
 
 def test_render_overlay_ascii():
@@ -391,35 +388,29 @@ def test_render_overlay_ascii():
 
 
 def test_interactive_review_scripted_choice():
-    queue = make_queue()
+    entries = make_entries()
     answers = iter(["1"])
     outputs = []
-    decisions = interactive_review(queue, input_fn=lambda _: next(answers),
-                                   print_fn=outputs.append)
-    assert decisions[0].chosen == 0
-    assert queue.resolved[("c1", 2)].chosen == 0
+    interactive_review(entries, input_fn=lambda _: next(answers),
+                       print_fn=outputs.append)
+    assert entries[0].chosen == 0
+    assert entries[0].source == "interactive"
     assert any("candidate 1" in line for line in outputs)
 
 
 def test_interactive_review_skip_persists():
-    queue = make_queue()
-    decisions = interactive_review(queue, input_fn=lambda _: "skip",
-                                   print_fn=lambda _: None)
-    assert decisions[0].chosen is None
-    assert len(queue.unresolved) == 1
+    entries = make_entries()
+    interactive_review(entries, input_fn=lambda _: "skip",
+                       print_fn=lambda _: None)
+    assert entries[0].chosen is None
+    assert entries[0].decision() == {"case_id": "c1", "structure": 2, "chosen": None,
+                                     "source": "interactive"}
 
 
 def test_interactive_review_empty_queue():
     with pytest.raises(ShapeError):
-        interactive_review(EscalationQueue(), input_fn=lambda _: "1",
+        interactive_review([], input_fn=lambda _: "1",
                            print_fn=lambda _: None)
-
-
-def test_decisions_file_round_trip(tmp_path):
-    decisions = [ReviewDecision("c1", 2, 1, "interactive"),
-                 ReviewDecision("c2", 5, None, "interactive")]
-    save_decisions(tmp_path / "d.jsonl", decisions)
-    assert load_decisions(tmp_path / "d.jsonl") == decisions
 
 
 def test_interactive_oracle_scripted(run_cfg_module):
