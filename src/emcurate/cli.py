@@ -213,10 +213,10 @@ def cmd_run_loop(args) -> int:
     cfg = _load_config(args)
     threads = _resolve_threads(args)
     out_dir = _resolve_out(args)
-    _prepare_out_dir(out_dir, args.force)
-    if args.corpus:
+    if args.corpus:  # read before --out is emptied: a bad corpus keeps the last run
         cases, _catalog = volume_io.read_corpus(args.corpus)
-    else:
+    _prepare_out_dir(out_dir, args.force)
+    if not args.corpus:
         cases, _logs = generate_corpus(cfg.phantom, cfg.noise, cfg.corpus.n_cases,
                                        cfg.corpus.gold_fraction, cfg.em.seed)
     recorder = RunRecorder(out_dir, include_timing=args.timing)

@@ -27,7 +27,7 @@ from typing import Callable, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
-from .errors import ConfigError, ProtocolError, ShapeError, VolumeFormatError
+from .errors import ConfigError, ProtocolError, VolumeFormatError
 from .expert import Preference, rle_decode, rle_encode, run_tournament, shape_cleanup
 from .grid import CaseRecord, structure_mask_pairs
 from .metrics import dsc
@@ -602,9 +602,10 @@ def interactive_review(entries: Sequence[EscalationEntry],
                        print_fn: Callable[[str], None] = print,
                        require_tty: bool = False) -> None:
     """Prompt 1/2/skip for each escalated entry and record the answer on it
-    with source "interactive"; a skipped entry keeps ``chosen`` None."""
+    with source "interactive"; a skipped entry keeps ``chosen`` None. An
+    empty queue (refine escalated nothing) needs no answers and no terminal."""
     if not entries:
-        raise ShapeError("escalation queue is empty")
+        return
     if require_tty:
         require_terminal()
     for entry in entries:

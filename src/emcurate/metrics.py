@@ -25,6 +25,7 @@ from scipy import ndimage
 
 from .errors import ShapeError, UndefinedRateError
 from .grid import (
+    _STRUCTS,
     LabelMap,
     StructureCatalog,
     component_hits,
@@ -253,6 +254,73 @@ def default_threshold_grid(n: int = 101) -> list[float]:
     return list(np.linspace(1.0, 0.0, n))
 
 
+def _support_graph(p: np.ndarray, connectivity: int
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The graph of a map's support p > 0: the support voxels' values in
+    raster order, and per edge its two endpoints (indices into those values)
+    and its weight min(p_u, p_v). Edges join support voxels that are
+    neighbours under the connectivity; each is built once, from the
+    lexicographically positive half of the connectivity's offsets."""
+    support = p > 0
+    node = np.full(p.shape, -1, dtype=np.int64)
+    node[support] = np.arange(int(np.count_nonzero(support)))
+    values = p[support]
+    offsets = np.argwhere(_STRUCTS[connectivity]) - 1
+    us, vs = [], []
+    for off in offsets[[tuple(o) > (0, 0, 0) for o in offsets.tolist()]]:
+        src = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(off, p.shape))
+        dst = tuple(slice(max(0, d), n - max(0, -d)) for d, n in zip(off, p.shape))
+        both = support[src] & support[dst]
+        us.append(node[src][both])
+        vs.append(node[dst][both])
+    u, v = np.concatenate(us), np.concatenate(vs)
+    return values, u, v, np.minimum(values[u], values[v])
+
+
+def _fp_sweep(values: np.ndarray, clean: np.ndarray, u: np.ndarray, v: np.ndarray,
+              w: np.ndarray, ts: list[float], fp_min_voxels: int) -> list[int]:
+    """Per threshold t, the number of components of the support graph's
+    level set values > t that hold no reference voxel (clean) and at least
+    fp_min_voxels nodes.
+
+    Nodes enter as singletons; a union-find then adds the edges in
+    descending weight, and each merge moves a running count by the change
+    in its roots' contributions. The count is read at each t once every
+    edge heavier than t is in: an edge is in the level set iff both its
+    ends are, so the union-find then holds exactly its components."""
+    if fp_min_voxels <= 1:
+        clean_values = np.sort(values[clean])
+        singles = (len(clean_values) - np.searchsorted(clean_values, ts, side="right")).tolist()
+    else:
+        singles = [0] * len(ts)
+    order = np.argsort(-w, kind="stable")
+    cuts = np.searchsorted(-w[order], -np.asarray(ts), side="left").tolist()
+    eu, ev = u[order].tolist(), v[order].tolist()
+    parent = list(range(len(values)))
+    size = [1] * len(values)
+    clean = clean.tolist()
+    fp, done, counts = 0, 0, []
+    for single, cut in zip(singles, cuts):
+        for a, b in zip(eu[done:cut], ev[done:cut]):
+            while parent[a] != a:
+                parent[a] = a = parent[parent[a]]
+            while parent[b] != b:
+                parent[b] = b = parent[parent[b]]
+            if a == b:
+                continue
+            if size[a] < size[b]:
+                a, b = b, a
+            fp -= ((clean[a] and size[a] >= fp_min_voxels)
+                   + (clean[b] and size[b] >= fp_min_voxels))
+            parent[b] = a
+            size[a] += size[b]
+            clean[a] = clean[a] and clean[b]
+            fp += clean[a] and size[a] >= fp_min_voxels
+        done = cut
+        counts.append(single + fp)
+    return counts
+
+
 def build_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray],
               thresholds: Sequence[float], connectivity: int = 6,
               fp_min_voxels: int = 1) -> RocCurve:
@@ -262,6 +330,18 @@ def build_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray],
     tumor-wise over all reference instances pooled across cases, fp_per_scan
     is the mean count of false-positive components per case, and specificity
     is patient-wise over reference-negative cases (nan if there are none).
+
+    Each case is cropped to nonzero_box((prob > 0) | ref): thresholds are
+    >= 0, so no voxel outside it is ever predicted, and no component of the
+    prediction or the reference changes. The reference is labeled once per
+    case; an instance is detected at t iff its max probability exceeds t,
+    and a reference-negative case is a TN iff max(prob) <= t. The
+    false-positive components at every threshold come from one sweep: the
+    level sets prob > t are nested, so one union-find over the support
+    voxels, adding neighbour edges in descending min(p_u, p_v), passes
+    through each level set's exact components (a component tree; see
+    _fp_sweep). The cost grows with the support, not with the number of
+    thresholds.
     """
     if len(prob_maps) == 0 or len(prob_maps) != len(refs):
         raise ShapeError("need matching, nonempty prob_maps and refs")
@@ -271,36 +351,34 @@ def build_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray],
         p, r = np.asarray(p, dtype=np.float64), np.asarray(r, dtype=bool)
         if p.shape != r.shape:
             raise ShapeError(f"probability map shape {p.shape} != reference {r.shape}")
-        # Thresholds are >= 0, so prob > t never holds outside the box of (prob > 0) | ref.
         box = nonzero_box((p > 0) | r)
         cases.append((p[box], r[box]))
 
-    # Per reference instance, detection at threshold t only depends on the
-    # max probability over the instance; precompute it once per instance.
     inst_max: list[float] = []
-    n_neg_cases = 0
+    neg_max: list[float] = []   # per reference-negative case, max prob over its support
+    graphs = []
+    n_nodes = 0
     for p, r in cases:
         comp = connected_components(r, connectivity)
+        values, u, v, w = _support_graph(p, connectivity)
         if comp.count == 0:
-            n_neg_cases += 1
+            neg_max.append(float(values.max(initial=0.0)))
         else:
             inst_max.extend(ndimage.maximum(p, comp.ids, np.arange(1, comp.count + 1)))
+        graphs.append((values, ~r[p > 0], u + n_nodes, v + n_nodes, w))
+        n_nodes += len(values)
+    values, clean, u, v, w = (np.concatenate(parts) for parts in zip(*graphs))
+    fp_counts = _fp_sweep(values, clean, u, v, w, ts, fp_min_voxels)
     inst_max_arr = np.array(inst_max, dtype=np.float64)
+    neg_max_arr = np.array(neg_max, dtype=np.float64)
     n_instances = len(inst_max)
 
     points = []
-    for t in ts:
+    for t, fp_total in zip(ts, fp_counts):
         tp = int(np.count_nonzero(inst_max_arr > t)) if n_instances else 0
         sens = tp / n_instances if n_instances else 0.0
-        fp_total = 0
-        tn_cases = 0
-        for p, r in cases:
-            pred = p > t
-            counts = tumor_wise_detection(pred, r, connectivity, fp_min_voxels)
-            fp_total += counts.fp
-            if not r.any() and not pred.any():
-                tn_cases += 1
-        spec = tn_cases / n_neg_cases if n_neg_cases else float("nan")
+        tn_cases = int(np.count_nonzero(neg_max_arr <= t))
+        spec = tn_cases / len(neg_max) if neg_max else float("nan")
         points.append(RocPoint(threshold=t, sensitivity=sens,
                                fp_per_scan=fp_total / len(cases), specificity=spec))
     return RocCurve(points=tuple(points))

@@ -15,8 +15,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UndefinedRateError
-from .grid import CaseRecord, component_hits, connected_components
-from .metrics import RocCurve
+from .grid import CaseRecord, component_hits, connected_components, nonzero_box
+from .metrics import RocCurve, tumor_wise_detection
 
 
 @dataclass(frozen=True)
@@ -101,22 +101,34 @@ def simulate_fp_erasure(case: CaseRecord, tumor_pred: np.ndarray,
                         oracle_gold: np.ndarray, cost: CostModel,
                         connectivity: int = 6) -> tuple[np.ndarray, int, float]:
     """Erase predicted components that touch no gold component; each erased
-    component costs one click. Components touching gold are never removed."""
+    component costs one click. Components touching gold are never removed.
+
+    The prediction is labeled only inside nonzero_box(pred | gold), and the
+    cleaned crop is written back into an all-false grid: every predicted
+    component and every gold voxel lies inside that box, so the components
+    and their gold hits are those of the full grid."""
     pred = np.asarray(tumor_pred, dtype=bool)
     gold = np.asarray(oracle_gold, dtype=bool)
     if pred.shape != gold.shape:
         raise ShapeError("prediction/gold dims differ")
-    comp = connected_components(pred, connectivity)
-    erased = np.flatnonzero(component_hits(comp, gold) == 0) + 1
-    cleaned = pred & ~np.isin(comp.ids, erased)
-    clicks = len(erased)
+    box = nonzero_box(pred | gold)
+    comp = connected_components(pred[box], connectivity)
+    touches = component_hits(comp, gold[box]) > 0
+    cleaned = np.zeros_like(pred)
+    cleaned[box] = np.concatenate(([False], touches))[comp.ids]
+    clicks = comp.count - int(np.count_nonzero(touches))
     return cleaned, clicks, clicks * cost.seconds_per_fp_removal
 
 
 def process_case(case: CaseRecord, tumor_pred: np.ndarray, gold_tumor: np.ndarray,
                  cost: CostModel, connectivity: int = 6) -> tuple[np.ndarray, CaseWorkload]:
     """Full per-case cleanup: report suppression then simulated erasure;
-    returns the cleaned mask and the case workload record."""
+    returns the cleaned mask and the case workload record.
+
+    The gold instances and the missed ones are tumor_wise_detection's
+    tp + fn and fn for the cleaned mask: that labels both masks only inside
+    nonzero_box(cleaned | gold), as simulate_fp_erasure does, and the crop
+    holds every gold component whole, so the counts are exact."""
     suppressed = False
     pred = np.asarray(tumor_pred, dtype=bool)
     if cost.report_autoremoval:
@@ -124,10 +136,9 @@ def process_case(case: CaseRecord, tumor_pred: np.ndarray, gold_tumor: np.ndarra
         suppressed = not case.report.tumor_present
         pred = after
     cleaned, clicks, _ = simulate_fp_erasure(case, pred, gold_tumor, cost, connectivity)
-    gold_comp = connected_components(np.asarray(gold_tumor, dtype=bool), connectivity)
-    missed = int(np.count_nonzero(component_hits(gold_comp, cleaned) == 0))
-    return cleaned, CaseWorkload(case_id=case.case_id, gold_instances=gold_comp.count,
-                                 missed_instances=missed, fp_clicks=clicks,
+    counts = tumor_wise_detection(cleaned, gold_tumor, connectivity)
+    return cleaned, CaseWorkload(case_id=case.case_id, gold_instances=counts.tp + counts.fn,
+                                 missed_instances=counts.fn, fp_clicks=clicks,
                                  report_suppressed=suppressed)
 
 

@@ -3,15 +3,23 @@
 The brute_* functions are deliberately written with plain loops and sets.
 The full_grid_* functions are the package's per-structure kernels as they
 were before they were cropped to label boxes: every mask spans the whole
-grid, built with numpy and scipy directly. Nothing here calls the package
-under test; the full_grid_* functions only read a model's fitted attributes.
+grid, built with numpy and scipy directly. They call nothing in the package
+under test and only read a model's fitted attributes. per_threshold_roc is
+build_roc as it was before the one-pass sweep: it relabels every case at
+every threshold through the package's tumor_wise_detection, whose own
+oracle is brute_tumor_wise.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
 
 import numpy as np
 from scipy import ndimage
+
+from emcurate.errors import ShapeError
+from emcurate.grid import connected_components, nonzero_box
+from emcurate.metrics import RocCurve, RocPoint, _check_thresholds, tumor_wise_detection
 
 FACE_NEIGHBORS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
@@ -240,3 +248,50 @@ def full_grid_nsd(a: np.ndarray, b: np.ndarray, tolerance_mm: float, spacing) ->
     close = (int(np.count_nonzero(dist_to_b[surf_a] < tolerance_mm))
              + int(np.count_nonzero(dist_to_a[surf_b] < tolerance_mm)))
     return close / (n_a + n_b)
+
+
+def per_threshold_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray],
+                      thresholds: Sequence[float], connectivity: int = 6,
+                      fp_min_voxels: int = 1) -> RocCurve:
+    """build_roc with one tumor_wise_detection per case and threshold."""
+    if len(prob_maps) == 0 or len(prob_maps) != len(refs):
+        raise ShapeError("need matching, nonempty prob_maps and refs")
+    ts = _check_thresholds(thresholds)
+    cases = []
+    for p, r in zip(prob_maps, refs):
+        p, r = np.asarray(p, dtype=np.float64), np.asarray(r, dtype=bool)
+        if p.shape != r.shape:
+            raise ShapeError(f"probability map shape {p.shape} != reference {r.shape}")
+        # Thresholds are >= 0, so prob > t never holds outside the box of (prob > 0) | ref.
+        box = nonzero_box((p > 0) | r)
+        cases.append((p[box], r[box]))
+
+    # Per reference instance, detection at threshold t only depends on the
+    # max probability over the instance; precompute it once per instance.
+    inst_max: list[float] = []
+    n_neg_cases = 0
+    for p, r in cases:
+        comp = connected_components(r, connectivity)
+        if comp.count == 0:
+            n_neg_cases += 1
+        else:
+            inst_max.extend(ndimage.maximum(p, comp.ids, np.arange(1, comp.count + 1)))
+    inst_max_arr = np.array(inst_max, dtype=np.float64)
+    n_instances = len(inst_max)
+
+    points = []
+    for t in ts:
+        tp = int(np.count_nonzero(inst_max_arr > t)) if n_instances else 0
+        sens = tp / n_instances if n_instances else 0.0
+        fp_total = 0
+        tn_cases = 0
+        for p, r in cases:
+            pred = p > t
+            counts = tumor_wise_detection(pred, r, connectivity, fp_min_voxels)
+            fp_total += counts.fp
+            if not r.any() and not pred.any():
+                tn_cases += 1
+        spec = tn_cases / n_neg_cases if n_neg_cases else float("nan")
+        points.append(RocPoint(threshold=t, sensitivity=sens,
+                               fp_per_scan=fp_total / len(cases), specificity=spec))
+    return RocCurve(points=tuple(points))

@@ -287,6 +287,16 @@ def test_run_loop_zero_iterations(cfg_file, tmp_path):
     assert not any(n.startswith("iteration_") for n in names)
 
 
+def test_run_loop_missing_corpus_keeps_previous_run(cfg_file, tmp_path, capsys):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "summary.json").write_text("{}")
+    assert main(["run-loop", "--config", cfg_file, "--corpus", str(tmp_path / "nocorpus"),
+                 "--out", str(out), "--force"]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "summary.json").read_text() == "{}"
+
+
 def test_run_loop_byte_identical_across_threads(cfg_file, tmp_path):
     a = tmp_path / "a"
     b = tmp_path / "b"
@@ -313,6 +323,29 @@ def test_review_scripted(tmp_path, monkeypatch, capsys):
     rows = [json.loads(line) for line in dpath.read_text().splitlines()]
     assert rows == [{"case_id": "c", "structure": 1, "chosen": 1,
                      "source": "interactive"}]
+
+
+def test_review_of_empty_refine_queue(tmp_path, monkeypatch):
+    cfg = dict(BASE_CFG, noise={k: 0.0 if isinstance(v, float) else v
+                                for k, v in BASE_CFG["noise"].items()})
+    path = tmp_path / "clean.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", str(path), "--out", str(corpus)]) == 0
+    out = tmp_path / "refine"
+    assert main(["refine", "--config", str(path), "--corpus", str(corpus),
+                 "--out", str(out), "--threads", "1"]) == 0
+    qpath = out / "queue.json"
+    assert json.loads(qpath.read_text())["entries"] == []
+
+    def no_prompt(prompt=""):
+        raise AssertionError("an empty queue must not prompt")
+
+    monkeypatch.setattr("builtins.input", no_prompt)
+    dpath = tmp_path / "d.jsonl"
+    assert main(["review", "--queue", str(qpath), "--decisions", str(dpath),
+                 "--allow-pipe"]) == 0
+    assert dpath.read_text() == ""
 
 
 QUEUE_ROW = {"case_id": "c", "structure": 1, "reason": "expert_tie", "width": 3,

@@ -5,7 +5,7 @@ import pytest
 
 import emcurate as em
 from emcurate import EMConfig, RuleBasedJudge, SimulatedExpert, TieKeeperOracle
-from emcurate.errors import ConfigError, ShapeError
+from emcurate.errors import ConfigError
 from emcurate.loop import (
     EscalationEntry,
     EscalationReason,
@@ -407,10 +407,12 @@ def test_interactive_review_skip_persists():
                                      "source": "interactive"}
 
 
-def test_interactive_review_empty_queue():
-    with pytest.raises(ShapeError):
-        interactive_review([], input_fn=lambda _: "1",
-                           print_fn=lambda _: None)
+def test_interactive_review_empty_queue(monkeypatch):
+    def fail(*_args):
+        raise AssertionError("an empty queue must not prompt")
+
+    monkeypatch.setattr("sys.stdin.isatty", lambda: False)
+    assert interactive_review([], input_fn=fail, print_fn=fail, require_tty=True) is None
 
 
 def test_interactive_oracle_scripted(run_cfg_module):

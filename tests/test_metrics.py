@@ -20,10 +20,25 @@ from emcurate import (
     patient_wise_detection,
     tumor_wise_detection,
 )
-from emcurate.metrics import RocCurve, RocPoint, boundary_voxels, evaluate_pair, f1_score
+from emcurate import metrics
+from emcurate.metrics import (
+    RocCurve,
+    RocPoint,
+    boundary_voxels,
+    default_threshold_grid,
+    evaluate_pair,
+    f1_score,
+)
 
 from conftest import CAT4, label_volumes, make_label_map
-from oracles import brute_boundary, brute_dsc, brute_nsd, brute_tumor_wise, full_grid_nsd
+from oracles import (
+    brute_boundary,
+    brute_dsc,
+    brute_nsd,
+    brute_tumor_wise,
+    full_grid_nsd,
+    per_threshold_roc,
+)
 
 UNIT = SurfaceDistanceSpec(tolerance_mm=1.0, spacing=(1.0, 1.0, 1.0))
 
@@ -359,6 +374,63 @@ def test_roc_on_sparse_maps_matches_uncropped_oracle(connectivity, cases, fp_min
             assert point.specificity == tn_cases / n_neg
         else:
             assert math.isnan(point.specificity)
+
+
+@st.composite
+def scattered_roc_inputs(draw):
+    """Cases whose support is scattered over the whole grid, on values that
+    tie with each other and with the thresholds, some with an empty support
+    and no reference; strictly decreasing thresholds holding 0.0, 1.0, some
+    of the voxel values and some values in between."""
+    shape = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    level = st.one_of(st.sampled_from(ROC_LEVELS), st.floats(0.0, 1.0))
+    probs, refs = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if draw(st.integers(0, 3)) == 0:
+            probs.append(np.zeros(shape))
+            refs.append(np.zeros(shape, bool))
+            continue
+        support = draw(arrays(bool, shape))
+        probs.append(np.where(support, draw(arrays(np.float64, shape, elements=level)), 0.0))
+        refs.append(draw(arrays(bool, shape)))
+    values = sorted({float(v) for p in probs for v in p[p > 0]})
+    picked = draw(st.lists(st.sampled_from(values), max_size=6)) if values else []
+    between = draw(st.lists(st.floats(0.0, 1.0), max_size=3))
+    thresholds = sorted({0.0, 1.0, *picked, *between}, reverse=True)
+    return probs, refs, thresholds
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+@given(inputs=scattered_roc_inputs(), fp_min_voxels=st.integers(1, 3))
+def test_roc_sweep_matches_per_threshold_oracle(connectivity, inputs, fp_min_voxels):
+    probs, refs, thresholds = inputs
+    got = build_roc(probs, refs, thresholds, connectivity, fp_min_voxels)
+    want = per_threshold_roc(probs, refs, thresholds, connectivity, fp_min_voxels)
+    assert len(got.points) == len(want.points) == len(thresholds)
+    for a, b in zip(got.points, want.points):
+        assert (a.threshold, a.sensitivity, a.fp_per_scan) == \
+            (b.threshold, b.sensitivity, b.fp_per_scan)
+        assert a.specificity == b.specificity or \
+            (math.isnan(a.specificity) and math.isnan(b.specificity))
+
+
+@pytest.mark.parametrize("n_thresholds", [2, 101])
+def test_roc_labels_each_case_once(monkeypatch, n_thresholds):
+    """The sweep labels each case's reference once, whatever the number of
+    thresholds: no per-threshold relabeling."""
+    calls = []
+    label = metrics.connected_components
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return label(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "connected_components", counting)
+    rng = np.random.default_rng(7)
+    cases = [_roc_case(rng, t) for t in (True, False, True, True)]
+    build_roc([c[0] for c in cases], [c[1] for c in cases],
+              default_threshold_grid(n_thresholds))
+    assert len(calls) == len(cases)
 
 
 def test_roc_validates_inputs():

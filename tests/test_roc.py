@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -136,7 +136,35 @@ def erasure_inputs(draw):
             draw(st.booleans()), draw(st.sampled_from([6, 26])))
 
 
-@given(inputs=erasure_inputs())
+@st.composite
+def boxed_erasure_inputs(draw):
+    """pred and gold each filled only inside its own sub-box of a larger
+    grid, so the erasure's crop is smaller than the grid."""
+    shape = draw(st.tuples(*[st.integers(2, 9)] * 3))
+    masks = []
+    for _ in range(2):
+        lo = [draw(st.integers(0, n - 1)) for n in shape]
+        box = tuple(slice(a, draw(st.integers(a + 1, n))) for a, n in zip(lo, shape))
+        mask = np.zeros(shape, bool)
+        mask[box] = draw(arrays(bool, mask[box].shape))
+        masks.append(mask)
+    return (*masks, draw(st.booleans()), draw(st.sampled_from([6, 26])))
+
+
+def border_example():
+    """A kept component on the grid's far faces, an erased one in the near
+    corner and a missed gold voxel in the interior."""
+    pred = np.zeros((6, 7, 8), bool)
+    gold = np.zeros_like(pred)
+    pred[3:6, 5:7, 7] = True
+    pred[0, 0, 0] = True
+    gold[5, 6, 7] = True
+    gold[2, 3, 4] = True
+    return pred, gold, True, 26
+
+
+@example(inputs=border_example())
+@given(inputs=st.one_of(erasure_inputs(), boxed_erasure_inputs()))
 def test_erasure_and_process_case_match_component_loop(inputs):
     pred, gold, report_positive, connectivity = inputs
     labels = gold.astype(np.uint16)
