@@ -30,7 +30,6 @@ from .grid import (
     StructureKind,
     VoxelGrid,
     front_view_projection,
-    label_boxes,
     largest_component,
 )
 from .volume_io import canonical_json
@@ -251,9 +250,8 @@ def shape_cleanup(label_map: LabelMap, organ_connectivity: int = 26,
     voxel is outside the dilated mask, so the erosion sees the full grid's
     values. Component order inside a sub-box is the full grid's."""
     labels = label_map.labels.copy()
-    boxes = label_boxes(labels, len(label_map.catalog.entries))
     for entry in label_map.catalog.entries:
-        box = boxes[entry.label]
+        box = label_map.boxes[entry.label]
         if box is None:
             continue
         region = labels[tuple(slice(max(b.start - 1, 0), b.stop + 1) for b in box)]  # a view

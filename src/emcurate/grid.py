@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 from scipy import ndimage
@@ -168,6 +168,21 @@ class LabelMap:
     def catalog_id(self) -> str:
         return self.catalog.catalog_id
 
+    @property
+    def boxes(self) -> dict[int, Optional[tuple[slice, ...]]]:
+        """label_boxes(labels, len(catalog.entries)), computed on first use
+        and kept on the instance; callers must not mutate it.
+
+        Reusing it is exact because the labels are read-only. It lives
+        outside the dataclass fields, so dataclasses.replace (and with_labels)
+        start without one. It is written without a lock: two threads that
+        race compute the same pure value, and either may keep it."""
+        boxes = self.__dict__.get("_boxes")
+        if boxes is None:
+            boxes = label_boxes(self.labels, len(self.catalog.entries))
+            object.__setattr__(self, "_boxes", boxes)
+        return boxes
+
     def with_labels(self, labels: np.ndarray) -> "LabelMap":
         return replace(self, labels=labels)
 
@@ -236,6 +251,34 @@ class CaseRecord:
                 raise ShapeError(f"case {self.case_id}: label map lattice differs from volume")
         if self.meta.is_gold and self.gold is None:
             raise ShapeError(f"case {self.case_id}: is_gold requires a gold label map")
+
+    @property
+    def label_moments(self) -> dict[int, tuple[int, float, float]]:
+        """(count, sum x, sum x^2) of the float64 intensities under each label
+        of pseudo (background always, a structure when its box exists),
+        computed on first use and kept on the instance like LabelMap.boxes.
+
+        Each entry gathers the voxels with one boolean index (inside the
+        label's box for a structure, which picks the same voxels in the same
+        raster order as on the full grid) and casts only the gathered values,
+        so every sum is bit-identical to the sum over a full-grid float64
+        copy. with_pseudo builds a new record, so the table never goes stale."""
+        moments = self.__dict__.get("_label_moments")
+        if moments is None:
+            data, lab = self.volume.data, self.pseudo.labels
+
+            def entry(vals: np.ndarray) -> tuple[int, float, float]:
+                vals = vals.astype(np.float64)  # a fresh copy, so it may be squared in place
+                total = vals.sum()
+                vals *= vals  # the same products as vals * vals, without a second buffer
+                return vals.size, total, vals.sum()
+
+            moments = {BACKGROUND: entry(data[lab == BACKGROUND])}
+            for s, box in self.pseudo.boxes.items():
+                if box is not None:
+                    moments[s] = entry(data[box][lab[box] == s])
+            object.__setattr__(self, "_label_moments", moments)
+        return moments
 
     def with_pseudo(self, pseudo: LabelMap) -> "CaseRecord":
         return replace(self, pseudo=pseudo)
@@ -318,21 +361,21 @@ def label_boxes(labels: np.ndarray, n_labels: int) -> dict[int, Optional[tuple[s
                           start=1))
 
 
-def structure_mask_pairs(a: np.ndarray, b: np.ndarray, labels: Sequence[int]
+def structure_mask_pairs(a: LabelMap, b: LabelMap
                          ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Per label s: (s, a == s, b == s), both masks cropped to the hull of the
-    two label boxes. That hull is nonzero_box((a == s) | (b == s)), so every
-    voxel of either mask lies inside it; an empty pair gives two empty crops."""
-    n = max(labels, default=0)
-    boxes_a, boxes_b = label_boxes(a, n), label_boxes(b, n)
-    for s in labels:
-        box_a, box_b = boxes_a[s], boxes_b[s]
+    """Per catalog label s of a: (s, a == s, b == s), both masks cropped to
+    the hull of the two label boxes. That hull is nonzero_box((a == s) |
+    (b == s)), so every voxel of either mask lies inside it; an empty pair
+    gives two empty crops. The boxes are the maps' own memoised tables
+    (LabelMap.boxes), which equal a fresh label_boxes pass."""
+    for s in a.catalog.labels:
+        box_a, box_b = a.boxes[s], b.boxes[s]
         if box_a is None or box_b is None:
-            box = box_a or box_b or (slice(0, 0),) * a.ndim
+            box = box_a or box_b or (slice(0, 0),) * a.labels.ndim
         else:
             box = tuple(slice(min(x.start, y.start), max(x.stop, y.stop))
                         for x, y in zip(box_a, box_b))
-        yield s, a[box] == s, b[box] == s
+        yield s, a.labels[box] == s, b.labels[box] == s
 
 
 def largest_component(mask: np.ndarray, connectivity: int = 26) -> np.ndarray:

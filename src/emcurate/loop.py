@@ -454,7 +454,7 @@ def _gold_metrics(corpus: Sequence[CaseRecord]) -> tuple[Optional[float], Option
     catalog = cases[0].pseudo.catalog
     scores_of: dict[int, list[float]] = {s: [] for s in catalog.labels}
     for c in cases:
-        for s, a, b in structure_mask_pairs(c.pseudo.labels, c.gold.labels, catalog.labels):
+        for s, a, b in structure_mask_pairs(c.pseudo, c.gold):
             scores_of[s].append(dsc(a, b))
     per_structure: dict[int, dict[str, float]] = {}
     all_scores = []

@@ -395,7 +395,7 @@ def evaluate_pair(pred: LabelMap, ref: LabelMap, spec: SurfaceDistanceSpec,
     if pred.dims != ref.dims or pred.spacing != ref.spacing:
         raise ShapeError("label map lattices differ")
     scores: dict[int, StructureScores] = {}
-    for label, a, b in structure_mask_pairs(pred.labels, ref.labels, pred.catalog.labels):
+    for label, a, b in structure_mask_pairs(pred, ref):
         scores[label] = StructureScores(
             dsc=dsc(a, b),
             nsd=nsd(a, b, spec) if with_nsd else None,

@@ -27,7 +27,6 @@ from .grid import (
     StructureKind,
     VoxelGrid,
     connected_components,
-    label_boxes,
     largest_component,
     structure_mask_pairs,
 )
@@ -142,6 +141,14 @@ class GaussianIntensityModel:
 
         Structures with zero (weighted) labeled voxels corpus-wide are marked
         unmodeled and predict empty.
+
+        Each case adds w * (count, sum x, sum x^2) per label from its
+        CaseRecord.label_moments, in case order, the order in which the
+        voxels used to be gathered here; those are the same sums of the same
+        float64 values, so the statistics are bit-identical, and a record
+        fitted again (left unchanged by the E-step, or a repeated selective
+        copy) reuses its sums. The learned boxes are the pseudo map's
+        LabelMap.boxes.
         """
         if len(corpus) == 0:
             raise ModelError("fit requires a nonempty corpus")
@@ -157,22 +164,14 @@ class GaussianIntensityModel:
         acc = {s: np.zeros(3) for s in [BACKGROUND] + self.catalog.labels}
         boxes: dict[int, Optional[np.ndarray]] = {s: None for s in self.catalog.labels}
 
-        def accumulate(s: int, vals: np.ndarray, w: float) -> None:
-            acc[s] += (w * vals.size, w * vals.sum(), w * (vals * vals).sum())
-
         for case, w in zip(corpus, weights):
             if w == 0.0:
                 continue
-            intensities = case.volume.data.astype(np.float64)
-            lab = case.pseudo.labels
-            accumulate(BACKGROUND, intensities[lab == BACKGROUND], w)
-            # Boolean indexing inside a label's box picks the same voxels in
-            # the same raster order as on the full grid, so the sums are
-            # bit-identical to full-grid sums.
-            for s, box in label_boxes(lab, len(self.catalog.entries)).items():
+            for s, (n, sx, sx2) in case.label_moments.items():
+                acc[s] += (w * n, w * sx, w * sx2)
+            for s, box in case.pseudo.boxes.items():
                 if box is None:
                     continue
-                accumulate(s, intensities[box][lab[box] == s], w)
                 lo = np.array([b.start for b in box])
                 hi = np.array([b.stop - 1 for b in box])
                 if boxes[s] is None:
@@ -212,10 +211,6 @@ class GaussianIntensityModel:
     def _loglik(data: np.ndarray, mean: float, std: float) -> np.ndarray:
         return -np.log(std) - 0.5 * ((data - mean) / std) ** 2
 
-    def _box(self, s: int) -> tuple[slice, ...]:
-        p = self.params[s]
-        return tuple(slice(lo, hi + 1) for lo, hi in zip(p.bbox_lo, p.bbox_hi))
-
     def predict(self, volume: VoxelGrid) -> LabelMap:
         """Maximum-likelihood labeling gated by spatial priors, then component
         cleanup: single-instance structures keep their largest connected
@@ -223,25 +218,38 @@ class GaussianIntensityModel:
         tumor_min_component_voxels large (tumors are legitimately
         multi-instance, so largest-only would drop real instances).
 
-        The cleanup of structure s runs inside its learned box. This is
-        exact: s is only ever written inside that box, and raster order
-        within a sub-box keeps the full grid's component order, so component
-        ids and the first-on-ties pick are unchanged."""
+        All of it runs on the hull of the modeled structures' learned boxes,
+        on one float64 copy of the volume there, and each box is indexed
+        relative to the hull. This is exact: structure s is only ever written
+        inside its learned box, so every voxel outside the hull stays
+        background, and the log-likelihoods are per voxel. The cleanup of s
+        runs inside its learned box, which is exact too: raster order within
+        a sub-box keeps the full grid's component order, so component ids
+        and the first-on-ties pick are unchanged."""
         self._require_fitted()
-        data = volume.data.astype(np.float64)
-        bg_mean, bg_std = self.background
-        best = self._loglik(data, bg_mean, bg_std)
         out = np.zeros(volume.dims, dtype=np.uint16)
         modeled = [s for s in self.catalog.labels if self.params[s].modeled]
+        if not modeled:
+            return LabelMap(dims=volume.dims, spacing=volume.spacing, labels=out,
+                            catalog=self.catalog)
+        origin = np.min([self.params[s].bbox_lo for s in modeled], axis=0)
+        top = np.max([self.params[s].bbox_hi for s in modeled], axis=0)
+        hull = tuple(slice(int(lo), int(hi) + 1) for lo, hi in zip(origin, top))
+        data = volume.data[hull].astype(np.float64)
+        sub = out[hull]  # a view: writes land in out
+        bg_mean, bg_std = self.background
+        best = self._loglik(data, bg_mean, bg_std)
+        boxes = {}
         for s in modeled:
             p = self.params[s]
-            sl = self._box(s)
+            boxes[s] = sl = tuple(slice(int(lo - o), int(hi - o) + 1)
+                                  for lo, hi, o in zip(p.bbox_lo, p.bbox_hi, origin))
             ll = self._loglik(data[sl], p.mean, p.std)
             better = ll > best[sl]
-            out[sl][better] = s
+            sub[sl][better] = s
             best[sl][better] = ll[better]
         for s in modeled:
-            region = out[self._box(s)]  # a view: writes land in out
+            region = sub[boxes[s]]  # a view: writes land in out
             m = region == s
             if not m.any():
                 continue
@@ -370,8 +378,7 @@ def audit_case(model: SegmentationModel, case: CaseRecord,
     boxes (structure_mask_pairs), which holds every voxel of both."""
     prediction = model.predict(case.volume)
     per_structure: dict[int, StructureAudit] = {}
-    for s, a, b in structure_mask_pairs(case.pseudo.labels, prediction.labels,
-                                        case.pseudo.catalog.labels):
+    for s, a, b in structure_mask_pairs(case.pseudo, prediction):
         d = dsc(a, b)
         per_structure[s] = StructureAudit(label=s, dsc=d,
                                           action=classify_action(d, auto_replace_dsc, route_dsc))

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .errors import VolumeFormatError
+from .errors import ShapeError, VolumeFormatError
 from .grid import CaseMeta, CaseRecord, LabelMap, StructureCatalog, StructuredReport, VoxelGrid
 
 MAGIC = b"SMAI"
@@ -166,18 +166,30 @@ def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCata
             raise VolumeFormatError(f"{path}: sha256 differs from the corpus manifest")
         return raw
 
-    sidecar = read_json(corpus_dir / f"{case_id}.json", read(f"{case_id}.json"))
-    files = sidecar["files"]
+    sidecar_path = corpus_dir / f"{case_id}.json"
+    sidecar = read_json(sidecar_path, read(f"{case_id}.json"))
+    try:
+        if sidecar["case_id"] != case_id:
+            raise ValueError(f"case_id {sidecar['case_id']!r} != manifest id {case_id!r}")
+        files = {role: sidecar["files"][role] for role in ("volume", "pseudo", "gold")
+                 if role != "gold" or "gold" in sidecar["files"]}
+        if not all(isinstance(name, str) for name in files.values()):
+            raise TypeError(f"file names must be strings, got {files!r}")
+        report = StructuredReport.from_dict(sidecar["report"])
+        meta = CaseMeta.from_dict(sidecar["meta"])
+    # ShapeError: a report whose fields contradict each other
+    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+        raise VolumeFormatError(f"{sidecar_path}: malformed case sidecar: {exc!r}") from None
     gold = None
     if "gold" in files:
         gold = read_label_map(corpus_dir / files["gold"], catalog, read(files["gold"]))
     return CaseRecord(
-        case_id=sidecar["case_id"],
+        case_id=case_id,
         volume=read_voxel_grid(corpus_dir / files["volume"], read(files["volume"])),
         pseudo=read_label_map(corpus_dir / files["pseudo"], catalog, read(files["pseudo"])),
         gold=gold,
-        report=StructuredReport.from_dict(sidecar["report"]),
-        meta=CaseMeta.from_dict(sidecar["meta"]),
+        report=report,
+        meta=meta,
     )
 
 
@@ -205,9 +217,15 @@ def read_corpus(corpus_dir: Union[str, Path]) -> tuple[list[CaseRecord], Structu
     try:
         catalog = StructureCatalog.from_dict(manifest["catalog"])
         case_ids, checksums = manifest["case_ids"], manifest["checksums"]
+        if not isinstance(case_ids, list) or not all(isinstance(c, str) for c in case_ids):
+            raise TypeError(f"case ids must be a list of strings, got {case_ids!r}")
+        if not case_ids:
+            raise ValueError("no case ids")
+        if not isinstance(checksums, dict):
+            raise TypeError(f"checksums must map file names to sha256, got {type(checksums)}")
+        if len(set(case_ids)) != len(case_ids):
+            raise ValueError("duplicate case ids")
     except (KeyError, TypeError, ValueError) as exc:
         raise VolumeFormatError(f"{path}: malformed manifest: {exc!r}") from None
-    if not case_ids:
-        raise VolumeFormatError(f"{path}: malformed manifest: no case ids")
     cases = [read_case(path.parent, cid, catalog, checksums) for cid in case_ids]
     return cases, catalog

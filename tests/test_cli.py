@@ -125,6 +125,8 @@ CORRUPTIONS = {
     "file_not_in_manifest": ("manifest.json",
                              _edit_json(lambda m: m["checksums"].pop("case_0001_vol.smai"))),
     "no_cases": ("manifest.json", _edit_json(lambda m: m.update(case_ids=[]))),
+    "checksums_not_a_dict": ("manifest.json",
+                             _edit_json(lambda m: m.update(checksums=sorted(m["checksums"])))),
 }
 
 
@@ -139,6 +141,49 @@ def test_corrupt_corpus_is_io_error(cfg_file, tmp_path, capsys, corruption):
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "case_0001" in err or "manifest.json" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def _edit_sidecar(edit):
+    """Edit case_0001's sidecar and re-sign it in the manifest, so only the
+    sidecar's content is wrong."""
+    def corrupt(corpus: Path) -> None:
+        sidecar = corpus / "case_0001.json"
+        _edit_json(edit)(sidecar)
+        manifest = json.loads((corpus / "manifest.json").read_text())
+        manifest["checksums"][sidecar.name] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
+        (corpus / "manifest.json").write_text(json.dumps(manifest))
+    return corrupt
+
+
+def _duplicate_case_id(corpus: Path) -> None:
+    _edit_json(lambda m: m["case_ids"].append("case_0001"))(corpus / "manifest.json")
+
+
+SIDECAR_CORRUPTIONS = {
+    "missing_files": _edit_sidecar(lambda s: s.pop("files")),
+    "missing_volume_file": _edit_sidecar(lambda s: s["files"].pop("volume")),
+    "missing_tumor_count": _edit_sidecar(lambda s: s["report"].pop("tumor_count")),
+    "bad_sex": _edit_sidecar(lambda s: s["meta"].update(sex="X")),
+    "inconsistent_report": _edit_sidecar(lambda s: s["report"].update(tumor_count=-1)),
+    "files_not_a_dict": _edit_sidecar(lambda s: s.update(files=["a", "b"])),
+    "other_case_id": _edit_sidecar(lambda s: s.update(case_id="case_0002")),
+    "duplicate_case_id": _duplicate_case_id,
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(SIDECAR_CORRUPTIONS))
+def test_malformed_sidecar_is_io_error(cfg_file, tmp_path, capsys, corruption):
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", cfg_file, "--out", str(corpus)]) == 0
+    SIDECAR_CORRUPTIONS[corruption](corpus)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", cfg_file, "--corpus", str(corpus),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert ("case_0001.json" in err) if corruption != "duplicate_case_id" else \
+        ("manifest.json" in err and "duplicate" in err)
     assert "Traceback" not in err
     assert not out.exists()
 

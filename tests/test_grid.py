@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -24,7 +27,7 @@ from emcurate.grid import (
     structure_mask_pairs,
 )
 
-from conftest import label_volumes, make_label_map
+from conftest import CAT4, label_volumes, make_label_map
 from oracles import brute_components, brute_front_overlay
 
 CAT = StructureCatalog((
@@ -181,10 +184,50 @@ def test_label_boxes_match_nonzero_box(volumes):
     assert label_boxes(labels, 0) == {}
 
 
+@given(volumes=label_volumes())
+def test_label_map_boxes_match_label_boxes(volumes):
+    (labels,) = volumes
+    label_map = make_label_map(labels, CAT4)
+    assert label_map.boxes == label_boxes(labels, 4)
+    assert label_map.boxes is label_map.boxes  # computed once, then kept
+
+
+def test_with_labels_gets_a_fresh_box_table():
+    labels = np.zeros((4, 5, 6), np.uint16)
+    labels[1:3, 2, 0] = 1
+    before = make_label_map(labels, CAT4)
+    assert before.boxes[1] == (slice(1, 3), slice(2, 3), slice(0, 1))
+    moved = np.zeros_like(labels)
+    moved[3, 4, 5] = 1
+    after = before.with_labels(moved)
+    assert after.boxes == label_boxes(moved, 4)
+    assert after.boxes[1] == (slice(3, 4), slice(4, 5), slice(5, 6))
+    assert before.boxes[1] == (slice(1, 3), slice(2, 3), slice(0, 1))
+
+
+def test_box_table_under_racing_threads():
+    # More threads than cores race for one map's first table; every reader
+    # must see the full, correct table (a duplicate computation is allowed).
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 5, size=(24, 24, 24)).astype(np.uint16)
+    expected = label_boxes(labels, 4)
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            label_map = make_label_map(labels, CAT4)
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: label_map.boxes) for _ in range(16)]
+                tables = [f.result(timeout=30) for f in futures]
+            assert all(t == expected for t in tables)
+    finally:
+        sys.setswitchinterval(old_interval)
+
+
 @given(volumes=label_volumes(n=2))
 def test_structure_mask_pairs_crop_to_the_pair_box(volumes):
     a, b = volumes
-    pairs = list(structure_mask_pairs(a, b, [1, 2, 3, 4]))
+    pairs = list(structure_mask_pairs(make_label_map(a, CAT4), make_label_map(b, CAT4)))
     assert [s for s, _, _ in pairs] == [1, 2, 3, 4]
     for s, mask_a, mask_b in pairs:
         box = nonzero_box((a == s) | (b == s))

@@ -335,6 +335,28 @@ def test_no_gold_leakage(run_cfg_module, judge):
         assert np.array_equal(a.pseudo.labels, b.pseudo.labels)
 
 
+def test_run_em_computes_one_box_table_per_label_map(run_cfg_module, judge, monkeypatch):
+    """Every label map's box table is computed once and then reused: audit,
+    gold metrics, fit and shape_cleanup all read LabelMap.boxes."""
+    import emcurate.grid as grid_mod
+    cases, _ = em.generate_corpus(run_cfg_module.phantom, run_cfg_module.noise, 6, 0.5,
+                                  seed=21)
+    source = em.PhantomSource(run_cfg_module.phantom,
+                               run_cfg_module.synthetic.intensity_jitter)
+    seen = []  # the labels arrays tabled; kept alive so their ids stay distinct
+    label_boxes = grid_mod.label_boxes
+
+    def counting(labels, n_labels):
+        seen.append(labels)
+        return label_boxes(labels, n_labels)
+
+    monkeypatch.setattr(grid_mod, "label_boxes", counting)
+    run_em(cases, em_cfg(max_iterations=1), judge, SimulatedExpert(seed=0),
+           phantom_source=source)
+    assert seen
+    assert len({id(labels) for labels in seen}) == len(seen)
+
+
 def test_recorder_outputs(tmp_path, noisy_corpus, run_cfg_module, judge):
     from emcurate.loop import RunRecorder
 

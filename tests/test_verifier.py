@@ -321,3 +321,60 @@ def test_predict_matches_full_grid_oracle(volumes, seed, organ_connectivity,
     volume = VoxelGrid(dims=test.shape, spacing=(1.0, 1.0, 1.0),
                        data=intensities_for(test, rng))
     assert np.array_equal(model.predict(volume).labels, full_grid_predict(model, volume.data))
+
+
+def test_predict_without_modeled_structures_matches_oracle():
+    rng = np.random.default_rng(4)
+    labels = np.zeros((5, 6, 7), np.uint16)
+    model = em.fit_model([make_case(intensities_for(labels, rng), labels, CAT4)])
+    assert not any(p.modeled for p in model.params.values())
+    volume = VoxelGrid(dims=labels.shape, spacing=(1.0, 1.0, 1.0),
+                       data=rng.normal(40.0, 30.0, labels.shape).astype(np.float32))
+    pred = model.predict(volume).labels
+    assert np.array_equal(pred, full_grid_predict(model, volume.data))
+    assert not pred.any()
+
+
+# Training layouts whose learned boxes touch the grid faces (index 0 and
+# dims - 1) or sit strictly inside, so the hull starts at 0, ends at the
+# last index, or is offset on every axis.
+HULL_LAYOUTS = {
+    "both_faces": {1: [(0, 0, 0), (1, 2, 1)], 4: [(3, 4, 6), (4, 5, 6)]},
+    "low_faces": {1: [(0, 0, 0), (1, 1, 1)], 3: [(0, 2, 0), (1, 2, 1)]},
+    "high_faces": {2: [(4, 5, 6), (3, 3, 4)], 3: [(4, 1, 6)]},
+    "interior": {1: [(1, 2, 2), (2, 3, 3)], 2: [(3, 3, 4)], 3: [(2, 2, 5)]},
+}
+
+
+@pytest.mark.parametrize("layout", sorted(HULL_LAYOUTS))
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_predict_at_the_hull_faces_matches_oracle(layout, seed):
+    rng = np.random.default_rng(seed)
+    dims = (5, 6, 7)
+    train = np.zeros(dims, np.uint16)
+    for s, voxels in HULL_LAYOUTS[layout].items():
+        for v in voxels:
+            train[v] = s
+    model = GaussianIntensityModel(CAT4, tumor_min_component_voxels=1)
+    model.fit([make_case(intensities_for(train, rng), train, CAT4)])
+    test = rng.integers(0, 5, dims).astype(np.uint16)
+    volume = VoxelGrid(dims=dims, spacing=(1.0, 1.0, 1.0), data=intensities_for(test, rng))
+    pred = model.predict(volume).labels
+    assert np.array_equal(pred, full_grid_predict(model, volume.data))
+
+
+@given(volumes=label_volumes(n=2), seed=st.integers(0, 2**32 - 1),
+       weights=st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]), min_size=4, max_size=4)
+       .filter(any))
+def test_fit_with_repeated_and_reused_records_matches_oracle(volumes, seed, weights):
+    rng = np.random.default_rng(seed)
+    a, b = (make_case(intensities_for(labels, rng), labels, CAT4, case_id=f"c{i}")
+            for i, labels in enumerate(volumes))
+    for corpus, w in (([a, b, a, a], weights), ([b, a, b, a], weights[::-1])):
+        model = GaussianIntensityModel(CAT4)
+        model.fit(corpus, w)  # the second fit reuses both records' moments
+        expected = full_grid_fit([(c.volume.data, c.pseudo.labels) for c in corpus], w,
+                                 CAT4.labels)
+        got = model.to_dict()
+        assert got["background"] == expected["background"]
+        assert got["structures"] == expected["structures"]
