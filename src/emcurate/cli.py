@@ -29,6 +29,7 @@ from .errors import (
     UndefinedRateError,
     VolumeFormatError,
 )
+from .grid import CaseRecord
 from .loop import (
     RunRecorder,
     expectation_pass,
@@ -88,6 +89,16 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+def _read_config_corpus(cfg: RunConfig, corpus_dir: str) -> list[CaseRecord]:
+    """The corpus at corpus_dir, whose catalog must be the config's: the
+    commands that call this write their corpora under cfg.catalog."""
+    cases, catalog = volume_io.read_corpus(corpus_dir)
+    if catalog != cfg.catalog:
+        raise ConfigError(f"corpus {corpus_dir} has catalog {catalog.catalog_id}, "
+                          f"the config has {cfg.catalog.catalog_id}")
+    return cases
+
+
 def _prepare_out_dir(out_dir: Path, force: bool) -> None:
     if out_dir.exists() and any(out_dir.iterdir()):
         if not force:
@@ -116,7 +127,7 @@ def cmd_generate(args) -> int:
 
 def cmd_audit(args) -> int:
     cfg = _load_config(args)
-    cases, _catalog = volume_io.read_corpus(args.corpus)
+    cases = _read_config_corpus(cfg, args.corpus)
     out_dir = _resolve_out(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = fit_model(cases, new_model=cfg.build_model)
@@ -147,7 +158,7 @@ def cmd_refine(args) -> int:
     """One full expectation pass (audit, auto-replace, judge, escalate)."""
     cfg = _load_config(args)
     threads = _resolve_threads(args)
-    cases, _catalog = volume_io.read_corpus(args.corpus)
+    cases = _read_config_corpus(cfg, args.corpus)
     out_dir = _resolve_out(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = fit_model(cases, new_model=cfg.build_model)
@@ -214,7 +225,7 @@ def cmd_run_loop(args) -> int:
     threads = _resolve_threads(args)
     out_dir = _resolve_out(args)
     if args.corpus:  # read before --out is emptied: a bad corpus keeps the last run
-        cases, _catalog = volume_io.read_corpus(args.corpus)
+        cases = _read_config_corpus(cfg, args.corpus)
     _prepare_out_dir(out_dir, args.force)
     if not args.corpus:
         cases, _logs = generate_corpus(cfg.phantom, cfg.noise, cfg.corpus.n_cases,

@@ -24,6 +24,7 @@ from scipy import ndimage
 from .errors import ConfigError, ProtocolError, ShapeError
 from .grid import (
     BACKGROUND,
+    FACE,
     CaseRecord,
     LabelMap,
     Projection2D,
@@ -31,6 +32,7 @@ from .grid import (
     VoxelGrid,
     front_view_projection,
     largest_component,
+    pad_box,
 )
 from .volume_io import canonical_json
 
@@ -38,7 +40,6 @@ log = logging.getLogger(__name__)
 
 TIE_EPSILON = 0.02
 CRITERIA = ("centroid", "components", "extent", "elongation")
-FACE = ndimage.generate_binary_structure(3, 1)
 
 
 class Preference(str, Enum):
@@ -254,7 +255,7 @@ def shape_cleanup(label_map: LabelMap, organ_connectivity: int = 26,
         box = label_map.boxes[entry.label]
         if box is None:
             continue
-        region = labels[tuple(slice(max(b.start - 1, 0), b.stop + 1) for b in box)]  # a view
+        region = labels[pad_box(box, 1, labels.shape)]  # a view
         mask = region == entry.label
         conn = tumor_connectivity if entry.kind is StructureKind.TUMOR else organ_connectivity
         kept = largest_component(mask, conn)

@@ -19,7 +19,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
@@ -27,6 +27,13 @@ from scipy import ndimage
 from .errors import CatalogError, ShapeError
 
 BACKGROUND = 0
+
+# A box is one slice per axis, as ndimage.find_objects returns it: the voxels
+# start <= i < stop on every axis.
+Box = tuple[slice, ...]
+
+# face-neighbor structuring element: 6-connectivity, one-voxel morphology
+FACE = ndimage.generate_binary_structure(3, 1)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -169,7 +176,7 @@ class LabelMap:
         return self.catalog.catalog_id
 
     @property
-    def boxes(self) -> dict[int, Optional[tuple[slice, ...]]]:
+    def boxes(self) -> dict[int, Optional[Box]]:
         """label_boxes(labels, len(catalog.entries)), computed on first use
         and kept on the instance; callers must not mutate it.
 
@@ -303,15 +310,14 @@ class ComponentLabeling:
 
 @dataclass(frozen=True)
 class Projection2D:
-    """Front-view projection: mean intensity and any-hit overlay on (x, z)."""
+    """Front-view projection: the any-hit overlay of a mask on (x, z)."""
 
-    intensity: np.ndarray
     overlay: np.ndarray
     spacing: tuple[float, float]  # mm per pixel along (x, z)
 
 
 _STRUCTS = {
-    6: ndimage.generate_binary_structure(3, 1),
+    6: FACE,
     26: ndimage.generate_binary_structure(3, 3),
 }
 
@@ -339,7 +345,7 @@ def component_hits(comp: ComponentLabeling, other_mask: np.ndarray) -> np.ndarra
     return np.bincount(comp.ids[other], minlength=comp.count + 1)[1:]
 
 
-def nonzero_box(mask: np.ndarray) -> tuple[slice, ...]:
+def nonzero_box(mask: np.ndarray) -> Box:
     """Slices of the smallest box holding every true voxel of mask, from
     per-axis any() projections; every slice is empty when the mask is."""
     mask = np.asarray(mask, dtype=bool)
@@ -352,13 +358,29 @@ def nonzero_box(mask: np.ndarray) -> tuple[slice, ...]:
     return tuple(box)
 
 
-def label_boxes(labels: np.ndarray, n_labels: int) -> dict[int, Optional[tuple[slice, ...]]]:
+def label_boxes(labels: np.ndarray, n_labels: int) -> dict[int, Optional[Box]]:
     """The box of every label 1..n_labels from one ndimage.find_objects pass:
     entry s is nonzero_box(labels == s), or None when label s is absent."""
     if n_labels < 1:  # find_objects reads max_label < 1 as "every label present"
         return {}
     return dict(enumerate(ndimage.find_objects(np.asarray(labels), max_label=n_labels),
                           start=1))
+
+
+def box_hull(boxes: Iterable[Optional[Box]]) -> Optional[Box]:
+    """The smallest box holding every given box; None entries are skipped,
+    and the hull of no box is None."""
+    boxes = [b for b in boxes if b is not None]
+    if not boxes:
+        return None
+    return tuple(slice(min(s.start for s in axis), max(s.stop for s in axis))
+                 for axis in zip(*boxes))
+
+
+def pad_box(box: Box, margin: int, dims: Sequence[int]) -> Box:
+    """box grown by margin voxels on every side, clipped to a grid of shape dims."""
+    return tuple(slice(max(b.start - margin, 0), min(b.stop + margin, n))
+                 for b, n in zip(box, dims))
 
 
 def structure_mask_pairs(a: LabelMap, b: LabelMap
@@ -369,12 +391,7 @@ def structure_mask_pairs(a: LabelMap, b: LabelMap
     gives two empty crops. The boxes are the maps' own memoised tables
     (LabelMap.boxes), which equal a fresh label_boxes pass."""
     for s in a.catalog.labels:
-        box_a, box_b = a.boxes[s], b.boxes[s]
-        if box_a is None or box_b is None:
-            box = box_a or box_b or (slice(0, 0),) * a.labels.ndim
-        else:
-            box = tuple(slice(min(x.start, y.start), max(x.stop, y.stop))
-                        for x, y in zip(box_a, box_b))
+        box = box_hull((a.boxes[s], b.boxes[s])) or (slice(0, 0),) * a.labels.ndim
         yield s, a.labels[box] == s, b.labels[box] == s
 
 
@@ -388,15 +405,11 @@ def largest_component(mask: np.ndarray, connectivity: int = 26) -> np.ndarray:
 
 
 def front_view_projection(volume: VoxelGrid, mask: np.ndarray) -> Projection2D:
-    """Project a volume + mask along y onto the x-z plane.
-
-    The intensity pixel (x, z) is the mean intensity along y; the overlay
-    pixel is true iff any mask voxel along that y-column is true.
-    """
+    """Project a mask on a volume's lattice along y onto the x-z plane: the
+    overlay pixel (x, z) is true iff any mask voxel along that y-column is."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != volume.dims:
         raise ShapeError(f"mask shape {mask.shape} != volume dims {volume.dims}")
-    intensity = volume.data.mean(axis=1, dtype=np.float64)
     overlay = mask.any(axis=1)
     sx, _, sz = volume.spacing
-    return Projection2D(intensity=_freeze(intensity), overlay=_freeze(overlay), spacing=(sx, sz))
+    return Projection2D(overlay=_freeze(overlay), spacing=(sx, sz))

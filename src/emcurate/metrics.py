@@ -26,6 +26,7 @@ from scipy import ndimage
 from .errors import ShapeError, UndefinedRateError
 from .grid import (
     _STRUCTS,
+    FACE,
     LabelMap,
     StructureCatalog,
     component_hits,
@@ -33,8 +34,6 @@ from .grid import (
     nonzero_box,
     structure_mask_pairs,
 )
-
-FACE_STRUCTURE = ndimage.generate_binary_structure(3, 1)
 
 
 @dataclass(frozen=True)
@@ -135,7 +134,7 @@ def dsc(a, b) -> float:
 def boundary_voxels(mask: np.ndarray) -> np.ndarray:
     """Surface voxels: in the mask with a face neighbor outside it or on the grid border."""
     mask = np.asarray(mask, dtype=bool)
-    interior = ndimage.binary_erosion(mask, structure=FACE_STRUCTURE, border_value=0)
+    interior = ndimage.binary_erosion(mask, structure=FACE, border_value=0)
     return mask & ~interior
 
 

@@ -26,6 +26,7 @@ from scipy import ndimage
 from .errors import ConfigError
 from .grid import (
     BACKGROUND,
+    FACE,
     CaseMeta,
     CaseRecord,
     ContrastPhase,
@@ -39,9 +40,8 @@ from .grid import (
     VoxelGrid,
     connected_components,
     nonzero_box,
+    pad_box,
 )
-
-FACE = ndimage.generate_binary_structure(3, 1)
 
 
 class ShapeKind(str, Enum):
@@ -171,12 +171,6 @@ def _normalized_axes(dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(((np.arange(n) + 0.5) / n).astype(np.float64) for n in dims)
 
 
-def _span(hit: np.ndarray) -> Optional[slice]:
-    """Slice from the first to the last true entry of a 1D mask; None if there is none."""
-    idx = np.flatnonzero(hit)
-    return slice(int(idx[0]), int(idx[-1]) + 1) if idx.size else None
-
-
 def _shape_mask(dims, shape: ShapeKind, center, radii) -> np.ndarray:
     xs, ys, zs = _normalized_axes(dims)
     dx = (xs - center[0]) / radii[0]
@@ -185,9 +179,7 @@ def _shape_mask(dims, shape: ShapeKind, center, radii) -> np.ndarray:
     out = np.zeros(dims, dtype=bool)
     # a sum of squares <= 1 needs every term <= 1, so the shape lies inside
     # this box; evaluating the same expressions there gives the same voxels
-    box = tuple(_span(np.abs(d) <= 1.0) for d in (dx, dy, dz))
-    if None in box:
-        return out
+    box = tuple(nonzero_box(np.abs(d) <= 1.0)[0] for d in (dx, dy, dz))
     dx, dy, dz = dx[box[0]], dy[box[1]], dz[box[2]]
     if shape is ShapeKind.CYLINDER:
         # axis along z: elliptical cross-section, slab in z
@@ -201,25 +193,17 @@ def _shape_mask(dims, shape: ShapeKind, center, radii) -> np.ndarray:
 
 def _sphere_mask_vox(dims, center_vox, radius_vox) -> np.ndarray:
     out = np.zeros(dims, dtype=bool)
-    box = tuple(_span((np.arange(n) - c) ** 2 <= radius_vox ** 2)
+    box = tuple(nonzero_box((np.arange(n) - c) ** 2 <= radius_vox ** 2)[0]
                 for n, c in zip(dims, center_vox))
-    if None in box:
-        return out
     grids = np.ogrid[box]
     q = sum((g - c) ** 2 for g, c in zip(grids, center_vox))
     out[box] = q <= radius_vox ** 2
     return out
 
 
-def _padded_box(mask: np.ndarray) -> tuple[slice, ...]:
-    """The mask's bounding box grown by one voxel per side, clipped to the grid."""
-    return tuple(slice(max(b.start - 1, 0), min(b.stop + 1, n))
-                 for b, n in zip(nonzero_box(mask), mask.shape))
-
-
 def _dilate(mask: np.ndarray) -> np.ndarray:
     """Face-connected dilation, computed on the padded bounding box only."""
-    box = _padded_box(mask)
+    box = pad_box(nonzero_box(mask), 1, mask.shape)
     out = np.zeros_like(mask)
     out[box] = ndimage.binary_dilation(mask[box], structure=FACE)
     return out
@@ -227,7 +211,7 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
 
 def _erode(mask: np.ndarray) -> np.ndarray:
     """Face-connected erosion with the grid border outside, on the padded box only."""
-    box = _padded_box(mask)
+    box = pad_box(nonzero_box(mask), 1, mask.shape)
     out = np.zeros_like(mask)
     out[box] = ndimage.binary_erosion(mask[box], structure=FACE, border_value=0)
     return out

@@ -21,13 +21,16 @@ import numpy as np
 from .errors import ModelError, ShapeError
 from .grid import (
     BACKGROUND,
+    Box,
     CaseRecord,
     LabelMap,
     StructureCatalog,
     StructureKind,
     VoxelGrid,
+    box_hull,
     connected_components,
     largest_component,
+    pad_box,
     structure_mask_pairs,
 )
 from .metrics import dsc
@@ -106,9 +109,11 @@ class SegmentationModel(Protocol):
 class _StructureParams:
     mean: float = 0.0
     std: float = STD_FLOOR
-    bbox_lo: tuple[int, int, int] = (0, 0, 0)   # inclusive voxel index bounds
-    bbox_hi: tuple[int, int, int] = (0, 0, 0)
-    modeled: bool = False
+    box: Optional[Box] = None  # the learned box; None when unmodeled
+
+    @property
+    def modeled(self) -> bool:
+        return self.box is not None
 
 
 class GaussianIntensityModel:
@@ -147,8 +152,10 @@ class GaussianIntensityModel:
         voxels used to be gathered here; those are the same sums of the same
         float64 values, so the statistics are bit-identical, and a record
         fitted again (left unchanged by the E-step, or a repeated selective
-        copy) reuses its sums. The learned boxes are the pseudo map's
-        LabelMap.boxes.
+        copy) reuses its sums. Each learned box is the hull of the weighted
+        cases' LabelMap.boxes; a label has moments in a case exactly when it
+        has a box there, so a structure has a box iff its weighted count is
+        positive.
         """
         if len(corpus) == 0:
             raise ModelError("fit requires a nonempty corpus")
@@ -162,46 +169,24 @@ class GaussianIntensityModel:
 
         # per label: [sum_w, sum_wx, sum_wx2]
         acc = {s: np.zeros(3) for s in [BACKGROUND] + self.catalog.labels}
-        boxes: dict[int, Optional[np.ndarray]] = {s: None for s in self.catalog.labels}
-
-        for case, w in zip(corpus, weights):
-            if w == 0.0:
-                continue
+        used = [(case, w) for case, w in zip(corpus, weights) if w != 0.0]
+        for case, w in used:
             for s, (n, sx, sx2) in case.label_moments.items():
                 acc[s] += (w * n, w * sx, w * sx2)
-            for s, box in case.pseudo.boxes.items():
-                if box is None:
-                    continue
-                lo = np.array([b.start for b in box])
-                hi = np.array([b.stop - 1 for b in box])
-                if boxes[s] is None:
-                    boxes[s] = np.concatenate([lo, hi])
-                else:
-                    boxes[s][:3] = np.minimum(boxes[s][:3], lo)
-                    boxes[s][3:] = np.maximum(boxes[s][3:], hi)
 
-        def stats(s: int) -> tuple[float, float, float]:
+        def stats(s: int) -> tuple[float, float]:
             sw, sx, sx2 = acc[s]
-            if sw == 0:
-                return 0.0, 0.0, STD_FLOOR
+            if sw == 0:  # only the background can be empty: every voxel labeled
+                return 0.0, STD_FLOOR
             mean = sx / sw
             var = max(sx2 / sw - mean * mean, 0.0)
-            return sw, mean, max(float(np.sqrt(var)), STD_FLOOR)
+            return mean, max(float(np.sqrt(var)), STD_FLOOR)
 
-        _, bg_mean, bg_std = stats(BACKGROUND)
-        self.background = (bg_mean, bg_std)
+        self.background = stats(BACKGROUND)
         self.params = {}
         for s in self.catalog.labels:
-            sw, mean, std = stats(s)
-            box = boxes[s]
-            if sw == 0 or box is None:
-                self.params[s] = _StructureParams(modeled=False)
-            else:
-                self.params[s] = _StructureParams(
-                    mean=mean, std=std,
-                    bbox_lo=tuple(int(v) for v in box[:3]),
-                    bbox_hi=tuple(int(v) for v in box[3:]),
-                    modeled=True)
+            box = box_hull(case.pseudo.boxes[s] for case, _ in used)
+            self.params[s] = _StructureParams(*stats(s), box) if box else _StructureParams()
 
     def _require_fitted(self) -> None:
         if not self.fitted:
@@ -228,28 +213,25 @@ class GaussianIntensityModel:
         and the first-on-ties pick are unchanged."""
         self._require_fitted()
         out = np.zeros(volume.dims, dtype=np.uint16)
-        modeled = [s for s in self.catalog.labels if self.params[s].modeled]
-        if not modeled:
+        boxes = {s: self.params[s].box for s in self.catalog.labels if self.params[s].modeled}
+        hull = box_hull(boxes.values())
+        if hull is None:
             return LabelMap(dims=volume.dims, spacing=volume.spacing, labels=out,
                             catalog=self.catalog)
-        origin = np.min([self.params[s].bbox_lo for s in modeled], axis=0)
-        top = np.max([self.params[s].bbox_hi for s in modeled], axis=0)
-        hull = tuple(slice(int(lo), int(hi) + 1) for lo, hi in zip(origin, top))
+        boxes = {s: tuple(slice(b.start - h.start, b.stop - h.start) for b, h in zip(box, hull))
+                 for s, box in boxes.items()}
         data = volume.data[hull].astype(np.float64)
         sub = out[hull]  # a view: writes land in out
         bg_mean, bg_std = self.background
         best = self._loglik(data, bg_mean, bg_std)
-        boxes = {}
-        for s in modeled:
+        for s, sl in boxes.items():
             p = self.params[s]
-            boxes[s] = sl = tuple(slice(int(lo - o), int(hi - o) + 1)
-                                  for lo, hi, o in zip(p.bbox_lo, p.bbox_hi, origin))
             ll = self._loglik(data[sl], p.mean, p.std)
             better = ll > best[sl]
             sub[sl][better] = s
             best[sl][better] = ll[better]
-        for s in modeled:
-            region = sub[boxes[s]]  # a view: writes land in out
+        for s, sl in boxes.items():
+            region = sub[sl]  # a view: writes land in out
             m = region == s
             if not m.any():
                 continue
@@ -277,17 +259,10 @@ class GaussianIntensityModel:
         probs = np.zeros(volume.dims, dtype=np.float64)
         if tp is None or not tp.modeled:
             return probs
-        lo = np.array(tp.bbox_lo)
-        hi = np.array(tp.bbox_hi)
-        for s in self.catalog.labels:
-            p = self.params[s]
-            if p.modeled and self.catalog.entry(s).kind is StructureKind.ORGAN \
-                    and self._boxes_intersect(p, tp):
-                lo = np.minimum(lo, p.bbox_lo)
-                hi = np.maximum(hi, p.bbox_hi)
-        lo = np.maximum(lo - PRIOR_MARGIN_VOXELS, 0)
-        hi = np.minimum(hi + PRIOR_MARGIN_VOXELS, np.array(volume.dims) - 1)
-        sl = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
+        hosts = [p.box for s, p in self.params.items()
+                 if p.modeled and self.catalog.entry(s).kind is StructureKind.ORGAN
+                 and all(a.start < b.stop and b.start < a.stop for a, b in zip(p.box, tp.box))]
+        sl = pad_box(box_hull([tp.box, *hosts]), PRIOR_MARGIN_VOXELS, volume.dims)
 
         data = volume.data[sl].astype(np.float64)
         bg_mean, bg_std = self.background
@@ -308,15 +283,18 @@ class GaussianIntensityModel:
         probs[sl] = post
         return probs
 
-    @staticmethod
-    def _boxes_intersect(a: _StructureParams, b: _StructureParams) -> bool:
-        return all(alo <= bhi and blo <= ahi for alo, ahi, blo, bhi
-                   in zip(a.bbox_lo, a.bbox_hi, b.bbox_lo, b.bbox_hi))
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:
+        """The snapshot; a learned box is written as inclusive voxel bounds
+        bbox_lo/bbox_hi, [0, 0, 0] for an unmodeled structure."""
         self._require_fitted()
+
+        def bounds(box: Optional[Box]) -> dict:
+            if box is None:
+                return {"bbox_lo": [0, 0, 0], "bbox_hi": [0, 0, 0]}
+            return {"bbox_lo": [b.start for b in box], "bbox_hi": [b.stop - 1 for b in box]}
+
         return {
             "kind": "gaussian_intensity",
             "catalog_id": self.catalog.catalog_id,
@@ -325,10 +303,8 @@ class GaussianIntensityModel:
             "tumor_min_component_voxels": self.tumor_min_component_voxels,
             "background": {"mean": self.background[0], "std": self.background[1]},
             "structures": {
-                str(s): {
-                    "mean": p.mean, "std": p.std, "modeled": p.modeled,
-                    "bbox_lo": list(p.bbox_lo), "bbox_hi": list(p.bbox_hi),
-                } for s, p in self.params.items()
+                str(s): {"mean": p.mean, "std": p.std, "modeled": p.modeled, **bounds(p.box)}
+                for s, p in self.params.items()
             },
         }
 
@@ -338,12 +314,11 @@ class GaussianIntensityModel:
         model.tumor_min_component_voxels = int(
             d.get("tumor_min_component_voxels", model.tumor_min_component_voxels))
         model.background = (float(d["background"]["mean"]), float(d["background"]["std"]))
-        model.params = {
-            int(s): _StructureParams(
-                mean=float(p["mean"]), std=float(p["std"]), modeled=bool(p["modeled"]),
-                bbox_lo=tuple(p["bbox_lo"]), bbox_hi=tuple(p["bbox_hi"]))
-            for s, p in d["structures"].items()
-        }
+        model.params = {}
+        for s, p in d["structures"].items():
+            box = tuple(slice(int(lo), int(hi) + 1) for lo, hi in zip(p["bbox_lo"], p["bbox_hi"]))
+            model.params[int(s)] = _StructureParams(float(p["mean"]), float(p["std"]),
+                                                    box if p["modeled"] else None)
         return model
 
     def save(self, path: Union[str, Path]) -> str:

@@ -25,7 +25,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from .errors import ShapeError, VolumeFormatError
+from .errors import CatalogError, ShapeError, VolumeFormatError
 from .grid import CaseMeta, CaseRecord, LabelMap, StructureCatalog, StructuredReport, VoxelGrid
 
 MAGIC = b"SMAI"
@@ -154,7 +154,10 @@ def write_case(out_dir: Union[str, Path], case: CaseRecord) -> dict[str, str]:
 def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCatalog,
               checksums: dict[str, str]) -> CaseRecord:
     """One case of a corpus directory; each file's bytes must have the sha256
-    that ``checksums`` (the manifest's) lists for its name."""
+    that ``checksums`` (the manifest's) lists for its name, the sidecar must
+    carry ``catalog``'s id, and content the in-memory types reject (a label
+    outside the catalog, a non-finite intensity, a label map on another
+    lattice than the volume) is a VolumeFormatError naming its file."""
     corpus_dir = Path(corpus_dir)
 
     def read(name: str) -> bytes:
@@ -171,6 +174,9 @@ def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCata
     try:
         if sidecar["case_id"] != case_id:
             raise ValueError(f"case_id {sidecar['case_id']!r} != manifest id {case_id!r}")
+        if sidecar["catalog_id"] != catalog.catalog_id:
+            raise ValueError(f"catalog_id {sidecar['catalog_id']!r} != manifest catalog "
+                             f"{catalog.catalog_id!r}")
         files = {role: sidecar["files"][role] for role in ("volume", "pseudo", "gold")
                  if role != "gold" or "gold" in sidecar["files"]}
         if not all(isinstance(name, str) for name in files.values()):
@@ -180,17 +186,25 @@ def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCata
     # ShapeError: a report whose fields contradict each other
     except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise VolumeFormatError(f"{sidecar_path}: malformed case sidecar: {exc!r}") from None
-    gold = None
-    if "gold" in files:
-        gold = read_label_map(corpus_dir / files["gold"], catalog, read(files["gold"]))
-    return CaseRecord(
-        case_id=case_id,
-        volume=read_voxel_grid(corpus_dir / files["volume"], read(files["volume"])),
-        pseudo=read_label_map(corpus_dir / files["pseudo"], catalog, read(files["pseudo"])),
-        gold=gold,
-        report=report,
-        meta=meta,
-    )
+
+    def decode(role: str, reader, *args):
+        path = corpus_dir / files[role]
+        try:
+            return reader(path, *args, raw=read(files[role]))
+        except (ShapeError, CatalogError) as exc:
+            raise VolumeFormatError(f"{path}: {exc}") from None
+
+    volume = decode("volume", read_voxel_grid)
+    maps = {role: decode(role, read_label_map, catalog) for role in files if role != "volume"}
+    for role, m in maps.items():
+        if (m.dims, m.spacing) != (volume.dims, volume.spacing):
+            raise VolumeFormatError(f"{corpus_dir / files[role]}: lattice {m.dims} x {m.spacing} "
+                                    f"differs from the volume's {volume.dims} x {volume.spacing}")
+    try:
+        return CaseRecord(case_id=case_id, volume=volume, pseudo=maps["pseudo"],
+                          gold=maps.get("gold"), report=report, meta=meta)
+    except ShapeError as exc:  # is_gold without a gold map
+        raise VolumeFormatError(f"{sidecar_path}: malformed case sidecar: {exc}") from None
 
 
 def write_corpus(out_dir: Union[str, Path], cases: list[CaseRecord],

@@ -132,6 +132,8 @@ def brute_front_overlay(mask: np.ndarray) -> np.ndarray:
 STRUCTURES = {6: ndimage.generate_binary_structure(3, 1),
               26: ndimage.generate_binary_structure(3, 3)}
 STD_FLOOR = 1e-3
+PROB_FLOOR = 0.01
+PRIOR_MARGIN_VOXELS = 2
 
 
 def _largest(mask: np.ndarray, connectivity: int) -> np.ndarray:
@@ -200,7 +202,7 @@ def full_grid_predict(model, data: np.ndarray) -> np.ndarray:
         p = model.params[s]
         if not p.modeled:
             continue
-        sl = tuple(slice(lo, hi + 1) for lo, hi in zip(p.bbox_lo, p.bbox_hi))
+        sl = p.box
         ll = loglik(data[sl], p.mean, p.std)
         better = ll > best[sl]
         out[sl][better] = s
@@ -217,6 +219,45 @@ def full_grid_predict(model, data: np.ndarray) -> np.ndarray:
         else:
             out[m & ~_largest(m, model.organ_connectivity)] = 0
     return out
+
+
+def full_grid_predict_prob(model, data: np.ndarray, tumor_label: int) -> np.ndarray:
+    """GaussianIntensityModel.predict_prob's posterior taken on the whole grid
+    and zeroed outside its region, which is built from inclusive voxel
+    bounds: the tumor's learned box joined with every organ box that
+    overlaps it, grown by PRIOR_MARGIN_VOXELS and clipped to the grid."""
+    def loglik(x, mean, std):
+        return -np.log(std) - 0.5 * ((x - mean) / std) ** 2
+
+    def bounds(p):
+        return np.array([b.start for b in p.box]), np.array([b.stop - 1 for b in p.box])
+
+    probs = np.zeros(data.shape, dtype=np.float64)
+    tp = model.params.get(tumor_label)
+    if tp is None or not tp.modeled:
+        return probs
+    t_lo, t_hi = bounds(tp)
+    lo, hi = t_lo, t_hi
+    for entry in model.catalog.entries:
+        p = model.params[entry.label]
+        if p.modeled and entry.kind.value == "organ":
+            p_lo, p_hi = bounds(p)
+            if np.all(p_lo <= t_hi) and np.all(t_lo <= p_hi):
+                lo, hi = np.minimum(lo, p_lo), np.maximum(hi, p_hi)
+    lo = np.maximum(lo - PRIOR_MARGIN_VOXELS, 0)
+    hi = np.minimum(hi + PRIOR_MARGIN_VOXELS, np.array(data.shape) - 1)
+
+    x = data.astype(np.float64)
+    modeled = [s for s in model.catalog.labels if model.params[s].modeled]
+    stack = np.stack([loglik(x, *model.background)]
+                     + [loglik(x, model.params[s].mean, model.params[s].std) for s in modeled])
+    stack -= stack.max(axis=0, keepdims=True)
+    weights = np.exp(stack)
+    post = weights[1 + modeled.index(tumor_label)] / weights.sum(axis=0)
+    post[post < PROB_FLOOR] = 0.0
+    region = tuple(slice(int(a), int(b) + 1) for a, b in zip(lo, hi))
+    probs[region] = post[region]
+    return probs
 
 
 def full_grid_shape_cleanup(labels: np.ndarray, kinds: dict, organ_connectivity: int,

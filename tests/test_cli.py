@@ -145,15 +145,21 @@ def test_corrupt_corpus_is_io_error(cfg_file, tmp_path, capsys, corruption):
     assert not out.exists()
 
 
+def _resign(path: Path) -> None:
+    """Record path's new sha256 in its corpus manifest."""
+    manifest_path = path.parent / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["checksums"][path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
 def _edit_sidecar(edit):
     """Edit case_0001's sidecar and re-sign it in the manifest, so only the
     sidecar's content is wrong."""
     def corrupt(corpus: Path) -> None:
         sidecar = corpus / "case_0001.json"
         _edit_json(edit)(sidecar)
-        manifest = json.loads((corpus / "manifest.json").read_text())
-        manifest["checksums"][sidecar.name] = hashlib.sha256(sidecar.read_bytes()).hexdigest()
-        (corpus / "manifest.json").write_text(json.dumps(manifest))
+        _resign(sidecar)
     return corrupt
 
 
@@ -169,6 +175,9 @@ SIDECAR_CORRUPTIONS = {
     "inconsistent_report": _edit_sidecar(lambda s: s["report"].update(tumor_count=-1)),
     "files_not_a_dict": _edit_sidecar(lambda s: s.update(files=["a", "b"])),
     "other_case_id": _edit_sidecar(lambda s: s.update(case_id="case_0002")),
+    "other_catalog_id": _edit_sidecar(lambda s: s.update(catalog_id="000000000000")),
+    "gold_flag_without_gold_map": _edit_sidecar(
+        lambda s: (s["files"].pop("gold"), s["meta"].update(is_gold=True))),
     "duplicate_case_id": _duplicate_case_id,
 }
 
@@ -186,6 +195,67 @@ def test_malformed_sidecar_is_io_error(cfg_file, tmp_path, capsys, corruption):
         ("manifest.json" in err and "duplicate" in err)
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def _edit_volume(name: str, edit):
+    """Rewrite the volume file name of a corpus as edit(voxels) and re-sign
+    it in the manifest, so the file is well formed and only its content is
+    wrong."""
+    def corrupt(corpus: Path) -> None:
+        path = corpus / name
+        dtype_code, _dims, spacing, data = vio._read_volume(path)
+        data = edit(data.copy())
+        path.write_bytes(vio.volume_bytes(data.shape, spacing, data, dtype_code))
+        _resign(path)
+    return corrupt
+
+
+def _set_first_voxel(value):
+    def edit(data):
+        data[0, 0, 0] = value
+        return data
+    return edit
+
+
+VOLUME_CONTENT_CORRUPTIONS = {
+    "label_outside_catalog": ("case_0001_pseudo.smai", _set_first_voxel(99)),
+    "nan_intensity": ("case_0001_vol.smai", _set_first_voxel(np.nan)),
+    "pseudo_on_smaller_lattice": ("case_0001_pseudo.smai", lambda d: d[:16, :16, :16]),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(VOLUME_CONTENT_CORRUPTIONS))
+def test_malformed_volume_content_is_io_error(cfg_file, tmp_path, capsys, corruption):
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", cfg_file, "--out", str(corpus)]) == 0
+    name, edit = VOLUME_CONTENT_CORRUPTIONS[corruption]
+    _edit_volume(name, edit)(corpus)
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", cfg_file, "--corpus", str(corpus),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert name in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["audit", "refine", "run-loop"])
+def test_corpus_of_another_catalog_is_config_error(cfg_file, tmp_path, capsys, command):
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", cfg_file, "--out", str(corpus)]) == 0
+    cfg = dict(BASE_CFG, phantom=dict(BASE_CFG["phantom"]))
+    cfg["phantom"]["structures"] = [dict(s, name="hepar") if s["name"] == "liver" else s
+                                    for s in BASE_CFG["phantom"]["structures"]]
+    other = tmp_path / "hepar.yaml"
+    other.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("previous run")
+    argv = [command, "--config", str(other), "--corpus", str(corpus), "--out", str(out)]
+    assert main(argv + (["--force"] if command == "run-loop" else [])) == 2
+    err = capsys.readouterr().err
+    assert "catalog" in err and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
 def test_invariant_violation_is_exit_4(tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import emcurate as em
@@ -9,7 +9,7 @@ from emcurate.grid import StructureCatalog, StructureEntry, StructureKind, Voxel
 from emcurate.verifier import GaussianIntensityModel, apply_update_rule, audit_case
 
 from conftest import CAT4, intensities_for, label_volumes, make_case
-from oracles import full_grid_fit, full_grid_predict
+from oracles import full_grid_fit, full_grid_predict, full_grid_predict_prob
 
 CAT2 = StructureCatalog((
     StructureEntry(1, "organ_a", StructureKind.ORGAN),
@@ -49,8 +49,7 @@ def test_zero_weight_cases_excluded():
     solo = em.fit_model([case_a])
     assert weighted.params[1].mean == pytest.approx(solo.params[1].mean)
     assert weighted.params[1].std == pytest.approx(solo.params[1].std)
-    assert weighted.params[1].bbox_lo == solo.params[1].bbox_lo
-    assert weighted.params[1].bbox_hi == solo.params[1].bbox_hi
+    assert weighted.params[1].box == solo.params[1].box
 
 
 def test_fit_rejects_bad_weights(small_corpus):
@@ -285,6 +284,20 @@ def test_model_serialization_round_trip(run_cfg, tmp_path):
         assert np.array_equal(pred_a.labels, pred_b.labels)
 
 
+def test_model_dict_round_trip_with_unmodeled_structures():
+    rng = np.random.default_rng(5)
+    labels = np.zeros((5, 6, 7), np.uint16)
+    labels[1:3, 2:5, 0:2] = 1
+    labels[4, 5, 6] = 3
+    model = em.fit_model([make_case(intensities_for(labels, rng), labels, CAT4)])
+    assert [p.modeled for p in model.params.values()] == [True, False, True, False]
+    loaded = GaussianIntensityModel.from_dict(model.to_dict(), CAT4)
+    assert loaded.to_dict() == model.to_dict()
+    assert loaded.params == model.params
+    assert model.to_dict()["structures"]["2"]["bbox_lo"] == [0, 0, 0]
+    assert model.to_dict()["structures"]["3"]["bbox_hi"] == [4, 5, 6]
+
+
 def test_fit_deterministic(small_corpus):
     cases, _ = small_corpus
     a = em.fit_model(cases)
@@ -321,6 +334,30 @@ def test_predict_matches_full_grid_oracle(volumes, seed, organ_connectivity,
     volume = VoxelGrid(dims=test.shape, spacing=(1.0, 1.0, 1.0),
                        data=intensities_for(test, rng))
     assert np.array_equal(model.predict(volume).labels, full_grid_predict(model, volume.data))
+
+
+# Organ 1 ends where the tumor's box starts, and reaches beyond its margin;
+# organ 4 overlaps the tumor's box. Only organ 4 joins the tumor's region.
+ADJACENT_ORGAN = np.repeat(np.array([1, 1, 1, 1, 3, 4], np.uint16), 9).reshape(6, 3, 3)
+
+
+@given(labels=label_volumes(), pads=st.tuples(*[st.tuples(st.integers(0, 4),
+                                                          st.integers(0, 4))] * 3),
+       seed=st.integers(0, 2**32 - 1), label=st.sampled_from(CAT4.labels))
+@example(labels=(ADJACENT_ORGAN,), pads=((0, 4), (3, 3), (3, 3)), seed=0, label=3)
+def test_predict_prob_matches_full_grid_oracle(labels, pads, seed, label):
+    """Bit for bit. The training labels sit in a background frame 0..4 voxels
+    wide per side, so a learned box touches a grid face or lies inside, and
+    the prior margin is clipped on some sides and not on others; label may
+    be unmodeled (an all-zero map) or an organ."""
+    train = np.pad(labels[0], pads)
+    rng = np.random.default_rng(seed)
+    model = em.fit_model([make_case(intensities_for(train, rng), train, CAT4)])
+    test = rng.integers(0, 5, train.shape).astype(np.uint16)
+    volume = VoxelGrid(dims=train.shape, spacing=(1.0, 1.0, 1.0),
+                       data=intensities_for(test, rng))
+    assert np.array_equal(model.predict_prob(volume, label),
+                          full_grid_predict_prob(model, volume.data, label))
 
 
 def test_predict_without_modeled_structures_matches_oracle():
