@@ -29,7 +29,7 @@ from .errors import (
     UndefinedRateError,
     VolumeFormatError,
 )
-from .grid import CaseRecord
+from .grid import CaseRecord, nonzero_box
 from .loop import (
     RunRecorder,
     expectation_pass,
@@ -90,12 +90,19 @@ def _load_config(args) -> RunConfig:
 
 
 def _read_config_corpus(cfg: RunConfig, corpus_dir: str) -> list[CaseRecord]:
-    """The corpus at corpus_dir, whose catalog must be the config's: the
-    commands that call this write their corpora under cfg.catalog."""
+    """The corpus at corpus_dir, whose catalog and lattice must be the
+    config's: the commands that call this write their corpora under
+    cfg.catalog, and run-loop mixes in phantoms drawn on cfg.phantom's
+    lattice."""
     cases, catalog = volume_io.read_corpus(corpus_dir)
     if catalog != cfg.catalog:
         raise ConfigError(f"corpus {corpus_dir} has catalog {catalog.catalog_id}, "
                           f"the config has {cfg.catalog.catalog_id}")
+    volume = cases[0].volume
+    if (volume.dims, volume.spacing) != volume_io.stored_lattice(cfg.phantom.dims,
+                                                                 cfg.phantom.spacing):
+        raise ConfigError(f"corpus {corpus_dir} has lattice {volume.dims} x {volume.spacing}, "
+                          f"the config's phantom has {cfg.phantom.dims} x {cfg.phantom.spacing}")
     return cases
 
 
@@ -192,8 +199,16 @@ def cmd_roc(args) -> int:
             raise ConfigError(f"case {case.case_id} lacks gold labels; "
                               "the ROC workflow is a simulation against gold")
     model = fit_model(cases, new_model=cfg.build_model)
-    probs = [model.predict_prob(c.volume, tumor) for c in cases]
-    refs = [c.gold.labels == tumor for c in cases]
+    # Each case keeps only its support crop, nonzero_box((prob > 0) | ref):
+    # build_roc crops to that box itself, and process_case crops inside it
+    # and sees every component whole, so no curve point or count changes.
+    probs, refs = [], []
+    for case in cases:
+        prob = model.predict_prob(case.volume, tumor)
+        ref = case.gold.labels == tumor
+        box = nonzero_box((prob > 0) | ref)
+        probs.append(prob[box].copy())
+        refs.append(ref[box].copy())
     curve = build_roc(probs, refs, default_threshold_grid(cfg.metrics.roc_points),
                       connectivity=model.tumor_connectivity,
                       fp_min_voxels=cfg.metrics.fp_min_voxels)

@@ -11,6 +11,7 @@ is kept untouched. Both thresholds are configuration constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
@@ -39,6 +40,8 @@ from .volume_io import canonical_json, read_json
 STD_FLOOR = 1e-3
 PROB_FLOOR = 0.01  # posterior below this is clamped to exact zero (sparse maps)
 PRIOR_MARGIN_VOXELS = 2
+_FLOOR_SLACK_NATS = 1.0  # how far below PROB_FLOOR's log-odds the prefilter reaches
+_FLOOR_SCALE_LIMIT = 2.0 ** 20  # largest |x - m| / s for which the prefilter runs
 
 
 class AuditAction(str, Enum):
@@ -114,6 +117,74 @@ class _StructureParams:
     @property
     def modeled(self) -> bool:
         return self.box is not None
+
+
+def _log_ratio_intervals(t: tuple[float, float], o: tuple[float, float], c: float
+                         ) -> list[tuple[float, float]]:
+    """The closed x-intervals where ll_t(x) - ll_o(x) >= c, for the Gaussian
+    log-likelihoods of t = (mean, std) and o = (mean, std): an interval, two
+    rays, a ray, everything or nothing.
+
+    With y = x - m_t the difference less c is A y^2 + B y + K; its roots
+    come from the cancellation-free form q = -(B + sign(B) sqrt(disc)) / 2,
+    roots q / A and K / q, so nearly equal stds lose no accuracy."""
+    (m_t, s_t), (m_o, s_o) = t, o
+    d = m_t - m_o
+    a = 0.5 * (s_t - s_o) * (s_t + s_o) / (s_t * s_o) ** 2
+    b = d / s_o ** 2
+    k = math.log(s_o / s_t) + 0.5 * (d / s_o) ** 2 - c
+    if a == 0.0:  # equal stds: linear in y
+        if b == 0.0:
+            ys = [(-math.inf, math.inf)] if k >= 0.0 else []
+        else:
+            ys = [(-k / b, math.inf)] if b > 0.0 else [(-math.inf, -k / b)]
+    else:
+        disc = b * b - 4.0 * a * k
+        if disc < 0.0:
+            ys = [(-math.inf, math.inf)] if a > 0.0 else []
+        else:
+            q = -0.5 * (b + math.copysign(math.sqrt(disc), b))
+            lo, hi = sorted((q / a, k / q)) if q != 0.0 else (0.0, 0.0)
+            ys = [(lo, hi)] if a < 0.0 else [(-math.inf, lo), (hi, math.inf)]
+    return [(m_t + lo, m_t + hi) for lo, hi in ys]
+
+
+def _f32_outward(v: float, side: int) -> np.float32:
+    """v rounded to a float32 no greater (side -1) or no less (side +1) than v."""
+    f = np.float32(v)
+    if (float(f) - v) * side < 0:
+        f = np.nextafter(f, np.float32(side * np.inf))
+    return f
+
+
+def _floor_candidates(region: np.ndarray, classes: Sequence[tuple[float, float]],
+                      tumor_idx: int) -> np.ndarray:
+    """Mask of the float32 voxels of region whose tumor posterior can reach
+    PROB_FLOOR; see predict_prob for why every other voxel's cannot.
+
+    The intervals are solved at _FLOOR_SLACK_NATS below the floor's
+    log-odds, intersected over the other classes within the region's
+    intensity range and rounded outward to float32, so each mask compares float32 with float32 (NumPy 2 compares
+    a float32 array with a Python float in float32). The slack covers the
+    float64 rounding of the voxel log-likelihoods and of the bounds as long
+    as every |x - m| / s and |m| / s is at most _FLOOR_SCALE_LIMIT = 2^20:
+    each term is then below 2^40 in magnitude and off by under 0.01 nat.
+    Past that scale (never on phantom data) every voxel is a candidate."""
+    lo, hi = float(region.min()), float(region.max())
+    scale = max(abs(lo), abs(hi), *(abs(m) for m, _ in classes))
+    intervals = [(lo, hi)]
+    if 2.0 * scale <= _FLOOR_SCALE_LIMIT * min(s for _, s in classes):
+        c = math.log(PROB_FLOOR / (1.0 - PROB_FLOOR)) - _FLOOR_SLACK_NATS
+        for o, cls in enumerate(classes):
+            if o == tumor_idx:
+                continue
+            intervals = [(max(a, u), min(b, v)) for a, b in intervals
+                         for u, v in _log_ratio_intervals(classes[tumor_idx], cls, c)
+                         if max(a, u) <= min(b, v)]
+    cand = np.zeros(region.shape, dtype=bool)
+    for a, b in intervals:
+        cand |= (region >= _f32_outward(a, -1)) & (region <= _f32_outward(b, 1))
+    return cand
 
 
 class GaussianIntensityModel:
@@ -253,6 +324,22 @@ class GaussianIntensityModel:
         union of the learned tumor box and its host organ's box, padded by a
         couple of voxels) and is exactly zero elsewhere; values below
         PROB_FLOOR are clamped to zero to keep the maps sparse.
+
+        Inside the region it is computed only on the candidate voxels that
+        can clear PROB_FLOOR. The tumor posterior w_t / sum(w) is at most
+        w_t / (w_t + w_o) for every other modeled class o, background
+        included, so a voxel reaches the floor only if
+        ll_t(x) - ll_o(x) >= log(PROB_FLOOR / (1 - PROB_FLOOR)) for every o.
+        Each condition is a quadratic inequality in the intensity x, solved
+        once in float64 scalars; _floor_candidates intersects the solution
+        sets, with slack, and compares the float32 region with the bounds,
+        building no per-voxel float64 map. Every voxel it leaves out has a
+        posterior below PROB_FLOOR, which would be clamped to zero. The
+        candidates are gathered into one 1-D array and the
+        log-likelihoods, max, exp, sum and division run on it as they would
+        on the whole region: the same per-voxel float64 arithmetic, and the
+        axis-0 reductions over the same rows in the same order, so every
+        posterior is bit-identical to the whole-region computation.
         """
         self._require_fitted()
         tp = self.params.get(tumor_label)
@@ -264,23 +351,23 @@ class GaussianIntensityModel:
                  and all(a.start < b.stop and b.start < a.stop for a, b in zip(p.box, tp.box))]
         sl = pad_box(box_hull([tp.box, *hosts]), PRIOR_MARGIN_VOXELS, volume.dims)
 
-        data = volume.data[sl].astype(np.float64)
-        bg_mean, bg_std = self.background
-        logliks = [self._loglik(data, bg_mean, bg_std)]
-        tumor_idx = None
+        classes = [self.background]  # (mean, std) per stacked row, background first
         for s in self.catalog.labels:
             p = self.params[s]
             if not p.modeled:
                 continue
             if s == tumor_label:
-                tumor_idx = len(logliks)
-            logliks.append(self._loglik(data, p.mean, p.std))
-        stack = np.stack(logliks)
+                tumor_idx = len(classes)
+            classes.append((p.mean, p.std))
+        region = volume.data[sl]
+        cand = _floor_candidates(region, classes, tumor_idx)
+        data = region[cand].astype(np.float64)
+        stack = np.stack([self._loglik(data, mean, std) for mean, std in classes])
         stack -= stack.max(axis=0, keepdims=True)
         weights_ = np.exp(stack)
         post = weights_[tumor_idx] / weights_.sum(axis=0)
         post[post < PROB_FLOOR] = 0.0
-        probs[sl] = post
+        probs[sl][cand] = post
         return probs
 
     # -- serialization ------------------------------------------------------

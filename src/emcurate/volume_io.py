@@ -70,6 +70,11 @@ def volume_bytes(dims, spacing, payload: np.ndarray, dtype_code: int) -> bytes:
     return header + payload.tobytes(order="F")
 
 
+def stored_lattice(dims, spacing) -> tuple[tuple[int, ...], tuple[float, ...]]:
+    """(dims, spacing) as a volume header stores them: spacing in float32."""
+    return tuple(map(int, dims)), struct.unpack("<3f", struct.pack("<3f", *map(float, spacing)))
+
+
 def write_voxel_grid(path: Union[str, Path], grid: VoxelGrid) -> bytes:
     """Write an intensity volume; returns the bytes written."""
     raw = volume_bytes(grid.dims, grid.spacing, grid.data, DTYPE_F32)
@@ -152,12 +157,13 @@ def write_case(out_dir: Union[str, Path], case: CaseRecord) -> dict[str, str]:
 
 
 def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCatalog,
-              checksums: dict[str, str]) -> CaseRecord:
+              checksums: dict[str, str], lattice: Optional[tuple] = None) -> CaseRecord:
     """One case of a corpus directory; each file's bytes must have the sha256
     that ``checksums`` (the manifest's) lists for its name, the sidecar must
     carry ``catalog``'s id, and content the in-memory types reject (a label
     outside the catalog, a non-finite intensity, a label map on another
-    lattice than the volume) is a VolumeFormatError naming its file."""
+    lattice than the volume, a volume on another ``lattice`` than the given
+    ``(dims, spacing)``) is a VolumeFormatError naming its file."""
     corpus_dir = Path(corpus_dir)
 
     def read(name: str) -> bytes:
@@ -195,6 +201,10 @@ def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCata
             raise VolumeFormatError(f"{path}: {exc}") from None
 
     volume = decode("volume", read_voxel_grid)
+    if lattice is not None and (volume.dims, volume.spacing) != lattice:
+        raise VolumeFormatError(f"{corpus_dir / files['volume']}: lattice {volume.dims} x "
+                                f"{volume.spacing} differs from the corpus's "
+                                f"{lattice[0]} x {lattice[1]}")
     maps = {role: decode(role, read_label_map, catalog) for role in files if role != "volume"}
     for role, m in maps.items():
         if (m.dims, m.spacing) != (volume.dims, volume.spacing):
@@ -225,7 +235,11 @@ def write_corpus(out_dir: Union[str, Path], cases: list[CaseRecord],
 
 
 def read_corpus(corpus_dir: Union[str, Path]) -> tuple[list[CaseRecord], StructureCatalog]:
-    """Read a corpus directory, checking every file against the manifest's sha256."""
+    """Read a corpus directory, checking every file against the manifest's sha256.
+
+    A corpus holds one lattice: every case's (dims, spacing) must be the
+    first case's, since learned boxes are voxel coordinates and NSD is taken
+    at one spacing."""
     path = Path(corpus_dir) / "manifest.json"
     manifest = read_json(path)
     try:
@@ -241,5 +255,8 @@ def read_corpus(corpus_dir: Union[str, Path]) -> tuple[list[CaseRecord], Structu
             raise ValueError("duplicate case ids")
     except (KeyError, TypeError, ValueError) as exc:
         raise VolumeFormatError(f"{path}: malformed manifest: {exc!r}") from None
-    cases = [read_case(path.parent, cid, catalog, checksums) for cid in case_ids]
+    first = read_case(path.parent, case_ids[0], catalog, checksums)
+    lattice = (first.volume.dims, first.volume.spacing)
+    cases = [first] + [read_case(path.parent, cid, catalog, checksums, lattice)
+                       for cid in case_ids[1:]]
     return cases, catalog

@@ -258,6 +258,73 @@ def test_corpus_of_another_catalog_is_config_error(cfg_file, tmp_path, capsys, c
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
 
+def _phantom_config(tmp_path: Path, name: str, n_cases: int = 6, **phantom) -> str:
+    """BASE_CFG with its phantom fields and case count replaced, written as name."""
+    cfg = dict(BASE_CFG, phantom=dict(BASE_CFG["phantom"], **phantom),
+               corpus=dict(BASE_CFG["corpus"], n_cases=n_cases))
+    path = tmp_path / name
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path)
+
+
+def _relattice_case(corpus: Path, case_id: str, edit) -> None:
+    """Rewrite every volume of one case as edit(dims, spacing, voxels) ->
+    (spacing, voxels) and re-sign it, so each file is well formed, the case's
+    maps share the volume's lattice, and only the lattice is new."""
+    for path in sorted(corpus.glob(f"{case_id}_*.smai")):
+        dtype_code, dims, spacing, data = vio._read_volume(path)
+        spacing, data = edit(dims, spacing, data.copy())
+        path.write_bytes(vio.volume_bytes(data.shape, spacing, data, dtype_code))
+        _resign(path)
+
+
+LATTICE_EDITS = {
+    "spacing": lambda dims, spacing, data: ((3.0, 3.0, 3.0), data),
+    "dims": lambda dims, spacing, data: (spacing, np.pad(data, ((0, 16), (0, 16), (0, 16)))),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(LATTICE_EDITS))
+def test_corpus_of_two_lattices_is_io_error(tmp_path, capsys, edit):
+    cfg = _phantom_config(tmp_path, "small.yaml", n_cases=2, dims=[16, 16, 16])
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", cfg, "--out", str(corpus)]) == 0
+    _relattice_case(corpus, "case_0001", LATTICE_EDITS[edit])
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", cfg, "--corpus", str(corpus),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "case_0001_vol.smai" in err and "lattice" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("phantom", [{"dims": [16, 16, 16]}, {"spacing": [1.0, 1.0, 2.0]}],
+                         ids=["dims", "spacing"])
+def test_config_of_another_lattice_is_config_error(cfg_file, tmp_path, capsys, phantom):
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", cfg_file, "--out", str(corpus)]) == 0
+    other = _phantom_config(tmp_path, "other.yaml", **phantom)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("previous run")
+    assert main(["run-loop", "--config", other, "--corpus", str(corpus), "--out", str(out),
+                 "--force"]) == 2
+    err = capsys.readouterr().err
+    assert "lattice" in err and "Traceback" not in err
+    assert [p.name for p in out.iterdir()] == ["keep.txt"]
+
+
+def test_config_lattice_is_compared_at_stored_precision(tmp_path):
+    """A volume header stores the spacing in float32: 0.8 mm reads back as
+    0.800000011920929 and is still the config's 0.8 mm."""
+    cfg = _phantom_config(tmp_path, "fine.yaml", n_cases=2, spacing=[0.8, 0.8, 0.8])
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", cfg, "--out", str(corpus)]) == 0
+    assert main(["audit", "--config", cfg, "--corpus", str(corpus),
+                 "--out", str(tmp_path / "audit")]) == 0
+
+
 def test_invariant_violation_is_exit_4(tmp_path):
     # a corpus whose gold contains zero tumor instances makes the savings
     # ratio undefined -> invariant-violation exit code
@@ -490,8 +557,9 @@ def test_malformed_queue_is_io_error(tmp_path, monkeypatch, capsys, corruption):
 
 
 def test_roc_csv_matches_pinned_fixture(tmp_path):
-    """Regression: the shipped ROC fixture corpus reproduces the pinned CSV
-    byte for byte (the values behind it are oracle-checked in acceptance)."""
+    """Regression: the shipped ROC fixture corpus reproduces the pinned CSV,
+    threshold policy and savings byte for byte (the values behind the curve
+    are oracle-checked in acceptance)."""
     fixtures = Path(__file__).parent / "fixtures"
     cfg = str(fixtures / "roc_fixture_config.yaml")
     corpus = tmp_path / "corpus"
@@ -499,8 +567,9 @@ def test_roc_csv_matches_pinned_fixture(tmp_path):
     assert main(["generate", "--config", cfg, "--out", str(corpus)]) == 0
     assert main(["roc", "--config", cfg, "--corpus", str(corpus),
                  "--out", str(out)]) == 0
-    assert (out / "roc_curve.csv").read_bytes() == \
-        (fixtures / "roc_curve.csv").read_bytes()
+    for name, pinned in (("roc_curve.csv", "roc_curve.csv"), ("policy.json", "roc_policy.json"),
+                         ("savings.json", "roc_savings.json")):
+        assert (out / name).read_bytes() == (fixtures / pinned).read_bytes(), name
 
 
 def test_json_artifacts_carry_schema_version(cfg_file, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -6,7 +8,14 @@ from hypothesis import strategies as st
 import emcurate as em
 from emcurate import AuditAction, ModelError, classify_action
 from emcurate.grid import StructureCatalog, StructureEntry, StructureKind, VoxelGrid
-from emcurate.verifier import GaussianIntensityModel, apply_update_rule, audit_case
+from emcurate.verifier import (
+    _FLOOR_SLACK_NATS,
+    PROB_FLOOR,
+    GaussianIntensityModel,
+    _log_ratio_intervals,
+    apply_update_rule,
+    audit_case,
+)
 
 from conftest import CAT4, intensities_for, label_volumes, make_case
 from oracles import full_grid_fit, full_grid_predict, full_grid_predict_prob
@@ -358,6 +367,67 @@ def test_predict_prob_matches_full_grid_oracle(labels, pads, seed, label):
                        data=intensities_for(test, rng))
     assert np.array_equal(model.predict_prob(volume, label),
                           full_grid_predict_prob(model, volume.data, label))
+
+
+def _hand_model(background, structures, dims):
+    """A CAT4 model with the given background and per-label (mean, std),
+    None for unmodeled; every learned box is the whole grid."""
+    def entry(p):
+        if p is None:
+            return {"mean": 0.0, "std": 1e-3, "modeled": False, "bbox_lo": [0, 0, 0],
+                    "bbox_hi": [0, 0, 0]}
+        return {"mean": p[0], "std": p[1], "modeled": True, "bbox_lo": [0, 0, 0],
+                "bbox_hi": [d - 1 for d in dims]}
+    return GaussianIntensityModel.from_dict({
+        "organ_connectivity": 26, "tumor_connectivity": 6,
+        "background": {"mean": background[0], "std": background[1]},
+        "structures": {str(s): entry(p) for s, p in structures.items()}}, CAT4)
+
+
+FLOOR_LOG_ODDS = math.log(PROB_FLOOR / (1.0 - PROB_FLOOR))
+MEANS = st.sampled_from([0.0, 20.0, 50.0]) | st.floats(-50.0, 150.0)
+STDS = st.sampled_from([0.5, 3.0, 8.0]) | st.floats(0.01, 40.0)  # equal stds are common
+
+
+@given(background=st.tuples(MEANS, STDS), tumor=st.tuples(MEANS, STDS),
+       organs=st.lists(st.none() | st.tuples(MEANS, STDS), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(background=(0.0, 8.0), tumor=(50.0, 8.0), organs=[None] * 3, seed=0)  # linear
+@example(background=(50.0, 8.0), tumor=(50.0, 8.0), organs=[None] * 3, seed=0)  # identical
+@example(background=(0.0, 3.0), tumor=(50.0, 20.0), organs=[None] * 3, seed=0)  # two rays
+@example(background=(0.0, 20.0), tumor=(50.0, 3.0), organs=[None] * 3, seed=0)  # interval
+@example(background=(0.0, 8.0), tumor=(50.0, 8.0), organs=[(40.0, 3.0), None, (80.0, 20.0)],
+         seed=0)
+def test_predict_prob_at_the_floor_bounds_matches_oracle(background, tumor, organs, seed):
+    """Bit for bit, on intensities exactly on every bound of every pairwise
+    condition ll_t - ll_o >= c, at the floor's log-odds and at the slack
+    below it, and two float32 ulps either side; with background and tumor
+    alone the floor's bounds are where the posterior crosses PROB_FLOOR."""
+    structures = {1: organs[0], 2: organs[1], 3: tumor, 4: organs[2]}
+    others = [background] + [p for p in organs if p]
+    edges = [np.float32(b) for c in (FLOOR_LOG_ODDS, FLOOR_LOG_ODDS - _FLOOR_SLACK_NATS)
+             for o in others for iv in _log_ratio_intervals(tumor, o, c) for b in iv
+             if abs(b) < 1e4]
+    ulps = [np.float32(e + k * np.spacing(e)) for e in edges for k in range(-2, 3)]
+    rng = np.random.default_rng(seed)
+    data = np.concatenate([ulps, rng.uniform(-60.0, 160.0, 8)]).astype(np.float32)
+    dims = (len(data), 1, 1)
+    model = _hand_model(background, structures, dims)
+    volume = VoxelGrid(dims=dims, spacing=(1.0, 1.0, 1.0), data=data.reshape(dims))
+    assert np.array_equal(model.predict_prob(volume, 3),
+                          full_grid_predict_prob(model, volume.data, 3))
+
+
+def test_predict_prob_without_candidate_voxels_matches_oracle():
+    """A narrow tumor and a wide background: no voxel's intensity lies near
+    enough to the tumor's mean to reach the floor, so no voxel is computed."""
+    dims = (4, 5, 6)
+    model = _hand_model((50.0, 20.0), {1: None, 2: None, 3: (50.0, 1.0), 4: None}, dims)
+    data = np.random.default_rng(0).uniform(150.0, 200.0, dims).astype(np.float32)
+    volume = VoxelGrid(dims=dims, spacing=(1.0, 1.0, 1.0), data=data)
+    prob = model.predict_prob(volume, 3)
+    assert not prob.any()
+    assert np.array_equal(prob, full_grid_predict_prob(model, volume.data, 3))
 
 
 def test_predict_without_modeled_structures_matches_oracle():
