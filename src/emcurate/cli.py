@@ -14,6 +14,7 @@ import argparse
 import csv
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -187,9 +188,13 @@ def cmd_refine(args) -> int:
 
 def cmd_roc(args) -> int:
     cfg = _load_config(args)
+    if args.target is not None:
+        try:
+            cfg = replace(cfg, metrics=replace(cfg.metrics, roc_target_sensitivity=args.target))
+        except ConfigError as exc:
+            raise ConfigError(f"--target: {exc}") from None
     cases, catalog = volume_io.read_corpus(args.corpus)
     out_dir = _resolve_out(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tumor_labels = catalog.tumor_labels
     if not tumor_labels:
         raise ConfigError("ROC workflow requires a tumor structure in the catalog")
@@ -198,6 +203,7 @@ def cmd_roc(args) -> int:
         if case.gold is None:
             raise ConfigError(f"case {case.case_id} lacks gold labels; "
                               "the ROC workflow is a simulation against gold")
+    out_dir.mkdir(parents=True, exist_ok=True)
     model = fit_model(cases, new_model=cfg.build_model)
     # Each case keeps only its support crop, nonzero_box((prob > 0) | ref):
     # build_roc crops to that box itself, and process_case crops inside it
@@ -218,8 +224,7 @@ def cmd_roc(args) -> int:
         for p in curve.points:
             writer.writerow([f"{p.threshold:.6f}", f"{p.sensitivity:.9f}",
                              f"{p.fp_per_scan:.9f}", f"{p.specificity:.9f}"])
-    policy = select_threshold(curve, args.target if args.target is not None
-                              else cfg.metrics.roc_target_sensitivity)
+    policy = select_threshold(curve, cfg.metrics.roc_target_sensitivity)
     volume_io.write_json(out_dir / "policy.json", policy.to_dict())
     workloads = []
     for case, prob, gold in zip(cases, probs, refs):
@@ -269,13 +274,14 @@ def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     cases, catalog = volume_io.read_corpus(args.corpus)
     out_dir = _resolve_out(args)
+    for case in cases:
+        if case.gold is None:
+            raise ConfigError(f"case {case.case_id} lacks gold labels")
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = SurfaceDistanceSpec(tolerance_mm=cfg.metrics.nsd_tolerance_mm,
                                spacing=cases[0].pseudo.spacing)
     reports = {}
     for case in cases:
-        if case.gold is None:
-            raise ConfigError(f"case {case.case_id} lacks gold labels")
         reports[case.case_id] = evaluate_pair(case.pseudo, case.gold, spec,
                                               with_nsd=not args.no_nsd)
     payload = {

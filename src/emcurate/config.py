@@ -225,9 +225,12 @@ def _ordered(value, key: str, where: str, names) -> dict:
 
 
 def _read_yaml(path: Path) -> dict:
-    """A config file's top-level mapping; its schema_version, if any, must be ours."""
+    """A config file's top-level mapping; its schema_version, if any, must be ours.
+
+    Parsed by libyaml where PyYAML has it: CSafeLoader shares SafeLoader's
+    constructor and resolver, so it builds the same objects."""
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot load {path}: {exc}") from None
     if not isinstance(raw, dict):

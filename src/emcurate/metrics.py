@@ -334,7 +334,9 @@ def build_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray],
     >= 0, so no voxel outside it is ever predicted, and no component of the
     prediction or the reference changes. The reference is labeled once per
     case; an instance is detected at t iff its max probability exceeds t,
-    and a reference-negative case is a TN iff max(prob) <= t. The
+    and a reference-negative case is a TN iff max(prob) <= t. The instance
+    maxima are taken over the reference voxels only: every instance voxel is
+    a reference voxel, so each maximum is the same float. The
     false-positive components at every threshold come from one sweep: the
     level sets prob > t are nested, so one union-find over the support
     voxels, adding neighbour edges in descending min(p_u, p_v), passes
@@ -363,7 +365,7 @@ def build_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray],
         if comp.count == 0:
             neg_max.append(float(values.max(initial=0.0)))
         else:
-            inst_max.extend(ndimage.maximum(p, comp.ids, np.arange(1, comp.count + 1)))
+            inst_max.extend(ndimage.maximum(p[r], comp.ids[r], np.arange(1, comp.count + 1)))
         graphs.append((values, ~r[p > 0], u + n_nodes, v + n_nodes, w))
         n_nodes += len(values)
     values, clean, u, v, w = (np.concatenate(parts) for parts in zip(*graphs))

@@ -108,10 +108,10 @@ def _read_volume(path: Union[str, Path], raw: Optional[bytes] = None
         raise VolumeFormatError(f"{path}: unknown dtype code {dtype_code}")
     dims = (nx, ny, nz)
     expected = nx * ny * nz * np_dtype.itemsize
-    payload = raw[_HEADER.size:]
-    if len(payload) != expected:
-        raise VolumeFormatError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    data = np.frombuffer(payload, dtype=np_dtype).reshape(dims, order="F")
+    size = len(raw) - _HEADER.size
+    if size != expected:
+        raise VolumeFormatError(f"{path}: payload is {size} bytes, expected {expected}")
+    data = np.frombuffer(raw, dtype=np_dtype, offset=_HEADER.size).reshape(dims, order="F")
     return dtype_code, dims, (sx, sy, sz), data
 
 
@@ -163,20 +163,28 @@ def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCata
     carry ``catalog``'s id, and content the in-memory types reject (a label
     outside the catalog, a non-finite intensity, a label map on another
     lattice than the volume, a volume on another ``lattice`` than the given
-    ``(dims, spacing)``) is a VolumeFormatError naming its file."""
+    ``(dims, spacing)``) is a VolumeFormatError naming its file.
+
+    A gold file whose bytes equal the pseudo file's, under the same listed
+    sha256, is verified by that comparison: the pseudo bytes have just been
+    hashed to that sha256. Equal bytes decode to equal labels, so the case's
+    gold is the pseudo LabelMap itself, as generate_case builds gold cases;
+    any other gold file is hashed and decoded on its own."""
     corpus_dir = Path(corpus_dir)
 
     def read(name: str) -> bytes:
         path = corpus_dir / name
         if name not in checksums:
             raise VolumeFormatError(f"{path}: not listed in the corpus manifest")
-        raw = path.read_bytes()
+        return path.read_bytes()
+
+    def verified(name: str, raw: bytes) -> bytes:
         if hashlib.sha256(raw).hexdigest() != checksums[name]:
-            raise VolumeFormatError(f"{path}: sha256 differs from the corpus manifest")
+            raise VolumeFormatError(f"{corpus_dir / name}: sha256 differs from the corpus manifest")
         return raw
 
     sidecar_path = corpus_dir / f"{case_id}.json"
-    sidecar = read_json(sidecar_path, read(f"{case_id}.json"))
+    sidecar = read_json(sidecar_path, verified(f"{case_id}.json", read(f"{case_id}.json")))
     try:
         if sidecar["case_id"] != case_id:
             raise ValueError(f"case_id {sidecar['case_id']!r} != manifest id {case_id!r}")
@@ -193,19 +201,26 @@ def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCata
     except (KeyError, TypeError, ValueError, ShapeError) as exc:
         raise VolumeFormatError(f"{sidecar_path}: malformed case sidecar: {exc!r}") from None
 
-    def decode(role: str, reader, *args):
+    def decode(role: str, raw: bytes, reader, *args):
         path = corpus_dir / files[role]
         try:
-            return reader(path, *args, raw=read(files[role]))
+            return reader(path, *args, raw=verified(files[role], raw))
         except (ShapeError, CatalogError) as exc:
             raise VolumeFormatError(f"{path}: {exc}") from None
 
-    volume = decode("volume", read_voxel_grid)
+    volume = decode("volume", read(files["volume"]), read_voxel_grid)
     if lattice is not None and (volume.dims, volume.spacing) != lattice:
         raise VolumeFormatError(f"{corpus_dir / files['volume']}: lattice {volume.dims} x "
                                 f"{volume.spacing} differs from the corpus's "
                                 f"{lattice[0]} x {lattice[1]}")
-    maps = {role: decode(role, read_label_map, catalog) for role in files if role != "volume"}
+    pseudo_raw = read(files["pseudo"])
+    maps = {"pseudo": decode("pseudo", pseudo_raw, read_label_map, catalog)}
+    if "gold" in files:
+        gold_raw = read(files["gold"])
+        if checksums[files["gold"]] == checksums[files["pseudo"]] and gold_raw == pseudo_raw:
+            maps["gold"] = maps["pseudo"]
+        else:
+            maps["gold"] = decode("gold", gold_raw, read_label_map, catalog)
     for role, m in maps.items():
         if (m.dims, m.spacing) != (volume.dims, volume.spacing):
             raise VolumeFormatError(f"{corpus_dir / files[role]}: lattice {m.dims} x {m.spacing} "

@@ -119,6 +119,8 @@ def _edit_json(edit):
 
 CORRUPTIONS = {
     "label_byte": ("case_0001_pseudo.smai", lambda p: _flip_byte(p, 5000)),
+    # case_0001 is a gold case: its gold file is byte-equal to its pseudo file
+    "gold_byte": ("case_0001_gold.smai", lambda p: _flip_byte(p, 5000)),
     "intensity_byte": ("case_0001_vol.smai", lambda p: _flip_byte(p, 5000)),
     "sidecar_truncated": ("case_0001.json", _truncate),
     "manifest_truncated": ("manifest.json", _truncate),
@@ -141,7 +143,23 @@ def test_corrupt_corpus_is_io_error(cfg_file, tmp_path, capsys, corruption):
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "case_0001" in err or "manifest.json" in err
+    assert name in err or not name.endswith(".smai")
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_gold_file_equal_to_pseudo_needs_its_own_checksum(cfg_file, tmp_path, capsys):
+    """A gold file byte-equal to its pseudo file is verified by that equality
+    only under the manifest's own sha256 for it."""
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", cfg_file, "--out", str(corpus)]) == 0
+    _edit_json(lambda m: m["checksums"].update({"case_0001_gold.smai": "0" * 64}))(
+        corpus / "manifest.json")
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", cfg_file, "--corpus", str(corpus),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "case_0001_gold.smai: sha256 differs" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -348,6 +366,41 @@ def test_invalid_roc_points_is_config_error(tmp_path, capsys):
                  "--out", str(tmp_path / "roc")]) == 2
     assert "roc_points" in capsys.readouterr().err
     assert not (tmp_path / "roc").exists()
+
+
+def _gold_corpus(tmp_path, n_cases: int) -> tuple[str, Path]:
+    """A BASE_CFG corpus of n_cases gold cases; returns (config path, corpus)."""
+    path = tmp_path / "gold.yaml"
+    path.write_text(yaml.safe_dump(dict(BASE_CFG, corpus={"n_cases": n_cases,
+                                                           "gold_fraction": 1.0})))
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", str(path), "--out", str(corpus)]) == 0
+    return str(path), corpus
+
+
+@pytest.mark.parametrize("target", ["1.5", "0", "nan"])
+def test_roc_target_out_of_range_is_config_error_before_any_work(tmp_path, capsys, target):
+    cfg, corpus = _gold_corpus(tmp_path, 2)
+    capsys.readouterr()
+    out = tmp_path / "roc"
+    assert main(["roc", "--config", cfg, "--corpus", str(corpus), "--out", str(out),
+                 "--target", target]) == 2
+    err = capsys.readouterr().err
+    assert "--target" in err and f"got {float(target)}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["roc", "evaluate"])
+def test_case_without_gold_is_config_error_before_out(tmp_path, capsys, command):
+    cfg, corpus = _gold_corpus(tmp_path, 6)
+    sidecar = corpus / "case_0005.json"
+    _edit_json(lambda s: (s["files"].pop("gold"), s["meta"].update(is_gold=False)))(sidecar)
+    _resign(sidecar)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--corpus", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "case_0005 lacks gold labels" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_audit_and_evaluate(cfg_file, tmp_path):

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import re
+from pathlib import Path
 
 import pytest
 import yaml
@@ -16,6 +17,7 @@ from emcurate.config import (
     OracleConfig,
     SyntheticConfig,
     _data_path,
+    _read_yaml,
     load_run_config,
 )
 
@@ -160,6 +162,31 @@ MALFORMED = [
     ({"metrics": {"nsd_tolerance_mm": float("nan")}}, "metrics.nsd_tolerance_mm"),
     ({"em": {"convergence_epsilon": float("-inf")}}, "em.convergence_epsilon"),
 ]
+
+
+def _typed(value):
+    """value with each scalar tagged by its type (so 1, 1.0 and True differ)
+    and each mapping as its list of items (so key order counts)."""
+    if isinstance(value, dict):
+        return [(_typed(k), _typed(v)) for k, v in value.items()]
+    if isinstance(value, list):
+        return [_typed(v) for v in value]
+    return type(value), value
+
+
+@pytest.mark.parametrize("path", [_data_path("default_run.yaml"),
+                                  _data_path("default_priors.yaml"),
+                                  Path(__file__).parent / "fixtures" / "roc_fixture_config.yaml"],
+                         ids=lambda p: p.name)
+def test_config_loader_builds_the_safe_loader_objects(monkeypatch, path):
+    """_read_yaml parses with libyaml where PyYAML has it, into the same
+    objects as the pure-Python SafeLoader."""
+    loaders, load = [], yaml.load
+    monkeypatch.setattr(yaml, "load", lambda text, Loader: loaders.append(Loader)
+                        or load(text, Loader=Loader))
+    got = _read_yaml(path)
+    assert loaders == [getattr(yaml, "CSafeLoader", yaml.SafeLoader)]
+    assert _typed(got) == _typed(load(path.read_text(), Loader=yaml.SafeLoader))
 
 
 @pytest.mark.parametrize("sections,where", MALFORMED, ids=[w for _, w in MALFORMED])

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -402,6 +402,14 @@ def scattered_roc_inputs(draw):
 
 @pytest.mark.parametrize("connectivity", [6, 26])
 @given(inputs=scattered_roc_inputs(), fp_min_voxels=st.integers(1, 3))
+# an instance with zero probability on every voxel, beside a false positive
+@example(inputs=([np.array([0.0, 0.0, 0.0, 0.5]).reshape(4, 1, 1)],
+                 [np.array([True, True, False, False]).reshape(4, 1, 1)],
+                 [1.0, 0.5, 0.0]), fp_min_voxels=1)
+# instances whose maxima equal thresholds
+@example(inputs=([np.array([0.25, 0.5, 0.0, 0.7, 0.5]).reshape(5, 1, 1)],
+                 [np.array([True, True, False, True, False]).reshape(5, 1, 1)],
+                 [1.0, 0.7, 0.5, 0.25, 0.0]), fp_min_voxels=1)
 def test_roc_sweep_matches_per_threshold_oracle(connectivity, inputs, fp_min_voxels):
     probs, refs, thresholds = inputs
     got = build_roc(probs, refs, thresholds, connectivity, fp_min_voxels)

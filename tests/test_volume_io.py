@@ -93,6 +93,26 @@ def test_corpus_round_trip_and_manifest(tmp_path, run_cfg):
         assert loaded.meta == orig.meta
 
 
+def test_read_corpus_shares_gold_only_when_byte_equal(tmp_path, run_cfg):
+    """A case's gold is its pseudo LabelMap itself exactly when the two files
+    hold the same bytes, and every decoded array equals its own file's
+    stand-alone decode."""
+    cases, _ = generate_corpus(run_cfg.phantom, run_cfg.noise, 4, 0.5, seed=9)
+    vio.write_corpus(tmp_path, cases, run_cfg.catalog)
+    back, _ = vio.read_corpus(tmp_path)
+    shared = []
+    for case in back:
+        files = json.loads((tmp_path / f"{case.case_id}.json").read_text())["files"]
+        same = (tmp_path / files["gold"]).read_bytes() == (tmp_path / files["pseudo"]).read_bytes()
+        shared.append(case.gold is case.pseudo)
+        assert shared[-1] == same
+        for role, got in (("volume", case.volume.data), ("pseudo", case.pseudo.labels),
+                          ("gold", case.gold.labels)):
+            want = vio._read_volume(tmp_path / files[role])[3]
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert True in shared and False in shared
+
+
 def test_rewrite_same_corpus_identical_checksums(tmp_path, run_cfg):
     cases, _ = generate_corpus(run_cfg.phantom, run_cfg.noise, 2, 0.0, seed=4)
     m1 = vio.write_corpus(tmp_path / "a", cases, run_cfg.catalog)
@@ -103,14 +123,15 @@ def test_rewrite_same_corpus_identical_checksums(tmp_path, run_cfg):
 
 @st.composite
 def corpora(draw):
-    """1-3 small CAT4 cases of one lattice, some with gold labels."""
+    """1-3 small CAT4 cases of one lattice, some with gold labels, some of
+    those equal to the pseudo labels (so the two files are byte-equal)."""
     n = draw(st.integers(1, 3))
     volumes = draw(label_volumes(n=2 * n))
     spacing = draw(st.sampled_from([(1.0, 1.0, 1.0), (0.75, 0.75, 2.5)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cases = []
     for i in range(n):
-        pseudo, gold = volumes[2 * i], volumes[2 * i + 1]
+        pseudo, gold = volumes[2 * i], volumes[2 * i + draw(st.integers(0, 1))]
         has_gold = draw(st.booleans())
         cases.append(make_case(intensities_for(pseudo, rng), pseudo, CAT4, case_id=f"case_{i:04d}",
                                gold_labels=gold if has_gold else None,
