@@ -8,7 +8,7 @@ presence the other denies, or both point at disjoint places".
 import numpy as np
 
 import emcurate as em
-from emcurate import ConfusionCounts, SurfaceDistanceSpec
+from emcurate import ConfusionCounts
 
 # --- overlap ---------------------------------------------------------------
 a = np.zeros((10, 10, 10), bool)
@@ -17,10 +17,9 @@ a[2:6, 2:6, 2:6] = True
 b[3:7, 2:6, 2:6] = True                      # same cube shifted 1 voxel in x
 print(f"DSC of 4^3 cube vs itself shifted 1 voxel: {em.dsc(a, b):.4f}")
 
-spec = SurfaceDistanceSpec(tolerance_mm=1.0, spacing=(1.0, 1.0, 1.0))
-print(f"NSD at 1 mm tolerance:                     {em.nsd(a, b, spec):.4f}")
-spec2 = SurfaceDistanceSpec(tolerance_mm=2.0, spacing=(1.0, 1.0, 1.0))
-print(f"NSD at 2 mm tolerance (monotone in delta): {em.nsd(a, b, spec2):.4f}")
+unit = (1.0, 1.0, 1.0)                       # voxel spacing in mm
+print(f"NSD at 1 mm tolerance:                     {em.nsd(a, b, 1.0, unit):.4f}")
+print(f"NSD at 2 mm tolerance (monotone in delta): {em.nsd(a, b, 2.0, unit):.4f}")
 
 # --- classification rates ----------------------------------------------------
 counts = ConfusionCounts(tp=509, tn=550, fp=73, fn=69)

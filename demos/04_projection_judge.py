@@ -41,8 +41,8 @@ badly = apply_injections(case.gold, [InjectionOp(1, "shift", {"vector": [14, 0, 
                                      InjectionOp(2, "delete", {}),
                                      InjectionOp(6, "shift", {"vector": [12, 0, 0]})])
 mildly = apply_injections(case.gold, [InjectionOp(1, "shift", {"vector": [10, 0, 0]})])
-result, selected = em.run_tournament(case.with_pseudo(badly),
-                                     [badly, mildly, case.gold], judge)
+candidates = [badly, mildly, case.gold]
+result = em.run_tournament(case.with_pseudo(badly), candidates, judge)
 print(f"\ntournament over {len(result.rounds)} rounds selected candidate "
       f"#{result.winner} (0 = incumbent)")
 for i, rnd in enumerate(result.rounds, 1):
@@ -50,4 +50,4 @@ for i, rnd in enumerate(result.rounds, 1):
              for s, v in rnd.per_structure_votes.items()
              if v.value != "tie"}
     print(f"  round {i}: challenger {rnd.score_1} vs champion {rnd.score_2}  {votes}")
-assert selected is case.gold
+assert candidates[result.winner] is case.gold

@@ -35,11 +35,11 @@ print(f"\nselected threshold {policy.selected_threshold:.2f}: "
 workloads = []
 for case, prob in zip(cases, probs):
     pred = prob > policy.selected_threshold
-    cleaned, workload = process_case(case, pred, case.gold.labels == tumor, cfg.cost)
+    workload = process_case(case, pred, case.gold.labels == tumor, cfg.cost)
     workloads.append(workload)
-    # report-negative cases end up with no predicted tumor at all
+    # report-negative cases are emptied outright, at no click
     if not case.report.tumor_present:
-        assert not cleaned.any()
+        assert workload.report_suppressed and workload.fp_clicks == 0
 
 suppressed = sum(w.report_suppressed for w in workloads)
 clicks = sum(w.fp_clicks for w in workloads)

@@ -34,7 +34,6 @@ from .metrics import (
     MetricReport,
     RocCurve,
     RocPoint,
-    SurfaceDistanceSpec,
     build_roc,
     classification_rates,
     diagnosis_confusion,

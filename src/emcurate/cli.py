@@ -14,7 +14,7 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -40,7 +40,6 @@ from .loop import (
     save_queue,
 )
 from .metrics import (
-    SurfaceDistanceSpec,
     build_roc,
     corpus_summary,
     default_threshold_grid,
@@ -206,8 +205,8 @@ def cmd_roc(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     model = fit_model(cases, new_model=cfg.build_model)
     # Each case keeps only its support crop, nonzero_box((prob > 0) | ref):
-    # build_roc crops to that box itself, and process_case crops inside it
-    # and sees every component whole, so no curve point or count changes.
+    # build_roc crops to that box itself, and process_case counts components,
+    # which the crop holds whole, so no curve point or count changes.
     probs, refs = [], []
     for case in cases:
         prob = model.predict_prob(case.volume, tumor)
@@ -226,12 +225,9 @@ def cmd_roc(args) -> int:
                              f"{p.fp_per_scan:.9f}", f"{p.specificity:.9f}"])
     policy = select_threshold(curve, cfg.metrics.roc_target_sensitivity)
     volume_io.write_json(out_dir / "policy.json", policy.to_dict())
-    workloads = []
-    for case, prob, gold in zip(cases, probs, refs):
-        pred = prob > policy.selected_threshold
-        _cleaned, workload = process_case(case, pred, gold, cfg.cost,
-                                          connectivity=model.tumor_connectivity)
-        workloads.append(workload)
+    workloads = [process_case(case, prob > policy.selected_threshold, gold, cfg.cost,
+                              connectivity=model.tumor_connectivity)
+                 for case, prob, gold in zip(cases, probs, refs)]
     savings = annotation_savings(workloads, cfg.cost)
     volume_io.write_json(out_dir / "savings.json", savings.to_dict())
     print(f"threshold {policy.selected_threshold:.3f} "
@@ -278,19 +274,12 @@ def cmd_evaluate(args) -> int:
         if case.gold is None:
             raise ConfigError(f"case {case.case_id} lacks gold labels")
     out_dir.mkdir(parents=True, exist_ok=True)
-    spec = SurfaceDistanceSpec(tolerance_mm=cfg.metrics.nsd_tolerance_mm,
-                               spacing=cases[0].pseudo.spacing)
-    reports = {}
-    for case in cases:
-        reports[case.case_id] = evaluate_pair(case.pseudo, case.gold, spec,
-                                              with_nsd=not args.no_nsd)
+    tolerance = None if args.no_nsd else cfg.metrics.nsd_tolerance_mm
+    reports = {case.case_id: evaluate_pair(case.pseudo, case.gold, tolerance)
+               for case in cases}
     payload = {
-        "cases": {
-            cid: {str(s): {"dsc": sc.dsc, "nsd": sc.nsd, "pred_voxels": sc.pred_voxels,
-                           "ref_voxels": sc.ref_voxels}
-                  for s, sc in rep.per_structure.items()}
-            for cid, rep in reports.items()
-        },
+        "cases": {cid: {str(s): asdict(sc) for s, sc in rep.per_structure.items()}
+                  for cid, rep in reports.items()},
         "aggregate": corpus_summary(reports, catalog),
     }
     volume_io.write_json(out_dir / "evaluation.json", payload)

@@ -126,18 +126,6 @@ class TournamentResult:
     def final_round(self) -> PairTally:
         return self.rounds[-1]
 
-    @property
-    def score_1(self) -> int:
-        return self.final_round.score_1
-
-    @property
-    def score_2(self) -> int:
-        return self.final_round.score_2
-
-    @property
-    def per_structure_votes(self) -> dict[int, Preference]:
-        return self.final_round.per_structure_votes
-
 
 def _interval_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
     inter = max(0.0, min(a[1], b[1]) - max(a[0], b[0]))
@@ -266,15 +254,14 @@ def shape_cleanup(label_map: LabelMap, organ_connectivity: int = 26,
 
 
 def run_tournament(case: CaseRecord, candidates: Sequence[LabelMap], judge,
-                   structures: Optional[Sequence[int]] = None
-                   ) -> tuple[TournamentResult, LabelMap]:
+                   structures: Optional[Sequence[int]] = None) -> TournamentResult:
     """Sequential pairwise elimination among candidate label maps.
 
     The current champion (initially candidates[0], the incumbent) meets each
     following candidate; per structure the judge votes, votes are tallied,
     and the challenger takes over only when its tally strictly exceeds the
-    champion's - ties keep the incumbent. The selected map is always one of
-    the inputs.
+    champion's - ties keep the incumbent. The selected map is
+    candidates[result.winner].
     """
     if len(candidates) < 2:
         raise ShapeError("tournament requires at least two candidates")
@@ -300,8 +287,7 @@ def run_tournament(case: CaseRecord, candidates: Sequence[LabelMap], judge,
                                 score_1=score_challenger, score_2=score_champion))
         if score_challenger > score_champion:
             champion = challenger
-    result = TournamentResult(winner=champion, rounds=tuple(rounds))
-    return result, candidates[champion]
+    return TournamentResult(winner=champion, rounds=tuple(rounds))
 
 
 # ---------------------------------------------------------------------------

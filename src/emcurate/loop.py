@@ -300,8 +300,7 @@ def _expectation_case(case: CaseRecord, model: SegmentationModel, judge,
     incumbent = shape_cleanup(updated.pseudo, model.organ_connectivity,
                               model.tumor_connectivity)
     challenger = outcome.prediction
-    tournament, _selected = run_tournament(updated, [incumbent, challenger], judge,
-                                           structures=routed)
+    tournament = run_tournament(updated, [incumbent, challenger], judge, structures=routed)
     verdicts = tournament.final_round.verdicts
     labels = updated.pseudo.labels.copy()
     for s in routed:

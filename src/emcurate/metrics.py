@@ -53,20 +53,6 @@ class ConfusionCounts:
 
 
 @dataclass(frozen=True)
-class SurfaceDistanceSpec:
-    """NSD parameters: tolerance (mm) and the voxel spacing of the masks."""
-
-    tolerance_mm: float
-    spacing: tuple[float, float, float]
-
-    def __post_init__(self):
-        if self.tolerance_mm <= 0:
-            raise ShapeError("tolerance_mm must be > 0")
-        if len(self.spacing) != 3 or any(s <= 0 for s in self.spacing):
-            raise ShapeError(f"spacing must be a positive triple, got {self.spacing}")
-
-
-@dataclass(frozen=True)
 class StructureScores:
     dsc: float
     nsd: Optional[float]
@@ -138,8 +124,9 @@ def boundary_voxels(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
-def nsd(a, b, spec: SurfaceDistanceSpec) -> float:
-    """Normalized surface distance at tolerance spec.tolerance_mm.
+def nsd(a, b, tolerance_mm: float, spacing: Sequence[float]) -> float:
+    """Normalized surface distance at tolerance_mm, for masks on a lattice of
+    the given voxel spacing (mm).
 
     Boundary voxels of each mask are tested against the exact Euclidean
     distance (in mm, via the spacing-scaled distance transform) to the other
@@ -151,6 +138,10 @@ def nsd(a, b, spec: SurfaceDistanceSpec) -> float:
     either way, and every boundary voxel, hence every nearest one, lies
     inside the crop. Only the EDTs' cost shrinks.
     """
+    if tolerance_mm <= 0:
+        raise ShapeError(f"tolerance_mm must be > 0, got {tolerance_mm}")
+    if len(spacing) != 3 or any(s <= 0 for s in spacing):
+        raise ShapeError(f"spacing must be a positive triple, got {spacing}")
     a, b = _as_mask_pair(a, b)
     surf_a = boundary_voxels(a)
     surf_b = boundary_voxels(b)
@@ -160,10 +151,10 @@ def nsd(a, b, spec: SurfaceDistanceSpec) -> float:
         return 1.0
     if n_a == 0 or n_b == 0:
         return 0.0
-    dist_to_b = ndimage.distance_transform_edt(~surf_b, sampling=spec.spacing)
-    dist_to_a = ndimage.distance_transform_edt(~surf_a, sampling=spec.spacing)
-    close_a = int(np.count_nonzero(dist_to_b[surf_a] < spec.tolerance_mm))
-    close_b = int(np.count_nonzero(dist_to_a[surf_b] < spec.tolerance_mm))
+    dist_to_b = ndimage.distance_transform_edt(~surf_b, sampling=spacing)
+    dist_to_a = ndimage.distance_transform_edt(~surf_a, sampling=spacing)
+    close_a = int(np.count_nonzero(dist_to_b[surf_a] < tolerance_mm))
+    close_b = int(np.count_nonzero(dist_to_a[surf_b] < tolerance_mm))
     return (close_a + close_b) / (n_a + n_b)
 
 
@@ -385,9 +376,11 @@ def build_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray],
     return RocCurve(points=tuple(points))
 
 
-def evaluate_pair(pred: LabelMap, ref: LabelMap, spec: SurfaceDistanceSpec,
-                  with_nsd: bool = True) -> MetricReport:
-    """Per-structure DSC (and optionally NSD) between two label maps.
+def evaluate_pair(pred: LabelMap, ref: LabelMap,
+                  nsd_tolerance_mm: Optional[float]) -> MetricReport:
+    """Per-structure DSC, and NSD at nsd_tolerance_mm unless it is None,
+    between two label maps. NSD is scored at the maps' own spacing, which
+    the lattice check makes one value.
 
     Each structure's mask pair is built only inside the hull of its two
     label boxes (structure_mask_pairs), which is nonzero_box(a | b): DSC and
@@ -399,7 +392,7 @@ def evaluate_pair(pred: LabelMap, ref: LabelMap, spec: SurfaceDistanceSpec,
     for label, a, b in structure_mask_pairs(pred, ref):
         scores[label] = StructureScores(
             dsc=dsc(a, b),
-            nsd=nsd(a, b, spec) if with_nsd else None,
+            nsd=None if nsd_tolerance_mm is None else nsd(a, b, nsd_tolerance_mm, pred.spacing),
             pred_voxels=int(np.count_nonzero(a)),
             ref_voxels=int(np.count_nonzero(b)),
         )

@@ -42,6 +42,7 @@ from .grid import (
     nonzero_box,
     pad_box,
 )
+from .metrics import boundary_voxels
 
 
 class ShapeKind(str, Enum):
@@ -209,14 +210,6 @@ def _dilate(mask: np.ndarray) -> np.ndarray:
     return out
 
 
-def _erode(mask: np.ndarray) -> np.ndarray:
-    """Face-connected erosion with the grid border outside, on the padded box only."""
-    box = pad_box(nonzero_box(mask), 1, mask.shape)
-    out = np.zeros_like(mask)
-    out[box] = ndimage.binary_erosion(mask[box], structure=FACE, border_value=0)
-    return out
-
-
 def _sample_tumors(spec: PhantomSpec, rng: np.random.Generator) -> list[tuple[tuple, float]]:
     """Sample non-touching tumor spheres inside the host; returns (center, radius) in normalized units."""
     tum = spec.tumor
@@ -348,7 +341,10 @@ def _apply_op(labels: np.ndarray, op: InjectionOp) -> None:
         if p["mode"] == "dilate":
             labels[_dilate(mask) & (labels == BACKGROUND)] = s
         else:
-            labels[mask & ~_erode(mask)] = BACKGROUND
+            # the padded layer lies outside the mask, so the crop's surface
+            # voxels are the grid's
+            box = pad_box(nonzero_box(mask), 1, mask.shape)
+            labels[box][boundary_voxels(mask[box])] = BACKGROUND
     elif op.op == "tumor_miss":
         # raster-order ids are the same on the bounding box as on the grid
         box = nonzero_box(mask)

@@ -97,11 +97,11 @@ def suppress_fp_by_report(case: CaseRecord, tumor_pred: np.ndarray) -> np.ndarra
     return pred
 
 
-def simulate_fp_erasure(case: CaseRecord, tumor_pred: np.ndarray,
-                        oracle_gold: np.ndarray, cost: CostModel,
-                        connectivity: int = 6) -> tuple[np.ndarray, int, float]:
-    """Erase predicted components that touch no gold component; each erased
-    component costs one click. Components touching gold are never removed.
+def simulate_fp_erasure(tumor_pred: np.ndarray, oracle_gold: np.ndarray,
+                        connectivity: int = 6) -> tuple[np.ndarray, int]:
+    """Erase predicted components that touch no gold component; returns the
+    cleaned mask and the clicks spent, one per erased component. Components
+    touching gold are never removed.
 
     The prediction is labeled only inside nonzero_box(pred | gold), and the
     cleaned crop is written back into an all-false grid: every predicted
@@ -116,30 +116,27 @@ def simulate_fp_erasure(case: CaseRecord, tumor_pred: np.ndarray,
     touches = component_hits(comp, gold[box]) > 0
     cleaned = np.zeros_like(pred)
     cleaned[box] = np.concatenate(([False], touches))[comp.ids]
-    clicks = comp.count - int(np.count_nonzero(touches))
-    return cleaned, clicks, clicks * cost.seconds_per_fp_removal
+    return cleaned, comp.count - int(np.count_nonzero(touches))
 
 
 def process_case(case: CaseRecord, tumor_pred: np.ndarray, gold_tumor: np.ndarray,
-                 cost: CostModel, connectivity: int = 6) -> tuple[np.ndarray, CaseWorkload]:
-    """Full per-case cleanup: report suppression then simulated erasure;
-    returns the cleaned mask and the case workload record.
+                 cost: CostModel, connectivity: int = 6) -> CaseWorkload:
+    """The case's cleanup workload: report suppression, then simulated
+    erasure of the false positives against gold.
 
-    The gold instances and the missed ones are tumor_wise_detection's
-    tp + fn and fn for the cleaned mask: that labels both masks only inside
-    nonzero_box(cleaned | gold), as simulate_fp_erasure does, and the crop
-    holds every gold component whole, so the counts are exact."""
-    suppressed = False
-    pred = np.asarray(tumor_pred, dtype=bool)
+    One tumor_wise_detection of the suppressed prediction gives every count
+    without building the cleaned mask. Erasure keeps each predicted
+    component that touches gold, so a gold instance is hit after erasure iff
+    it is hit before (fn are the missed instances, tp + fn all of them), and
+    it spends one click per component touching no gold, whatever its size:
+    fp at fp_min_voxels=1."""
     if cost.report_autoremoval:
-        after = suppress_fp_by_report(case, pred)
-        suppressed = not case.report.tumor_present
-        pred = after
-    cleaned, clicks, _ = simulate_fp_erasure(case, pred, gold_tumor, cost, connectivity)
-    counts = tumor_wise_detection(cleaned, gold_tumor, connectivity)
-    return cleaned, CaseWorkload(case_id=case.case_id, gold_instances=counts.tp + counts.fn,
-                                 missed_instances=counts.fn, fp_clicks=clicks,
-                                 report_suppressed=suppressed)
+        tumor_pred = suppress_fp_by_report(case, tumor_pred)
+    counts = tumor_wise_detection(tumor_pred, gold_tumor, connectivity)
+    return CaseWorkload(case_id=case.case_id, gold_instances=counts.tp + counts.fn,
+                        missed_instances=counts.fn, fp_clicks=counts.fp,
+                        report_suppressed=cost.report_autoremoval
+                        and not case.report.tumor_present)
 
 
 def annotation_savings(workloads: Sequence[CaseWorkload], cost: CostModel) -> SavingsReport:

@@ -253,8 +253,8 @@ def read_corpus(corpus_dir: Union[str, Path]) -> tuple[list[CaseRecord], Structu
     """Read a corpus directory, checking every file against the manifest's sha256.
 
     A corpus holds one lattice: every case's (dims, spacing) must be the
-    first case's, since learned boxes are voxel coordinates and NSD is taken
-    at one spacing."""
+    first case's, since learned boxes are voxel coordinates and the corpus's
+    NSD statistics pool scores taken at one spacing."""
     path = Path(corpus_dir) / "manifest.json"
     manifest = read_json(path)
     try:

@@ -17,7 +17,7 @@ import emcurate as em
 from emcurate import AuditAction, Preference, RuleBasedJudge
 from emcurate.cli import main
 from emcurate.loop import expectation_pass
-from emcurate.metrics import SurfaceDistanceSpec, build_roc, default_threshold_grid
+from emcurate.metrics import build_roc, default_threshold_grid
 from emcurate.roc import annotation_savings, process_case, select_threshold
 from emcurate.verifier import audit_case, fit_model
 
@@ -73,7 +73,6 @@ def test_criterion_1_metric_oracle_equivalence():
     with criterion(1, "dsc/tumor-wise/nsd match brute-force oracles on 500 "
                       "random 6^3 mask pairs (< 10 s)"):
         rng = np.random.default_rng(2024)
-        spec = SurfaceDistanceSpec(tolerance_mm=1.5, spacing=(1.0, 1.0, 1.0))
         started = time.perf_counter()
         for i in range(500):
             density = rng.uniform(0.05, 0.6)
@@ -84,7 +83,7 @@ def test_criterion_1_metric_oracle_equivalence():
             tp, fp, fn = brute_tumor_wise(a, b, 6)
             assert (counts.tp, counts.fp, counts.fn) == (tp, fp, fn)
             expected = brute_nsd(a, b, 1.5, (1.0, 1.0, 1.0))
-            assert abs(em.nsd(a, b, spec) - expected) < 1e-12
+            assert abs(em.nsd(a, b, 1.5, (1.0, 1.0, 1.0)) - expected) < 1e-12
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"oracle comparison took {elapsed:.1f}s"
 
@@ -236,9 +235,7 @@ def test_criterion_7_roc_workflow(cfg):
                 assert em.patient_wise_detection(
                     cleaned_report, case.gold.labels == tumor) is \
                     em.DetectionOutcome.TN
-            _cleaned, workload = process_case(case, pred, case.gold.labels == tumor,
-                                              cfg.cost)
-            workloads.append(workload)
+            workloads.append(process_case(case, pred, case.gold.labels == tumor, cfg.cost))
         savings = annotation_savings(workloads, cfg.cost)
         clicks = sum(w.fp_clicks for w in workloads)
         missed = sum(w.missed_instances for w in workloads)

@@ -8,6 +8,9 @@ import yaml
 
 import emcurate.volume_io as vio
 from emcurate.cli import build_parser, main
+from emcurate.config import load_run_config
+
+from oracles import full_grid_nsd
 
 BASE_CFG = {
     "phantom": {
@@ -432,6 +435,33 @@ def test_evaluate_clean_corpus_mean_one(cfg_file, tmp_path):
                  "--out", str(out), "--no-nsd"]) == 0
     payload = json.loads((out / "evaluation.json").read_text())
     assert payload["aggregate"]["mean_dsc"] == 1.0
+
+
+def test_evaluate_scores_nsd_at_the_corpus_spacing(tmp_path):
+    cfg = _phantom_config(tmp_path, "aniso.yaml", n_cases=2, dims=[16, 16, 16],
+                          spacing=[0.8, 0.8, 2.5])
+    corpus = tmp_path / "corpus"
+    # seed 2 corrupts structures whose NSD differs between this spacing and 1 mm
+    assert main(["generate", "--config", cfg, "--seed", "2", "--out", str(corpus)]) == 0
+    assert main(["evaluate", "--config", cfg, "--corpus", str(corpus),
+                 "--out", str(tmp_path / "eval")]) == 0
+    assert main(["evaluate", "--config", cfg, "--corpus", str(corpus),
+                 "--out", str(tmp_path / "eval_no_nsd"), "--no-nsd"]) == 0
+    tolerance = load_run_config(cfg).metrics.nsd_tolerance_mm
+    cases, catalog = vio.read_corpus(corpus)
+    rows = json.loads((tmp_path / "eval" / "evaluation.json").read_text())["cases"]
+    rows_no_nsd = json.loads((tmp_path / "eval_no_nsd" / "evaluation.json").read_text())["cases"]
+    at_unit_spacing = []
+    for case in cases:
+        spacing = case.pseudo.spacing  # as stored: float32 of the config's spacing
+        assert spacing == pytest.approx((0.8, 0.8, 2.5))
+        for s in catalog.labels:
+            a, b = case.pseudo.labels == s, case.gold.labels == s
+            row = rows[case.case_id][str(s)]
+            assert row["nsd"] == full_grid_nsd(a, b, tolerance, spacing)
+            assert rows_no_nsd[case.case_id][str(s)] == dict(row, nsd=None)
+            at_unit_spacing.append(row["nsd"] == full_grid_nsd(a, b, tolerance, (1.0, 1.0, 1.0)))
+    assert not all(at_unit_spacing)
 
 
 def test_refine_outputs(cfg_file, tmp_path):

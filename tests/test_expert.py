@@ -101,11 +101,12 @@ def test_tournament_identical_candidates_keeps_incumbent(run_cfg, small_corpus):
     cases, _ = small_corpus
     case = cases[0]
     judge = RuleBasedJudge(run_cfg.priors)
-    result, selected = run_tournament(case, [case.pseudo, case.pseudo], judge)
+    candidates = [case.pseudo, case.pseudo]
+    result = run_tournament(case, candidates, judge)
     assert result.winner == 0
-    assert selected is case.pseudo
-    assert all(v is Preference.TIE for v in result.per_structure_votes.values())
-    assert result.score_1 == result.score_2 == 0
+    assert candidates[result.winner] is case.pseudo
+    assert all(v is Preference.TIE for v in result.final_round.per_structure_votes.values())
+    assert result.final_round.score_1 == result.final_round.score_2 == 0
 
 
 def test_tournament_requires_two_candidates(run_cfg, small_corpus):
@@ -122,10 +123,10 @@ def test_tournament_prefers_gold_derived_over_corrupted(run_cfg):
            for s in run_cfg.catalog.labels if (case.gold.labels == s).any()]
     corrupted = apply_injections(case.gold, log)
     judge = RuleBasedJudge(run_cfg.priors)
-    result, selected = run_tournament(case.with_pseudo(corrupted),
-                                      [corrupted, case.gold], judge)
+    candidates = [corrupted, case.gold]
+    result = run_tournament(case.with_pseudo(corrupted), candidates, judge)
     assert result.winner == 1
-    assert selected is case.gold
+    assert candidates[result.winner] is case.gold
 
 
 def test_tournament_transitive_chain(run_cfg):
@@ -135,10 +136,10 @@ def test_tournament_transitive_chain(run_cfg):
                                          InjectionOp(5, "delete", {})])
     mildly = apply_injections(case.gold, [InjectionOp(1, "shift", {"vector": [10, 0, 0]})])
     judge = RuleBasedJudge(run_cfg.priors)
-    result, selected = run_tournament(case.with_pseudo(badly),
-                                      [badly, mildly, case.gold], judge)
+    candidates = [badly, mildly, case.gold]
+    result = run_tournament(case.with_pseudo(badly), candidates, judge)
     assert result.winner == 2
-    assert selected is case.gold
+    assert candidates[result.winner] is case.gold
     assert len(result.rounds) == 2
 
 
@@ -147,8 +148,8 @@ def test_tournament_selects_only_inputs(run_cfg, small_corpus):
     case = cases[1]
     judge = RuleBasedJudge(run_cfg.priors)
     candidates = [case.pseudo, case.gold]
-    _, selected = run_tournament(case, candidates, judge)
-    assert any(selected is c for c in candidates)
+    result = run_tournament(case, candidates, judge)
+    assert result.winner in range(len(candidates))
 
 
 def test_shape_cleanup_removes_fragments_and_keeps_labels(run_cfg):

@@ -10,7 +10,6 @@ from emcurate import (
     ConfusionCounts,
     DetectionOutcome,
     ShapeError,
-    SurfaceDistanceSpec,
     UndefinedRateError,
     build_roc,
     classification_rates,
@@ -40,7 +39,7 @@ from oracles import (
     per_threshold_roc,
 )
 
-UNIT = SurfaceDistanceSpec(tolerance_mm=1.0, spacing=(1.0, 1.0, 1.0))
+UNIT = (1.0, 1.0, 1.0)
 
 
 def cube(dims, lo, hi):
@@ -95,7 +94,7 @@ def test_dsc_symmetric_random():
 
 def test_nsd_identity():
     m = cube((5, 5, 5), (1, 1, 1), (4, 4, 4))
-    assert nsd(m, m, UNIT) == 1.0
+    assert nsd(m, m, 1.0, UNIT) == 1.0
 
 
 def test_nsd_far_apart():
@@ -103,21 +102,21 @@ def test_nsd_far_apart():
     b = np.zeros((12, 1, 1), bool)
     a[0] = True
     b[10] = True  # 10 mm apart on unit spacing
-    assert nsd(a, b, UNIT) == 0.0
+    assert nsd(a, b, 1.0, UNIT) == 0.0
 
 
 def test_nsd_empty_conventions():
     e = np.zeros((3, 3, 3), bool)
     m = cube((3, 3, 3), (0, 0, 0), (2, 2, 2))
-    assert nsd(e, e, UNIT) == 1.0
-    assert nsd(e, m, UNIT) == 0.0
+    assert nsd(e, e, 1.0, UNIT) == 1.0
+    assert nsd(e, m, 1.0, UNIT) == 0.0
 
 
 def test_nsd_shifted_cube_matches_oracle():
     a = cube((7, 7, 7), (1, 1, 1), (6, 6, 6))  # 5^3 cube
     b = np.roll(a, 1, axis=0)                  # shifted one voxel in x
     expected = brute_nsd(a, b, 1.0, (1.0, 1.0, 1.0))
-    assert abs(nsd(a, b, UNIT) - expected) < 1e-12
+    assert abs(nsd(a, b, 1.0, UNIT) - expected) < 1e-12
 
 
 def test_nsd_boundary_definition_matches_oracle():
@@ -133,8 +132,7 @@ def test_nsd_monotone_in_tolerance():
     for _ in range(10):
         a = rng.random((6, 6, 6)) < 0.4
         b = rng.random((6, 6, 6)) < 0.4
-        values = [nsd(a, b, SurfaceDistanceSpec(tolerance_mm=t, spacing=(1, 1, 1)))
-                  for t in (0.5, 1.0, 2.0, 4.0)]
+        values = [nsd(a, b, t, (1, 1, 1)) for t in (0.5, 1.0, 2.0, 4.0)]
         assert all(x <= y + 1e-15 for x, y in zip(values, values[1:]))
 
 
@@ -143,10 +141,17 @@ def test_nsd_respects_anisotropic_spacing():
     b = np.zeros((4, 1, 1), bool)
     a[0] = True
     b[1] = True  # 1 voxel apart: 2.5mm under spacing (2.5,1,1)
-    spec = SurfaceDistanceSpec(tolerance_mm=2.0, spacing=(2.5, 1.0, 1.0))
-    assert nsd(a, b, spec) == 0.0
-    spec = SurfaceDistanceSpec(tolerance_mm=2.6, spacing=(2.5, 1.0, 1.0))
-    assert nsd(a, b, spec) == 1.0
+    assert nsd(a, b, 2.0, (2.5, 1.0, 1.0)) == 0.0
+    assert nsd(a, b, 2.6, (2.5, 1.0, 1.0)) == 1.0
+
+
+@pytest.mark.parametrize("tolerance_mm, spacing", [
+    (0.0, UNIT), (-1.0, UNIT), (1.0, (1.0, 1.0)), (1.0, (1.0, 0.0, 1.0)), (1.0, (1.0, 1.0, -2.0)),
+], ids=["zero_tolerance", "negative_tolerance", "two_axes", "zero_spacing", "negative_spacing"])
+def test_nsd_rejects_nonpositive_tolerance_and_spacing(tolerance_mm, spacing):
+    m = cube((3, 3, 3), (0, 0, 0), (2, 2, 2))
+    with pytest.raises(ShapeError):
+        nsd(m, m, tolerance_mm, spacing)
 
 
 # -- classification rates ----------------------------------------------------
@@ -480,7 +485,7 @@ def test_roc_sensitivity_monotone_random():
 def test_evaluate_pair_matches_full_grid_oracle(volumes, spacing, tolerance_mm):
     pred, ref = volumes
     report = evaluate_pair(make_label_map(pred, CAT4, spacing), make_label_map(ref, CAT4, spacing),
-                           SurfaceDistanceSpec(tolerance_mm, spacing))
+                           tolerance_mm)
     for s in CAT4.labels:
         a, b = pred == s, ref == s
         got = report.per_structure[s]

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 
 import emcurate as em
 from emcurate import ConfigError, NoiseSpec, PhantomSpec, TumorSpec
-from emcurate.grid import StructureKind
-from emcurate.phantom import InjectionOp, ShapeKind, StructureShapeSpec, apply_injections
+from emcurate.grid import FACE, StructureKind
+from emcurate.phantom import (
+    InjectionOp,
+    ShapeKind,
+    StructureShapeSpec,
+    _apply_op,
+    apply_injections,
+)
 
 
 def test_zero_structure_spec():
@@ -170,3 +177,26 @@ def test_phantom_source_varies_but_is_deterministic(run_cfg):
     assert np.array_equal(a.volume.data, b.volume.data)
     assert not np.array_equal(a.volume.data, c.volume.data)
     assert np.array_equal(a.pseudo.labels, a.gold.labels)
+
+
+@pytest.mark.parametrize("mode", ["dilate", "erode"])
+@pytest.mark.parametrize("box", [
+    (slice(0, 7), slice(0, 6), slice(0, 5)),   # fills the grid: touches every face
+    (slice(0, 3), slice(2, 6), slice(4, 5)),   # touches some faces
+    (slice(2, 5), slice(1, 4), slice(1, 3)),   # touches none
+], ids=["all_faces", "some_faces", "interior"])
+def test_jitter_matches_full_grid_morphology(mode, box):
+    """A jitter op works on the structure's padded box only; it must write
+    what the full-grid face dilation / surface erosion writes."""
+    rng = np.random.default_rng(11)
+    for _ in range(8):
+        labels = np.zeros((7, 6, 5), np.uint16)
+        labels[box] = rng.integers(0, 3, labels[box].shape)
+        mask = labels == 1
+        expected = labels.copy()
+        if mode == "dilate":
+            expected[ndimage.binary_dilation(mask, structure=FACE) & (labels == 0)] = 1
+        else:
+            expected[mask & ~ndimage.binary_erosion(mask, structure=FACE, border_value=0)] = 0
+        _apply_op(labels, InjectionOp(1, "jitter", {"mode": mode}))
+        assert np.array_equal(labels, expected)
