@@ -177,7 +177,7 @@ def cmd_refine(args) -> int:
     save_queue(out_dir / "queue.json", entries)
     volume_io.write_jsonl(out_dir / "changes.jsonl", [e.to_dict() for e in stats.all_changes])
     volume_io.write_json(out_dir / "refine_stats.json", {
-        **stats.to_dict(),
+        **stats.counts,
         "escalation_fraction": stats.escalation_fraction,
         "change_fraction": stats.change_fraction,
     })

@@ -107,9 +107,6 @@ class StructureCatalog:
                 return e
         raise CatalogError(f"label {label} not in catalog")
 
-    def __contains__(self, label: int) -> bool:
-        return 1 <= label <= len(self.entries)
-
     @property
     def catalog_id(self) -> str:
         blob = json.dumps([[e.label, e.name, e.kind.value] for e in self.entries])

@@ -19,8 +19,9 @@ import logging
 import math
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence, Union
@@ -29,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, ProtocolError, VolumeFormatError
 from .expert import Preference, rle_decode, rle_encode, run_tournament, shape_cleanup
-from .grid import CaseRecord, structure_mask_pairs
+from .grid import CaseRecord, front_view_projection, structure_mask_pairs
 from .metrics import dsc
 from .phantom import PhantomSource
 from .verifier import (
@@ -38,10 +39,11 @@ from .verifier import (
     GaussianIntensityModel,
     ModelFactory,
     SegmentationModel,
+    StructureWrite,
     audit_case,
     apply_update_rule,
     fit_model,
-    write_structure,
+    write_structures,
 )
 from .volume_io import read_json, write_json, write_jsonl
 
@@ -187,52 +189,40 @@ class InteractiveCliOracle:
                candidates: Sequence[np.ndarray], context: str) -> Optional[int]:
         return prompt_choice(
             f"review {context}: case {case.case_id}, structure {structure}",
-            front_overlays(candidates), self.input_fn, self.print_fn)
+            [front_view_projection(case.volume, m).overlay for m in candidates],
+            self.input_fn, self.print_fn)
+
+
+# The counts of an expectation pass, under the key names of the iteration reports.
+COUNT_NAMES = ("keep", "auto_replace", "route", "escalate", "tournament_decided",
+               "auto_resolved", "unresolved", "structures_audited")
 
 
 @dataclass
 class ExpectationStats:
-    structures_audited: int = 0
-    n_keep: int = 0
-    n_auto_replace: int = 0
-    n_route: int = 0
-    n_tournament_decided: int = 0
-    n_escalated: int = 0
-    n_auto_resolved: int = 0
-    n_unresolved: int = 0
+    counts: Counter = field(default_factory=lambda: Counter(dict.fromkeys(COUNT_NAMES, 0)))
     changed_structures: int = 0
     per_case_audit_dsc: dict[str, float] = field(default_factory=dict)
     all_changes: list[ChangeLogEntry] = field(default_factory=list)
 
-    def to_dict(self) -> dict[str, int]:
-        """The counts under the key names of the iteration reports."""
-        return {"keep": self.n_keep, "auto_replace": self.n_auto_replace,
-                "route": self.n_route, "escalate": self.n_escalated,
-                "tournament_decided": self.n_tournament_decided,
-                "auto_resolved": self.n_auto_resolved,
-                "unresolved": self.n_unresolved,
-                "structures_audited": self.structures_audited}
-
     def merge(self, other: "ExpectationStats") -> None:
         """Add the counts of ``other`` to these and append its changes."""
-        for f in fields(self):
-            mine = getattr(self, f.name)
-            if isinstance(mine, int):
-                setattr(self, f.name, mine + getattr(other, f.name))
+        self.counts.update(other.counts)
+        self.changed_structures += other.changed_structures
         self.per_case_audit_dsc.update(other.per_case_audit_dsc)
         self.all_changes.extend(other.all_changes)
 
     @property
     def escalation_fraction(self) -> float:
-        if self.structures_audited == 0:
+        if self.counts["structures_audited"] == 0:
             return 0.0
-        return self.n_escalated / self.structures_audited
+        return self.counts["escalate"] / self.counts["structures_audited"]
 
     @property
     def change_fraction(self) -> float:
-        if self.structures_audited == 0:
+        if self.counts["structures_audited"] == 0:
             return 0.0
-        return self.changed_structures / self.structures_audited
+        return self.changed_structures / self.counts["structures_audited"]
 
 
 @dataclass
@@ -273,36 +263,36 @@ def ordered_parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
         return list(pool.map(fn, items))
 
 
-@dataclass
-class _CaseResult:
-    case: CaseRecord
-    escalations: list[EscalationEntry]
-    stats: ExpectationStats  # this case's counts and changes
+def _expectation_case(case: CaseRecord, model: SegmentationModel, judge, cfg: EMConfig
+                      ) -> tuple[CaseRecord, list[StructureWrite], list[EscalationEntry],
+                                 ExpectationStats]:
+    """Audit one case, auto-replace, and judge its routed structures.
 
-
-def _expectation_case(case: CaseRecord, model: SegmentationModel, judge,
-                      cfg: EMConfig) -> _CaseResult:
+    Returns the case after its auto-replacements, the judge's decisions as
+    writes still to apply, the structures to escalate, and this case's
+    counts and changes so far."""
     outcome = audit_case(model, case, cfg.auto_replace_dsc, cfg.route_dsc)
     updated, changes = apply_update_rule(case, outcome)
     routed = sorted(outcome.actions(AuditAction.ROUTE_TO_EXPERT))
-    n_auto = len(outcome.actions(AuditAction.AUTO_REPLACE))
+    auto = outcome.actions(AuditAction.AUTO_REPLACE)
     stats = ExpectationStats(
-        structures_audited=len(outcome.per_structure),
-        n_keep=len(outcome.actions(AuditAction.KEEP)), n_auto_replace=n_auto,
-        n_route=len(routed),
-        changed_structures=n_auto,  # a zero-overlap replacement always changes voxels
-        per_case_audit_dsc={case.case_id: outcome.mean_dsc}, all_changes=list(changes))
-    result = _CaseResult(case=updated, escalations=[], stats=stats)
+        counts=Counter(structures_audited=len(outcome.per_structure),
+                       keep=len(outcome.actions(AuditAction.KEEP)),
+                       auto_replace=len(auto), route=len(routed)),
+        # an auto-replaced structure changed iff its audit DSC is below 1:
+        # a DSC of integer voxel counts is 1.0 exactly when the masks are equal
+        changed_structures=sum(outcome.per_structure[s].dsc < 1.0 for s in auto),
+        per_case_audit_dsc={case.case_id: outcome.mean_dsc}, all_changes=changes)
+    writes: list[StructureWrite] = []
+    escalations: list[EscalationEntry] = []
     if not routed:
-        return result
+        return updated, writes, escalations, stats
 
-    catalog = updated.pseudo.catalog
     incumbent = shape_cleanup(updated.pseudo, model.organ_connectivity,
                               model.tumor_connectivity)
     challenger = outcome.prediction
     tournament = run_tournament(updated, [incumbent, challenger], judge, structures=routed)
     verdicts = tournament.final_round.verdicts
-    labels = updated.pseudo.labels.copy()
     for s in routed:
         verdict = verdicts[s]
         incumbent_mask = incumbent.labels == s
@@ -314,8 +304,8 @@ def _expectation_case(case: CaseRecord, model: SegmentationModel, judge,
                           and max(verdict.score_first, verdict.score_second)
                           < cfg.low_confidence_floor)
         if tie and np.array_equal(incumbent_mask, challenger_mask):
-            action, mask = "expert_auto_resolved", incumbent_mask
-            stats.n_auto_resolved += 1
+            writes.append((s, incumbent_mask, "expert_auto_resolved"))
+            stats.counts["auto_resolved"] += 1
         elif low_confidence or tie:
             if low_confidence:
                 reason = EscalationReason.LOW_CONFIDENCE
@@ -324,21 +314,18 @@ def _expectation_case(case: CaseRecord, model: SegmentationModel, judge,
             else:
                 reason = EscalationReason.EXPERT_TIE
             candidates = [incumbent_mask, challenger_mask]
-            result.escalations.append(EscalationEntry(
+            escalations.append(EscalationEntry(
                 case_id=case.case_id, structure=s, reason=reason,
-                overlays=front_overlays(candidates), candidates=candidates))
-            continue
+                overlays=[front_view_projection(case.volume, m).overlay for m in candidates],
+                candidates=candidates))
+            stats.counts["escalate"] += 1
         elif verdict.preference is Preference.FIRST:
-            action, mask = "expert_replace", challenger_mask
-            stats.n_tournament_decided += 1
+            writes.append((s, challenger_mask, "expert_replace"))
+            stats.counts["tournament_decided"] += 1
         else:
-            action, mask = "expert_keep", incumbent_mask
-            stats.n_tournament_decided += 1
-        entry, changed = write_structure(labels, catalog, case.case_id, s, mask, action)
-        stats.all_changes.append(entry)
-        stats.changed_structures += int(changed)
-    result.case = updated.with_pseudo(updated.pseudo.with_labels(labels))
-    return result
+            writes.append((s, incumbent_mask, "expert_keep"))
+            stats.counts["tournament_decided"] += 1
+    return updated, writes, escalations, stats
 
 
 def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOracle,
@@ -350,7 +337,9 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
     low-agreement structures through the judge, and escalate per-structure
     ties to the oracle. Escalations are resolved serially in case order so
     results do not depend on the thread count; each returned entry carries
-    the oracle's answer and the oracle's class name as its source.
+    the oracle's answer and the oracle's class name as its source. A case's
+    judge decisions and oracle answers are written in one write_structures
+    call.
     """
     results = ordered_parallel_map(
         lambda case: _expectation_case(case, model, judge, cfg), list(corpus), threads)
@@ -358,10 +347,9 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
     stats = ExpectationStats()
     entries: list[EscalationEntry] = []
     updated_corpus: list[CaseRecord] = []
-    for result in results:
-        case, case_stats = result.case, result.stats
-        for entry in result.escalations:
-            case_stats.n_escalated += 1
+    for case, writes, escalations, case_stats in results:
+        stats.merge(case_stats)
+        for entry in escalations:
             entries.append(entry)
             context = f"{iteration}:{entry.case_id}:{entry.structure}"
             try:
@@ -370,17 +358,14 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
                 chosen = None
             entry.source = type(oracle).__name__
             if chosen is None:
-                case_stats.n_unresolved += 1
+                stats.counts["unresolved"] += 1
                 continue
             entry.chosen = int(chosen)
-            labels = case.pseudo.labels.copy()
-            change, changed = write_structure(
-                labels, case.pseudo.catalog, entry.case_id, entry.structure,
-                entry.candidates[entry.chosen], f"escalated_{entry.chosen}")
-            case = case.with_pseudo(case.pseudo.with_labels(labels))
-            case_stats.changed_structures += int(changed)
-            case_stats.all_changes.append(change)
-        stats.merge(case_stats)
+            writes.append((entry.structure, entry.candidates[entry.chosen],
+                           f"escalated_{entry.chosen}"))
+        case, changes, n_changed = write_structures(case, writes)
+        stats.all_changes.extend(changes)
+        stats.changed_structures += n_changed
         updated_corpus.append(case)
 
     return updated_corpus, entries, stats
@@ -528,7 +513,7 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
         mean_gold, per_structure = _gold_metrics(corpus)
         report = IterationReport(
             iteration=iteration,
-            counts=stats.to_dict(),
+            counts=dict(stats.counts),
             escalation_fraction=stats.escalation_fraction,
             budget_breached=stats.escalation_fraction > cfg.escalation_budget_fraction,
             change_fraction=stats.change_fraction,
@@ -564,11 +549,6 @@ def render_overlay_ascii(overlay: np.ndarray, on: str = "#", off: str = ".") -> 
     for z in range(nz - 1, -1, -1):
         rows.append("".join(on if overlay[x, z] else off for x in range(nx)))
     return "\n".join(rows)
-
-
-def front_overlays(masks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Front-view silhouettes (x-z) of 3D candidate masks."""
-    return [m.any(axis=1) for m in masks]
 
 
 def require_terminal() -> None:

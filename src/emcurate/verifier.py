@@ -448,30 +448,44 @@ def audit_case(model: SegmentationModel, case: CaseRecord,
                         prediction=prediction)
 
 
-def write_structure(labels: np.ndarray, catalog: StructureCatalog, case_id: str,
-                    structure: int, mask: np.ndarray, action: str
-                    ) -> tuple[ChangeLogEntry, bool]:
-    """Replace one structure's voxels in `labels` (in place) by `mask`.
+# One label write of the Expectation step: the structure, its new 3D mask
+# and the action its change-log row records.
+StructureWrite = tuple[int, np.ndarray, str]
+
+
+def write_structures(case: CaseRecord, writes: Sequence[StructureWrite]
+                     ) -> tuple[CaseRecord, list[ChangeLogEntry], int]:
+    """Apply each (structure, mask, action) in order to one copy of the
+    case's pseudo labels: the structure's voxels are replaced by the mask.
 
     Tumor labels take precedence: a non-tumor structure never overwrites a
     tumor voxel. Any other occupied voxel goes to the written structure.
-    Voxels of `mask` that held another label are counted as conflicts.
-    Returns the change-log entry and whether the structure's voxels changed.
+    Voxels of a mask that held another label are counted as that write's
+    conflicts. Returns the case with the new labels (the case itself when
+    there is nothing to write), one change-log entry per write, and the
+    number of writes whose mask differed from the structure's voxels just
+    before the write.
     """
-    old = labels == structure
-    changed = not np.array_equal(old, mask)
-    before = int(np.count_nonzero(old))
-    labels[old] = BACKGROUND
-    tumor_labels = catalog.tumor_labels
-    if structure in tumor_labels or not tumor_labels:
-        blocked = np.zeros_like(mask)
-    else:
-        blocked = np.isin(labels, tumor_labels)
-    conflicts = int(np.count_nonzero(mask & ((labels != BACKGROUND) | blocked)))
-    labels[mask & ~blocked] = structure
-    entry = ChangeLogEntry(case_id, structure, action, before,
-                           int(np.count_nonzero(labels == structure)), conflicts)
-    return entry, changed
+    if not writes:
+        return case, [], 0
+    labels = case.pseudo.labels.copy()
+    tumor_labels = case.pseudo.catalog.tumor_labels
+    log = []
+    n_changed = 0
+    for structure, mask, action in writes:
+        old = labels == structure
+        n_changed += not np.array_equal(old, mask)
+        before = int(np.count_nonzero(old))
+        labels[old] = BACKGROUND
+        if structure in tumor_labels or not tumor_labels:
+            blocked = np.zeros_like(mask)
+        else:
+            blocked = np.isin(labels, tumor_labels)
+        conflicts = int(np.count_nonzero(mask & ((labels != BACKGROUND) | blocked)))
+        labels[mask & ~blocked] = structure
+        log.append(ChangeLogEntry(case.case_id, structure, action, before,
+                                  int(np.count_nonzero(labels == structure)), conflicts))
+    return case.with_pseudo(case.pseudo.with_labels(labels)), log, n_changed
 
 
 def apply_update_rule(case: CaseRecord, outcome: AuditOutcome
@@ -479,13 +493,9 @@ def apply_update_rule(case: CaseRecord, outcome: AuditOutcome
     """Replace auto_replace structures with the audited prediction.
 
     Keep/route structures are untouched voxel-for-voxel; the replacements
-    follow the label precedence of `write_structure`.
+    follow the label precedence of `write_structures`.
     """
-    to_replace = outcome.actions(AuditAction.AUTO_REPLACE)
-    if not to_replace:
-        return case, []
-    labels = case.pseudo.labels.copy()
-    log = [write_structure(labels, case.pseudo.catalog, case.case_id, s,
-                           outcome.prediction.labels == s, "auto_replace")[0]
-           for s in sorted(to_replace)]
-    return case.with_pseudo(case.pseudo.with_labels(labels)), log
+    updated, log, _ = write_structures(
+        case, [(s, outcome.prediction.labels == s, "auto_replace")
+               for s in sorted(outcome.actions(AuditAction.AUTO_REPLACE))])
+    return updated, log

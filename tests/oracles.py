@@ -7,7 +7,9 @@ grid, built with numpy and scipy directly. They call nothing in the package
 under test and only read a model's fitted attributes. per_threshold_roc is
 build_roc as it was before the one-pass sweep: it relabels every case at
 every threshold through the package's tumor_wise_detection, whose own
-oracle is brute_tumor_wise.
+oracle is brute_tumor_wise. write_structure is the one-structure label
+write that write_structures replaced: it writes into a labels array in
+place and builds no label map.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import numpy as np
 from scipy import ndimage
 
 from emcurate.errors import ShapeError
-from emcurate.grid import connected_components, nonzero_box
+from emcurate.grid import BACKGROUND, StructureCatalog, connected_components, nonzero_box
 from emcurate.metrics import RocCurve, RocPoint, _check_thresholds, tumor_wise_detection
+from emcurate.verifier import ChangeLogEntry
 
 FACE_NEIGHBORS = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
@@ -336,3 +339,29 @@ def per_threshold_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray
         points.append(RocPoint(threshold=t, sensitivity=sens,
                                fp_per_scan=fp_total / len(cases), specificity=spec))
     return RocCurve(points=tuple(points))
+
+
+def write_structure(labels: np.ndarray, catalog: StructureCatalog, case_id: str,
+                    structure: int, mask: np.ndarray, action: str
+                    ) -> tuple[ChangeLogEntry, bool]:
+    """Replace one structure's voxels in `labels` (in place) by `mask`.
+
+    Tumor labels take precedence: a non-tumor structure never overwrites a
+    tumor voxel. Any other occupied voxel goes to the written structure.
+    Voxels of `mask` that held another label are counted as conflicts.
+    Returns the change-log entry and whether the structure's voxels changed.
+    """
+    old = labels == structure
+    changed = not np.array_equal(old, mask)
+    before = int(np.count_nonzero(old))
+    labels[old] = BACKGROUND
+    tumor_labels = catalog.tumor_labels
+    if structure in tumor_labels or not tumor_labels:
+        blocked = np.zeros_like(mask)
+    else:
+        blocked = np.isin(labels, tumor_labels)
+    conflicts = int(np.count_nonzero(mask & ((labels != BACKGROUND) | blocked)))
+    labels[mask & ~blocked] = structure
+    entry = ChangeLogEntry(case_id, structure, action, before,
+                           int(np.count_nonzero(labels == structure)), conflicts)
+    return entry, changed

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 from pathlib import Path
@@ -653,6 +654,34 @@ def test_roc_csv_matches_pinned_fixture(tmp_path):
     for name, pinned in (("roc_curve.csv", "roc_curve.csv"), ("policy.json", "roc_policy.json"),
                          ("savings.json", "roc_savings.json")):
         assert (out / name).read_bytes() == (fixtures / pinned).read_bytes(), name
+
+
+E_STEP_FIXTURE = Path(__file__).parent / "fixtures" / "e_step_run"
+
+
+def test_e_step_outputs_match_pinned_fixture(tmp_path):
+    """The E-step files no benchmark digest covers (change logs, resolutions,
+    the queue, refine stats and the iteration reports' change fractions)
+    match files pinned byte for byte, on a corpus whose run has judge
+    replacements and keeps and an escalation the oracle answers."""
+    actions = {json.loads(line)["action"]
+               for line in (E_STEP_FIXTURE / "refine" / "changes.jsonl").open()}
+    assert {"expert_replace", "expert_keep", "escalated_1"} <= actions
+    raw = copy.deepcopy(BASE_CFG)
+    raw["corpus"]["n_cases"] = 16
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    corpus = tmp_path / "corpus"
+    common = ["--config", str(cfg), "--seed", "16"]
+    assert main(["generate", *common, "--out", str(corpus)]) == 0
+    for command in ("refine", "run-loop"):
+        assert main([command, *common, "--threads", "1", "--corpus", str(corpus),
+                     "--out", str(tmp_path / command.replace("-", "_"))]) == 0
+    pinned = [p for p in sorted(E_STEP_FIXTURE.rglob("*")) if p.is_file()]
+    assert len(pinned) == 8
+    for p in pinned:
+        rel = p.relative_to(E_STEP_FIXTURE)
+        assert (tmp_path / rel).read_bytes() == p.read_bytes(), rel
 
 
 def test_json_artifacts_carry_schema_version(cfg_file, tmp_path):

@@ -6,6 +6,8 @@ import pytest
 import emcurate as em
 from emcurate import EMConfig, RuleBasedJudge, SimulatedExpert, TieKeeperOracle
 from emcurate.errors import ConfigError
+from emcurate.expert import JudgeVerdict, Preference
+from emcurate.grid import LabelMap, StructureCatalog, StructureEntry, StructureKind
 from emcurate.loop import (
     EscalationEntry,
     EscalationReason,
@@ -17,6 +19,8 @@ from emcurate.loop import (
     run_em,
     save_queue,
 )
+
+from conftest import make_case
 
 
 def em_cfg(**over):
@@ -60,7 +64,7 @@ def test_expectation_fixed_point(run_cfg_module, judge):
     updated, entries, stats = expectation_pass(consistent, model, judge,
                                                TieKeeperOracle(), em_cfg())
     assert stats.changed_structures == 0
-    assert stats.n_escalated == 0
+    assert stats.counts["escalate"] == 0
     assert entries == []
     for before, after in zip(consistent, updated):
         assert np.array_equal(before.pseudo.labels, after.pseudo.labels)
@@ -76,8 +80,8 @@ def test_expectation_single_deletion(run_cfg_module, judge):
     consistent[0] = consistent[0].with_pseudo(consistent[0].pseudo.with_labels(labels))
     updated, entries, stats = expectation_pass(consistent, model, judge,
                                                TieKeeperOracle(), em_cfg())
-    assert stats.n_auto_replace == 1
-    assert stats.n_escalated == 0
+    assert stats.counts["auto_replace"] == 1
+    assert stats.counts["escalate"] == 0
     assert (updated[0].pseudo.labels == 2).any()
 
 
@@ -85,10 +89,12 @@ def test_expectation_counts_sum(noisy_corpus, run_cfg_module, judge):
     cases, _ = noisy_corpus
     model = em.fit_model(cases)
     _, entries, stats = expectation_pass(cases, model, judge, TieKeeperOracle(), em_cfg())
-    assert stats.n_keep + stats.n_auto_replace + stats.n_route == stats.structures_audited
-    routed_not_tournament = stats.n_route - stats.n_tournament_decided
-    assert stats.n_escalated + stats.n_auto_resolved == routed_not_tournament
-    assert len(entries) == stats.n_escalated
+    counts = stats.counts
+    assert counts["keep"] + counts["auto_replace"] + counts["route"] == \
+        counts["structures_audited"]
+    routed_not_tournament = counts["route"] - counts["tournament_decided"]
+    assert counts["escalate"] + counts["auto_resolved"] == routed_not_tournament
+    assert len(entries) == counts["escalate"]
 
 
 def test_expectation_thread_count_invariant(noisy_corpus, run_cfg_module, judge):
@@ -174,12 +180,31 @@ def test_shape_cleanup_uses_model_connectivity(noisy_corpus, judge, monkeypatch)
     assert seen and set(seen) == {(6, 26)}
 
 
+class TieJudge:
+    def compare(self, case_id, structure, volume, mask_a, mask_b):
+        return JudgeVerdict(Preference.TIE, 0.5, 0.5)
+
+
+class PickChallenger:
+    def review(self, case, structure, candidates, context):
+        return 1
+
+
+def fixed_model(case, pred_labels):
+    """A model whose prediction for every volume is pred_labels."""
+    class FixedModel:
+        organ_connectivity = 26
+        tumor_connectivity = 6
+
+        def predict(self, volume):
+            return case.pseudo.with_labels(pred_labels)
+
+    return FixedModel()
+
+
 def test_escalated_write_logs_conflicts():
     # the reviewer picks the challenger organ mask, which runs across a kept
     # tumor voxel: the tumor keeps the voxel and the row counts the conflict
-    from conftest import make_case
-    from emcurate.expert import JudgeVerdict, Preference
-    from emcurate.grid import StructureCatalog, StructureEntry, StructureKind
     cat = StructureCatalog((
         StructureEntry(1, "organ_a", StructureKind.ORGAN),
         StructureEntry(2, "tumor_a", StructureKind.TUMOR),
@@ -193,28 +218,63 @@ def test_escalated_write_logs_conflicts():
     pred_labels[7, 0, 0] = 2     # tumor dsc 2/3: keep
     case = make_case(np.zeros((8, 1, 1)), labels, cat)
 
-    class FixedModel:
-        organ_connectivity = 26
-        tumor_connectivity = 6
-
-        def predict(self, volume):
-            return case.pseudo.with_labels(pred_labels)
-
-    class TieJudge:
-        def compare(self, case_id, structure, volume, mask_a, mask_b):
-            return JudgeVerdict(Preference.TIE, 0.5, 0.5)
-
-    class PickChallenger:
-        def review(self, case, structure, candidates, context):
-            return 1
-
-    updated, entries, stats = expectation_pass([case], FixedModel(), TieJudge(),
-                                               PickChallenger(), em_cfg())
+    updated, entries, stats = expectation_pass([case], fixed_model(case, pred_labels),
+                                               TieJudge(), PickChallenger(), em_cfg())
     assert [e.structure for e in entries] == [1]
     row = next(e for e in stats.all_changes if e.action == "escalated_1")
     assert row.conflicts == 1
     assert updated[0].pseudo.labels[4, 0, 0] == 2
     assert list(updated[0].pseudo.labels[2:6, 0, 0]) == [1, 1, 2, 1]
+
+
+def test_answered_escalations_share_one_label_write(monkeypatch):
+    """A case's oracle answers land in one label write: with two answered
+    escalations the pass builds three label maps, namely the prediction, the
+    judge's cleaned incumbent and the written pseudo labels."""
+    cat = StructureCatalog((
+        StructureEntry(1, "organ_a", StructureKind.ORGAN),
+        StructureEntry(2, "organ_b", StructureKind.ORGAN),
+    ))
+    labels = np.zeros((12, 1, 1), np.uint16)
+    labels[0:3, 0, 0] = 1
+    labels[6:9, 0, 0] = 2
+    pred_labels = np.zeros((12, 1, 1), np.uint16)
+    pred_labels[2:5, 0, 0] = 1   # dsc 1/3: route
+    pred_labels[8:11, 0, 0] = 2  # dsc 1/3: route
+    case = make_case(np.zeros((12, 1, 1)), labels, cat)
+    model = fixed_model(case, pred_labels)
+
+    builds = []
+    post_init = LabelMap.__post_init__
+
+    def counting(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(LabelMap, "__post_init__", counting)
+    updated, entries, stats = expectation_pass([case], model, TieJudge(),
+                                               PickChallenger(), em_cfg())
+    assert [(e.structure, e.chosen) for e in entries] == [(1, 1), (2, 1)]
+    assert [e.action for e in stats.all_changes] == ["escalated_1", "escalated_1"]
+    assert np.array_equal(updated[0].pseudo.labels, pred_labels)
+    assert len(builds) == 3
+
+
+def test_change_count_skips_auto_replacements_equal_to_the_prediction(run_cfg_module,
+                                                                      judge):
+    """With auto_replace_dsc 1.0 every structure is auto-replaced, but only
+    those whose annotation differs from the prediction count as changed."""
+    cases, _ = em.generate_corpus(run_cfg_module.phantom, None, 4, 1.0, seed=1)
+    model = em.fit_model(cases)
+    cfg = em_cfg(auto_replace_dsc=1.0, route_dsc=1.0)
+    _, _, stats = expectation_pass(cases, model, judge, TieKeeperOracle(), cfg)
+    audited = stats.counts["structures_audited"]
+    differ = sum(not np.array_equal(c.pseudo.labels == s, model.predict(c.volume).labels == s)
+                 for c in cases for s in c.pseudo.catalog.labels)
+    assert stats.counts["auto_replace"] == audited
+    assert 0 < differ < audited
+    assert stats.changed_structures == differ
+    assert stats.change_fraction == differ / audited
 
 
 def test_maximization_full_labeled_equals_plain_fit(noisy_corpus):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import emcurate as em
 from emcurate import AuditAction, ModelError, classify_action
@@ -15,15 +16,19 @@ from emcurate.verifier import (
     _log_ratio_intervals,
     apply_update_rule,
     audit_case,
+    write_structures,
 )
 
 from conftest import CAT4, intensities_for, label_volumes, make_case
-from oracles import full_grid_fit, full_grid_predict, full_grid_predict_prob
+from oracles import full_grid_fit, full_grid_predict, full_grid_predict_prob, write_structure
 
 CAT2 = StructureCatalog((
     StructureEntry(1, "organ_a", StructureKind.ORGAN),
     StructureEntry(2, "tumor_a", StructureKind.TUMOR),
 ))
+# CAT4's labels without a tumor: no write is ever blocked
+ORGANS4 = StructureCatalog(tuple(StructureEntry(e.label, e.name, StructureKind.ORGAN)
+                                 for e in CAT4.entries))
 
 
 def test_classify_action_thresholds():
@@ -239,6 +244,47 @@ def test_tumor_precedence_on_conflict():
     assert updated.pseudo.labels[5, 0, 0] == 1
     organ_entry = next(e for e in log if e.structure == 1)
     assert organ_entry.conflicts == 1
+
+
+@st.composite
+def structure_writes(draw, labels: np.ndarray):
+    """0 to 5 (structure, mask, action) writes on labels' grid. A mask is
+    random (often across tumor voxels), empty, or some label's voxels, so
+    writes that change nothing occur too; five writes over four labels
+    often write one structure twice."""
+    writes = []
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["random", "empty", "label"]))
+        if kind == "random":
+            mask = draw(arrays(bool, labels.shape))
+        elif kind == "empty":
+            mask = np.zeros(labels.shape, bool)
+        else:
+            mask = labels == draw(st.integers(0, 4))
+        writes.append((draw(st.integers(1, 4)), mask,
+                       draw(st.sampled_from(["auto_replace", "expert_keep", "escalated_1"]))))
+    return writes
+
+
+@given(data=st.data(), catalog=st.sampled_from([CAT4, ORGANS4]))
+def test_write_structures_equals_one_write_at_a_time(data, catalog):
+    (labels,) = data.draw(label_volumes())
+    writes = data.draw(structure_writes(labels))
+    case = make_case(np.zeros(labels.shape), labels, catalog)
+    updated, log, n_changed = write_structures(case, writes)
+
+    ref = labels.copy()
+    ref_log, ref_changed = [], 0
+    for structure, mask, action in writes:
+        entry, changed = write_structure(ref, catalog, case.case_id, structure, mask, action)
+        ref_log.append(entry)
+        ref_changed += changed
+    assert np.array_equal(updated.pseudo.labels, ref)
+    assert log == ref_log
+    assert n_changed == ref_changed
+    assert np.array_equal(case.pseudo.labels, labels)  # the input case is not written
+    if not writes:
+        assert updated is case
 
 
 def test_deletion_only_noise_auto_replace_fraction(run_cfg):
