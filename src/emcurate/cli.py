@@ -85,7 +85,10 @@ def _resolve_threads(args) -> int:
 def _load_config(args) -> RunConfig:
     cfg = load_run_config(getattr(args, "config", None))
     if getattr(args, "seed", None) is not None:
-        cfg = cfg.with_seed(int(args.seed))
+        try:
+            cfg = cfg.with_seed(int(args.seed))
+        except ConfigError as exc:
+            raise ConfigError(f"--seed: {exc}") from None
     return cfg
 
 

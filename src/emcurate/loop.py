@@ -42,6 +42,7 @@ from .verifier import (
     StructureWrite,
     audit_case,
     apply_update_rule,
+    changed_structures,
     fit_model,
     write_structures,
 )
@@ -77,6 +78,8 @@ class EMConfig:
                 raise ConfigError(f"{name} must lie in [0, 1]")
         if self.convergence_mode not in ("gold", "changes"):
             raise ConfigError("convergence_mode must be 'gold' or 'changes'")
+        if self.seed < 0:
+            raise ConfigError(f"em.seed must be >= 0, got {self.seed}")
 
 
 class EscalationReason(str, Enum):
@@ -208,7 +211,6 @@ class ExpectationStats:
     def merge(self, other: "ExpectationStats") -> None:
         """Add the counts of ``other`` to these and append its changes."""
         self.counts.update(other.counts)
-        self.changed_structures += other.changed_structures
         self.per_case_audit_dsc.update(other.per_case_audit_dsc)
         self.all_changes.extend(other.all_changes)
 
@@ -279,9 +281,6 @@ def _expectation_case(case: CaseRecord, model: SegmentationModel, judge, cfg: EM
         counts=Counter(structures_audited=len(outcome.per_structure),
                        keep=len(outcome.actions(AuditAction.KEEP)),
                        auto_replace=len(auto), route=len(routed)),
-        # an auto-replaced structure changed iff its audit DSC is below 1:
-        # a DSC of integer voxel counts is 1.0 exactly when the masks are equal
-        changed_structures=sum(outcome.per_structure[s].dsc < 1.0 for s in auto),
         per_case_audit_dsc={case.case_id: outcome.mean_dsc}, all_changes=changes)
     writes: list[StructureWrite] = []
     escalations: list[EscalationEntry] = []
@@ -339,7 +338,7 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
     results do not depend on the thread count; each returned entry carries
     the oracle's answer and the oracle's class name as its source. A case's
     judge decisions and oracle answers are written in one write_structures
-    call.
+    call; its changed structures are then counted against its input labels.
     """
     results = ordered_parallel_map(
         lambda case: _expectation_case(case, model, judge, cfg), list(corpus), threads)
@@ -347,7 +346,7 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
     stats = ExpectationStats()
     entries: list[EscalationEntry] = []
     updated_corpus: list[CaseRecord] = []
-    for case, writes, escalations, case_stats in results:
+    for original, (case, writes, escalations, case_stats) in zip(corpus, results):
         stats.merge(case_stats)
         for entry in escalations:
             entries.append(entry)
@@ -363,9 +362,9 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
             entry.chosen = int(chosen)
             writes.append((entry.structure, entry.candidates[entry.chosen],
                            f"escalated_{entry.chosen}"))
-        case, changes, n_changed = write_structures(case, writes)
+        case, changes = write_structures(case, writes)
         stats.all_changes.extend(changes)
-        stats.changed_structures += n_changed
+        stats.changed_structures += changed_structures(original.pseudo, case.pseudo)
         updated_corpus.append(case)
 
     return updated_corpus, entries, stats

@@ -88,6 +88,9 @@ class TumorSpec:
             raise ConfigError("tumor count_range must satisfy 0 <= lo <= hi")
         if self.radius_range[0] <= 0 or self.radius_range[1] < self.radius_range[0]:
             raise ConfigError("tumor radius_range must be positive and ordered")
+        if self.intensity_std < 0:
+            raise ConfigError("phantom.tumor.intensity_std must be >= 0, "
+                              f"got {self.intensity_std}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,12 @@ class PhantomSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "structures", tuple(self.structures))
+        if any(d <= 0 for d in self.dims):
+            raise ConfigError(f"phantom.dims must be positive, got {list(self.dims)}")
+        if any(s <= 0 for s in self.spacing):
+            raise ConfigError(f"phantom.spacing must be positive, got {list(self.spacing)}")
+        if self.background_std < 0:
+            raise ConfigError(f"phantom.background.std must be >= 0, got {self.background_std}")
         if self.tumor is not None:
             hosts = [s for s in self.structures if s.label == self.tumor.host_label]
             if not hosts:
@@ -150,6 +159,13 @@ class NoiseSpec:
                 raise ConfigError(f"noise probability {name}={p} outside [0,1]")
         if self.tumor_fp_rate < 0:
             raise ConfigError("tumor_fp_rate must be >= 0")
+        lo, hi = self.shift_voxels
+        if lo < 0 or hi < lo:
+            raise ConfigError("noise.shift_voxels must satisfy 0 <= lo <= hi, "
+                              f"got {list(self.shift_voxels)}")
+        if any(w < 0 for w in self.shift_axes) or sum(self.shift_axes) <= 0:
+            raise ConfigError("noise.shift_axes must be nonnegative with a positive sum, "
+                              f"got {list(self.shift_axes)}")
 
 
 @dataclass(frozen=True)

@@ -454,7 +454,7 @@ StructureWrite = tuple[int, np.ndarray, str]
 
 
 def write_structures(case: CaseRecord, writes: Sequence[StructureWrite]
-                     ) -> tuple[CaseRecord, list[ChangeLogEntry], int]:
+                     ) -> tuple[CaseRecord, list[ChangeLogEntry]]:
     """Apply each (structure, mask, action) in order to one copy of the
     case's pseudo labels: the structure's voxels are replaced by the mask.
 
@@ -462,19 +462,15 @@ def write_structures(case: CaseRecord, writes: Sequence[StructureWrite]
     tumor voxel. Any other occupied voxel goes to the written structure.
     Voxels of a mask that held another label are counted as that write's
     conflicts. Returns the case with the new labels (the case itself when
-    there is nothing to write), one change-log entry per write, and the
-    number of writes whose mask differed from the structure's voxels just
-    before the write.
+    there is nothing to write) and one change-log entry per write.
     """
     if not writes:
-        return case, [], 0
+        return case, []
     labels = case.pseudo.labels.copy()
     tumor_labels = case.pseudo.catalog.tumor_labels
     log = []
-    n_changed = 0
     for structure, mask, action in writes:
         old = labels == structure
-        n_changed += not np.array_equal(old, mask)
         before = int(np.count_nonzero(old))
         labels[old] = BACKGROUND
         if structure in tumor_labels or not tumor_labels:
@@ -485,7 +481,14 @@ def write_structures(case: CaseRecord, writes: Sequence[StructureWrite]
         labels[mask & ~blocked] = structure
         log.append(ChangeLogEntry(case.case_id, structure, action, before,
                                   int(np.count_nonzero(labels == structure)), conflicts))
-    return case.with_pseudo(case.pseudo.with_labels(labels)), log, n_changed
+    return case.with_pseudo(case.pseudo.with_labels(labels)), log
+
+
+def changed_structures(before: LabelMap, after: LabelMap) -> int:
+    """How many catalog labels hold other voxels in `after` than in `before`."""
+    if before is after:
+        return 0
+    return sum(not np.array_equal(a, b) for _, a, b in structure_mask_pairs(before, after))
 
 
 def apply_update_rule(case: CaseRecord, outcome: AuditOutcome
@@ -495,7 +498,6 @@ def apply_update_rule(case: CaseRecord, outcome: AuditOutcome
     Keep/route structures are untouched voxel-for-voxel; the replacements
     follow the label precedence of `write_structures`.
     """
-    updated, log, _ = write_structures(
+    return write_structures(
         case, [(s, outcome.prediction.labels == s, "auto_replace")
                for s in sorted(outcome.actions(AuditAction.AUTO_REPLACE))])
-    return updated, log

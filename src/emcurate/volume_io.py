@@ -197,8 +197,9 @@ def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCata
             raise TypeError(f"file names must be strings, got {files!r}")
         report = StructuredReport.from_dict(sidecar["report"])
         meta = CaseMeta.from_dict(sidecar["meta"])
-    # ShapeError: a report whose fields contradict each other
-    except (KeyError, TypeError, ValueError, ShapeError) as exc:
+    # AttributeError: a report that is not a mapping; ShapeError: a report
+    # whose fields contradict each other
+    except (KeyError, TypeError, ValueError, AttributeError, ShapeError) as exc:
         raise VolumeFormatError(f"{sidecar_path}: malformed case sidecar: {exc!r}") from None
 
     def decode(role: str, raw: bytes, reader, *args):
@@ -268,7 +269,8 @@ def read_corpus(corpus_dir: Union[str, Path]) -> tuple[list[CaseRecord], Structu
             raise TypeError(f"checksums must map file names to sha256, got {type(checksums)}")
         if len(set(case_ids)) != len(case_ids):
             raise ValueError("duplicate case ids")
-    except (KeyError, TypeError, ValueError) as exc:
+    # CatalogError: catalog labels that are not 1, 2, ... in order
+    except (KeyError, TypeError, ValueError, CatalogError) as exc:
         raise VolumeFormatError(f"{path}: malformed manifest: {exc!r}") from None
     first = read_case(path.parent, case_ids[0], catalog, checksums)
     lattice = (first.volume.dims, first.volume.spacing)

@@ -9,7 +9,8 @@ build_roc as it was before the one-pass sweep: it relabels every case at
 every threshold through the package's tumor_wise_detection, whose own
 oracle is brute_tumor_wise. write_structure is the one-structure label
 write that write_structures replaced: it writes into a labels array in
-place and builds no label map.
+place and builds no label map. full_grid_changed_structures is the
+Expectation step's change count without box crops.
 """
 
 from __future__ import annotations
@@ -343,16 +344,15 @@ def per_threshold_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray
 
 def write_structure(labels: np.ndarray, catalog: StructureCatalog, case_id: str,
                     structure: int, mask: np.ndarray, action: str
-                    ) -> tuple[ChangeLogEntry, bool]:
+                    ) -> ChangeLogEntry:
     """Replace one structure's voxels in `labels` (in place) by `mask`.
 
     Tumor labels take precedence: a non-tumor structure never overwrites a
     tumor voxel. Any other occupied voxel goes to the written structure.
     Voxels of `mask` that held another label are counted as conflicts.
-    Returns the change-log entry and whether the structure's voxels changed.
+    Returns the change-log entry.
     """
     old = labels == structure
-    changed = not np.array_equal(old, mask)
     before = int(np.count_nonzero(old))
     labels[old] = BACKGROUND
     tumor_labels = catalog.tumor_labels
@@ -362,6 +362,11 @@ def write_structure(labels: np.ndarray, catalog: StructureCatalog, case_id: str,
         blocked = np.isin(labels, tumor_labels)
     conflicts = int(np.count_nonzero(mask & ((labels != BACKGROUND) | blocked)))
     labels[mask & ~blocked] = structure
-    entry = ChangeLogEntry(case_id, structure, action, before,
-                           int(np.count_nonzero(labels == structure)), conflicts)
-    return entry, changed
+    return ChangeLogEntry(case_id, structure, action, before,
+                          int(np.count_nonzero(labels == structure)), conflicts)
+
+
+def full_grid_changed_structures(before: np.ndarray, after: np.ndarray,
+                                 catalog: StructureCatalog) -> int:
+    """How many catalog labels' full-grid masks differ between two label arrays."""
+    return sum(not np.array_equal(before == s, after == s) for s in catalog.labels)

@@ -133,6 +133,7 @@ CORRUPTIONS = {
     "no_cases": ("manifest.json", _edit_json(lambda m: m.update(case_ids=[]))),
     "checksums_not_a_dict": ("manifest.json",
                              _edit_json(lambda m: m.update(checksums=sorted(m["checksums"])))),
+    "catalog_relabelled": ("manifest.json", _edit_json(lambda m: m["catalog"][0].update(label=9))),
 }
 
 
@@ -196,6 +197,7 @@ SIDECAR_CORRUPTIONS = {
     "bad_sex": _edit_sidecar(lambda s: s["meta"].update(sex="X")),
     "inconsistent_report": _edit_sidecar(lambda s: s["report"].update(tumor_count=-1)),
     "files_not_a_dict": _edit_sidecar(lambda s: s.update(files=["a", "b"])),
+    "report_not_a_dict": _edit_sidecar(lambda s: s.update(report=[1])),
     "other_case_id": _edit_sidecar(lambda s: s.update(case_id="case_0002")),
     "other_catalog_id": _edit_sidecar(lambda s: s.update(catalog_id="000000000000")),
     "gold_flag_without_gold_map": _edit_sidecar(

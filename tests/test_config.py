@@ -161,6 +161,15 @@ MALFORMED = [
     ({"noise": {"shift_axes": [1.0, "0", 1.0]}}, "noise.shift_axes"),
     ({"metrics": {"nsd_tolerance_mm": float("nan")}}, "metrics.nsd_tolerance_mm"),
     ({"em": {"convergence_epsilon": float("-inf")}}, "em.convergence_epsilon"),
+    ({"em": {"seed": -1}}, "em.seed"),
+    (_phantom(lambda p: p.update(dims=[0, 32, 32])), "phantom.dims must be positive, got [0"),
+    (_phantom(lambda p: p.update(dims=[-4, 32, 32])), "phantom.dims must be positive, got [-4"),
+    (_phantom(lambda p: p.update(spacing=[1.0, 0.0, 1.0])), "phantom.spacing"),
+    (_phantom(lambda p: p["background"].update(std=-1.0)), "phantom.background.std"),
+    (_phantom(lambda p: p["tumor"].update(intensity_std=-1.0)), "phantom.tumor.intensity_std"),
+    ({"noise": {"shift_voxels": [8, 4]}}, "noise.shift_voxels must satisfy"),
+    ({"noise": {"shift_axes": [1.0, -0.5, 1.0]}}, "noise.shift_axes must be nonnegative"),
+    ({"noise": {"shift_axes": [0.0, 0.0, 0.0]}}, "with a positive sum, got [0.0, 0.0, 0.0]"),
 ]
 
 
@@ -196,6 +205,15 @@ def test_malformed_config_exits_2(run_cfg, tmp_path, capsys, sections, where):
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert where in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_negative_seed_flag_exits_2(run_cfg, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(_write(run_cfg, tmp_path)), "--seed", "-1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
     assert not out.exists()
 
 

@@ -21,6 +21,7 @@ from emcurate.loop import (
 )
 
 from conftest import make_case
+from oracles import full_grid_changed_structures
 
 
 def em_cfg(**over):
@@ -54,6 +55,8 @@ def test_emconfig_validation():
         EMConfig(escalation_budget_fraction=0.0)
     with pytest.raises(ConfigError):
         EMConfig(convergence_mode="nope")
+    with pytest.raises(ConfigError):
+        EMConfig(seed=-1)
 
 
 def test_expectation_fixed_point(run_cfg_module, judge):
@@ -260,21 +263,42 @@ def test_answered_escalations_share_one_label_write(monkeypatch):
     assert len(builds) == 3
 
 
+def test_change_count_includes_a_structure_that_only_lost_voxels():
+    """Organ 1 is auto-replaced onto two voxels of organ 2, which is kept:
+    both structures changed, though only organ 1 was written."""
+    cat = StructureCatalog((StructureEntry(1, "organ_a", StructureKind.ORGAN),
+                            StructureEntry(2, "organ_b", StructureKind.ORGAN)))
+    labels = np.array([1, 1, 2, 2, 2, 2, 2, 2], np.uint16).reshape(8, 1, 1)
+    pred_labels = np.array([0, 0, 1, 1, 2, 2, 2, 2], np.uint16).reshape(8, 1, 1)
+    case = make_case(np.zeros((8, 1, 1)), labels, cat)
+    updated, _, stats = expectation_pass([case], fixed_model(case, pred_labels), TieJudge(),
+                                         TieKeeperOracle(), em_cfg())
+    assert (stats.counts["auto_replace"], stats.counts["keep"]) == (1, 1)
+    assert np.array_equal(updated[0].pseudo.labels, pred_labels)
+    assert stats.changed_structures == 2
+    assert stats.change_fraction == 1.0
+
+
 def test_change_count_skips_auto_replacements_equal_to_the_prediction(run_cfg_module,
                                                                       judge):
     """With auto_replace_dsc 1.0 every structure is auto-replaced, but only
-    those whose annotation differs from the prediction count as changed."""
+    those whose voxels the pass changed count as changed. An annotation
+    equal to the prediction never changes; one that differs from it only
+    where a tumor blocks the write does not change either."""
     cases, _ = em.generate_corpus(run_cfg_module.phantom, None, 4, 1.0, seed=1)
     model = em.fit_model(cases)
     cfg = em_cfg(auto_replace_dsc=1.0, route_dsc=1.0)
-    _, _, stats = expectation_pass(cases, model, judge, TieKeeperOracle(), cfg)
+    updated, _, stats = expectation_pass(cases, model, judge, TieKeeperOracle(), cfg)
     audited = stats.counts["structures_audited"]
     differ = sum(not np.array_equal(c.pseudo.labels == s, model.predict(c.volume).labels == s)
                  for c in cases for s in c.pseudo.catalog.labels)
+    changed = sum(full_grid_changed_structures(c.pseudo.labels, u.pseudo.labels,
+                                               c.pseudo.catalog)
+                  for c, u in zip(cases, updated))
     assert stats.counts["auto_replace"] == audited
-    assert 0 < differ < audited
-    assert stats.changed_structures == differ
-    assert stats.change_fraction == differ / audited
+    assert 0 < changed <= differ < audited
+    assert stats.changed_structures == changed
+    assert stats.change_fraction == changed / audited
 
 
 def test_maximization_full_labeled_equals_plain_fit(noisy_corpus):

@@ -16,11 +16,18 @@ from emcurate.verifier import (
     _log_ratio_intervals,
     apply_update_rule,
     audit_case,
+    changed_structures,
     write_structures,
 )
 
 from conftest import CAT4, intensities_for, label_volumes, make_case
-from oracles import full_grid_fit, full_grid_predict, full_grid_predict_prob, write_structure
+from oracles import (
+    full_grid_changed_structures,
+    full_grid_fit,
+    full_grid_predict,
+    full_grid_predict_prob,
+    write_structure,
+)
 
 CAT2 = StructureCatalog((
     StructureEntry(1, "organ_a", StructureKind.ORGAN),
@@ -271,20 +278,29 @@ def test_write_structures_equals_one_write_at_a_time(data, catalog):
     (labels,) = data.draw(label_volumes())
     writes = data.draw(structure_writes(labels))
     case = make_case(np.zeros(labels.shape), labels, catalog)
-    updated, log, n_changed = write_structures(case, writes)
+    updated, log = write_structures(case, writes)
 
     ref = labels.copy()
-    ref_log, ref_changed = [], 0
-    for structure, mask, action in writes:
-        entry, changed = write_structure(ref, catalog, case.case_id, structure, mask, action)
-        ref_log.append(entry)
-        ref_changed += changed
+    ref_log = [write_structure(ref, catalog, case.case_id, structure, mask, action)
+               for structure, mask, action in writes]
     assert np.array_equal(updated.pseudo.labels, ref)
     assert log == ref_log
-    assert n_changed == ref_changed
     assert np.array_equal(case.pseudo.labels, labels)  # the input case is not written
     if not writes:
         assert updated is case
+
+
+@given(data=st.data(), catalog=st.sampled_from([CAT4, ORGANS4]))
+def test_changed_structures_equals_full_grid_diff(data, catalog):
+    """The box-cropped count equals a full-grid per-label diff. Empty masks
+    in structure_writes empty labels, and label_volumes' small grids put
+    boxes on the grid faces."""
+    (labels,) = data.draw(label_volumes())
+    writes = data.draw(structure_writes(labels))
+    case = make_case(np.zeros(labels.shape), labels, catalog)
+    updated, _ = write_structures(case, writes)
+    assert changed_structures(case.pseudo, updated.pseudo) == full_grid_changed_structures(
+        labels, updated.pseudo.labels, catalog)
 
 
 def test_deletion_only_noise_auto_replace_fraction(run_cfg):
