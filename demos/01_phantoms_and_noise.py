@@ -15,7 +15,7 @@ catalog = cfg.catalog
 
 case = em.generate_case(cfg.phantom, seed=0, case_id="demo")
 print(f"case {case.case_id}: dims={case.volume.dims}, "
-      f"report={case.report.to_dict()}")
+      f"report={case.report}")
 for entry in catalog.entries:
     voxels = int((case.gold.labels == entry.label).sum())
     mean = case.volume.data[case.gold.labels == entry.label].mean() if voxels else 0

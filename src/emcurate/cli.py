@@ -4,8 +4,8 @@ Subcommands: generate, audit, refine, roc, run-loop, evaluate, review.
 Exit codes: 0 success, 2 configuration problem, 3 I/O or file-format
 problem, 4 violated invariant. All randomness flows from --seed (or the
 config's seed); no wall-clock entropy is used, so identical invocations
-produce byte-identical outputs. EMCURATE_OUT and EMCURATE_THREADS override
-the output directory and thread count.
+produce byte-identical outputs. --out and --threads take precedence;
+EMCURATE_OUT and EMCURATE_THREADS are the fallbacks when they are absent.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def cmd_generate(args) -> int:
                                   cfg.corpus.gold_fraction, cfg.em.seed)
     manifest = volume_io.write_corpus(out_dir, cases, cfg.catalog)
     volume_io.write_jsonl(out_dir / "injections.jsonl",
-                          [{"case_id": case_id, "ops": [op.to_dict() for op in logs[case_id]]}
+                          [{"case_id": case_id, "ops": [asdict(op) for op in logs[case_id]]}
                            for case_id in manifest["case_ids"]])
     print(f"wrote {len(cases)} cases to {out_dir}")
     return EXIT_OK
@@ -159,7 +159,7 @@ def cmd_audit(args) -> int:
     volume_io.write_json(out_dir / "audit.json", {"cases": rows})
     if args.apply:
         volume_io.write_corpus(out_dir / "refined", updated, cfg.catalog)
-        volume_io.write_jsonl(out_dir / "changes.jsonl", [e.to_dict() for e in changes])
+        volume_io.write_jsonl(out_dir / "changes.jsonl", [asdict(e) for e in changes])
     print(f"audited {len(cases)} cases -> {out_dir / 'audit.json'}")
     return EXIT_OK
 
@@ -178,7 +178,7 @@ def cmd_refine(args) -> int:
                                                threads=threads)
     volume_io.write_corpus(out_dir / "refined", updated, cfg.catalog)
     save_queue(out_dir / "queue.json", entries)
-    volume_io.write_jsonl(out_dir / "changes.jsonl", [e.to_dict() for e in stats.all_changes])
+    volume_io.write_jsonl(out_dir / "changes.jsonl", [asdict(e) for e in stats.all_changes])
     volume_io.write_json(out_dir / "refine_stats.json", {
         **stats.counts,
         "escalation_fraction": stats.escalation_fraction,
@@ -227,12 +227,12 @@ def cmd_roc(args) -> int:
             writer.writerow([f"{p.threshold:.6f}", f"{p.sensitivity:.9f}",
                              f"{p.fp_per_scan:.9f}", f"{p.specificity:.9f}"])
     policy = select_threshold(curve, cfg.metrics.roc_target_sensitivity)
-    volume_io.write_json(out_dir / "policy.json", policy.to_dict())
+    volume_io.write_json(out_dir / "policy.json", asdict(policy))
     workloads = [process_case(case, prob > policy.selected_threshold, gold, cfg.cost,
                               connectivity=model.tumor_connectivity)
                  for case, prob, gold in zip(cases, probs, refs)]
     savings = annotation_savings(workloads, cfg.cost)
-    volume_io.write_json(out_dir / "savings.json", savings.to_dict())
+    volume_io.write_json(out_dir / "savings.json", asdict(savings))
     print(f"threshold {policy.selected_threshold:.3f} "
           f"(sensitivity {policy.achieved_sensitivity:.3f}, "
           f"{policy.fp_per_scan:.2f} FP/scan) -> {out_dir}")

@@ -8,11 +8,10 @@ config file is given.
 
 from __future__ import annotations
 
-import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional, Union, get_type_hints
 
 import yaml
 
@@ -29,7 +28,7 @@ from .loop import (
 from .phantom import NoiseSpec, PhantomSpec, StructureShapeSpec
 from .roc import CostModel
 from .verifier import GaussianIntensityModel
-from .volume_io import SCHEMA_VERSION
+from .volume_io import SCHEMA_VERSION, decode, decode_mapping
 
 
 @dataclass(frozen=True)
@@ -77,6 +76,12 @@ class OracleConfig:
 class CorpusConfig:
     n_cases: int = 100
     gold_fraction: float = 0.1
+
+    def __post_init__(self):
+        if self.n_cases < 1:
+            raise ConfigError(f"corpus.n_cases must be >= 1, got {self.n_cases}")
+        if not 0.0 <= self.gold_fraction <= 1.0:
+            raise ConfigError(f"corpus.gold_fraction must lie in [0, 1], got {self.gold_fraction}")
 
 
 @dataclass(frozen=True)
@@ -140,85 +145,12 @@ class RunConfig:
 _GROUPS = {EMConfig: "annealing", PhantomSpec: "background", StructureShapeSpec: "intensity"}
 
 
-def _mapping(value, where: str, allowed) -> dict:
-    """The config mapping at ``where`` ({} when absent or null), keys in ``allowed`` only."""
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{where}' must be a mapping, got {value!r}")
-    for key in value:
-        if key not in allowed:
-            raise ConfigError(f"unknown key '{where}.{key}'" if where else f"unknown key '{key}'")
-    return value
-
-
-def _coerce(hint, value, where: str):
-    """``value`` converted to the declared field type ``hint``; a dataclass is
-    built from the config mapping at ``where``."""
-    if is_dataclass(hint):
-        return _section(hint, value, where)
-    if get_origin(hint) is Union:  # Optional[X]
-        return None if value is None else _coerce(get_args(hint)[0], value, where)
-    if get_origin(hint) is tuple:
-        kinds = get_args(hint)
-        if not isinstance(value, list):
-            raise TypeError(f"expected a list, got {value!r}")
-        kinds = (kinds[0],) * len(value) if kinds[-1] is Ellipsis else kinds
-        if len(value) != len(kinds):
-            raise ValueError(f"expected {len(kinds)} values, got {len(value)}")
-        return tuple(_coerce(k, v, f"{where}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
-    if get_origin(hint) is dict:
-        if not isinstance(value, dict):
-            raise TypeError(f"expected a mapping, got {value!r}")
-        key_hint, value_hint = get_args(hint)
-        return {_coerce(key_hint, k, where): _coerce(value_hint, v, f"{where}.{k}")
-                for k, v in value.items()}
-    # no implicit conversion to or from bool, nor to str, nor from str to a number
-    if (hint is bool) != isinstance(value, bool) or (hint is str and not isinstance(value, str)):
-        raise TypeError(f"expected {hint.__name__}, got {value!r}")
-    if hint in (int, float):
-        if not isinstance(value, (int, float)):
-            raise TypeError(f"expected a number, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"expected a finite number, got {value!r}")
-        if hint is int and isinstance(value, float) and not value.is_integer():
-            raise ValueError(f"expected an integer, got {value!r}")
-    return hint(value)
-
-
-def _section(cls, value, where: str):
-    """Build the dataclass ``cls`` from the config mapping at ``where``: an
-    absent key keeps its default; a missing required key, an unknown key or
-    an unconvertible value is a ConfigError naming its key path. The fields
-    ``g_a``, ``g_b`` of the group ``g`` of ``cls`` are read from ``g: {a, b}``."""
-    hints = get_type_hints(cls)
-    group = _GROUPS.get(cls)
-    keys = {(f.name.replace("_", ".", 1) if group and f.name.startswith(group + "_")
-             else f.name): f for f in fields(cls)}
-    values = dict(_mapping(value, where, {k.split(".")[0] for k in keys}))
-    if group in values:
-        names = [k.split(".")[1] for k in keys if "." in k]
-        values.update({f"{group}.{k}": v for k, v in
-                       _mapping(values.pop(group), f"{where}.{group}", names).items()})
-    kwargs = {}
-    for key, v in values.items():
-        name = keys[key].name
-        try:
-            kwargs[name] = _coerce(hints[name], v, f"{where}.{key}")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.{key}: {exc}") from None
-    for key, f in keys.items():
-        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"missing key '{where}.{key}'")
-    return cls(**kwargs)
-
-
 def _ordered(value, key: str, where: str, names) -> dict:
     """``value`` with its sub-mapping ``key``, which must have exactly the keys
     ``names``, turned into the list of its values in that order."""
     if not isinstance(value, dict) or key not in value:
         return value
-    sub = _mapping(value[key], f"{where}.{key}", names)
+    sub = decode_mapping(value[key], f"{where}.{key}", names)
     if set(sub) != set(names):
         raise ConfigError(f"'{where}.{key}' needs the keys {', '.join(names)}, got {sub!r}")
     return {**value, key: [sub[name] for name in names]}
@@ -247,13 +179,13 @@ def load_priors(path: Union[str, Path]) -> dict[int, AnatomicalPrior]:
     raw = _read_yaml(Path(path))
     priors: dict[int, AnatomicalPrior] = {}
     try:
-        rows = _mapping(raw, "", ("schema_version", "priors")).get("priors")
+        rows = decode_mapping(raw, "", ("schema_version", "priors")).get("priors")
         if not isinstance(rows, list):
             raise ConfigError(f"'priors' must be a list, got {rows!r}")
         for i, row in enumerate(rows):
             where = f"priors[{i}]"
-            prior = _section(AnatomicalPrior, _ordered(row, "centroid_box", where, ("x", "z")),
-                             where)
+            prior = decode(AnatomicalPrior, _ordered(row, "centroid_box", where, ("x", "z")),
+                           where, _GROUPS)
             if prior.label in priors:
                 raise ConfigError(f"{where}: label {prior.label} is listed twice")
             priors[prior.label] = replace(prior, prompt=prior.prompt.strip())
@@ -279,10 +211,11 @@ def load_run_config(path: Optional[Union[str, Path]] = None) -> RunConfig:
     hints = get_type_hints(RunConfig)
     names = [name for name, hint in hints.items() if is_dataclass(hint)]
     try:
-        _mapping(raw, "", (*names, "schema_version", "priors_file"))
+        decode_mapping(raw, "", (*names, "schema_version", "priors_file"))
         values = {**raw, "em": _ordered(raw.get("em"), "data_mix", "em",
                                           ("labeled", "synthetic", "selective"))}
-        sections = {name: _section(hints[name], values.get(name), name) for name in names}
+        sections = {name: decode(hints[name], values.get(name), name, _GROUPS)
+                    for name in names}
         for label in sections["phantom"].catalog.labels:
             if label not in priors:
                 raise ConfigError(f"no prior for catalog structure {label}")

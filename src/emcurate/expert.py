@@ -307,17 +307,18 @@ def rle_encode(overlay: np.ndarray) -> str:
 
 
 def rle_decode(encoded: str, width: int, height: int) -> np.ndarray:
-    flat = np.zeros(width * height, dtype=bool)
-    pos = 0
-    for token in encoded.split():
-        value, count = token.split(":")
-        n = int(count)
-        if int(value):
-            flat[pos:pos + n] = True
-        pos += n
-    if pos != width * height:
-        raise ProtocolError(f"RLE covers {pos} pixels, expected {width * height}")
-    return flat.reshape(height, width).T
+    """The width x height overlay of an rle_encode string. Every token must
+    be 0:n or 1:n with n a decimal count, and the runs must cover exactly
+    width*height pixels; both are checked before the overlay is allocated."""
+    runs = [token.partition(":")[::2] for token in encoded.split()]
+    if width < 0 or height < 0 or not all(value in ("0", "1") and n.isascii() and n.isdigit()
+                                          for value, n in runs):
+        raise ProtocolError(f"RLE overlay of {width} x {height} pixels is not 0:n and 1:n runs")
+    counts = [int(n) for _, n in runs]
+    if sum(counts) != width * height:
+        raise ProtocolError(f"RLE covers {sum(counts)} pixels, expected {width * height}")
+    values = np.array([value == "1" for value, _ in runs], dtype=bool)
+    return np.repeat(values, np.array(counts, dtype=np.int64)).reshape(height, width).T
 
 
 @dataclass(frozen=True)

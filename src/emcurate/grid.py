@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Sequence
@@ -46,8 +47,8 @@ def _check_dims_spacing(dims, spacing) -> tuple[tuple[int, int, int], tuple[floa
     spacing = tuple(float(s) for s in spacing)
     if len(dims) != 3 or any(d <= 0 for d in dims):
         raise ShapeError(f"dims must be a positive integer triple, got {dims}")
-    if len(spacing) != 3 or any(s <= 0 for s in spacing):
-        raise ShapeError(f"spacing must be a positive real triple, got {spacing}")
+    if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+        raise ShapeError(f"spacing must be a positive finite triple, got {spacing}")
     return dims, spacing
 
 
@@ -111,14 +112,6 @@ class StructureCatalog:
     def catalog_id(self) -> str:
         blob = json.dumps([[e.label, e.name, e.kind.value] for e in self.entries])
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-    def to_dict(self) -> list[dict]:
-        return [{"label": e.label, "name": e.name, "kind": e.kind.value} for e in self.entries]
-
-    @classmethod
-    def from_dict(cls, entries: list[dict]) -> "StructureCatalog":
-        return cls(tuple(StructureEntry(int(d["label"]), str(d["name"]), StructureKind(d["kind"]))
-                         for d in entries))
 
 
 @dataclass(frozen=True)
@@ -207,34 +200,13 @@ class StructuredReport:
         if self.tumor_present != (self.tumor_type is not None):
             raise ShapeError("tumor_type must be present iff tumor_present")
 
-    def to_dict(self) -> dict:
-        return {
-            "tumor_present": self.tumor_present,
-            "tumor_count": self.tumor_count,
-            "tumor_type": None if self.tumor_type is None else self.tumor_type.value,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StructuredReport":
-        t = d.get("tumor_type")
-        return cls(bool(d["tumor_present"]), int(d["tumor_count"]),
-                   None if t is None else TumorType(t))
-
 
 @dataclass(frozen=True)
 class CaseMeta:
     age: int
     sex: Sex
     phase: ContrastPhase
-    is_gold: bool = False
-
-    def to_dict(self) -> dict:
-        return {"age": self.age, "sex": self.sex.value, "phase": self.phase.value,
-                "is_gold": self.is_gold}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CaseMeta":
-        return cls(int(d["age"]), Sex(d["sex"]), ContrastPhase(d["phase"]), bool(d["is_gold"]))
+    is_gold: bool
 
 
 @dataclass(frozen=True)

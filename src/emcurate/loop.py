@@ -21,7 +21,7 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence, Union
@@ -46,7 +46,7 @@ from .verifier import (
     fit_model,
     write_structures,
 )
-from .volume_io import read_json, write_json, write_jsonl
+from .volume_io import decode, read_json, write_json, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -109,30 +109,35 @@ class EscalationEntry:
                 "chosen": self.chosen, "source": self.source}
 
 
+@dataclass(frozen=True)
+class QueueRow:
+    """One entry of a review queue file: the incumbent's and the prediction's
+    overlays, each width x height, run-length encoded."""
+    case_id: str
+    structure: int
+    reason: EscalationReason
+    width: int
+    height: int
+    overlays: tuple[str, str]
+
+
 def save_queue(path: Union[str, Path], entries: Sequence[EscalationEntry]) -> None:
     """Write the entries' overlays, run-length encoded, as a review queue."""
-    rows = []
-    for e in entries:
-        width, height = e.overlays[0].shape
-        rows.append({
-            "case_id": e.case_id, "structure": e.structure, "reason": e.reason.value,
-            "width": width, "height": height,
-            "overlays": [rle_encode(o) for o in e.overlays],
-        })
-    write_json(path, {"entries": rows})
+    rows = [QueueRow(e.case_id, e.structure, e.reason, *e.overlays[0].shape,
+                     tuple(rle_encode(o) for o in e.overlays)) for e in entries]
+    write_json(path, {"entries": [asdict(row) for row in rows]})
 
 
 def load_queue(path: Union[str, Path]) -> list[EscalationEntry]:
     """The unresolved entries of a queue file written by save_queue."""
     payload = read_json(path)
     try:
-        return [EscalationEntry(
-                    case_id=row["case_id"], structure=int(row["structure"]),
-                    reason=EscalationReason(row["reason"]),
-                    overlays=[rle_decode(o, row["width"], row["height"])
-                              for o in row["overlays"]])
-                for row in payload["entries"]]
-    except (KeyError, TypeError, ValueError, AttributeError, ProtocolError) as exc:
+        rows = decode(tuple[QueueRow, ...], payload["entries"], "entries")
+        return [EscalationEntry(case_id=row.case_id, structure=row.structure, reason=row.reason,
+                                overlays=[rle_decode(o, row.width, row.height)
+                                          for o in row.overlays])
+                for row in rows]
+    except (KeyError, TypeError, ConfigError, ProtocolError) as exc:
         raise VolumeFormatError(f"{path}: malformed escalation queue: {exc!r}") from None
 
 
@@ -353,7 +358,9 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
             context = f"{iteration}:{entry.case_id}:{entry.structure}"
             try:
                 chosen = oracle.review(case, entry.structure, entry.candidates, context)
-            except Exception:
+            except Exception as exc:  # a failing oracle leaves the entry unresolved
+                log.warning("oracle %s failed on %s (%s: %s); left unresolved",
+                            type(oracle).__name__, context, type(exc).__name__, exc)
                 chosen = None
             entry.source = type(oracle).__name__
             if chosen is None:
@@ -470,7 +477,7 @@ class RunRecorder:
 
     def changes(self, iteration: int, entries: Sequence[ChangeLogEntry]) -> None:
         write_jsonl(self.out_dir / f"changes_{iteration:03d}.jsonl",
-                    [e.to_dict() for e in entries])
+                    [asdict(e) for e in entries])
 
     def resolutions(self, iteration: int, entries: Sequence[EscalationEntry]) -> None:
         write_jsonl(self.out_dir / "resolutions.jsonl",

@@ -176,13 +176,6 @@ class InjectionOp:
     op: str
     params: dict
 
-    def to_dict(self) -> dict:
-        return {"structure": self.structure, "op": self.op, "params": self.params}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "InjectionOp":
-        return cls(int(d["structure"]), str(d["op"]), dict(d["params"]))
-
 
 def _normalized_axes(dims) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(((np.arange(n) + 0.5) / n).astype(np.float64) for n in dims)

@@ -9,7 +9,7 @@ annotating every tumor from scratch.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,9 +26,6 @@ class ThresholdPolicy:
     achieved_sensitivity: float
     fp_per_scan: float
     feasible: bool
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -61,9 +58,6 @@ class SavingsReport:
     total_gold_instances: int
     total_missed: int
     total_clicks: int
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def select_threshold(curve: RocCurve, target: float) -> ThresholdPolicy:

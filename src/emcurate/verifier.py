@@ -12,7 +12,7 @@ is kept untouched. Both thresholds are configuration constants.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence, Union
@@ -91,9 +91,6 @@ class ChangeLogEntry:
     voxels_before: int
     voxels_after: int
     conflicts: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 class SegmentationModel(Protocol):

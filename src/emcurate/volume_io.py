@@ -13,20 +13,33 @@ Each case additionally gets a JSON sidecar (<case_id>.json) holding the
 report, metadata and relative file paths; a corpus directory carries a
 manifest.json with the catalog and per-file sha256 checksums so byte-level
 reproducibility can be asserted cheaply.
+
+Records are dataclasses: they are written with ``dataclasses.asdict`` and
+read back through ``decode``, the strict decoder that run configs share.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import CatalogError, ShapeError, VolumeFormatError
-from .grid import CaseMeta, CaseRecord, LabelMap, StructureCatalog, StructuredReport, VoxelGrid
+from .errors import CatalogError, ConfigError, ShapeError, VolumeFormatError
+from .grid import (
+    CaseMeta,
+    CaseRecord,
+    LabelMap,
+    StructureCatalog,
+    StructuredReport,
+    StructureEntry,
+    VoxelGrid,
+)
 
 MAGIC = b"SMAI"
 FORMAT_VERSION = 1
@@ -63,6 +76,90 @@ def read_json(path: Union[str, Path], raw: Optional[bytes] = None) -> dict:
         return json.loads(Path(path).read_bytes() if raw is None else raw)
     except ValueError as exc:
         raise VolumeFormatError(f"{path}: malformed JSON: {exc}") from None
+
+
+def decode_mapping(value, where: str, allowed) -> dict:
+    """The mapping at ``where`` ({} when absent or null), keys in ``allowed`` only."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ConfigError(f"'{where}' must be a mapping, got {value!r}")
+    for key in value:
+        if key not in allowed:
+            raise ConfigError(f"unknown key '{where}.{key}'" if where else f"unknown key '{key}'")
+    return value
+
+
+def decode(hint, value, where: str, groups: Optional[dict] = None):
+    """``value``, parsed from a config or JSON record file, converted to the
+    declared type ``hint``; a dataclass is built from the mapping at
+    ``where``. Every failure is a ConfigError naming its key path.
+
+    ``groups`` maps a dataclass to its group ``g``: the sub-mapping
+    ``g: {a, b}`` that fills its fields ``g_a``, ``g_b``."""
+    try:
+        return _coerce(hint, value, where, groups or {})
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _coerce(hint, value, where: str, groups: dict):
+    if is_dataclass(hint):
+        return _section(hint, value, where, groups)
+    if get_origin(hint) is Union:  # Optional[X]
+        return None if value is None else _coerce(get_args(hint)[0], value, where, groups)
+    if get_origin(hint) is tuple:
+        kinds = get_args(hint)
+        if not isinstance(value, list):
+            raise TypeError(f"expected a list, got {value!r}")
+        kinds = (kinds[0],) * len(value) if kinds[-1] is Ellipsis else kinds
+        if len(value) != len(kinds):
+            raise ValueError(f"expected {len(kinds)} values, got {len(value)}")
+        return tuple(_coerce(k, v, f"{where}[{i}]", groups)
+                     for i, (k, v) in enumerate(zip(kinds, value)))
+    if get_origin(hint) is dict:
+        if not isinstance(value, dict):
+            raise TypeError(f"expected a mapping, got {value!r}")
+        key_hint, value_hint = get_args(hint)
+        return {_coerce(key_hint, k, where, groups): _coerce(value_hint, v, f"{where}.{k}", groups)
+                for k, v in value.items()}
+    # no implicit conversion to or from bool, nor to str, nor from str to a number
+    if (hint is bool) != isinstance(value, bool) or (hint is str and not isinstance(value, str)):
+        raise TypeError(f"expected {hint.__name__}, got {value!r}")
+    if hint in (int, float):
+        if not isinstance(value, (int, float)):
+            raise TypeError(f"expected a number, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"expected a finite number, got {value!r}")
+        if hint is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(f"expected an integer, got {value!r}")
+    return hint(value)
+
+
+def _section(cls, value, where: str, groups: dict):
+    """Build the dataclass ``cls`` from the mapping at ``where``: an absent
+    key keeps its default; a missing required key, an unknown key or an
+    unconvertible value is a ConfigError naming its key path."""
+    hints = get_type_hints(cls)
+    group = groups.get(cls)
+    keys = {(f.name.replace("_", ".", 1) if group and f.name.startswith(group + "_")
+             else f.name): f for f in fields(cls)}
+    values = dict(decode_mapping(value, where, {k.split(".")[0] for k in keys}))
+    if group in values:
+        names = [k.split(".")[1] for k in keys if "." in k]
+        values.update({f"{group}.{k}": v for k, v in
+                       decode_mapping(values.pop(group), f"{where}.{group}", names).items()})
+    kwargs = {}
+    for key, v in values.items():
+        name = keys[key].name
+        try:
+            kwargs[name] = _coerce(hints[name], v, f"{where}.{key}", groups)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}.{key}: {exc}") from None
+    for key, f in keys.items():
+        if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing key '{where}.{key}'")
+    return cls(**kwargs)
 
 
 def volume_bytes(dims, spacing, payload: np.ndarray, dtype_code: int) -> bytes:
@@ -147,8 +244,8 @@ def write_case(out_dir: Union[str, Path], case: CaseRecord) -> dict[str, str]:
         written[files["gold"]] = write_label_map(out_dir / files["gold"], case.gold)
     sidecar = {
         "case_id": case.case_id,
-        "report": case.report.to_dict(),
-        "meta": case.meta.to_dict(),
+        "report": asdict(case.report),
+        "meta": asdict(case.meta),
         "files": files,
         "catalog_id": case.pseudo.catalog_id,
     }
@@ -175,53 +272,54 @@ def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCata
     def read(name: str) -> bytes:
         path = corpus_dir / name
         if name not in checksums:
-            raise VolumeFormatError(f"{path}: not listed in the corpus manifest")
+            raise VolumeFormatError(f"{path}: not listed in manifest.json")
         return path.read_bytes()
 
     def verified(name: str, raw: bytes) -> bytes:
         if hashlib.sha256(raw).hexdigest() != checksums[name]:
-            raise VolumeFormatError(f"{corpus_dir / name}: sha256 differs from the corpus manifest")
+            raise VolumeFormatError(f"{corpus_dir / name}: sha256 differs from manifest.json")
         return raw
 
     sidecar_path = corpus_dir / f"{case_id}.json"
     sidecar = read_json(sidecar_path, verified(f"{case_id}.json", read(f"{case_id}.json")))
     try:
         if sidecar["case_id"] != case_id:
-            raise ValueError(f"case_id {sidecar['case_id']!r} != manifest id {case_id!r}")
+            raise ValueError(f"case_id {sidecar['case_id']!r} != manifest.json id {case_id!r}")
         if sidecar["catalog_id"] != catalog.catalog_id:
-            raise ValueError(f"catalog_id {sidecar['catalog_id']!r} != manifest catalog "
+            raise ValueError(f"catalog_id {sidecar['catalog_id']!r} != manifest.json catalog "
                              f"{catalog.catalog_id!r}")
-        files = {role: sidecar["files"][role] for role in ("volume", "pseudo", "gold")
-                 if role != "gold" or "gold" in sidecar["files"]}
-        if not all(isinstance(name, str) for name in files.values()):
-            raise TypeError(f"file names must be strings, got {files!r}")
-        report = StructuredReport.from_dict(sidecar["report"])
-        meta = CaseMeta.from_dict(sidecar["meta"])
-    # AttributeError: a report that is not a mapping; ShapeError: a report
-    # whose fields contradict each other
-    except (KeyError, TypeError, ValueError, AttributeError, ShapeError) as exc:
+        files = decode(dict[str, str], sidecar["files"], "files")
+        files = {role: files[role] for role in ("volume", "pseudo", "gold")
+                 if role != "gold" or "gold" in files}
+        for name in files.values():
+            if name not in checksums:
+                raise ValueError(f"{name!r} is not listed in manifest.json")
+        report = decode(StructuredReport, sidecar["report"], "report")
+        meta = decode(CaseMeta, sidecar["meta"], "meta")
+    # ShapeError: a report whose fields contradict each other
+    except (KeyError, TypeError, ValueError, ConfigError, ShapeError) as exc:
         raise VolumeFormatError(f"{sidecar_path}: malformed case sidecar: {exc!r}") from None
 
-    def decode(role: str, raw: bytes, reader, *args):
+    def read_map(role: str, raw: bytes, reader, *args):
         path = corpus_dir / files[role]
         try:
             return reader(path, *args, raw=verified(files[role], raw))
         except (ShapeError, CatalogError) as exc:
             raise VolumeFormatError(f"{path}: {exc}") from None
 
-    volume = decode("volume", read(files["volume"]), read_voxel_grid)
+    volume = read_map("volume", read(files["volume"]), read_voxel_grid)
     if lattice is not None and (volume.dims, volume.spacing) != lattice:
         raise VolumeFormatError(f"{corpus_dir / files['volume']}: lattice {volume.dims} x "
                                 f"{volume.spacing} differs from the corpus's "
                                 f"{lattice[0]} x {lattice[1]}")
     pseudo_raw = read(files["pseudo"])
-    maps = {"pseudo": decode("pseudo", pseudo_raw, read_label_map, catalog)}
+    maps = {"pseudo": read_map("pseudo", pseudo_raw, read_label_map, catalog)}
     if "gold" in files:
         gold_raw = read(files["gold"])
         if checksums[files["gold"]] == checksums[files["pseudo"]] and gold_raw == pseudo_raw:
             maps["gold"] = maps["pseudo"]
         else:
-            maps["gold"] = decode("gold", gold_raw, read_label_map, catalog)
+            maps["gold"] = read_map("gold", gold_raw, read_label_map, catalog)
     for role, m in maps.items():
         if (m.dims, m.spacing) != (volume.dims, volume.spacing):
             raise VolumeFormatError(f"{corpus_dir / files[role]}: lattice {m.dims} x {m.spacing} "
@@ -242,7 +340,7 @@ def write_corpus(out_dir: Union[str, Path], cases: list[CaseRecord],
     for case in cases:
         checksums.update(write_case(out_dir, case))
     manifest = {
-        "catalog": catalog.to_dict(),
+        "catalog": [asdict(e) for e in catalog.entries],
         "case_ids": [c.case_id for c in cases],
         "checksums": dict(sorted(checksums.items())),
     }
@@ -259,18 +357,16 @@ def read_corpus(corpus_dir: Union[str, Path]) -> tuple[list[CaseRecord], Structu
     path = Path(corpus_dir) / "manifest.json"
     manifest = read_json(path)
     try:
-        catalog = StructureCatalog.from_dict(manifest["catalog"])
-        case_ids, checksums = manifest["case_ids"], manifest["checksums"]
-        if not isinstance(case_ids, list) or not all(isinstance(c, str) for c in case_ids):
-            raise TypeError(f"case ids must be a list of strings, got {case_ids!r}")
+        catalog = StructureCatalog(decode(tuple[StructureEntry, ...], manifest["catalog"],
+                                          "catalog"))
+        case_ids = decode(tuple[str, ...], manifest["case_ids"], "case_ids")
+        checksums = decode(dict[str, str], manifest["checksums"], "checksums")
         if not case_ids:
             raise ValueError("no case ids")
-        if not isinstance(checksums, dict):
-            raise TypeError(f"checksums must map file names to sha256, got {type(checksums)}")
         if len(set(case_ids)) != len(case_ids):
             raise ValueError("duplicate case ids")
     # CatalogError: catalog labels that are not 1, 2, ... in order
-    except (KeyError, TypeError, ValueError, CatalogError) as exc:
+    except (KeyError, TypeError, ValueError, ConfigError, CatalogError) as exc:
         raise VolumeFormatError(f"{path}: malformed manifest: {exc!r}") from None
     first = read_case(path.parent, case_ids[0], catalog, checksums)
     lattice = (first.volume.dims, first.volume.spacing)

@@ -1,11 +1,19 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
+import math
+import shutil
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import emcurate.volume_io as vio
 from emcurate.cli import build_parser, main
@@ -134,6 +142,8 @@ CORRUPTIONS = {
     "checksums_not_a_dict": ("manifest.json",
                              _edit_json(lambda m: m.update(checksums=sorted(m["checksums"])))),
     "catalog_relabelled": ("manifest.json", _edit_json(lambda m: m["catalog"][0].update(label=9))),
+    "catalog_label_bool": ("manifest.json",
+                           _edit_json(lambda m: m["catalog"][0].update(label=True))),
 }
 
 
@@ -176,18 +186,21 @@ def _resign(path: Path) -> None:
     manifest_path.write_text(json.dumps(manifest))
 
 
-def _edit_sidecar(edit):
-    """Edit case_0001's sidecar and re-sign it in the manifest, so only the
-    sidecar's content is wrong."""
-    def corrupt(corpus: Path) -> None:
-        sidecar = corpus / "case_0001.json"
+def _edit_sidecar(edit, case_id: str = "case_0001"):
+    """Edit a case's sidecar (case_0001 is a gold case, case_0003 is not) and
+    re-sign it in the manifest, so only the sidecar's content is wrong;
+    returns the sidecar's name."""
+    def corrupt(corpus: Path) -> str:
+        sidecar = corpus / f"{case_id}.json"
         _edit_json(edit)(sidecar)
         _resign(sidecar)
+        return sidecar.name
     return corrupt
 
 
-def _duplicate_case_id(corpus: Path) -> None:
+def _duplicate_case_id(corpus: Path) -> str:
     _edit_json(lambda m: m["case_ids"].append("case_0001"))(corpus / "manifest.json")
+    return "manifest.json"
 
 
 SIDECAR_CORRUPTIONS = {
@@ -203,6 +216,11 @@ SIDECAR_CORRUPTIONS = {
     "gold_flag_without_gold_map": _edit_sidecar(
         lambda s: (s["files"].pop("gold"), s["meta"].update(is_gold=True))),
     "duplicate_case_id": _duplicate_case_id,
+    "is_gold_string": _edit_sidecar(lambda s: s["meta"].update(is_gold="false"), "case_0003"),
+    "is_gold_number": _edit_sidecar(lambda s: s["meta"].update(is_gold=1), "case_0003"),
+    "age_fraction": _edit_sidecar(lambda s: s["meta"].update(age=40.7)),
+    "age_string": _edit_sidecar(lambda s: s["meta"].update(age="41")),
+    "unknown_meta_key": _edit_sidecar(lambda s: s["meta"].update(weight=70)),
 }
 
 
@@ -210,13 +228,12 @@ SIDECAR_CORRUPTIONS = {
 def test_malformed_sidecar_is_io_error(cfg_file, tmp_path, capsys, corruption):
     corpus = tmp_path / "corpus"
     assert main(["generate", "--config", cfg_file, "--out", str(corpus)]) == 0
-    SIDECAR_CORRUPTIONS[corruption](corpus)
+    name = SIDECAR_CORRUPTIONS[corruption](corpus)
     out = tmp_path / "eval"
     assert main(["evaluate", "--config", cfg_file, "--corpus", str(corpus),
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert ("case_0001.json" in err) if corruption != "duplicate_case_id" else \
-        ("manifest.json" in err and "duplicate" in err)
+    assert name in err and (corruption != "duplicate_case_id" or "duplicate" in err)
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -319,6 +336,24 @@ def test_corpus_of_two_lattices_is_io_error(tmp_path, capsys, edit):
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert "case_0001_vol.smai" in err and "lattice" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spacing", [math.inf, math.nan])
+def test_corpus_of_non_finite_spacing_is_io_error(tmp_path, capsys, spacing):
+    """Every volume of the corpus on one non-finite spacing: no lattice
+    differs from another, yet no NSD can be taken at it."""
+    cfg = _phantom_config(tmp_path, "small.yaml", n_cases=2, dims=[16, 16, 16])
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", cfg, "--out", str(corpus)]) == 0
+    for case_id in ("case_0000", "case_0001"):
+        _relattice_case(corpus, case_id, lambda dims, _, data: ((spacing, 1.0, 1.0), data))
+    out = tmp_path / "eval"
+    assert main(["evaluate", "--config", cfg, "--corpus", str(corpus),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "case_0000_vol.smai: spacing must be a positive finite triple" in err
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -619,11 +654,24 @@ def test_review_of_empty_refine_queue(tmp_path, monkeypatch):
 QUEUE_ROW = {"case_id": "c", "structure": 1, "reason": "expert_tie", "width": 3,
              "height": 3, "overlays": ["0:4 1:1 0:4", "1:4 0:1 1:4"]}
 
+
+def _first_overlay(rle: str):
+    return lambda q: q["entries"][0]["overlays"].__setitem__(0, rle)
+
+
 QUEUE_CORRUPTIONS = {
     "missing_key": lambda q: q["entries"][0].pop("overlays"),
     "bogus_reason": lambda q: q["entries"][0].update(reason="bogus"),
-    "short_rle": lambda q: q["entries"][0].update(overlays=["0:4 1:1"]),
+    "short_rle": _first_overlay("0:4 1:1"),
     "entries_not_a_list": lambda q: q.update(entries=3),
+    "structure_string": lambda q: q["entries"][0].update(structure="3"),
+    "structure_fraction": lambda q: q["entries"][0].update(structure=2.9),
+    "unknown_row_key": lambda q: q["entries"][0].update(note="x"),
+    "rle_negative_count": _first_overlay("1:12 0:-3"),
+    "rle_value_2": _first_overlay("2:9"),
+    "rle_past_the_overlay": _first_overlay("0:4 1:9"),
+    "negative_size": lambda q: q["entries"][0].update(width=-3, height=-3),
+    "one_overlay": lambda q: q["entries"][0].update(overlays=["0:4 1:1 0:4"]),
 }
 
 
@@ -692,3 +740,154 @@ def test_json_artifacts_carry_schema_version(cfg_file, tmp_path):
     for name in ("manifest.json", "case_0000.json"):
         payload = json.loads((corpus / name).read_text())
         assert payload["schema_version"] == 1
+
+
+GENERATE_CONFIG = Path(__file__).parent / "fixtures" / "generate_tree_config.yaml"
+GENERATE_TREE = Path(__file__).parent / "fixtures" / "generate_tree"
+
+
+def test_generate_tree_matches_pinned_fixture(tmp_path):
+    """generate writes the pinned manifest, sidecars and injection log byte
+    for byte; the manifest's checksums pin the volume files. The corpus is
+    2 cases at 16^3, one gold, both with a tumor and a logged tumor op."""
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", str(GENERATE_CONFIG), "--out", str(corpus)]) == 0
+    pinned = sorted(p.name for p in GENERATE_TREE.iterdir())
+    assert pinned == ["case_0000.json", "case_0001.json", "injections.jsonl", "manifest.json"]
+    assert sorted(p.name for p in corpus.iterdir() if p.suffix != ".smai") == pinned
+    for name in pinned:
+        assert (corpus / name).read_bytes() == (GENERATE_TREE / name).read_bytes(), name
+
+
+# Property tests: one edit to one record file, a key deleted or its value
+# replaced by one of RETYPES, ends in exit 0, or in exit 2 or 3 naming the
+# edited file, never in a traceback. A sidecar or volume file counts as
+# named by its case id ("case case_0001 lacks gold labels"; an edited
+# volume's lattice is reported on its case's label maps).
+_DELETE = object()
+RETYPES = (_DELETE, None, True, False, 0, -1, 2.5, "x", "3", [], [1], {}, {"k": 1})
+
+
+def _key_paths(value, path=()) -> list[tuple]:
+    """Every key path into a parsed JSON or YAML value (not the root)."""
+    if isinstance(value, dict):
+        items = list(value.items())
+    elif isinstance(value, list):
+        items = list(enumerate(value))
+    else:
+        return []
+    return [p for k, v in items for p in [path + (k,)] + _key_paths(v, path + (k,))]
+
+
+@st.composite
+def record_edits(draw, payload):
+    """(key path, new value or _DELETE) into payload."""
+    return draw(st.sampled_from(_key_paths(payload))), draw(st.sampled_from(RETYPES))
+
+
+def _apply(payload, path, new):
+    payload = copy.deepcopy(payload)
+    parent = payload
+    for key in path[:-1]:
+        parent = parent[key]
+    if new is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = new
+    return payload
+
+
+def _run(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_exit(code: int, err: str, name: str, errors: tuple[int, ...]) -> None:
+    assert "Traceback" not in err, err
+    assert code == 0 or (code in errors and name in err), (code, err)
+
+
+@pytest.fixture(scope="module")
+def tree_corpus(tmp_path_factory) -> Path:
+    corpus = tmp_path_factory.mktemp("tree") / "corpus"
+    assert main(["generate", "--config", str(GENERATE_CONFIG), "--out", str(corpus)]) == 0
+    return corpus
+
+
+_CORPUS_RECORDS = ("manifest.json", "case_0000.json", "case_0001.json")
+
+
+@settings(max_examples=120)
+@given(data=st.data(), name=st.sampled_from(_CORPUS_RECORDS))
+def test_any_edited_corpus_record_exits_0_2_or_3(tree_corpus, data, name):
+    payload = json.loads((tree_corpus / name).read_text())
+    path, new = data.draw(record_edits(payload))
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        shutil.copytree(tree_corpus, corpus)
+        (corpus / name).write_text(json.dumps(_apply(payload, path, new)))
+        if name != "manifest.json":
+            _resign(corpus / name)
+        code, err = _run(["evaluate", "--config", str(GENERATE_CONFIG), "--corpus",
+                          str(corpus), "--out", str(Path(tmp) / "eval")])
+    _assert_exit(code, err, name if name == "manifest.json" else Path(name).stem, (2, 3))
+
+
+# new values per volume header field: magic, version, dtype, dims, spacing;
+# field -1 truncates the payload by one voxel instead
+_HEADER_VALUES = ((b"SMAX",), (0, 2), (0, 1, 2, 3), *[(0, 1, 15, 17, 2**32 - 1)] * 3,
+                  *[(0.0, -1.0, 2.0, math.nan, math.inf)] * 3)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), case_id=st.sampled_from(("case_0000", "case_0001")),
+       role=st.sampled_from(("vol", "pseudo", "gold")), field=st.integers(-1, 8))
+def test_any_edited_volume_header_exits_0_or_3(tree_corpus, data, case_id, role, field):
+    name = f"{case_id}_{role}.smai"
+    raw = (tree_corpus / name).read_bytes()
+    if field < 0:
+        raw = raw[:-4]
+    else:
+        header = list(vio._HEADER.unpack_from(raw))
+        header[field] = data.draw(st.sampled_from(_HEADER_VALUES[field]))
+        raw = vio._HEADER.pack(*header) + raw[vio._HEADER.size:]
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = Path(tmp) / "corpus"
+        shutil.copytree(tree_corpus, corpus)
+        (corpus / name).write_bytes(raw)
+        _resign(corpus / name)
+        code, err = _run(["evaluate", "--config", str(GENERATE_CONFIG), "--corpus",
+                          str(corpus), "--out", str(Path(tmp) / "eval")])
+    _assert_exit(code, err, case_id, (3,))
+
+
+_QUEUE = {"schema_version": 1,
+          "entries": [QUEUE_ROW, dict(QUEUE_ROW, case_id="d", structure=2, width=2, height=1,
+                                      overlays=["1:2", "0:1 1:1"])]}
+
+
+@settings(max_examples=100)
+@given(edit=record_edits(_QUEUE))
+def test_any_edited_queue_exits_0_or_3(edit):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch("builtins.input", lambda prompt="": "1"):
+        qpath = Path(tmp) / "q.json"
+        qpath.write_text(json.dumps(_apply(_QUEUE, *edit)))
+        code, err = _run(["review", "--queue", str(qpath), "--decisions",
+                          str(Path(tmp) / "d.jsonl"), "--allow-pipe"])
+    _assert_exit(code, err, str(qpath), (3,))
+
+
+_CONFIG = yaml.safe_load(GENERATE_CONFIG.read_text())
+
+
+@settings(max_examples=100)
+@given(edit=record_edits(_CONFIG))
+def test_any_edited_config_exits_0_or_2(edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(_apply(_CONFIG, *edit)))
+        code, err = _run(["generate", "--config", str(cfg), "--out", str(Path(tmp) / "c")])
+    _assert_exit(code, err, str(cfg), (2,))

@@ -141,6 +141,8 @@ MALFORMED = [
     ({"cost": {"report_autoremoval": "yes"}}, "cost.report_autoremoval"),
     ({"corpus": {"n_cases": True}}, "corpus.n_cases"),
     ({"corpus": {"n_cases": 2.7}}, "corpus.n_cases"),
+    ({"corpus": {"n_cases": 0}}, "corpus.n_cases must be >= 1, got 0"),
+    ({"corpus": {"gold_fraction": 1.5}}, "corpus.gold_fraction must lie in [0, 1], got 1.5"),
     ({"judge": {"command": ["judge", 5]}}, "judge.command"),
     ({"noise": {"shift_voxels": [4]}}, "noise.shift_voxels"),
     ({"em": {"data_mix": [0.7, 0.2, 0.1]}}, "em.data_mix"),

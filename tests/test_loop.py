@@ -230,6 +230,40 @@ def test_escalated_write_logs_conflicts():
     assert list(updated[0].pseudo.labels[2:6, 0, 0]) == [1, 1, 2, 1]
 
 
+class FailingOracle:
+    def review(self, case, structure, candidates, context):
+        raise RuntimeError("reviewer crashed")
+
+
+class SkippingOracle:
+    def review(self, case, structure, candidates, context):
+        return None
+
+
+def test_failing_oracle_is_logged_and_leaves_the_entry_unresolved(caplog):
+    """An oracle that raises counts and writes as one that skips, and the
+    failure is logged with its exception type and context."""
+    cat = StructureCatalog((StructureEntry(1, "organ_a", StructureKind.ORGAN),))
+    labels = np.zeros((8, 1, 1), np.uint16)
+    labels[0:3, 0, 0] = 1
+    pred_labels = np.zeros((8, 1, 1), np.uint16)
+    pred_labels[2:5, 0, 0] = 1   # dsc 1/3: route, then a judge tie escalates
+    case = make_case(np.zeros((8, 1, 1)), labels, cat, case_id="c0")
+    model = fixed_model(case, pred_labels)
+    with caplog.at_level("WARNING", logger="emcurate.loop"):
+        failed, f_entries, f_stats = expectation_pass([case], model, TieJudge(),
+                                                      FailingOracle(), em_cfg())
+    skipped, s_entries, s_stats = expectation_pass([case], model, TieJudge(),
+                                                   SkippingOracle(), em_cfg())
+    assert [(e.structure, e.chosen) for e in f_entries] == [(1, None)]
+    assert f_stats.counts == s_stats.counts and f_stats.counts["unresolved"] == 1
+    assert f_stats.all_changes == s_stats.all_changes
+    assert np.array_equal(failed[0].pseudo.labels, skipped[0].pseudo.labels)
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert any("FailingOracle" in w and "RuntimeError" in w and "1:c0:1" in w
+               for w in warnings), warnings
+
+
 def test_answered_escalations_share_one_label_write(monkeypatch):
     """A case's oracle answers land in one label write: with two answered
     escalations the pass builds three label maps, namely the prediction, the
