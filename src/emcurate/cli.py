@@ -31,14 +31,7 @@ from .errors import (
     VolumeFormatError,
 )
 from .grid import CaseRecord, nonzero_box
-from .loop import (
-    RunRecorder,
-    expectation_pass,
-    interactive_review,
-    load_queue,
-    run_em,
-    save_queue,
-)
+from .loop import expectation_pass, interactive_review, load_queue, run_em, save_queue
 from .metrics import (
     build_roc,
     corpus_summary,
@@ -168,12 +161,12 @@ def cmd_refine(args) -> int:
     """One full expectation pass (audit, auto-replace, judge, escalate)."""
     cfg = _load_config(args)
     threads = _resolve_threads(args)
+    judge = cfg.build_judge()
+    oracle = cfg.build_oracle()
     cases = _read_config_corpus(cfg, args.corpus)
     out_dir = _resolve_out(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = fit_model(cases, new_model=cfg.build_model)
-    judge = cfg.build_judge()
-    oracle = cfg.build_oracle()
     updated, entries, stats = expectation_pass(cases, model, judge, oracle, cfg.em,
                                                threads=threads)
     volume_io.write_corpus(out_dir / "refined", updated, cfg.catalog)
@@ -243,22 +236,22 @@ def cmd_run_loop(args) -> int:
     cfg = _load_config(args)
     threads = _resolve_threads(args)
     out_dir = _resolve_out(args)
-    if args.corpus:  # read before --out is emptied: a bad corpus keeps the last run
+    # a bad judge, oracle or corpus fails before --out is emptied, keeping the last run
+    judge = cfg.build_judge()
+    oracle = cfg.build_oracle()
+    if args.corpus:
         cases = _read_config_corpus(cfg, args.corpus)
     _prepare_out_dir(out_dir, args.force)
     if not args.corpus:
         cases, _logs = generate_corpus(cfg.phantom, cfg.noise, cfg.corpus.n_cases,
                                        cfg.corpus.gold_fraction, cfg.em.seed)
-    recorder = RunRecorder(out_dir, include_timing=args.timing)
-    recorder.config_snapshot(cfg.raw)
-    judge = cfg.build_judge()
-    oracle = cfg.build_oracle()
+    volume_io.write_json(out_dir / "config_snapshot.json", cfg.raw)
     source = PhantomSource(cfg.phantom, intensity_jitter=cfg.synthetic.intensity_jitter)
     corpus, model, reports = run_em(
-        cases, cfg.em, judge, oracle, phantom_source=source, recorder=recorder,
-        threads=threads, new_model=cfg.build_model)
+        cases, cfg.em, judge, oracle, phantom_source=source, out_dir=out_dir,
+        timing=args.timing, threads=threads, new_model=cfg.build_model)
     volume_io.write_corpus(out_dir / "final_corpus", corpus, cfg.catalog)
-    recorder.summary({
+    volume_io.write_json(out_dir / "summary.json", {
         "iterations": len(reports),
         "mean_dsc_vs_gold": reports[-1].mean_dsc_vs_gold if reports else None,
         "escalation_fractions": [r.escalation_fraction for r in reports],
@@ -339,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="existing corpus dir (default: generate per config)")
     p.add_argument("--force", action="store_true")
     p.add_argument("--timing", action="store_true",
-                   help="include wall-clock timing in reports (breaks byte-reproducibility)")
+                   help="append each iteration's wall-clock seconds to timing.jsonl "
+                        "(every other file stays byte-identical)")
     p.set_defaults(func=cmd_run_loop)
 
     p = sub.add_parser("evaluate", help="pseudo-vs-gold corpus metrics")

@@ -28,7 +28,7 @@ from .loop import (
 from .phantom import NoiseSpec, PhantomSpec, StructureShapeSpec
 from .roc import CostModel
 from .verifier import GaussianIntensityModel
-from .volume_io import SCHEMA_VERSION, decode, decode_mapping
+from .volume_io import check_record, decode, decode_mapping
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,26 @@ class JudgeConfig:
     timeout_s: float = 10.0
     tie_epsilon: float = 0.02
 
+    def __post_init__(self):
+        if self.kind not in ("rule_based", "external"):
+            raise ConfigError(f"judge.kind must be 'rule_based' or 'external', got {self.kind!r}")
+        if self.kind == "external" and not self.command:
+            raise ConfigError("judge.command must not be empty when judge.kind is 'external'")
+        if self.timeout_s <= 0:  # else every external request times out at once, a tie
+            raise ConfigError(f"judge.timeout_s must be > 0, got {self.timeout_s}")
+
 
 @dataclass(frozen=True)
 class OracleConfig:
     kind: str = "simulated"
     accuracy: float = 0.9
+
+    def __post_init__(self):
+        if self.kind not in ("simulated", "tie_keeper", "interactive"):
+            raise ConfigError("oracle.kind must be 'simulated', 'tie_keeper' or 'interactive', "
+                              f"got {self.kind!r}")
+        if not 0.0 <= self.accuracy <= 1.0:
+            raise ConfigError(f"oracle.accuracy must lie in [0, 1], got {self.accuracy}")
 
 
 @dataclass(frozen=True)
@@ -122,23 +137,16 @@ class RunConfig:
         rule = RuleBasedJudge(self.priors, tie_epsilon=self.judge.tie_epsilon)
         if self.judge.kind == "rule_based":
             return rule
-        if self.judge.kind == "external":
-            if not self.judge.command:
-                raise ConfigError("external judge requires a command")
-            primary = ExternalJudge(self.judge.command, self.priors,
-                                    timeout_s=self.judge.timeout_s)
-            return FallbackJudge(primary, rule)
-        raise ConfigError(f"unknown judge kind '{self.judge.kind}'")
+        primary = ExternalJudge(self.judge.command, self.priors, timeout_s=self.judge.timeout_s)
+        return FallbackJudge(primary, rule)
 
     def build_oracle(self):
         if self.oracle.kind == "simulated":
             return SimulatedExpert(accuracy=self.oracle.accuracy, seed=self.em.seed)
         if self.oracle.kind == "tie_keeper":
             return TieKeeperOracle()
-        if self.oracle.kind == "interactive":
-            require_terminal()
-            return InteractiveCliOracle()
-        raise ConfigError(f"unknown oracle kind '{self.oracle.kind}'")
+        require_terminal()
+        return InteractiveCliOracle()
 
 
 # The group of a section: the YAML sub-mapping ``g: {a, b}`` that fills its fields ``g_a``, ``g_b``.
@@ -157,7 +165,7 @@ def _ordered(value, key: str, where: str, names) -> dict:
 
 
 def _read_yaml(path: Path) -> dict:
-    """A config file's top-level mapping; its schema_version, if any, must be ours.
+    """A config file's top level, a record (see ``check_record``).
 
     Parsed by libyaml where PyYAML has it: CSafeLoader shares SafeLoader's
     constructor and resolver, so it builds the same objects."""
@@ -165,12 +173,7 @@ def _read_yaml(path: Path) -> dict:
         raw = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot load {path}: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path} must be a mapping")
-    version = raw.get("schema_version", SCHEMA_VERSION)
-    if type(version) is not int or version != SCHEMA_VERSION:
-        raise ConfigError(f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
-    return raw
+    return check_record(raw, path)
 
 
 def load_priors(path: Union[str, Path]) -> dict[int, AnatomicalPrior]:

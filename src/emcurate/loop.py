@@ -46,7 +46,7 @@ from .verifier import (
     fit_model,
     write_structures,
 )
-from .volume_io import decode, read_json, write_json, write_jsonl
+from .volume_io import decode, decode_mapping, read_json, write_json, write_jsonl
 
 log = logging.getLogger(__name__)
 
@@ -76,6 +76,8 @@ class EMConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
+        if self.annealing_weight < 0:
+            raise ConfigError(f"em.annealing.weight must be >= 0, got {self.annealing_weight}")
         if self.convergence_mode not in ("gold", "changes"):
             raise ConfigError("convergence_mode must be 'gold' or 'changes'")
         if self.seed < 0:
@@ -132,6 +134,7 @@ def load_queue(path: Union[str, Path]) -> list[EscalationEntry]:
     """The unresolved entries of a queue file written by save_queue."""
     payload = read_json(path)
     try:
+        decode_mapping(payload, "", ("schema_version", "entries"))
         rows = decode(tuple[QueueRow, ...], payload["entries"], "entries")
         return [EscalationEntry(case_id=row.case_id, structure=row.structure, reason=row.reason,
                                 overlays=[rle_decode(o, row.width, row.height)
@@ -241,25 +244,7 @@ class IterationReport:
     change_fraction: float
     model_snapshot_id: str
     mean_dsc_vs_gold: Optional[float] = None
-    per_structure_dsc_vs_gold: Optional[dict[int, dict[str, float]]] = None
-    wall_clock_s: float = 0.0
-
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
-            "iteration": self.iteration,
-            "counts": self.counts,
-            "escalation_fraction": self.escalation_fraction,
-            "budget_breached": self.budget_breached,
-            "change_fraction": self.change_fraction,
-            "model_snapshot_id": self.model_snapshot_id,
-            "mean_dsc_vs_gold": self.mean_dsc_vs_gold,
-            "per_structure_dsc_vs_gold":
-                None if self.per_structure_dsc_vs_gold is None else
-                {str(k): v for k, v in self.per_structure_dsc_vs_gold.items()},
-        }
-        if include_timing:
-            d["wall_clock_s"] = self.wall_clock_s
-        return d
+    per_structure_dsc_vs_gold: Optional[dict[str, dict[str, float]]] = None
 
 
 def ordered_parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
@@ -446,51 +431,19 @@ def _gold_metrics(corpus: Sequence[CaseRecord]) -> tuple[Optional[float], Option
     for c in cases:
         for s, a, b in structure_mask_pairs(c.pseudo, c.gold):
             scores_of[s].append(dsc(a, b))
-    per_structure: dict[int, dict[str, float]] = {}
+    # keys are str(label): the written report sorts them as text, "10" before "2"
+    per_structure: dict[str, dict[str, float]] = {}
     all_scores = []
     for s, scores in scores_of.items():
         all_scores.extend(scores)
-        per_structure[s] = {"mean": float(np.mean(scores)), "median": float(np.median(scores))}
+        per_structure[str(s)] = {"mean": float(np.mean(scores)),
+                                 "median": float(np.median(scores))}
     return float(np.mean(all_scores)), per_structure
 
 
-class RunRecorder:
-    """Persists a run directory: config snapshot, per-iteration reports,
-    model snapshots, change logs and escalation resolutions. Timing is kept
-    out of the artifacts by default so identical runs are byte-identical."""
-
-    def __init__(self, out_dir: Union[str, Path], include_timing: bool = False):
-        self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        self.include_timing = include_timing
-
-    def config_snapshot(self, config: dict) -> None:
-        write_json(self.out_dir / "config_snapshot.json", config)
-
-    def model_snapshot(self, iteration: int, model: GaussianIntensityModel) -> str:
-        blob = model.save(self.out_dir / f"model_{iteration:03d}.json")
-        return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-    def iteration_report(self, report: IterationReport) -> None:
-        write_json(self.out_dir / f"iteration_{report.iteration:03d}.json",
-                   report.to_dict(self.include_timing))
-
-    def changes(self, iteration: int, entries: Sequence[ChangeLogEntry]) -> None:
-        write_jsonl(self.out_dir / f"changes_{iteration:03d}.jsonl",
-                    [asdict(e) for e in entries])
-
-    def resolutions(self, iteration: int, entries: Sequence[EscalationEntry]) -> None:
-        write_jsonl(self.out_dir / "resolutions.jsonl",
-                    [{"iteration": iteration, "reason": e.reason.value, **e.decision()}
-                     for e in entries], append=True)
-
-    def summary(self, obj: dict) -> None:
-        write_json(self.out_dir / "summary.json", obj)
-
-
 def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOracle,
-           phantom_source: Optional[PhantomSource] = None,
-           recorder: Optional[RunRecorder] = None, threads: int = 1,
+           phantom_source: Optional[PhantomSource] = None, out_dir: Optional[Path] = None,
+           timing: bool = False, threads: int = 1,
            new_model: ModelFactory = GaussianIntensityModel
            ) -> tuple[list[CaseRecord], SegmentationModel, list[IterationReport]]:
     """Alternate expectation and maximization passes until convergence.
@@ -499,15 +452,23 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
     or the fraction of changed structures in no-gold mode) improves by less
     than convergence_epsilon. Deterministic given corpus, config and seed.
     Every model, the initial fit and each refit, comes from `new_model`.
+
+    With ``out_dir``, the run is recorded there: ``model_NNN.json`` for the
+    initial fit (000) and each refit, and per iteration ``iteration_NNN.json``,
+    ``changes_NNN.jsonl`` and its rows of ``resolutions.jsonl``. ``timing``
+    appends each iteration's wall-clock seconds to ``timing.jsonl``, the one
+    file whose bytes differ between identical runs.
     """
+    def snapshot(iteration: int, model: SegmentationModel) -> str:
+        if out_dir is None:
+            return ""
+        blob = model.save(out_dir / f"model_{iteration:03d}.json")
+        return hashlib.sha256(blob.encode()).hexdigest()[:12]
+
     corpus = list(corpus)
     model = fit_model(corpus, new_model=new_model)
+    snapshot(0, model)
     reports: list[IterationReport] = []
-    if recorder is not None:
-        recorder.model_snapshot(0, model)
-    if cfg.max_iterations == 0:
-        return corpus, model, reports
-
     prev_metric, _ = _gold_metrics(corpus) if cfg.convergence_mode == "gold" else (None, None)
     for iteration in range(1, cfg.max_iterations + 1):
         started = time.perf_counter()
@@ -515,7 +476,6 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
                                                   iteration=iteration, threads=threads)
         model = maximization_pass(corpus, cfg, stats.per_case_audit_dsc, phantom_source,
                                   iteration=iteration, new_model=new_model)
-        snapshot_id = recorder.model_snapshot(iteration, model) if recorder else ""
         mean_gold, per_structure = _gold_metrics(corpus)
         report = IterationReport(
             iteration=iteration,
@@ -523,16 +483,22 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
             escalation_fraction=stats.escalation_fraction,
             budget_breached=stats.escalation_fraction > cfg.escalation_budget_fraction,
             change_fraction=stats.change_fraction,
-            model_snapshot_id=snapshot_id,
+            model_snapshot_id=snapshot(iteration, model),
             mean_dsc_vs_gold=mean_gold,
             per_structure_dsc_vs_gold=per_structure,
-            wall_clock_s=time.perf_counter() - started,
         )
         reports.append(report)
-        if recorder is not None:
-            recorder.iteration_report(report)
-            recorder.changes(iteration, stats.all_changes)
-            recorder.resolutions(iteration, entries)
+        if out_dir is not None:
+            write_json(out_dir / f"iteration_{iteration:03d}.json", asdict(report))
+            write_jsonl(out_dir / f"changes_{iteration:03d}.jsonl",
+                        [asdict(e) for e in stats.all_changes])
+            write_jsonl(out_dir / "resolutions.jsonl",
+                        [{"iteration": iteration, "reason": e.reason.value, **e.decision()}
+                         for e in entries], append=True)
+            if timing:
+                write_jsonl(out_dir / "timing.jsonl", [{
+                    "iteration": iteration, "wall_clock_s": time.perf_counter() - started}],
+                    append=True)
 
         if cfg.convergence_mode == "gold" and mean_gold is not None:
             if prev_metric is not None and mean_gold - prev_metric < cfg.convergence_epsilon:

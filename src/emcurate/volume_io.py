@@ -70,12 +70,25 @@ def write_jsonl(path: Union[str, Path], rows: Iterable[dict], append: bool = Fal
             fh.write(canonical_json(row) + "\n")
 
 
+def check_record(record, path, error: type[Exception] = ConfigError) -> dict:
+    """``record``, the top level of the config or JSON file at ``path``: a
+    mapping whose schema_version is absent or SCHEMA_VERSION, else ``error``."""
+    if not isinstance(record, dict):
+        raise error(f"{path} must be a mapping")
+    version = record.get("schema_version", SCHEMA_VERSION)
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise error(f"{path}: schema_version must be {SCHEMA_VERSION}, got {version!r}")
+    return record
+
+
 def read_json(path: Union[str, Path], raw: Optional[bytes] = None) -> dict:
-    """The JSON file at ``path``; ``raw`` is its bytes when already read."""
+    """The JSON record at ``path`` (see ``check_record``); ``raw`` is its
+    bytes when already read."""
     try:
-        return json.loads(Path(path).read_bytes() if raw is None else raw)
+        record = json.loads(Path(path).read_bytes() if raw is None else raw)
     except ValueError as exc:
         raise VolumeFormatError(f"{path}: malformed JSON: {exc}") from None
+    return check_record(record, path, VolumeFormatError)
 
 
 def decode_mapping(value, where: str, allowed) -> dict:
@@ -283,6 +296,8 @@ def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCata
     sidecar_path = corpus_dir / f"{case_id}.json"
     sidecar = read_json(sidecar_path, verified(f"{case_id}.json", read(f"{case_id}.json")))
     try:
+        decode_mapping(sidecar, "", ("schema_version", "case_id", "catalog_id", "files",
+                                     "report", "meta"))
         if sidecar["case_id"] != case_id:
             raise ValueError(f"case_id {sidecar['case_id']!r} != manifest.json id {case_id!r}")
         if sidecar["catalog_id"] != catalog.catalog_id:
@@ -357,6 +372,7 @@ def read_corpus(corpus_dir: Union[str, Path]) -> tuple[list[CaseRecord], Structu
     path = Path(corpus_dir) / "manifest.json"
     manifest = read_json(path)
     try:
+        decode_mapping(manifest, "", ("schema_version", "catalog", "case_ids", "checksums"))
         catalog = StructureCatalog(decode(tuple[StructureEntry, ...], manifest["catalog"],
                                           "catalog"))
         case_ids = decode(tuple[str, ...], manifest["case_ids"], "case_ids")

@@ -144,6 +144,9 @@ CORRUPTIONS = {
     "catalog_relabelled": ("manifest.json", _edit_json(lambda m: m["catalog"][0].update(label=9))),
     "catalog_label_bool": ("manifest.json",
                            _edit_json(lambda m: m["catalog"][0].update(label=True))),
+    "manifest_schema_version": ("manifest.json",
+                                _edit_json(lambda m: m.update(schema_version=99))),
+    "manifest_unknown_key": ("manifest.json", _edit_json(lambda m: m.update(note="x"))),
 }
 
 
@@ -221,6 +224,8 @@ SIDECAR_CORRUPTIONS = {
     "age_fraction": _edit_sidecar(lambda s: s["meta"].update(age=40.7)),
     "age_string": _edit_sidecar(lambda s: s["meta"].update(age="41")),
     "unknown_meta_key": _edit_sidecar(lambda s: s["meta"].update(weight=70)),
+    "schema_version": _edit_sidecar(lambda s: s.update(schema_version=99)),
+    "unknown_key": _edit_sidecar(lambda s: s.update(note="x")),
 }
 
 
@@ -610,6 +615,51 @@ def test_run_loop_byte_identical_across_threads(cfg_file, tmp_path):
     assert tree_digest(a) == tree_digest(b)
 
 
+def test_run_loop_timing_adds_only_timing_jsonl(cfg_file, tmp_path):
+    plain, timed = tmp_path / "plain", tmp_path / "timed"
+    argv = ["run-loop", "--config", cfg_file, "--threads", "1", "--out"]
+    assert main(argv + [str(plain)]) == 0
+    assert main(argv + [str(timed), "--timing"]) == 0
+    rows = [json.loads(line) for line in (timed / "timing.jsonl").read_text().splitlines()]
+    iterations = json.loads((plain / "summary.json").read_text())["iterations"]
+    assert [row["iteration"] for row in rows] == list(range(1, iterations + 1))
+    assert all(set(row) == {"iteration", "wall_clock_s"} and row["wall_clock_s"] > 0
+               for row in rows)
+    digest = tree_digest(timed)
+    del digest["timing.jsonl"]
+    assert digest == tree_digest(plain)
+
+
+BAD_LOOP_SETTINGS = {
+    "unknown_oracle": {"oracle": {"kind": "bogus"}},
+    "external_judge_without_command": {"judge": {"kind": "external"}},
+    "oracle_accuracy": {"oracle": {"accuracy": 2}},
+    "negative_annealing_weight": {"em": dict(BASE_CFG["em"], annealing={"weight": -1.0})},
+    "interactive_oracle_without_terminal": {"oracle": {"kind": "interactive"}},
+}
+
+
+@pytest.mark.parametrize("setting", sorted(BAD_LOOP_SETTINGS))
+def test_bad_loop_setting_exits_2_before_out_is_touched(cfg_file, tmp_path, capsys, setting):
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", cfg_file, "--out", str(corpus)]) == 0
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(yaml.safe_dump({**BASE_CFG, **BAD_LOOP_SETTINGS[setting]}))
+    run, refined = tmp_path / "run", tmp_path / "refine"
+    run.mkdir()
+    (run / "summary.json").write_text("previous run")
+    common = ["--config", str(cfg), "--corpus", str(corpus), "--threads", "1", "--out"]
+    assert main(["run-loop", *common, str(run), "--force"]) == 2
+    assert main(["refine", *common, str(refined)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if setting != "interactive_oracle_without_terminal":  # checked when the oracle is built
+        assert err.count(str(cfg)) == 2
+    assert [p.name for p in run.iterdir()] == ["summary.json"]
+    assert (run / "summary.json").read_text() == "previous run"
+    assert not refined.exists()
+
+
 def test_review_scripted(tmp_path, monkeypatch, capsys):
     from emcurate.loop import EscalationEntry, EscalationReason, save_queue
     overlay = np.zeros((3, 3), bool)
@@ -672,6 +722,8 @@ QUEUE_CORRUPTIONS = {
     "rle_past_the_overlay": _first_overlay("0:4 1:9"),
     "negative_size": lambda q: q["entries"][0].update(width=-3, height=-3),
     "one_overlay": lambda q: q["entries"][0].update(overlays=["0:4 1:1 0:4"]),
+    "schema_version": lambda q: q.update(schema_version=99),
+    "unknown_key": lambda q: q.update(note="x"),
 }
 
 
@@ -780,9 +832,11 @@ def _key_paths(value, path=()) -> list[tuple]:
 
 
 @st.composite
-def record_edits(draw, payload):
-    """(key path, new value or _DELETE) into payload."""
-    return draw(st.sampled_from(_key_paths(payload))), draw(st.sampled_from(RETYPES))
+def record_edits(draw, payload, sections=None):
+    """(key path, new value or _DELETE) into payload, under one of ``sections``
+    when given."""
+    paths = [p for p in _key_paths(payload) if sections is None or p[0] in sections]
+    return draw(st.sampled_from(paths)), draw(st.sampled_from(RETYPES))
 
 
 def _apply(payload, path, new):
@@ -890,4 +944,25 @@ def test_any_edited_config_exits_0_or_2(edit):
         cfg = Path(tmp) / "cfg.yaml"
         cfg.write_text(yaml.safe_dump(_apply(_CONFIG, *edit)))
         code, err = _run(["generate", "--config", str(cfg), "--out", str(Path(tmp) / "c")])
+    _assert_exit(code, err, str(cfg), (2,))
+
+
+# _CONFIG with the sections that only run-loop reads, at their packaged defaults.
+# Edits leave phantom, noise and corpus alone: run-loop builds its corpus from
+# them as generate does, and the generate test above edits them.
+_PACKAGED = yaml.safe_load((Path(vio.__file__).parent / "data" / "default_run.yaml").read_text())
+_LOOP_CONFIG = {**copy.deepcopy(_CONFIG),
+                **{k: _PACKAGED[k] for k in ("judge", "oracle", "model", "synthetic")}}
+_LOOP_CONFIG["em"]["annealing"] = _PACKAGED["em"]["annealing"]
+
+
+@settings(max_examples=80)
+@given(edit=record_edits(_LOOP_CONFIG, ("em", "metrics", "judge", "oracle", "model",
+                                         "synthetic")))
+def test_any_edited_config_runs_the_loop_or_exits_2(edit):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump(_apply(_LOOP_CONFIG, *edit)))
+        code, err = _run(["run-loop", "--threads", "1", "--config", str(cfg),
+                          "--out", str(Path(tmp) / "run")])
     _assert_exit(code, err, str(cfg), (2,))

@@ -172,6 +172,9 @@ MALFORMED = [
     ({"noise": {"shift_voxels": [8, 4]}}, "noise.shift_voxels must satisfy"),
     ({"noise": {"shift_axes": [1.0, -0.5, 1.0]}}, "noise.shift_axes must be nonnegative"),
     ({"noise": {"shift_axes": [0.0, 0.0, 0.0]}}, "with a positive sum, got [0.0, 0.0, 0.0]"),
+    ({"oracle": {"accuracy": 2}}, "oracle.accuracy must lie in [0, 1], got 2"),
+    ({"judge": {"timeout_s": 0.0}}, "judge.timeout_s must be > 0, got 0.0"),
+    ({"em": {"annealing": {"weight": -1.0}}}, "em.annealing.weight must be >= 0, got -1.0"),
 ]
 
 
@@ -346,17 +349,13 @@ def test_malformed_yaml_rejected(tmp_path):
 
 
 def test_unknown_judge_and_oracle_kinds(run_cfg, tmp_path):
-    raw = dict(run_cfg.raw)
-    raw["judge"] = {"kind": "psychic"}
-    path = tmp_path / "cfg.yaml"
-    path.write_text(yaml.safe_dump(raw))
-    cfg = load_run_config(path)
-    with pytest.raises(ConfigError):
-        cfg.build_judge()
-    raw["judge"] = {"kind": "external", "command": []}
-    path.write_text(yaml.safe_dump(raw))
-    with pytest.raises(ConfigError):
-        load_run_config(path).build_judge()
+    """Judge and oracle kinds are checked when the config loads."""
+    for section, where in (({"judge": {"kind": "psychic"}}, "judge.kind"),
+                           ({"judge": {"kind": "external", "command": []}}, "judge.command"),
+                           ({"oracle": {"kind": "psychic"}}, "oracle.kind")):
+        path = _write(run_cfg, tmp_path, **section)
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: {where} must"):
+            load_run_config(path)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -476,22 +476,16 @@ def test_run_em_computes_one_box_table_per_label_map(run_cfg_module, judge, monk
 
 
 def test_recorder_outputs(tmp_path, noisy_corpus, run_cfg_module, judge):
-    from emcurate.loop import RunRecorder
-
     cases, _ = noisy_corpus
-    recorder = RunRecorder(tmp_path)
-    recorder.config_snapshot({"hello": 1})
     source = em.PhantomSource(run_cfg_module.phantom,
                                run_cfg_module.synthetic.intensity_jitter)
     run_em(cases, em_cfg(max_iterations=1), judge, SimulatedExpert(seed=0),
-           phantom_source=source, recorder=recorder)
+           phantom_source=source, out_dir=tmp_path)
     names = {p.name for p in tmp_path.iterdir()}
-    assert "config_snapshot.json" in names
-    assert "model_000.json" in names and "model_001.json" in names
-    assert "iteration_001.json" in names
-    assert "changes_001.jsonl" in names
+    assert names == {"model_000.json", "model_001.json", "iteration_001.json",
+                     "changes_001.jsonl", "resolutions.jsonl"}  # no timing.jsonl by default
     report = json.loads((tmp_path / "iteration_001.json").read_text())
-    assert "wall_clock_s" not in report  # timing kept out by default
+    assert "wall_clock_s" not in report
     counts = report["counts"]
     assert counts["keep"] + counts["auto_replace"] + counts["route"] == \
         counts["structures_audited"]
