@@ -332,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", help="existing corpus dir (default: generate per config)")
     p.add_argument("--force", action="store_true")
     p.add_argument("--timing", action="store_true",
-                   help="append each iteration's wall-clock seconds to timing.jsonl "
+                   help="append each iteration's wall-clock seconds and its expectation, "
+                        "maximization, gold-metric and record-write seconds to timing.jsonl "
                         "(every other file stays byte-identical)")
     p.set_defaults(func=cmd_run_loop)
 

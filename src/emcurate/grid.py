@@ -29,8 +29,8 @@ from .errors import CatalogError, ShapeError
 
 BACKGROUND = 0
 
-# A box is one slice per axis, as ndimage.find_objects returns it: the voxels
-# start <= i < stop on every axis.
+# A box is one slice per axis, in the convention of scipy's find_objects: the
+# voxels start <= i < stop on every axis.
 Box = tuple[slice, ...]
 
 # face-neighbor structuring element: 6-connectivity, one-voxel morphology
@@ -327,13 +327,44 @@ def nonzero_box(mask: np.ndarray) -> Box:
     return tuple(box)
 
 
+_WORD_BITS = 16  # label_boxes' per-voxel word: bit 0 is its chunk's base label
+_BIT_POSITIONS = np.arange(_WORD_BITS, dtype=np.uint16)
+
+
 def label_boxes(labels: np.ndarray, n_labels: int) -> dict[int, Optional[Box]]:
-    """The box of every label 1..n_labels from one ndimage.find_objects pass:
-    entry s is nonzero_box(labels == s), or None when label s is absent."""
-    if n_labels < 1:  # find_objects reads max_label < 1 as "every label present"
-        return {}
-    return dict(enumerate(ndimage.find_objects(np.asarray(labels), max_label=n_labels),
-                          start=1))
+    """The box of every label 1..n_labels of a 3D uint16 label map: entry s
+    is nonzero_box(labels == s), or None when label s is absent.
+
+    Labels go in chunks of 15, one pass over the map each (the default
+    catalogs need one). A pass builds the uint16 word 1 << (label - base)
+    per voxel, so labels base+1..base+15 set bits 1..15. The subtraction
+    wraps in uint16, so a label below the base becomes 16 or more, and NumPy
+    shifts any count of 16 or more out to 0: such labels, and labels above
+    the chunk, set no bit. The pass OR-reduces the words along x into a
+    (ny, nz) plane, and along the y-z axis of the (nx, ny*nz) view into an
+    x vector; the plane gives the y and z vectors. Bit b of a projection
+    is set at position i exactly when label base+b has a voxel at that
+    coordinate, so its first and last set positions bound the label's
+    voxels on that axis: the box find_objects(labels, max_label=n_labels)
+    returns, with labels above n_labels ignored as it ignores them."""
+    labels = np.asarray(labels, dtype=np.uint16)
+    boxes: dict[int, Optional[Box]] = {}
+    for base in range(0, n_labels, _WORD_BITS - 1):
+        offset = labels - np.uint16(base) if base else labels
+        words = np.left_shift(np.uint16(1), offset, dtype=np.uint16)
+        plane = np.bitwise_or.reduce(words, axis=0)
+        x = np.bitwise_or.reduce(words.reshape(len(words), -1), axis=1)
+        present = int(np.bitwise_or.reduce(x))
+        spans = []
+        for proj in (x, np.bitwise_or.reduce(plane, axis=1), np.bitwise_or.reduce(plane, axis=0)):
+            hit = (proj[:, None] >> _BIT_POSITIONS & 1).astype(bool)  # hit[i, b]: bit b at i
+            spans.append((hit.argmax(axis=0).tolist(),
+                          (len(proj) - hit[::-1].argmax(axis=0)).tolist()))
+        for s in range(base + 1, min(base + _WORD_BITS, n_labels + 1)):
+            b = s - base
+            boxes[s] = (tuple(slice(first[b], stop[b]) for first, stop in spans)
+                        if present >> b & 1 else None)
+    return boxes
 
 
 def box_hull(boxes: Iterable[Optional[Box]]) -> Optional[Box]:

@@ -456,8 +456,10 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
     With ``out_dir``, the run is recorded there: ``model_NNN.json`` for the
     initial fit (000) and each refit, and per iteration ``iteration_NNN.json``,
     ``changes_NNN.jsonl`` and its rows of ``resolutions.jsonl``. ``timing``
-    appends each iteration's wall-clock seconds to ``timing.jsonl``, the one
-    file whose bytes differ between identical runs.
+    appends one row per iteration to ``timing.jsonl``, the one file whose
+    bytes differ between identical runs: its wall-clock seconds and the
+    seconds of its expectation pass, maximization pass, gold metrics and
+    record writes (the model snapshot included).
     """
     def snapshot(iteration: int, model: SegmentationModel) -> str:
         if out_dir is None:
@@ -474,9 +476,12 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
         started = time.perf_counter()
         corpus, entries, stats = expectation_pass(corpus, model, judge, oracle, cfg,
                                                   iteration=iteration, threads=threads)
+        expected = time.perf_counter()
         model = maximization_pass(corpus, cfg, stats.per_case_audit_dsc, phantom_source,
                                   iteration=iteration, new_model=new_model)
+        maximized = time.perf_counter()
         mean_gold, per_structure = _gold_metrics(corpus)
+        scored = time.perf_counter()
         report = IterationReport(
             iteration=iteration,
             counts=dict(stats.counts),
@@ -496,8 +501,11 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
                         [{"iteration": iteration, "reason": e.reason.value, **e.decision()}
                          for e in entries], append=True)
             if timing:
+                written = time.perf_counter()
                 write_jsonl(out_dir / "timing.jsonl", [{
-                    "iteration": iteration, "wall_clock_s": time.perf_counter() - started}],
+                    "iteration": iteration, "wall_clock_s": time.perf_counter() - started,
+                    "expectation_s": expected - started, "maximization_s": maximized - expected,
+                    "gold_metrics_s": scored - maximized, "records_s": written - scored}],
                     append=True)
 
         if cfg.convergence_mode == "gold" and mean_gold is not None:

@@ -71,14 +71,15 @@ CAT4 = StructureCatalog((
 
 
 @st.composite
-def label_volumes(draw, n: int = 1):
-    """n CAT4 label arrays of one random shape (sides 1..7). Each draws its
-    highest label and its share of background, so structures are absent,
-    sparse or dense, and often touch the grid border."""
+def label_volumes(draw, n: int = 1, labels: int = 4):
+    """n label arrays of one random shape (sides 1..7), with labels up to
+    `labels` (CAT4's by default). Each draws its highest label and its share
+    of background, so structures are absent, sparse or dense, and often
+    touch the grid border."""
     shape = draw(st.tuples(*[st.integers(1, 7)] * 3))
     volumes = []
     for _ in range(n):
-        top = draw(st.integers(1, 4))
+        top = draw(st.integers(1, labels))
         pool = [0] * draw(st.integers(0, 6)) + list(range(1, top + 1))
         volumes.append(draw(arrays(np.uint16, shape, elements=st.sampled_from(pool))))
     return tuple(volumes)

@@ -10,18 +10,19 @@ every threshold through the package's tumor_wise_detection, whose own
 oracle is brute_tumor_wise. write_structure is the one-structure label
 write that write_structures replaced: it writes into a labels array in
 place and builds no label map. full_grid_changed_structures is the
-Expectation step's change count without box crops.
+Expectation step's change count without box crops. find_objects_boxes is
+label_boxes as it was before the bit-packed projection pass.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy import ndimage
 
 from emcurate.errors import ShapeError
-from emcurate.grid import BACKGROUND, StructureCatalog, connected_components, nonzero_box
+from emcurate.grid import BACKGROUND, Box, StructureCatalog, connected_components, nonzero_box
 from emcurate.metrics import RocCurve, RocPoint, _check_thresholds, tumor_wise_detection
 from emcurate.verifier import ChangeLogEntry
 
@@ -370,3 +371,12 @@ def full_grid_changed_structures(before: np.ndarray, after: np.ndarray,
                                  catalog: StructureCatalog) -> int:
     """How many catalog labels' full-grid masks differ between two label arrays."""
     return sum(not np.array_equal(before == s, after == s) for s in catalog.labels)
+
+
+def find_objects_boxes(labels: np.ndarray, n_labels: int) -> dict[int, Optional[Box]]:
+    """The box of every label 1..n_labels from one ndimage.find_objects pass,
+    None for an absent label; labels above n_labels are ignored."""
+    if n_labels < 1:  # find_objects reads max_label < 1 as "every label present"
+        return {}
+    return dict(enumerate(ndimage.find_objects(np.asarray(labels), max_label=n_labels),
+                          start=1))

@@ -623,8 +623,12 @@ def test_run_loop_timing_adds_only_timing_jsonl(cfg_file, tmp_path):
     rows = [json.loads(line) for line in (timed / "timing.jsonl").read_text().splitlines()]
     iterations = json.loads((plain / "summary.json").read_text())["iterations"]
     assert [row["iteration"] for row in rows] == list(range(1, iterations + 1))
-    assert all(set(row) == {"iteration", "wall_clock_s"} and row["wall_clock_s"] > 0
-               for row in rows)
+    phases = ["expectation_s", "maximization_s", "gold_metrics_s", "records_s"]
+    for row in rows:
+        assert set(row) == {"iteration", "wall_clock_s", *phases}
+        assert row["wall_clock_s"] > 0
+        assert all(row[k] >= 0 for k in phases)
+        assert sum(row[k] for k in phases) <= row["wall_clock_s"]
     digest = tree_digest(timed)
     del digest["timing.jsonl"]
     assert digest == tree_digest(plain)

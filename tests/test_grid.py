@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import ndimage
@@ -31,7 +31,7 @@ from emcurate.grid import (
 )
 
 from conftest import CAT4, label_volumes, make_label_map
-from oracles import brute_components, brute_front_overlay
+from oracles import brute_components, brute_front_overlay, find_objects_boxes
 
 CAT = StructureCatalog((
     StructureEntry(1, "a", StructureKind.ORGAN),
@@ -193,14 +193,44 @@ def test_box_hull_and_pad_box_match_mask_boxes(masks, margin):
         assert pad_box(nonzero_box(m), margin, m.shape) == nonzero_box(grown)
 
 
-@given(volumes=label_volumes())
-def test_label_boxes_match_nonzero_box(volumes):
-    (labels,) = volumes
-    boxes = label_boxes(labels, 4)
-    assert sorted(boxes) == [1, 2, 3, 4]
+@st.composite
+def catalog_label_maps(draw):
+    """(n_labels, labels): a catalog size on either side of label_boxes'
+    15-label chunk edges, and a map whose labels reach n_labels + 2, so some
+    lie above the catalog. One map in eight is all background."""
+    n_labels = draw(st.sampled_from([1, 7, 14, 15, 16, 30, 31, 70]))
+    (labels,) = draw(label_volumes(labels=n_labels + 2))
+    if draw(st.integers(0, 7)) == 0:
+        labels = np.zeros_like(labels)
+    return n_labels, labels
+
+
+def face_labels(shape, low_x, high_x, low_y, high_y, low_z, high_z):
+    """A map with one label on each grid face; later faces overwrite the
+    edges they share with earlier ones."""
+    labels = np.zeros(shape, np.uint16)
+    labels[0], labels[-1] = low_x, high_x
+    labels[:, 0], labels[:, -1] = low_y, high_y
+    labels[:, :, 0], labels[:, :, -1] = low_z, high_z
+    return labels
+
+
+@given(case=catalog_label_maps())
+@example(case=(15, np.full((1, 1, 1), 15, np.uint16)))
+@example(case=(15, face_labels((3, 4, 5), 15, 14, 16, 1, 17, 15)))
+@example(case=(30, face_labels((4, 3, 5), 30, 15, 29, 31, 1, 16)))
+@example(case=(31, face_labels((5, 4, 3), 16, 30, 15, 31, 32, 45)))
+@example(case=(70, np.zeros((7, 7, 7), np.uint16)))
+def test_label_boxes_match_nonzero_box(case):
+    n_labels, labels = case
+    boxes = label_boxes(labels, n_labels)
+    assert boxes == find_objects_boxes(labels, n_labels)
+    assert sorted(boxes) == list(range(1, n_labels + 1))
     for s, box in boxes.items():
         mask = labels == s
         assert box == (nonzero_box(mask) if mask.any() else None)
+        # plain ints, as find_objects gives: model snapshots write box bounds as JSON
+        assert box is None or all(type(b.start) is int and type(b.stop) is int for b in box)
     assert label_boxes(labels, 0) == {}
 
 
