@@ -32,18 +32,18 @@ print(f"\nselected threshold {policy.selected_threshold:.2f}: "
       f"sensitivity {policy.achieved_sensitivity:.3f}, "
       f"{policy.fp_per_scan:.2f} FP/scan (target {policy.target_sensitivity})")
 
-workloads = []
+counts = []
 for case, prob in zip(cases, probs):
     pred = prob > policy.selected_threshold
-    workload = process_case(case, pred, case.gold.labels == tumor, cfg.cost)
-    workloads.append(workload)
+    case_counts = process_case(case, pred, case.gold.labels == tumor, cfg.cost)
+    counts.append(case_counts)
     # report-negative cases are emptied outright, at no click
     if not case.report.tumor_present:
-        assert workload.report_suppressed and workload.fp_clicks == 0
+        assert case_counts.fp == 0
 
-suppressed = sum(w.report_suppressed for w in workloads)
-clicks = sum(w.fp_clicks for w in workloads)
-savings = annotation_savings(workloads, cfg.cost)
+suppressed = sum(not case.report.tumor_present for case in cases)
+clicks = sum(c.fp for c in counts)
+savings = annotation_savings(counts, cfg.cost)
 print(f"\n{suppressed} report-negative cases auto-emptied, "
       f"{clicks} clicks on the rest")
 print(f"scratch annotation: {savings.scratch_seconds:7.0f} s "

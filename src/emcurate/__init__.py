@@ -83,7 +83,6 @@ from .roc import (
     ThresholdPolicy,
     annotation_savings,
     select_threshold,
-    simulate_fp_erasure,
     suppress_fp_by_report,
 )
 from .loop import (

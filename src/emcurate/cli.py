@@ -221,10 +221,10 @@ def cmd_roc(args) -> int:
                              f"{p.fp_per_scan:.9f}", f"{p.specificity:.9f}"])
     policy = select_threshold(curve, cfg.metrics.roc_target_sensitivity)
     volume_io.write_json(out_dir / "policy.json", asdict(policy))
-    workloads = [process_case(case, prob > policy.selected_threshold, gold, cfg.cost,
-                              connectivity=model.tumor_connectivity)
-                 for case, prob, gold in zip(cases, probs, refs)]
-    savings = annotation_savings(workloads, cfg.cost)
+    counts = [process_case(case, prob > policy.selected_threshold, gold, cfg.cost,
+                           connectivity=model.tumor_connectivity)
+              for case, prob, gold in zip(cases, probs, refs)]
+    savings = annotation_savings(counts, cfg.cost)
     volume_io.write_json(out_dir / "savings.json", asdict(savings))
     print(f"threshold {policy.selected_threshold:.3f} "
           f"(sensitivity {policy.achieved_sensitivity:.3f}, "

@@ -8,6 +8,7 @@ config file is given.
 
 from __future__ import annotations
 
+import shutil
 from dataclasses import dataclass, is_dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -137,6 +138,8 @@ class RunConfig:
         rule = RuleBasedJudge(self.priors, tie_epsilon=self.judge.tie_epsilon)
         if self.judge.kind == "rule_based":
             return rule
+        if shutil.which(self.judge.command[0]) is None:  # fail now, not at the first comparison
+            raise ConfigError(f"judge.command {self.judge.command[0]!r} cannot be run")
         primary = ExternalJudge(self.judge.command, self.priors, timeout_s=self.judge.timeout_s)
         return FallbackJudge(primary, rule)
 

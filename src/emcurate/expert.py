@@ -417,6 +417,8 @@ class ExternalJudge:
                                 protocol_issue=True, scored=False)
         try:
             payload = json.loads(line)
+            if not isinstance(payload, dict):
+                raise ValueError("response is not a JSON object")
             if payload.get("id") != request.id:
                 raise ValueError(f"response id {payload.get('id')!r} != {request.id!r}")
             pref = Preference(payload["preference"])

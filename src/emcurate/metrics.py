@@ -203,12 +203,12 @@ def tumor_wise_detection(pred_tumor, ref_tumor, connectivity: int = 6,
     as 0.
     """
     pred, ref = _as_mask_pair(pred_tumor, ref_tumor)
-    box = nonzero_box(pred | ref)
-    pred, ref = pred[box], ref[box]
-    ref_comp = connected_components(ref, connectivity)
-    tp = int(np.count_nonzero(component_hits(ref_comp, pred)))
-    pred_comp = connected_components(pred, connectivity)
-    fp = int(np.count_nonzero((component_hits(pred_comp, ref) == 0)
+    # each mask is labeled on its own box, which holds its components' overlaps
+    ref_box, pred_box = nonzero_box(ref), nonzero_box(pred)
+    ref_comp = connected_components(ref[ref_box], connectivity)
+    tp = int(np.count_nonzero(component_hits(ref_comp, pred[ref_box])))
+    pred_comp = connected_components(pred[pred_box], connectivity)
+    fp = int(np.count_nonzero((component_hits(pred_comp, ref[pred_box]) == 0)
                               & (pred_comp.sizes >= fp_min_voxels)))
     return ConfusionCounts(tp=tp, tn=0, fp=fp, fn=ref_comp.count - tp)
 

@@ -2,9 +2,10 @@
 
 Given per-case tumor probability maps, picks the largest threshold that
 still meets a sensitivity target, removes false positives on report-negative
-cases outright, simulates click-based erasure of the remaining false
-positives against gold, and quantifies the annotation effort saved versus
-annotating every tumor from scratch.
+cases outright, and prices the simulated click-based erasure of the
+remaining false positives against gold: the savings sum each case's
+tumor-wise detection counts and compare the effort with annotating every
+tumor from scratch.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UndefinedRateError
-from .grid import CaseRecord, component_hits, connected_components, nonzero_box
-from .metrics import RocCurve, tumor_wise_detection
+from .grid import CaseRecord
+from .metrics import ConfusionCounts, RocCurve, tumor_wise_detection
 
 
 @dataclass(frozen=True)
@@ -40,17 +41,6 @@ class CostModel:
 
 
 @dataclass(frozen=True)
-class CaseWorkload:
-    """Per-case bookkeeping feeding the savings estimate."""
-
-    case_id: str
-    gold_instances: int
-    missed_instances: int
-    fp_clicks: int
-    report_suppressed: bool
-
-
-@dataclass(frozen=True)
 class SavingsReport:
     scratch_seconds: float
     workflow_seconds: float
@@ -70,16 +60,12 @@ def select_threshold(curve: RocCurve, target: float) -> ThresholdPolicy:
         raise ShapeError("ROC curve is empty")
     if not 0.0 < target <= 1.0:
         raise ConfigError(f"target sensitivity must lie in (0, 1], got {target}")
-    for point in curve.points:  # thresholds descend; first hit is the largest
-        if point.sensitivity >= target:
-            return ThresholdPolicy(target_sensitivity=target,
-                                   selected_threshold=point.threshold,
-                                   achieved_sensitivity=point.sensitivity,
-                                   fp_per_scan=point.fp_per_scan, feasible=True)
-    point = curve.points[-1]
+    # thresholds descend, so the first point that meets the target is the largest
+    point = next((p for p in curve.points if p.sensitivity >= target), curve.points[-1])
     return ThresholdPolicy(target_sensitivity=target, selected_threshold=point.threshold,
                            achieved_sensitivity=point.sensitivity,
-                           fp_per_scan=point.fp_per_scan, feasible=False)
+                           fp_per_scan=point.fp_per_scan,
+                           feasible=point.sensitivity >= target)
 
 
 def suppress_fp_by_report(case: CaseRecord, tumor_pred: np.ndarray) -> np.ndarray:
@@ -91,63 +77,36 @@ def suppress_fp_by_report(case: CaseRecord, tumor_pred: np.ndarray) -> np.ndarra
     return pred
 
 
-def simulate_fp_erasure(tumor_pred: np.ndarray, oracle_gold: np.ndarray,
-                        connectivity: int = 6) -> tuple[np.ndarray, int]:
-    """Erase predicted components that touch no gold component; returns the
-    cleaned mask and the clicks spent, one per erased component. Components
-    touching gold are never removed.
-
-    The prediction is labeled only inside nonzero_box(pred | gold), and the
-    cleaned crop is written back into an all-false grid: every predicted
-    component and every gold voxel lies inside that box, so the components
-    and their gold hits are those of the full grid."""
-    pred = np.asarray(tumor_pred, dtype=bool)
-    gold = np.asarray(oracle_gold, dtype=bool)
-    if pred.shape != gold.shape:
-        raise ShapeError("prediction/gold dims differ")
-    box = nonzero_box(pred | gold)
-    comp = connected_components(pred[box], connectivity)
-    touches = component_hits(comp, gold[box]) > 0
-    cleaned = np.zeros_like(pred)
-    cleaned[box] = np.concatenate(([False], touches))[comp.ids]
-    return cleaned, comp.count - int(np.count_nonzero(touches))
-
-
 def process_case(case: CaseRecord, tumor_pred: np.ndarray, gold_tumor: np.ndarray,
-                 cost: CostModel, connectivity: int = 6) -> CaseWorkload:
+                 cost: CostModel, connectivity: int = 6) -> ConfusionCounts:
     """The case's cleanup workload: report suppression, then simulated
-    erasure of the false positives against gold.
+    erasure of the false positives against gold, as the tumor-wise counts
+    of the suppressed prediction.
 
-    One tumor_wise_detection of the suppressed prediction gives every count
-    without building the cleaned mask. Erasure keeps each predicted
-    component that touches gold, so a gold instance is hit after erasure iff
-    it is hit before (fn are the missed instances, tp + fn all of them), and
-    it spends one click per component touching no gold, whatever its size:
-    fp at fp_min_voxels=1."""
+    Erasure keeps each predicted component that touches gold, so a gold
+    instance is hit after erasure iff it is hit before (fn are the missed
+    instances, tp + fn all of them), and it spends one click per component
+    touching no gold, whatever its size: fp at fp_min_voxels=1."""
     if cost.report_autoremoval:
         tumor_pred = suppress_fp_by_report(case, tumor_pred)
-    counts = tumor_wise_detection(tumor_pred, gold_tumor, connectivity)
-    return CaseWorkload(case_id=case.case_id, gold_instances=counts.tp + counts.fn,
-                        missed_instances=counts.fn, fp_clicks=counts.fp,
-                        report_suppressed=cost.report_autoremoval
-                        and not case.report.tumor_present)
+    return tumor_wise_detection(tumor_pred, gold_tumor, connectivity)
 
 
-def annotation_savings(workloads: Sequence[CaseWorkload], cost: CostModel) -> SavingsReport:
-    """Relative annotation time saved versus annotating everything from scratch.
+def annotation_savings(counts: Sequence[ConfusionCounts], cost: CostModel) -> SavingsReport:
+    """Relative annotation time saved versus annotating everything from scratch,
+    from the cases' process_case counts.
 
     Report-based removals cost nothing; every erased false positive costs one
     click; every missed gold instance must still be annotated from scratch.
     """
-    total_gold = sum(w.gold_instances for w in workloads)
+    total = sum(counts, ConfusionCounts())
+    total_gold = total.tp + total.fn
     if total_gold == 0:
         raise UndefinedRateError("savings_ratio")
-    total_clicks = sum(w.fp_clicks for w in workloads)
-    total_missed = sum(w.missed_instances for w in workloads)
     scratch = total_gold * cost.seconds_per_scratch_annotation
-    workflow = (total_clicks * cost.seconds_per_fp_removal
-                + total_missed * cost.seconds_per_scratch_annotation)
+    workflow = (total.fp * cost.seconds_per_fp_removal
+                + total.fn * cost.seconds_per_scratch_annotation)
     return SavingsReport(scratch_seconds=scratch, workflow_seconds=workflow,
                          ratio=1.0 - workflow / scratch,
-                         total_gold_instances=total_gold, total_missed=total_missed,
-                         total_clicks=total_clicks)
+                         total_gold_instances=total_gold, total_missed=total.fn,
+                         total_clicks=total.fp)

@@ -85,6 +85,22 @@ def label_volumes(draw, n: int = 1, labels: int = 4):
     return tuple(volumes)
 
 
+@st.composite
+def boxed_mask_pairs(draw):
+    """Two boolean masks of one random shape (sides 2..9), each filled only
+    inside its own random sub-box, so each mask's box is smaller than the
+    grid."""
+    shape = draw(st.tuples(*[st.integers(2, 9)] * 3))
+    masks = []
+    for _ in range(2):
+        lo = [draw(st.integers(0, n - 1)) for n in shape]
+        box = tuple(slice(a, draw(st.integers(a + 1, n))) for a, n in zip(lo, shape))
+        mask = np.zeros(shape, bool)
+        mask[box] = draw(arrays(bool, mask[box].shape))
+        masks.append(mask)
+    return tuple(masks)
+
+
 def intensities_for(labels, rng) -> np.ndarray:
     """Float32 intensities whose per-label levels overlap, so a fitted model
     predicts fragmented structures."""

@@ -237,9 +237,9 @@ def test_criterion_7_roc_workflow(cfg):
                     em.DetectionOutcome.TN
             workloads.append(process_case(case, pred, case.gold.labels == tumor, cfg.cost))
         savings = annotation_savings(workloads, cfg.cost)
-        clicks = sum(w.fp_clicks for w in workloads)
-        missed = sum(w.missed_instances for w in workloads)
-        gold_total = sum(w.gold_instances for w in workloads)
+        clicks = sum(w.fp for w in workloads)
+        missed = sum(w.fn for w in workloads)
+        gold_total = sum(w.tp + w.fn for w in workloads)
         closed_form = 1.0 - (
             clicks * cfg.cost.seconds_per_fp_removal
             + missed * cfg.cost.seconds_per_scratch_annotation

@@ -640,7 +640,13 @@ BAD_LOOP_SETTINGS = {
     "oracle_accuracy": {"oracle": {"accuracy": 2}},
     "negative_annealing_weight": {"em": dict(BASE_CFG["em"], annealing={"weight": -1.0})},
     "interactive_oracle_without_terminal": {"oracle": {"kind": "interactive"}},
+    "unrunnable_judge_command": {"judge": {"kind": "external",
+                                           "command": ["/nonexistent/judge"]}},
 }
+# settings checked when the judge or oracle is built: the error names the
+# setting, not the config file
+BUILD_TIME_ERRORS = {"interactive_oracle_without_terminal": "terminal",
+                     "unrunnable_judge_command": "judge.command"}
 
 
 @pytest.mark.parametrize("setting", sorted(BAD_LOOP_SETTINGS))
@@ -657,8 +663,7 @@ def test_bad_loop_setting_exits_2_before_out_is_touched(cfg_file, tmp_path, caps
     assert main(["refine", *common, str(refined)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if setting != "interactive_oracle_without_terminal":  # checked when the oracle is built
-        assert err.count(str(cfg)) == 2
+    assert err.count(BUILD_TIME_ERRORS.get(setting, str(cfg))) == 2
     assert [p.name for p in run.iterdir()] == ["summary.json"]
     assert (run / "summary.json").read_text() == "previous run"
     assert not refined.exists()

@@ -23,6 +23,13 @@ BAD_JSON = textwrap.dedent("""
         print("this is not json", flush=True)
 """)
 
+NON_OBJECT_REPLY = textwrap.dedent("""
+    import sys
+    reply = sys.argv[1]
+    for line in sys.stdin:
+        print(reply, flush=True)
+""")
+
 SLOW = textwrap.dedent("""
     import sys, time
     for line in sys.stdin:
@@ -96,15 +103,37 @@ def test_malformed_response_raises_protocol_error(run_cfg):
         judge.close()
 
 
-def test_fallback_engages_on_protocol_error(run_cfg):
+def rule_decided_pair():
+    """A volume and a (good, displaced) pair the rule judge prefers first."""
     vol = em.VoxelGrid(dims=(64, 64, 64), spacing=(1, 1, 1),
                        data=np.zeros((64, 64, 64), dtype=np.float32))
     good = np.zeros((64, 64, 64), bool)
     good[31:35, 30:32, 9:55] = True
-    displaced = np.roll(good, 20, axis=0)
+    return vol, good, np.roll(good, 20, axis=0)
+
+
+def test_fallback_engages_on_protocol_error(run_cfg):
+    vol, good, displaced = rule_decided_pair()
     primary = ExternalJudge(judge_command(BAD_JSON), run_cfg.priors, timeout_s=10)
     fallback = FallbackJudge(primary, RuleBasedJudge(run_cfg.priors))
     try:
+        verdict = fallback.compare("case", 6, vol, good, displaced)
+        assert verdict.preference is Preference.FIRST  # rule judge decided
+        assert fallback.protocol_failures == 1
+    finally:
+        primary.close()
+
+
+@pytest.mark.parametrize("reply", ["[1]", '"x"', "null", "3"])
+def test_non_object_reply_falls_back(run_cfg, reply):
+    """A reply that is JSON but not an object is malformed like any other."""
+    vol, good, displaced = rule_decided_pair()
+    primary = ExternalJudge(judge_command(NON_OBJECT_REPLY) + [reply], run_cfg.priors,
+                            timeout_s=10)
+    fallback = FallbackJudge(primary, RuleBasedJudge(run_cfg.priors))
+    try:
+        with pytest.raises(ProtocolError):
+            primary.compare("case", 6, vol, good, displaced)
         verdict = fallback.compare("case", 6, vol, good, displaced)
         assert verdict.preference is Preference.FIRST  # rule judge decided
         assert fallback.protocol_failures == 1

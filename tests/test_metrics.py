@@ -29,7 +29,7 @@ from emcurate.metrics import (
     f1_score,
 )
 
-from conftest import CAT4, label_volumes, make_label_map
+from conftest import CAT4, boxed_mask_pairs, label_volumes, make_label_map
 from oracles import (
     brute_boundary,
     brute_dsc,
@@ -247,7 +247,10 @@ def border_mask_pairs(draw):
 
 
 @pytest.mark.parametrize("connectivity", [6, 26])
-@given(pair=border_mask_pairs(), fp_min_voxels=st.integers(1, 3))
+@given(pair=st.one_of(border_mask_pairs(), boxed_mask_pairs(),
+                      boxed_mask_pairs().map(lambda p: (np.zeros_like(p[0]), p[1])),
+                      boxed_mask_pairs().map(lambda p: (p[0], np.zeros_like(p[1])))),
+       fp_min_voxels=st.integers(1, 3))
 def test_tumor_wise_matches_oracle_at_border(connectivity, pair, fp_min_voxels):
     pred, ref = pair
     counts = tumor_wise_detection(pred, ref, connectivity, fp_min_voxels)

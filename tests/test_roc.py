@@ -7,18 +7,18 @@ from hypothesis.extra.numpy import arrays
 import emcurate as em
 from emcurate import (
     ConfigError,
+    ConfusionCounts,
     CostModel,
     ShapeError,
     UndefinedRateError,
     annotation_savings,
     select_threshold,
-    simulate_fp_erasure,
     suppress_fp_by_report,
 )
 from emcurate.metrics import RocCurve, RocPoint, build_roc, default_threshold_grid
-from emcurate.roc import CaseWorkload, process_case
+from emcurate.roc import process_case
 
-from conftest import make_case
+from conftest import boxed_mask_pairs, make_case
 from emcurate.grid import StructureCatalog, StructureEntry, StructureKind
 
 CAT = StructureCatalog((StructureEntry(1, "tumor", StructureKind.TUMOR),))
@@ -96,35 +96,12 @@ def test_suppression_identity_on_report_positive():
 
 def test_erasure_no_false_positives():
     case, pred = tumor_case("p", 1, [(1, 1, 1)], [(1, 1, 1)])
-    gold = case.gold.labels == 1
-    cleaned, clicks = simulate_fp_erasure(pred, gold)
-    assert clicks == 0
-    assert np.array_equal(cleaned, pred)
+    assert process_case(case, pred, case.gold.labels == 1, COST) == ConfusionCounts(tp=1)
 
 
 def test_erasure_counts_clicks():
     case, pred = tumor_case("p", 1, [(1, 1, 1), (6, 6, 6), (9, 9, 9)], [(1, 1, 1)])
-    gold = case.gold.labels == 1
-    cleaned, clicks = simulate_fp_erasure(pred, gold)
-    assert clicks == 2
-    counts = em.tumor_wise_detection(cleaned, gold, 6)
-    assert counts.fp == 0
-    assert counts.tp == 1
-
-
-def test_erasure_never_removes_touching_components():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        pred = rng.random((8, 8, 8)) < 0.1
-        gold = rng.random((8, 8, 8)) < 0.05
-        cleaned, _ = simulate_fp_erasure(pred, gold)
-        assert em.tumor_wise_detection(cleaned, gold, 6).fp == 0
-        # anything touching gold survived
-        comp = em.connected_components(pred, 6)
-        for k in range(1, comp.count + 1):
-            inst = comp.ids == k
-            if gold[inst].any():
-                assert cleaned[inst].all()
+    assert process_case(case, pred, case.gold.labels == 1, COST) == ConfusionCounts(tp=1, fp=2)
 
 
 @st.composite
@@ -136,17 +113,8 @@ def erasure_inputs(draw):
 
 @st.composite
 def boxed_erasure_inputs(draw):
-    """pred and gold each filled only inside its own sub-box of a larger
-    grid, so the erasure's crop is smaller than the grid."""
-    shape = draw(st.tuples(*[st.integers(2, 9)] * 3))
-    masks = []
-    for _ in range(2):
-        lo = [draw(st.integers(0, n - 1)) for n in shape]
-        box = tuple(slice(a, draw(st.integers(a + 1, n))) for a, n in zip(lo, shape))
-        mask = np.zeros(shape, bool)
-        mask[box] = draw(arrays(bool, mask[box].shape))
-        masks.append(mask)
-    return (*masks, draw(st.booleans()), draw(st.sampled_from([6, 26])))
+    """pred and gold each filled only inside its own sub-box of a larger grid."""
+    return (*draw(boxed_mask_pairs()), draw(st.booleans()), draw(st.sampled_from([6, 26])))
 
 
 def border_example():
@@ -182,60 +150,50 @@ def test_erasure_and_process_case_match_component_loop(inputs):
     missed = sum(not expected[gold_comp.ids == k].any()
                  for k in range(1, gold_comp.count + 1))
 
-    cleaned, n_clicks = simulate_fp_erasure(kept, gold, connectivity)
-    assert np.array_equal(cleaned, expected)
-    assert n_clicks == clicks
-    workload = process_case(case, pred, gold, COST, connectivity)
-    assert workload == CaseWorkload(case.case_id, gold_comp.count, missed, clicks,
-                                    not report_positive)
+    counts = process_case(case, pred, gold, COST, connectivity)
+    assert counts == ConfusionCounts(tp=gold_comp.count - missed, fp=clicks, fn=missed)
 
 
 def test_savings_perfect_detector():
-    w = [CaseWorkload("a", 2, 0, 0, False), CaseWorkload("b", 1, 0, 0, False)]
-    report = annotation_savings(w, COST)
+    counts = [ConfusionCounts(tp=2), ConfusionCounts(tp=1)]
+    report = annotation_savings(counts, COST)
     assert report.ratio == 1.0
 
 
 def test_savings_total_miss_is_zero():
-    w = [CaseWorkload("a", 2, 2, 0, False)]
-    report = annotation_savings(w, COST)
+    report = annotation_savings([ConfusionCounts(fn=2)], COST)
     assert report.ratio == 0.0
 
 
 def test_savings_requires_gold_instances():
     with pytest.raises(UndefinedRateError):
-        annotation_savings([CaseWorkload("a", 0, 0, 0, True)], COST)
+        annotation_savings([ConfusionCounts()], COST)
 
 
 def test_savings_paper_style_arithmetic():
     # 100 scans, one tumor each, 99% sensitivity, 0.6 FP/scan:
     # ratio = 1 - (0.6*5 + 0.01*270)/270
-    workloads = []
-    for i in range(100):
-        missed = 1 if i == 0 else 0  # 99/100 detected
-        workloads.append(CaseWorkload(f"c{i}", 1, missed, 0, False))
-    clicks_total = 60
-    workloads[1] = CaseWorkload("c1", 1, 0, clicks_total, False)
-    report = annotation_savings(workloads, COST)
+    counts = [ConfusionCounts(fn=1)] + [ConfusionCounts(tp=1)] * 99  # 99/100 detected
+    counts[1] = ConfusionCounts(tp=1, fp=60)  # 60 clicks in all
+    report = annotation_savings(counts, COST)
     expected = 1 - (60 * 5 + 1 * 270) / (100 * 270)
     assert report.ratio == pytest.approx(expected, abs=1e-12)
     assert expected == pytest.approx(1 - (0.6 * 5 + 0.01 * 270) / 270, abs=1e-12)
 
 
 def test_savings_monotone_in_fp_and_sensitivity():
-    base = annotation_savings([CaseWorkload("a", 10, 1, 5, False)], COST).ratio
-    more_fp = annotation_savings([CaseWorkload("a", 10, 1, 9, False)], COST).ratio
-    more_missed = annotation_savings([CaseWorkload("a", 10, 2, 5, False)], COST).ratio
+    base = annotation_savings([ConfusionCounts(tp=9, fn=1, fp=5)], COST).ratio
+    more_fp = annotation_savings([ConfusionCounts(tp=9, fn=1, fp=9)], COST).ratio
+    more_missed = annotation_savings([ConfusionCounts(tp=8, fn=2, fp=5)], COST).ratio
     assert more_fp < base
     assert more_missed < base
 
 
 def test_process_case_report_negative_suppression_end_to_end():
     case, pred = tumor_case("neg", 0, [(2, 2, 2), (8, 8, 8)], [])
-    workload = process_case(case, pred, case.gold.labels == 1, COST)
-    assert workload.report_suppressed
-    assert workload.fp_clicks == 0  # report removal costs nothing
-    assert workload.gold_instances == 0
+    counts = process_case(case, pred, case.gold.labels == 1, COST)
+    assert counts.fp == 0  # report removal costs nothing
+    assert counts.tp + counts.fn == 0
 
 
 def test_roc_workflow_end_to_end(run_cfg):
