@@ -43,6 +43,7 @@ from .metrics import (
     tumor_wise_detection,
 )
 from .phantom import (
+    Gaussian,
     InjectionOp,
     NoiseSpec,
     PhantomSource,
@@ -66,6 +67,7 @@ from .verifier import (
 )
 from .expert import (
     AnatomicalPrior,
+    CentroidBox,
     ExternalJudge,
     FallbackJudge,
     JudgeVerdict,
@@ -86,6 +88,8 @@ from .roc import (
     suppress_fp_by_report,
 )
 from .loop import (
+    Annealing,
+    DataMix,
     EMConfig,
     IterationReport,
     SimulatedExpert,

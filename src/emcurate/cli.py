@@ -6,6 +6,7 @@ problem, 4 violated invariant. All randomness flows from --seed (or the
 config's seed); no wall-clock entropy is used, so identical invocations
 produce byte-identical outputs. --out and --threads take precedence;
 EMCURATE_OUT and EMCURATE_THREADS are the fallbacks when they are absent.
+A non-empty --out is emptied with --force and refused without it.
 """
 
 from __future__ import annotations
@@ -51,15 +52,6 @@ _IO_ERRORS = (VolumeFormatError, OSError)
 _INVARIANT_ERRORS = (ShapeError, CatalogError, UndefinedRateError, ModelError, ProtocolError)
 
 
-def _resolve_out(args) -> Path:
-    out = os.environ.get("EMCURATE_OUT", None)
-    if getattr(args, "out", None):
-        out = args.out
-    if out is None:
-        raise ConfigError("no output directory given (use --out or EMCURATE_OUT)")
-    return Path(out)
-
-
 def _resolve_threads(args) -> int:
     source, value = "--threads", args.threads
     if value is None:
@@ -102,22 +94,34 @@ def _read_config_corpus(cfg: RunConfig, corpus_dir: str) -> list[CaseRecord]:
     return cases
 
 
-def _prepare_out_dir(out_dir: Path, force: bool) -> None:
+def _prepare_out_dir(args) -> Path:
+    """The output directory (--out, else EMCURATE_OUT), created and empty.
+    A non-empty one is emptied with --force and refused without it; one
+    that is or holds --corpus is refused either way. Commands call this
+    after their input checks, so a failed check leaves it untouched."""
+    out = args.out or os.environ.get("EMCURATE_OUT")
+    if not out:
+        raise ConfigError("no output directory given (use --out or EMCURATE_OUT)")
+    out_dir = Path(out)
+    if getattr(args, "corpus", None):
+        corpus = Path(args.corpus).resolve()
+        if out_dir.resolve() in (corpus, *corpus.parents):
+            raise ConfigError(f"output directory {out_dir} holds the input corpus {args.corpus}")
     if out_dir.exists() and any(out_dir.iterdir()):
-        if not force:
+        if not args.force:
             raise ConfigError(f"output directory {out_dir} is not empty (use --force)")
-        for p in sorted(out_dir.rglob("*"), reverse=True):
-            if p.is_file():
-                p.unlink()
-            else:
+        for p in sorted(out_dir.rglob("*"), reverse=True):  # rglob follows no symlink
+            if p.is_dir() and not p.is_symlink():
                 p.rmdir()
+            else:
+                p.unlink()
     out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
 
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args)
-    out_dir = _resolve_out(args)
-    _prepare_out_dir(out_dir, args.force)
+    out_dir = _prepare_out_dir(args)
     cases, logs = generate_corpus(cfg.phantom, cfg.noise, cfg.corpus.n_cases,
                                   cfg.corpus.gold_fraction, cfg.em.seed)
     manifest = volume_io.write_corpus(out_dir, cases, cfg.catalog)
@@ -131,8 +135,7 @@ def cmd_generate(args) -> int:
 def cmd_audit(args) -> int:
     cfg = _load_config(args)
     cases = _read_config_corpus(cfg, args.corpus)
-    out_dir = _resolve_out(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _prepare_out_dir(args)
     model = fit_model(cases, new_model=cfg.build_model)
     model.save(out_dir / "model.json")
     rows = []
@@ -164,8 +167,7 @@ def cmd_refine(args) -> int:
     judge = cfg.build_judge()
     oracle = cfg.build_oracle()
     cases = _read_config_corpus(cfg, args.corpus)
-    out_dir = _resolve_out(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _prepare_out_dir(args)
     model = fit_model(cases, new_model=cfg.build_model)
     updated, entries, stats = expectation_pass(cases, model, judge, oracle, cfg.em,
                                                threads=threads)
@@ -189,7 +191,6 @@ def cmd_roc(args) -> int:
         except ConfigError as exc:
             raise ConfigError(f"--target: {exc}") from None
     cases, catalog = volume_io.read_corpus(args.corpus)
-    out_dir = _resolve_out(args)
     tumor_labels = catalog.tumor_labels
     if not tumor_labels:
         raise ConfigError("ROC workflow requires a tumor structure in the catalog")
@@ -198,7 +199,7 @@ def cmd_roc(args) -> int:
         if case.gold is None:
             raise ConfigError(f"case {case.case_id} lacks gold labels; "
                               "the ROC workflow is a simulation against gold")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _prepare_out_dir(args)
     model = fit_model(cases, new_model=cfg.build_model)
     # Each case keeps only its support crop, nonzero_box((prob > 0) | ref):
     # build_roc crops to that box itself, and process_case counts components,
@@ -235,13 +236,12 @@ def cmd_roc(args) -> int:
 def cmd_run_loop(args) -> int:
     cfg = _load_config(args)
     threads = _resolve_threads(args)
-    out_dir = _resolve_out(args)
     # a bad judge, oracle or corpus fails before --out is emptied, keeping the last run
     judge = cfg.build_judge()
     oracle = cfg.build_oracle()
     if args.corpus:
         cases = _read_config_corpus(cfg, args.corpus)
-    _prepare_out_dir(out_dir, args.force)
+    out_dir = _prepare_out_dir(args)
     if not args.corpus:
         cases, _logs = generate_corpus(cfg.phantom, cfg.noise, cfg.corpus.n_cases,
                                        cfg.corpus.gold_fraction, cfg.em.seed)
@@ -265,11 +265,10 @@ def cmd_run_loop(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = _load_config(args)
     cases, catalog = volume_io.read_corpus(args.corpus)
-    out_dir = _resolve_out(args)
     for case in cases:
         if case.gold is None:
             raise ConfigError(f"case {case.case_id} lacks gold labels")
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _prepare_out_dir(args)
     tolerance = None if args.no_nsd else cfg.metrics.nsd_tolerance_mm
     reports = {case.case_id: evaluate_pair(case.pseudo, case.gold, tolerance)
                for case in cases}
@@ -303,10 +302,10 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--threads", type=int, default=None,
                            help="worker threads, >= 1 (or EMCURATE_THREADS; default: all cores)")
         p.add_argument("--out", help="output directory (or EMCURATE_OUT)")
+        p.add_argument("--force", action="store_true", help="empty a non-empty output directory")
 
     p = sub.add_parser("generate", help="generate a phantom corpus")
     common(p)
-    p.add_argument("--force", action="store_true", help="overwrite a nonempty out dir")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("audit", help="model-consistency audit of a corpus")
@@ -330,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-loop", help="full EM loop")
     common(p, threads=True)
     p.add_argument("--corpus", help="existing corpus dir (default: generate per config)")
-    p.add_argument("--force", action="store_true")
     p.add_argument("--timing", action="store_true",
                    help="append each iteration's wall-clock seconds and its expectation, "
                         "maximization, gold-metric and record-write seconds to timing.jsonl "

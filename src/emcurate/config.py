@@ -26,7 +26,7 @@ from .loop import (
     TieKeeperOracle,
     require_terminal,
 )
-from .phantom import NoiseSpec, PhantomSpec, StructureShapeSpec
+from .phantom import NoiseSpec, PhantomSpec
 from .roc import CostModel
 from .verifier import GaussianIntensityModel
 from .volume_io import check_record, decode, decode_mapping
@@ -152,21 +152,6 @@ class RunConfig:
         return InteractiveCliOracle()
 
 
-# The group of a section: the YAML sub-mapping ``g: {a, b}`` that fills its fields ``g_a``, ``g_b``.
-_GROUPS = {EMConfig: "annealing", PhantomSpec: "background", StructureShapeSpec: "intensity"}
-
-
-def _ordered(value, key: str, where: str, names) -> dict:
-    """``value`` with its sub-mapping ``key``, which must have exactly the keys
-    ``names``, turned into the list of its values in that order."""
-    if not isinstance(value, dict) or key not in value:
-        return value
-    sub = decode_mapping(value[key], f"{where}.{key}", names)
-    if set(sub) != set(names):
-        raise ConfigError(f"'{where}.{key}' needs the keys {', '.join(names)}, got {sub!r}")
-    return {**value, key: [sub[name] for name in names]}
-
-
 def _read_yaml(path: Path) -> dict:
     """A config file's top level, a record (see ``check_record``).
 
@@ -180,8 +165,8 @@ def _read_yaml(path: Path) -> dict:
 
 
 def load_priors(path: Union[str, Path]) -> dict[int, AnatomicalPrior]:
-    """The anatomical priors file at ``path``, by structure label. Each row's
-    ``centroid_box: {x, z}`` becomes (x range, z range) and its prompt is stripped."""
+    """The anatomical priors file at ``path``, by structure label; each row's
+    prompt is stripped."""
     raw = _read_yaml(Path(path))
     priors: dict[int, AnatomicalPrior] = {}
     try:
@@ -190,8 +175,7 @@ def load_priors(path: Union[str, Path]) -> dict[int, AnatomicalPrior]:
             raise ConfigError(f"'priors' must be a list, got {rows!r}")
         for i, row in enumerate(rows):
             where = f"priors[{i}]"
-            prior = decode(AnatomicalPrior, _ordered(row, "centroid_box", where, ("x", "z")),
-                           where, _GROUPS)
+            prior = decode(AnatomicalPrior, row, where)
             if prior.label in priors:
                 raise ConfigError(f"{where}: label {prior.label} is listed twice")
             priors[prior.label] = replace(prior, prompt=prior.prompt.strip())
@@ -218,10 +202,7 @@ def load_run_config(path: Optional[Union[str, Path]] = None) -> RunConfig:
     names = [name for name, hint in hints.items() if is_dataclass(hint)]
     try:
         decode_mapping(raw, "", (*names, "schema_version", "priors_file"))
-        values = {**raw, "em": _ordered(raw.get("em"), "data_mix", "em",
-                                          ("labeled", "synthetic", "selective"))}
-        sections = {name: decode(hints[name], values.get(name), name, _GROUPS)
-                    for name in names}
+        sections = {name: decode(hints[name], raw.get(name), name) for name in names}
         for label in sections["phantom"].catalog.labels:
             if label not in priors:
                 raise ConfigError(f"no prior for catalog structure {label}")

@@ -30,6 +30,7 @@ from .grid import (
     Projection2D,
     StructureKind,
     VoxelGrid,
+    connected_components,
     front_view_projection,
     largest_component,
     pad_box,
@@ -56,6 +57,14 @@ class Preference(str, Enum):
 
 
 @dataclass(frozen=True)
+class CentroidBox:
+    """The expected centroid region: an (lo, hi) range along x and along z."""
+
+    x: tuple[float, float]
+    z: tuple[float, float]
+
+
+@dataclass(frozen=True)
 class AnatomicalPrior:
     """Expected silhouette of one structure in the front-view projection.
 
@@ -66,7 +75,7 @@ class AnatomicalPrior:
     label: int
     name: str
     prompt: str
-    centroid_box: tuple[tuple[float, float], tuple[float, float]]  # (x range, z range)
+    centroid_box: CentroidBox
     components: tuple[int, int]
     vertical_extent: tuple[float, float]
     elongation: tuple[float, float]
@@ -74,7 +83,7 @@ class AnatomicalPrior:
     centroid_falloff: float = 0.15
 
     def __post_init__(self):
-        for lo, hi in (*self.centroid_box, self.vertical_extent):
+        for lo, hi in (self.centroid_box.x, self.centroid_box.z, self.vertical_extent):
             if not (0.0 <= lo <= hi <= 1.0):
                 raise ConfigError(f"prior '{self.name}': normalized ranges must be ordered in [0,1]")
         if self.components[0] < 0 or self.components[1] < self.components[0]:
@@ -148,14 +157,15 @@ def overlay_features(proj: Projection2D) -> Optional[dict]:
     nx, nz = overlay.shape
     ix, iz = np.nonzero(overlay)
     centroid = (float((ix + 0.5).mean() / nx), float((iz + 0.5).mean() / nz))
-    comp, n_comp = ndimage.label(overlay, structure=np.ones((3, 3), dtype=bool))
+    # 26-connectivity on the one-voxel-thick (x, 1, z) grid is 8-connectivity in (x, z)
+    n_comp = connected_components(overlay[:, None, :], 26).count
     z_lo, z_hi = int(iz.min()), int(iz.max())
     x_lo, x_hi = int(ix.min()), int(ix.max())
     height_mm = (z_hi - z_lo + 1) * proj.spacing[1]
     width_mm = (x_hi - x_lo + 1) * proj.spacing[0]
     return {
         "centroid": centroid,
-        "components": int(n_comp),
+        "components": n_comp,
         "extent": (z_lo / nz, (z_hi + 1) / nz),
         "elongation": height_mm / width_mm,
     }
@@ -180,7 +190,7 @@ def score_overlay(prior: AnatomicalPrior, proj: Projection2D) -> float:
 
 
 def criterion_scores(prior: AnatomicalPrior, feats: dict) -> dict[str, float]:
-    (cx_lo, cx_hi), (cz_lo, cz_hi) = prior.centroid_box
+    (cx_lo, cx_hi), (cz_lo, cz_hi) = prior.centroid_box.x, prior.centroid_box.z
     cx, cz = feats["centroid"]
     dx = max(cx_lo - cx, 0.0, cx - cx_hi)
     dz = max(cz_lo - cz, 0.0, cz - cz_hi)

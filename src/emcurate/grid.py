@@ -20,6 +20,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -165,20 +166,16 @@ class LabelMap:
     def catalog_id(self) -> str:
         return self.catalog.catalog_id
 
-    @property
+    @cached_property
     def boxes(self) -> dict[int, Optional[Box]]:
         """label_boxes(labels, len(catalog.entries)), computed on first use
         and kept on the instance; callers must not mutate it.
 
         Reusing it is exact because the labels are read-only. It lives
         outside the dataclass fields, so dataclasses.replace (and with_labels)
-        start without one. It is written without a lock: two threads that
-        race compute the same pure value, and either may keep it."""
-        boxes = self.__dict__.get("_boxes")
-        if boxes is None:
-            boxes = label_boxes(self.labels, len(self.catalog.entries))
-            object.__setattr__(self, "_boxes", boxes)
-        return boxes
+        start without one. Two threads that race compute the same pure
+        value, and either may keep it."""
+        return label_boxes(self.labels, len(self.catalog.entries))
 
     def with_labels(self, labels: np.ndarray) -> "LabelMap":
         return replace(self, labels=labels)
@@ -228,7 +225,7 @@ class CaseRecord:
         if self.meta.is_gold and self.gold is None:
             raise ShapeError(f"case {self.case_id}: is_gold requires a gold label map")
 
-    @property
+    @cached_property
     def label_moments(self) -> dict[int, tuple[int, float, float]]:
         """(count, sum x, sum x^2) of the float64 intensities under each label
         of pseudo (background always, a structure when its box exists),
@@ -239,21 +236,18 @@ class CaseRecord:
         raster order as on the full grid) and casts only the gathered values,
         so every sum is bit-identical to the sum over a full-grid float64
         copy. with_pseudo builds a new record, so the table never goes stale."""
-        moments = self.__dict__.get("_label_moments")
-        if moments is None:
-            data, lab = self.volume.data, self.pseudo.labels
+        data, lab = self.volume.data, self.pseudo.labels
 
-            def entry(vals: np.ndarray) -> tuple[int, float, float]:
-                vals = vals.astype(np.float64)  # a fresh copy, so it may be squared in place
-                total = vals.sum()
-                vals *= vals  # the same products as vals * vals, without a second buffer
-                return vals.size, total, vals.sum()
+        def entry(vals: np.ndarray) -> tuple[int, float, float]:
+            vals = vals.astype(np.float64)  # a fresh copy, so it may be squared in place
+            total = vals.sum()
+            vals *= vals  # the same products as vals * vals, without a second buffer
+            return vals.size, total, vals.sum()
 
-            moments = {BACKGROUND: entry(data[lab == BACKGROUND])}
-            for s, box in self.pseudo.boxes.items():
-                if box is not None:
-                    moments[s] = entry(data[box][lab[box] == s])
-            object.__setattr__(self, "_label_moments", moments)
+        moments = {BACKGROUND: entry(data[lab == BACKGROUND])}
+        for s, box in self.pseudo.boxes.items():
+            if box is not None:
+                moments[s] = entry(data[box][lab[box] == s])
         return moments
 
     def with_pseudo(self, pseudo: LabelMap) -> "CaseRecord":

@@ -21,7 +21,7 @@ import sys
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Optional, Protocol, Sequence, Union
@@ -52,6 +52,21 @@ log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
+class Annealing:
+    """Gold-subset annealing: each is_gold case joins every refit at ``weight``."""
+    enabled: bool = True
+    weight: float = 5.0
+
+
+@dataclass(frozen=True)
+class DataMix:
+    """Fractions of a refit's training set: refined, synthetic and hard-case data."""
+    labeled: float
+    synthetic: float
+    selective: float
+
+
+@dataclass(frozen=True)
 class EMConfig:
     max_iterations: int = 4
     auto_replace_dsc: float = 0.0
@@ -59,16 +74,16 @@ class EMConfig:
     escalation_budget_fraction: float = 0.05
     convergence_epsilon: float = 1e-4
     convergence_mode: str = "gold"  # "gold" | "changes"
-    data_mix: tuple[float, float, float] = (0.7, 0.2, 0.1)  # labeled, synthetic, selective
-    annealing_enabled: bool = True
-    annealing_weight: float = 5.0
+    data_mix: DataMix = DataMix(0.7, 0.2, 0.1)
+    annealing: Annealing = Annealing()
     low_confidence_floor: float = 0.05
     seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 0:
             raise ConfigError("max_iterations must be >= 0")
-        if abs(sum(self.data_mix) - 1.0) > 1e-9 or any(f < 0 for f in self.data_mix):
+        fractions = astuple(self.data_mix)
+        if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
             raise ConfigError("data_mix fractions must be nonnegative and sum to 1")
         if not 0.0 < self.escalation_budget_fraction < 1.0:
             raise ConfigError("escalation budget must lie in (0, 1)")
@@ -76,8 +91,8 @@ class EMConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.annealing_weight < 0:
-            raise ConfigError(f"em.annealing.weight must be >= 0, got {self.annealing_weight}")
+        if self.annealing.weight < 0:
+            raise ConfigError(f"em.annealing.weight must be >= 0, got {self.annealing.weight}")
         if self.convergence_mode not in ("gold", "changes"):
             raise ConfigError("convergence_mode must be 'gold' or 'changes'")
         if self.seed < 0:
@@ -378,10 +393,10 @@ def maximization_pass(corpus: Sequence[CaseRecord], cfg: EMConfig,
     if len(corpus) == 0:
         raise ConfigError("maximization requires a nonempty corpus")
     n = len(corpus)
-    f_lab, f_syn, f_sel = cfg.data_mix
-    n_lab = round(f_lab * n)
-    n_syn = round(f_syn * n)
-    n_sel = math.ceil(f_sel * n) if f_sel > 0 else 0
+    mix = cfg.data_mix
+    n_lab = round(mix.labeled * n)
+    n_syn = round(mix.synthetic * n)
+    n_sel = math.ceil(mix.selective * n) if mix.selective > 0 else 0
 
     train: list[CaseRecord] = []
     weights: list[float] = []
@@ -410,14 +425,14 @@ def maximization_pass(corpus: Sequence[CaseRecord], cfg: EMConfig,
             train.append(worst)
             weights.append(1.0)
 
-    if cfg.annealing_enabled:
+    if cfg.annealing.enabled:
         gold_cases = [c for c in corpus if c.meta.is_gold]
         if not gold_cases:
             log.warning("annealing enabled but corpus has no gold cases; skipping")
         else:
             for c in gold_cases:
                 train.append(c)
-                weights.append(cfg.annealing_weight)
+                weights.append(cfg.annealing.weight)
 
     return fit_model(train, weights, new_model)
 

@@ -52,6 +52,12 @@ class ShapeKind(str, Enum):
 
 
 @dataclass(frozen=True)
+class Gaussian:
+    mean: float
+    std: float
+
+
+@dataclass(frozen=True)
 class StructureShapeSpec:
     label: int
     name: str
@@ -59,8 +65,7 @@ class StructureShapeSpec:
     shape: ShapeKind
     center: tuple[float, float, float]
     radii: tuple[float, float, float]
-    intensity_mean: float
-    intensity_std: float
+    intensity: Gaussian
 
     def __post_init__(self):
         if any(r <= 0 for r in self.radii):
@@ -68,8 +73,8 @@ class StructureShapeSpec:
         for c, r in zip(self.center, self.radii):
             if c - r < 0.0 or c + r > 1.0:
                 raise ConfigError(f"{self.name}: shape must lie within the unit cube")
-        if self.intensity_std <= 0:
-            raise ConfigError(f"{self.name}: intensity_std must be positive")
+        if self.intensity.std <= 0:
+            raise ConfigError(f"{self.name}: intensity.std must be positive")
 
 
 @dataclass(frozen=True)
@@ -97,8 +102,7 @@ class TumorSpec:
 class PhantomSpec:
     structures: tuple[StructureShapeSpec, ...]
     tumor: Optional[TumorSpec] = field(default=None, kw_only=True)
-    background_mean: float
-    background_std: float
+    background: Gaussian
     dims: tuple[int, int, int] = (64, 64, 64)
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
 
@@ -108,8 +112,8 @@ class PhantomSpec:
             raise ConfigError(f"phantom.dims must be positive, got {list(self.dims)}")
         if any(s <= 0 for s in self.spacing):
             raise ConfigError(f"phantom.spacing must be positive, got {list(self.spacing)}")
-        if self.background_std < 0:
-            raise ConfigError(f"phantom.background.std must be >= 0, got {self.background_std}")
+        if self.background.std < 0:
+            raise ConfigError(f"phantom.background.std must be >= 0, got {self.background.std}")
         if self.tumor is not None:
             hosts = [s for s in self.structures if s.label == self.tumor.host_label]
             if not hosts:
@@ -270,16 +274,16 @@ def generate_case(spec: PhantomSpec, seed: Union[int, np.random.SeedSequence],
         for center, r in tumors:
             labels[_shape_mask(spec.dims, ShapeKind.SPHERE, center, (r, r, r))] = spec.tumor.label
 
-    data = intens_rng.normal(spec.background_mean, spec.background_std,
+    data = intens_rng.normal(spec.background.mean, spec.background.std,
                              size=spec.dims).astype(np.float32)
     for s in spec.structures:
         m = labels == s.label
-        data[m] = intens_rng.normal(s.intensity_mean, s.intensity_std,
+        data[m] = intens_rng.normal(s.intensity.mean, s.intensity.std,
                                     size=int(np.count_nonzero(m))).astype(np.float32)
     if spec.tumor is not None and tumors:
         host = spec.host_spec()
         m = labels == spec.tumor.label
-        data[m] = intens_rng.normal(host.intensity_mean + spec.tumor.intensity_offset,
+        data[m] = intens_rng.normal(host.intensity.mean + spec.tumor.intensity_offset,
                                     spec.tumor.intensity_std,
                                     size=int(np.count_nonzero(m))).astype(np.float32)
 
@@ -496,11 +500,14 @@ class PhantomSource:
         jitter_ss, case_ss = ss.spawn(2)
         rng = np.random.default_rng(jitter_ss)
         j = self.intensity_jitter
+
+        def jittered(g: Gaussian) -> Gaussian:
+            return replace(g, mean=g.mean + float(rng.uniform(-j, j)))
+
         # each structure's draw first, then the background's
-        structures = tuple(replace(s, intensity_mean=s.intensity_mean + float(rng.uniform(-j, j)))
+        structures = tuple(replace(s, intensity=jittered(s.intensity))
                            for s in self.spec.structures)
-        spec = replace(self.spec, structures=structures,
-                       background_mean=self.spec.background_mean + float(rng.uniform(-j, j)))
+        spec = replace(self.spec, structures=structures, background=jittered(self.spec.background))
         return generate_case(spec, case_ss, case_id=case_id)
 
 

@@ -103,24 +103,21 @@ def decode_mapping(value, where: str, allowed) -> dict:
     return value
 
 
-def decode(hint, value, where: str, groups: Optional[dict] = None):
+def decode(hint, value, where: str):
     """``value``, parsed from a config or JSON record file, converted to the
     declared type ``hint``; a dataclass is built from the mapping at
-    ``where``. Every failure is a ConfigError naming its key path.
-
-    ``groups`` maps a dataclass to its group ``g``: the sub-mapping
-    ``g: {a, b}`` that fills its fields ``g_a``, ``g_b``."""
+    ``where``. Every failure is a ConfigError naming its key path."""
     try:
-        return _coerce(hint, value, where, groups or {})
+        return _coerce(hint, value, where)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
 
 
-def _coerce(hint, value, where: str, groups: dict):
+def _coerce(hint, value, where: str):
     if is_dataclass(hint):
-        return _section(hint, value, where, groups)
+        return _section(hint, value, where)
     if get_origin(hint) is Union:  # Optional[X]
-        return None if value is None else _coerce(get_args(hint)[0], value, where, groups)
+        return None if value is None else _coerce(get_args(hint)[0], value, where)
     if get_origin(hint) is tuple:
         kinds = get_args(hint)
         if not isinstance(value, list):
@@ -128,13 +125,12 @@ def _coerce(hint, value, where: str, groups: dict):
         kinds = (kinds[0],) * len(value) if kinds[-1] is Ellipsis else kinds
         if len(value) != len(kinds):
             raise ValueError(f"expected {len(kinds)} values, got {len(value)}")
-        return tuple(_coerce(k, v, f"{where}[{i}]", groups)
-                     for i, (k, v) in enumerate(zip(kinds, value)))
+        return tuple(_coerce(k, v, f"{where}[{i}]") for i, (k, v) in enumerate(zip(kinds, value)))
     if get_origin(hint) is dict:
         if not isinstance(value, dict):
             raise TypeError(f"expected a mapping, got {value!r}")
         key_hint, value_hint = get_args(hint)
-        return {_coerce(key_hint, k, where, groups): _coerce(value_hint, v, f"{where}.{k}", groups)
+        return {_coerce(key_hint, k, where): _coerce(value_hint, v, f"{where}.{k}")
                 for k, v in value.items()}
     # no implicit conversion to or from bool, nor to str, nor from str to a number
     if (hint is bool) != isinstance(value, bool) or (hint is str and not isinstance(value, str)):
@@ -149,29 +145,21 @@ def _coerce(hint, value, where: str, groups: dict):
     return hint(value)
 
 
-def _section(cls, value, where: str, groups: dict):
-    """Build the dataclass ``cls`` from the mapping at ``where``: an absent
-    key keeps its default; a missing required key, an unknown key or an
-    unconvertible value is a ConfigError naming its key path."""
+def _section(cls, value, where: str):
+    """Build the dataclass ``cls`` from the mapping at ``where``, whose keys
+    are its field names: an absent key keeps its default; a missing required
+    key, an unknown key or an unconvertible value is a ConfigError naming its
+    key path."""
     hints = get_type_hints(cls)
-    group = groups.get(cls)
-    keys = {(f.name.replace("_", ".", 1) if group and f.name.startswith(group + "_")
-             else f.name): f for f in fields(cls)}
-    values = dict(decode_mapping(value, where, {k.split(".")[0] for k in keys}))
-    if group in values:
-        names = [k.split(".")[1] for k in keys if "." in k]
-        values.update({f"{group}.{k}": v for k, v in
-                       decode_mapping(values.pop(group), f"{where}.{group}", names).items()})
     kwargs = {}
-    for key, v in values.items():
-        name = keys[key].name
+    for name, v in decode_mapping(value, where, [f.name for f in fields(cls)]).items():
         try:
-            kwargs[name] = _coerce(hints[name], v, f"{where}.{key}", groups)
+            kwargs[name] = _coerce(hints[name], v, f"{where}.{name}")
         except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.{key}: {exc}") from None
-    for key, f in keys.items():
+            raise ConfigError(f"{where}.{name}: {exc}") from None
+    for f in fields(cls):
         if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"missing key '{where}.{key}'")
+            raise ConfigError(f"missing key '{where}.{f.name}'")
     return cls(**kwargs)
 
 

@@ -12,6 +12,8 @@ write that write_structures replaced: it writes into a labels array in
 place and builds no label map. full_grid_changed_structures is the
 Expectation step's change count without box crops. find_objects_boxes is
 label_boxes as it was before the bit-packed projection pass.
+overlay_component_count is overlay_features' component count as it was
+before it moved to grid.connected_components: a 2D 8-connected labeling.
 """
 
 from __future__ import annotations
@@ -380,3 +382,8 @@ def find_objects_boxes(labels: np.ndarray, n_labels: int) -> dict[int, Optional[
         return {}
     return dict(enumerate(ndimage.find_objects(np.asarray(labels), max_label=n_labels),
                           start=1))
+
+
+def overlay_component_count(overlay: np.ndarray) -> int:
+    """The number of 8-connected components of a 2D boolean overlay."""
+    return ndimage.label(overlay, structure=np.ones((3, 3), dtype=bool))[1]

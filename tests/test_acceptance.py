@@ -276,7 +276,7 @@ def test_criterion_9_no_gold_leakage(cfg):
         stripped = [c.without_gold() for c in cases]
         loop_cfg = em.EMConfig(max_iterations=2, convergence_mode="changes",
                                convergence_epsilon=1e-4, data_mix=cfg.em.data_mix,
-                               annealing_enabled=True, seed=99)
+                               annealing=em.Annealing(enabled=True), seed=99)
         judge = RuleBasedJudge(cfg.priors, tie_epsilon=cfg.judge.tie_epsilon)
         source = em.PhantomSource(cfg.phantom, cfg.synthetic.intensity_jitter)
         with_gold, _, _ = em.run_em(cases, loop_cfg, judge, em.TieKeeperOracle(),

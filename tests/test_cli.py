@@ -76,6 +76,10 @@ def tree_digest(root: Path) -> dict:
     return out
 
 
+def _paths(root: Path) -> list[str]:
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
 def test_generate_writes_expected_files(cfg_file, tmp_path):
     out = tmp_path / "corpus"
     assert main(["generate", "--config", cfg_file, "--out", str(out)]) == 0
@@ -298,7 +302,7 @@ def test_corpus_of_another_catalog_is_config_error(cfg_file, tmp_path, capsys, c
     out.mkdir()
     (out / "keep.txt").write_text("previous run")
     argv = [command, "--config", str(other), "--corpus", str(corpus), "--out", str(out)]
-    assert main(argv + (["--force"] if command == "run-loop" else [])) == 2
+    assert main(argv + ["--force"]) == 2
     err = capsys.readouterr().err
     assert "catalog" in err and "Traceback" not in err
     assert [p.name for p in out.iterdir()] == ["keep.txt"]
@@ -526,6 +530,19 @@ def test_bad_thread_count_env_is_config_error(cfg_file, tmp_path, monkeypatch, c
     assert main(["refine", "--config", cfg_file, "--corpus", str(corpus),
                  "--out", str(tmp_path / "refine")]) == 2
     assert "EMCURATE_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", [None, ""], ids=["unset", "empty"])
+def test_no_out_is_config_error(cfg_file, tmp_path, monkeypatch, capsys, env):
+    """An empty EMCURATE_OUT names no directory, not the working directory."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("EMCURATE_OUT", raising=False)
+    if env is not None:
+        monkeypatch.setenv("EMCURATE_OUT", env)
+    before = _paths(tmp_path)
+    assert main(["generate", "--config", cfg_file]) == 2
+    assert "no output directory" in capsys.readouterr().err
+    assert _paths(tmp_path) == before
 
 
 @pytest.mark.parametrize("flag,env", [("0", None), ("-3", None), (None, "0")])
@@ -975,3 +992,81 @@ def test_any_edited_config_runs_the_loop_or_exits_2(edit):
         code, err = _run(["run-loop", "--threads", "1", "--config", str(cfg),
                           "--out", str(Path(tmp) / "run")])
     _assert_exit(code, err, str(cfg), (2,))
+
+
+# The extra arguments of each command that writes a directory; "{corpus}"
+# stands for the input corpus.
+OUT_COMMANDS = {
+    "generate": [],
+    "audit": ["--corpus", "{corpus}", "--apply"],
+    "refine": ["--corpus", "{corpus}", "--threads", "1"],
+    "roc": ["--corpus", "{corpus}"],
+    "run-loop": ["--corpus", "{corpus}", "--threads", "1"],
+    "evaluate": ["--corpus", "{corpus}"],
+}
+
+
+@pytest.fixture(scope="module")
+def gold_tree_corpus(tmp_path_factory) -> tuple[str, Path]:
+    """The generate-tree config with 4 gold cases, and its corpus."""
+    root = tmp_path_factory.mktemp("out_rule")
+    cfg = root / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(dict(_CONFIG, corpus={"n_cases": 4, "gold_fraction": 1.0})))
+    corpus = root / "corpus"
+    assert main(["generate", "--config", str(cfg), "--out", str(corpus)]) == 0
+    return str(cfg), corpus
+
+
+def _out_argv(command: str, cfg: str, corpus: Path, out: Path) -> list[str]:
+    return [command, "--config", cfg, "--out", str(out),
+            *(arg.format(corpus=corpus) for arg in OUT_COMMANDS[command])]
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_nonempty_out_needs_force_and_then_equals_a_fresh_run(gold_tree_corpus, tmp_path,
+                                                              capsys, command):
+    cfg, corpus = gold_tree_corpus
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert main(_out_argv(command, cfg, corpus, fresh)) == 0
+    shutil.copytree(fresh, out)  # a previous run, with files this run does not write
+    (out / "stale").mkdir()
+    (out / "stale" / "case_0009.json").write_text("previous run")
+    (out / "case_0009_vol.smai").write_text("previous run")
+    before = tree_digest(out), _paths(out)
+    capsys.readouterr()
+    assert main(_out_argv(command, cfg, corpus, out)) == 2
+    err = capsys.readouterr().err
+    assert "--force" in err and "Traceback" not in err
+    assert (tree_digest(out), _paths(out)) == before
+    assert main(_out_argv(command, cfg, corpus, out) + ["--force"]) == 0
+    assert (tree_digest(out), _paths(out)) == (tree_digest(fresh), _paths(fresh))
+
+
+@pytest.mark.parametrize("force", [False, True], ids=["plain", "force"])
+@pytest.mark.parametrize("holder", ["corpus", "parent", "link_to_parent"])
+@pytest.mark.parametrize("command", sorted(set(OUT_COMMANDS) - {"generate"}))
+def test_out_holding_the_corpus_exits_2(gold_tree_corpus, tmp_path, capsys, command, holder,
+                                        force):
+    cfg, packaged = gold_tree_corpus
+    corpus = tmp_path / "data" / "corpus"
+    shutil.copytree(packaged, corpus)
+    (tmp_path / "link_to_parent").symlink_to(corpus.parent)
+    out = {"corpus": corpus, "parent": corpus.parent,
+           "link_to_parent": tmp_path / "link_to_parent"}[holder]
+    before = tree_digest(tmp_path), _paths(tmp_path)
+    capsys.readouterr()
+    assert main(_out_argv(command, cfg, corpus, out) + (["--force"] if force else [])) == 2
+    err = capsys.readouterr().err
+    assert "holds the input corpus" in err and "Traceback" not in err
+    assert (tree_digest(tmp_path), _paths(tmp_path)) == before
+
+
+def test_force_removes_a_link_in_out_and_keeps_its_target(gold_tree_corpus, tmp_path):
+    cfg, corpus = gold_tree_corpus
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "corpus_link").symlink_to(corpus)
+    before = tree_digest(corpus)
+    assert main(_out_argv("evaluate", cfg, corpus, out) + ["--force"]) == 0
+    assert _paths(out) == ["evaluation.json"]
+    assert tree_digest(corpus) == before

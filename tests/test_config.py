@@ -32,8 +32,7 @@ def test_default_config_loads_consistently(run_cfg):
     assert run_cfg.cost.seconds_per_scratch_annotation == 270.0
 
 
-# A non-default value for every key of each section; em's nested mappings
-# are flattened to their fields by `_fields`.
+# A non-default value for every key of each section, nested keys included.
 OVERRIDES = {
     "noise": {
         "delete": 0.11, "shift": 0.21, "fragment": 0.31, "spurious": 0.41,
@@ -67,14 +66,23 @@ SECTIONS = {"noise": em.NoiseSpec, "em": EMConfig, "cost": em.CostModel,
             "metrics": MetricsConfig, "model": ModelConfig, "synthetic": SyntheticConfig}
 
 
-def _fields(section: str, values: dict) -> dict:
-    """The YAML keys of a section under their dataclass field names."""
-    values = dict(values)
-    if section == "em":
-        mix = values.pop("data_mix")
-        values["data_mix"] = [mix["labeled"], mix["synthetic"], mix["selective"]]
-        values.update({f"annealing_{k}": v for k, v in values.pop("annealing").items()})
-    return values
+def _tuples(value):
+    """value with every list read as a tuple, as the dataclasses hold them."""
+    if isinstance(value, dict):
+        return {k: _tuples(v) for k, v in value.items()}
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+def _leaves(mapping: dict, prefix: str = "") -> dict:
+    """Each value of a nested mapping that is not itself a mapping, by its
+    dotted key path, with lists read as tuples."""
+    leaves = {}
+    for key, value in mapping.items():
+        if isinstance(value, dict):
+            leaves.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            leaves[prefix + key] = _tuples(value)
+    return leaves
 
 
 def _write(run_cfg, tmp_path, **sections):
@@ -89,19 +97,14 @@ def test_every_yaml_key_reaches_its_dataclass(run_cfg, tmp_path, section):
     overrides = OVERRIDES[section]
     assert set(run_cfg.raw[section]) <= set(overrides)
     cls = SECTIONS[section]
-    expected = _fields(section, overrides)
     # the table names every field, each with a value other than its default
-    assert set(expected) == {f.name for f in dataclasses.fields(cls)}
+    expected, default = _leaves(overrides), _leaves(dataclasses.asdict(cls()))
+    assert set(expected) == set(default)
     for key, value in expected.items():
-        assert getattr(cls(), key) != (tuple(value) if isinstance(value, list) else value), key
+        assert default[key] != value, key
     loaded = getattr(load_run_config(_write(run_cfg, tmp_path, **{section: overrides})),
                      section)
-    for key, value in expected.items():
-        got = getattr(loaded, key)
-        if isinstance(value, list):
-            assert tuple(got) == tuple(value), key
-        else:
-            assert got == value, key
+    assert dataclasses.asdict(loaded) == _tuples(overrides)
 
 
 @pytest.mark.parametrize("section", sorted(SECTIONS))
@@ -254,10 +257,6 @@ def test_malformed_priors_file_exits_2(run_cfg, tmp_path, capsys, priors, where)
     assert not out.exists()
 
 
-def _tuples(value):
-    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
-
-
 # For each part: the path to its packaged mapping (in the priors file when it
 # starts with "priors", else in the run config), its key path in error
 # messages, and the object the loader builds from it.
@@ -265,22 +264,44 @@ PARTS = {
     "structure": (("phantom", "structures", 0), "phantom.structures[0]",
                   lambda cfg: cfg.phantom.structures[0]),
     "tumor": (("phantom", "tumor"), "phantom.tumor", lambda cfg: cfg.phantom.tumor),
-    "background": (("phantom", "background"), "phantom.background", lambda cfg: cfg.phantom),
+    "background": (("phantom", "background"), "phantom.background",
+                   lambda cfg: cfg.phantom.background),
     "prior": (("priors", 6), "priors[6]", lambda cfg: cfg.priors[7]),
 }
 
 
-def _as_fields(part: str, mapping: dict) -> dict:
-    """The packaged mapping of ``part`` under its dataclass field names."""
-    if part == "background":
-        return {f"background_{k}": v for k, v in mapping.items()}
-    values = dict(mapping)
-    if part == "structure":
-        values.update({f"intensity_{k}": v for k, v in values.pop("intensity").items()})
-    if part == "prior":
-        values["centroid_box"] = [values["centroid_box"]["x"], values["centroid_box"]["z"]]
+def _as_loaded(mapping: dict) -> dict:
+    """mapping as the asdict of its dataclass holds it: lists read as tuples,
+    a prompt stripped."""
+    values = _tuples(mapping)
+    if "prompt" in values:
         values["prompt"] = values["prompt"].strip()
     return values
+
+
+def _defaults(obj) -> dict:
+    """The asdict form of each field default of obj's dataclass."""
+    defaults = {}
+    for f in dataclasses.fields(obj):
+        if f.default_factory is not dataclasses.MISSING:
+            defaults[f.name] = f.default_factory()
+        elif f.default is not dataclasses.MISSING:
+            defaults[f.name] = (dataclasses.asdict(f.default) if dataclasses.is_dataclass(f.default)
+                                else f.default)
+    return defaults
+
+
+def test_packaged_files_are_their_dataclasses(run_cfg):
+    """Each packaged section and priors row, over its field defaults, is the
+    asdict of what it loads as: the YAML tree and the dataclass tree have
+    one shape."""
+    for name, section in PACKAGED_RUN.items():
+        if name not in ("schema_version", "priors_file"):
+            obj = getattr(run_cfg, name)
+            assert dataclasses.asdict(obj) == {**_defaults(obj), **_as_loaded(section)}, name
+    for row in PACKAGED_PRIORS["priors"]:
+        obj = run_cfg.priors[row["label"]]
+        assert dataclasses.asdict(obj) == {**_defaults(obj), **_as_loaded(row)}, row["name"]
 
 
 @pytest.mark.parametrize("part", sorted(PARTS))
@@ -292,14 +313,7 @@ def test_every_packaged_key_reaches_a_field(run_cfg, tmp_path, part):
     mapping = packaged
     for key in path:
         mapping = mapping[key]
-    obj = built(run_cfg)
-    expected = _as_fields(part, mapping)
-    names = {f.name for f in dataclasses.fields(obj)}
-    if part == "background":
-        names = {n for n in names if n.startswith("background_")}
-    assert set(expected) == names
-    for name, value in expected.items():
-        assert getattr(obj, name) == _tuples(value), name
+    assert dataclasses.asdict(built(run_cfg)) == _as_loaded(mapping)
 
     for key in list(mapping):
         mapping[f"{key}_typo"] = mapping.pop(key)

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import emcurate as em
 from emcurate import Preference, RuleBasedJudge, judge_pair, run_tournament, score_overlay
 from emcurate.errors import ShapeError
-from emcurate.expert import AnatomicalPrior, shape_cleanup
-from emcurate.grid import front_view_projection
+from emcurate.expert import AnatomicalPrior, CentroidBox, overlay_features, shape_cleanup
+from emcurate.grid import Projection2D, front_view_projection
 from emcurate.phantom import InjectionOp, apply_injections
 
 from conftest import CAT4, label_volumes, make_label_map
-from oracles import full_grid_shape_cleanup
+from oracles import full_grid_shape_cleanup, overlay_component_count
 
 
 def aorta_prior(run_cfg):
@@ -75,7 +75,7 @@ def test_judge_pair_antisymmetric_random(run_cfg):
     rng = np.random.default_rng(5)
     vol = make_volume((16, 16, 16))
     prior = AnatomicalPrior(label=1, name="blob", prompt="a blob",
-                            centroid_box=((0.2, 0.8), (0.2, 0.8)),
+                            centroid_box=CentroidBox((0.2, 0.8), (0.2, 0.8)),
                             components=(1, 2), vertical_extent=(0.1, 0.9),
                             elongation=(0.3, 3.0))
     for _ in range(30):
@@ -208,3 +208,14 @@ def test_shape_cleanup_matches_full_grid_oracle(volumes, organ_connectivity,
     kinds = {e.label: e.kind.value for e in CAT4.entries}
     assert np.array_equal(got.labels, full_grid_shape_cleanup(
         labels, kinds, organ_connectivity, tumor_connectivity))
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 24), st.integers(1, 24), st.floats(0.05, 0.8), st.integers(0, 2**32 - 1))
+def test_overlay_components_match_8_connected_labeling(nx, nz, density, seed):
+    overlay = np.random.default_rng(seed).random((nx, nz)) < density
+    feats = overlay_features(Projection2D(overlay=overlay, spacing=(1.0, 1.0)))
+    if not overlay.any():
+        assert feats is None
+    else:
+        assert feats["components"] == overlay_component_count(overlay)

@@ -9,6 +9,8 @@ from emcurate.errors import ConfigError
 from emcurate.expert import JudgeVerdict, Preference
 from emcurate.grid import LabelMap, StructureCatalog, StructureEntry, StructureKind
 from emcurate.loop import (
+    Annealing,
+    DataMix,
     EscalationEntry,
     EscalationReason,
     expectation_pass,
@@ -26,7 +28,7 @@ from oracles import full_grid_changed_structures
 
 def em_cfg(**over):
     base = dict(max_iterations=3, convergence_epsilon=1e-4, seed=0,
-                data_mix=(0.7, 0.2, 0.1))
+                data_mix=DataMix(0.7, 0.2, 0.1))
     base.update(over)
     return EMConfig(**base)
 
@@ -50,7 +52,7 @@ def noisy_corpus(run_cfg_module):
 
 def test_emconfig_validation():
     with pytest.raises(ConfigError):
-        EMConfig(data_mix=(0.5, 0.2, 0.1))
+        EMConfig(data_mix=DataMix(0.5, 0.2, 0.1))
     with pytest.raises(ConfigError):
         EMConfig(escalation_budget_fraction=0.0)
     with pytest.raises(ConfigError):
@@ -337,7 +339,7 @@ def test_change_count_skips_auto_replacements_equal_to_the_prediction(run_cfg_mo
 
 def test_maximization_full_labeled_equals_plain_fit(noisy_corpus):
     cases, _ = noisy_corpus
-    cfg = em_cfg(data_mix=(1.0, 0.0, 0.0), annealing_enabled=False)
+    cfg = em_cfg(data_mix=DataMix(1.0, 0.0, 0.0), annealing=Annealing(enabled=False))
     model = maximization_pass(cases, cfg)
     plain = em.fit_model(cases)
     assert model.to_dict() == plain.to_dict()
@@ -345,11 +347,11 @@ def test_maximization_full_labeled_equals_plain_fit(noisy_corpus):
 
 def test_maximization_pure_synthetic_matches_generator(run_cfg_module, noisy_corpus):
     cases, _ = noisy_corpus
-    cfg = em_cfg(data_mix=(0.0, 1.0, 0.0), annealing_enabled=False)
+    cfg = em_cfg(data_mix=DataMix(0.0, 1.0, 0.0), annealing=Annealing(enabled=False))
     source = em.PhantomSource(run_cfg_module.phantom, intensity_jitter=0.0)
     model = maximization_pass(cases, cfg, phantom_source=source)
     for s in run_cfg_module.phantom.structures:
-        assert abs(model.params[s.label].mean - s.intensity_mean) < 1.5
+        assert abs(model.params[s.label].mean - s.intensity.mean) < 1.5
 
 
 def test_maximization_selective_duplicates_worst_case(noisy_corpus):
@@ -367,7 +369,7 @@ def test_maximization_selective_duplicates_worst_case(noisy_corpus):
             seen["corpus"] = list(corpus)
             seen["weights"] = list(weights)
 
-    cfg = em_cfg(data_mix=(0.7, 0.0, 0.3), annealing_enabled=False)
+    cfg = em_cfg(data_mix=DataMix(0.7, 0.0, 0.3), annealing=Annealing(enabled=False))
     maximization_pass(cases, cfg, loss_proxy=loss, new_model=SpyModel)
     import math
     extra = [c for c in seen["corpus"] if c.case_id == cases[3].case_id]
@@ -386,8 +388,7 @@ def test_maximization_annealing_weights_gold(noisy_corpus):
         def fit(self, corpus, weights):
             seen["pairs"] = [(c.case_id, w) for c, w in zip(corpus, weights)]
 
-    cfg = em_cfg(data_mix=(1.0, 0.0, 0.0), annealing_enabled=True,
-                 annealing_weight=5.0)
+    cfg = em_cfg(data_mix=DataMix(1.0, 0.0, 0.0), annealing=Annealing(enabled=True, weight=5.0))
     maximization_pass(cases, cfg, new_model=lambda *a, **k: SpyModel())
     gold_ids = {c.case_id for c in cases if c.meta.is_gold}
     weighted = {cid for cid, w in seen["pairs"] if w == 5.0}
@@ -397,7 +398,7 @@ def test_maximization_annealing_weights_gold(noisy_corpus):
 def test_maximization_annealing_skips_without_gold(noisy_corpus, caplog):
     cases, _ = noisy_corpus
     stripped = [c.without_gold() for c in cases]
-    cfg = em_cfg(data_mix=(1.0, 0.0, 0.0), annealing_enabled=True)
+    cfg = em_cfg(data_mix=DataMix(1.0, 0.0, 0.0), annealing=Annealing(enabled=True))
     model = maximization_pass(stripped, cfg)  # warns, does not raise
     assert model.fitted
 

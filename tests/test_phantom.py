@@ -6,6 +6,7 @@ import emcurate as em
 from emcurate import ConfigError, NoiseSpec, PhantomSpec, TumorSpec
 from emcurate.grid import FACE, StructureKind
 from emcurate.phantom import (
+    Gaussian,
     InjectionOp,
     ShapeKind,
     StructureShapeSpec,
@@ -15,7 +16,7 @@ from emcurate.phantom import (
 
 
 def test_zero_structure_spec():
-    spec = PhantomSpec(structures=(), tumor=None, background_mean=10.0, background_std=2.0,
+    spec = PhantomSpec(structures=(), tumor=None, background=Gaussian(10.0, 2.0),
                        dims=(16, 16, 16))
     case = em.generate_case(spec, 0)
     assert not case.gold.labels.any()
@@ -27,7 +28,7 @@ def test_structure_must_fit_unit_cube():
     with pytest.raises(ConfigError):
         StructureShapeSpec(label=1, name="big", kind=StructureKind.ORGAN,
                            shape=ShapeKind.SPHERE, center=(0.1, 0.5, 0.5),
-                           radii=(0.2, 0.2, 0.2), intensity_mean=10, intensity_std=1)
+                           radii=(0.2, 0.2, 0.2), intensity=Gaussian(10, 1))
 
 
 def test_tumor_host_must_exist(run_cfg):
@@ -35,7 +36,7 @@ def test_tumor_host_must_exist(run_cfg):
                       radius_range=(0.03, 0.05), intensity_offset=-20, intensity_std=5)
     with pytest.raises(ConfigError):
         PhantomSpec(structures=run_cfg.phantom.structures, tumor=tumor,
-                    background_mean=20, background_std=5)
+                    background=Gaussian(20, 5))
 
 
 def test_forced_two_tumor_bookkeeping(run_cfg):
@@ -43,7 +44,7 @@ def test_forced_two_tumor_bookkeeping(run_cfg):
         structures=run_cfg.phantom.structures,
         tumor=TumorSpec(label=7, name="tumor", host_label=5, count_range=(2, 2),
                         radius_range=(0.035, 0.05), intensity_offset=-25, intensity_std=5),
-        background_mean=20, background_std=5)
+        background=Gaussian(20, 5))
     case = em.generate_case(spec, 3)
     assert case.report.tumor_count == 2
     comp = em.connected_components(case.gold.labels == 7, 6)

@@ -85,9 +85,9 @@ def test_fitted_means_close_to_generator(run_cfg):
     cases = [em.generate_case(run_cfg.phantom, s, case_id=f"c{s}") for s in range(5)]
     model = em.fit_model(cases)
     for s in run_cfg.phantom.structures:
-        assert abs(model.params[s.label].mean - s.intensity_mean) < 1.0
+        assert abs(model.params[s.label].mean - s.intensity.mean) < 1.0
     host = run_cfg.phantom.host_spec()
-    expected_tumor = host.intensity_mean + run_cfg.phantom.tumor.intensity_offset
+    expected_tumor = host.intensity.mean + run_cfg.phantom.tumor.intensity_offset
     assert abs(model.params[7].mean - expected_tumor) < 1.0
 
 
@@ -115,8 +115,8 @@ def test_pure_background_volume_predicts_background(run_cfg):
     model = em.fit_model(cases)
     rng = np.random.default_rng(1)
     flat = em.VoxelGrid(dims=run_cfg.phantom.dims, spacing=run_cfg.phantom.spacing,
-                        data=rng.normal(run_cfg.phantom.background_mean,
-                                        run_cfg.phantom.background_std,
+                        data=rng.normal(run_cfg.phantom.background.mean,
+                                        run_cfg.phantom.background.std,
                                         run_cfg.phantom.dims).astype(np.float32))
     pred = model.predict(flat)
     assert not pred.labels.any()
