@@ -1,10 +1,11 @@
-"""The projection judge: front views, anatomical priors, and the tournament.
+"""The projection judge: front views, anatomical priors, and pairwise judging.
 
 Candidate annotations are compared on their x-z silhouettes (the volume is
 projected along the anterior axis). Each structure has a prior describing
 where its silhouette centroid belongs, how many pieces it may have, its
 vertical span and its height/width ratio; the judge prefers the candidate
-whose silhouette fits the prior better, and ties keep the incumbent.
+whose silhouette fits the prior better. The Expectation step asks it to
+compare each routed structure's prediction with its incumbent annotation.
 """
 
 import emcurate as em
@@ -36,18 +37,14 @@ print("per-criterion scores (good vs displaced):")
 for name, (sa, sb) in verdict.rationale.items():
     print(f"  {name:<11} {sa:5.3f}  vs  {sb:5.3f}")
 
-# a three-round tournament with strictly ordered corruption severities
-badly = apply_injections(case.gold, [InjectionOp(1, "shift", {"vector": [14, 0, 0]}),
-                                     InjectionOp(2, "delete", {}),
-                                     InjectionOp(6, "shift", {"vector": [12, 0, 0]})])
-mildly = apply_injections(case.gold, [InjectionOp(1, "shift", {"vector": [10, 0, 0]})])
-candidates = [badly, mildly, case.gold]
-result = em.run_tournament(case.with_pseudo(badly), candidates, judge)
-print(f"\ntournament over {len(result.rounds)} rounds selected candidate "
-      f"#{result.winner} (0 = incumbent)")
-for i, rnd in enumerate(result.rounds, 1):
-    votes = {cfg.catalog.entry(s).name: v.value
-             for s, v in rnd.per_structure_votes.items()
-             if v.value != "tie"}
-    print(f"  round {i}: challenger {rnd.score_1} vs champion {rnd.score_2}  {votes}")
-assert candidates[result.winner] is case.gold
+# one comparison per structure: gold challenges a corrupted incumbent
+corrupted = apply_injections(case.gold, [InjectionOp(1, "shift", {"vector": [14, 0, 0]}),
+                                         InjectionOp(2, "delete", {}),
+                                         InjectionOp(6, "shift", {"vector": [12, 0, 0]})])
+verdicts = em.run_tournament(case.with_pseudo(corrupted), corrupted, case.gold, judge,
+                             cfg.catalog.labels)
+print("\ngold (first) vs corrupted incumbent (second), per structure:")
+for s, v in verdicts.items():
+    print(f"  {cfg.catalog.entry(s).name:<13} {v.preference.value:<6} "
+          f"{v.score_first:5.3f} vs {v.score_second:5.3f}")
+assert all(verdicts[s].preference is em.Preference.FIRST for s in (1, 2, 6))

@@ -73,7 +73,6 @@ from .expert import (
     JudgeVerdict,
     Preference,
     RuleBasedJudge,
-    TournamentResult,
     judge_pair,
     run_tournament,
     score_overlay,

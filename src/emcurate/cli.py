@@ -15,6 +15,7 @@ import argparse
 import csv
 import os
 import sys
+from contextlib import closing
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -164,13 +165,13 @@ def cmd_refine(args) -> int:
     """One full expectation pass (audit, auto-replace, judge, escalate)."""
     cfg = _load_config(args)
     threads = _resolve_threads(args)
-    judge = cfg.build_judge()
-    oracle = cfg.build_oracle()
-    cases = _read_config_corpus(cfg, args.corpus)
-    out_dir = _prepare_out_dir(args)
-    model = fit_model(cases, new_model=cfg.build_model)
-    updated, entries, stats = expectation_pass(cases, model, judge, oracle, cfg.em,
-                                               threads=threads)
+    with closing(cfg.build_judge()) as judge:
+        oracle = cfg.build_oracle()
+        cases = _read_config_corpus(cfg, args.corpus)
+        out_dir = _prepare_out_dir(args)
+        model = fit_model(cases, new_model=cfg.build_model)
+        updated, entries, stats = expectation_pass(cases, model, judge, oracle, cfg.em,
+                                                   threads=threads)
     volume_io.write_corpus(out_dir / "refined", updated, cfg.catalog)
     save_queue(out_dir / "queue.json", entries)
     volume_io.write_jsonl(out_dir / "changes.jsonl", [asdict(e) for e in stats.all_changes])
@@ -237,19 +238,19 @@ def cmd_run_loop(args) -> int:
     cfg = _load_config(args)
     threads = _resolve_threads(args)
     # a bad judge, oracle or corpus fails before --out is emptied, keeping the last run
-    judge = cfg.build_judge()
-    oracle = cfg.build_oracle()
-    if args.corpus:
-        cases = _read_config_corpus(cfg, args.corpus)
-    out_dir = _prepare_out_dir(args)
-    if not args.corpus:
-        cases, _logs = generate_corpus(cfg.phantom, cfg.noise, cfg.corpus.n_cases,
-                                       cfg.corpus.gold_fraction, cfg.em.seed)
-    volume_io.write_json(out_dir / "config_snapshot.json", cfg.raw)
-    source = PhantomSource(cfg.phantom, intensity_jitter=cfg.synthetic.intensity_jitter)
-    corpus, model, reports = run_em(
-        cases, cfg.em, judge, oracle, phantom_source=source, out_dir=out_dir,
-        timing=args.timing, threads=threads, new_model=cfg.build_model)
+    with closing(cfg.build_judge()) as judge:
+        oracle = cfg.build_oracle()
+        if args.corpus:
+            cases = _read_config_corpus(cfg, args.corpus)
+        out_dir = _prepare_out_dir(args)
+        if not args.corpus:
+            cases, _logs = generate_corpus(cfg.phantom, cfg.noise, cfg.corpus.n_cases,
+                                           cfg.corpus.gold_fraction, cfg.em.seed)
+        volume_io.write_json(out_dir / "config_snapshot.json", cfg.raw)
+        source = PhantomSource(cfg.phantom, intensity_jitter=cfg.synthetic.intensity_jitter)
+        corpus, model, reports = run_em(
+            cases, cfg.em, judge, oracle, phantom_source=source, out_dir=out_dir,
+            timing=args.timing, threads=threads, new_model=cfg.build_model)
     volume_io.write_corpus(out_dir / "final_corpus", corpus, cfg.catalog)
     volume_io.write_json(out_dir / "summary.json", {
         "iterations": len(reports),

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import ndimage
 
-from .errors import ConfigError, ProtocolError, ShapeError
+from .errors import ConfigError, ProtocolError
 from .grid import (
     BACKGROUND,
     FACE,
@@ -108,32 +108,6 @@ class JudgeVerdict:
     rationale: dict[str, tuple[float, float]] = field(default_factory=dict)
     protocol_issue: bool = False  # tie produced by a judge timeout, not by scores
     scored: bool = True           # False when the judge reports no numeric scores
-
-
-@dataclass(frozen=True)
-class PairTally:
-    """Per-structure verdicts of one champion-vs-challenger comparison;
-    score_1 counts structures won by the challenger, score_2 by the champion."""
-
-    champion: int
-    challenger: int
-    verdicts: dict[int, JudgeVerdict]
-    score_1: int
-    score_2: int
-
-    @property
-    def per_structure_votes(self) -> dict[int, Preference]:
-        return {s: v.preference for s, v in self.verdicts.items()}
-
-
-@dataclass(frozen=True)
-class TournamentResult:
-    winner: int
-    rounds: tuple[PairTally, ...]
-
-    @property
-    def final_round(self) -> PairTally:
-        return self.rounds[-1]
 
 
 def _interval_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -235,6 +209,9 @@ class RuleBasedJudge:
             raise ConfigError(f"no anatomical prior for structure {structure}")
         return judge_pair(volume, mask_a, mask_b, prior, self.tie_epsilon)
 
+    def close(self) -> None:
+        """Nothing to release; present so that every judge can be closed."""
+
 
 def shape_cleanup(label_map: LabelMap, organ_connectivity: int = 26,
                   tumor_connectivity: int = 6) -> LabelMap:
@@ -263,41 +240,14 @@ def shape_cleanup(label_map: LabelMap, organ_connectivity: int = 26,
     return label_map.with_labels(labels)
 
 
-def run_tournament(case: CaseRecord, candidates: Sequence[LabelMap], judge,
-                   structures: Optional[Sequence[int]] = None) -> TournamentResult:
-    """Sequential pairwise elimination among candidate label maps.
-
-    The current champion (initially candidates[0], the incumbent) meets each
-    following candidate; per structure the judge votes, votes are tallied,
-    and the challenger takes over only when its tally strictly exceeds the
-    champion's - ties keep the incumbent. The selected map is
-    candidates[result.winner].
-    """
-    if len(candidates) < 2:
-        raise ShapeError("tournament requires at least two candidates")
-    if structures is None:
-        structures = candidates[0].catalog.labels
-    champion = 0
-    rounds: list[PairTally] = []
-    for challenger in range(1, len(candidates)):
-        verdicts: dict[int, JudgeVerdict] = {}
-        score_challenger = 0
-        score_champion = 0
-        for s in structures:
-            verdict = judge.compare(case.case_id, s, case.volume,
-                                    candidates[challenger].labels == s,
-                                    candidates[champion].labels == s)
-            verdicts[s] = verdict
-            if verdict.preference is Preference.FIRST:
-                score_challenger += 1
-            elif verdict.preference is Preference.SECOND:
-                score_champion += 1
-        rounds.append(PairTally(champion=champion, challenger=challenger,
-                                verdicts=verdicts,
-                                score_1=score_challenger, score_2=score_champion))
-        if score_challenger > score_champion:
-            champion = challenger
-    return TournamentResult(winner=champion, rounds=tuple(rounds))
+def run_tournament(case: CaseRecord, incumbent: LabelMap, challenger: LabelMap, judge,
+                   structures: Sequence[int]) -> dict[int, JudgeVerdict]:
+    """The judge's verdict on each structure, in the given order, with the
+    challenger's mask first and the incumbent's second. perfbench/tracer.py
+    traces this function by name, so the one loop keeps its own function."""
+    return {s: judge.compare(case.case_id, s, case.volume,
+                             challenger.labels == s, incumbent.labels == s)
+            for s in structures}
 
 
 # ---------------------------------------------------------------------------
@@ -455,3 +405,6 @@ class FallbackJudge:
             self.protocol_failures += 1
             log.warning("external judge failed (%s); falling back to rule-based judge", exc)
             return self.fallback.compare(case_id, structure, volume, mask_a, mask_b)
+
+    def close(self) -> None:
+        self.primary.close()

@@ -295,8 +295,7 @@ def _expectation_case(case: CaseRecord, model: SegmentationModel, judge, cfg: EM
     incumbent = shape_cleanup(updated.pseudo, model.organ_connectivity,
                               model.tumor_connectivity)
     challenger = outcome.prediction
-    tournament = run_tournament(updated, [incumbent, challenger], judge, structures=routed)
-    verdicts = tournament.final_round.verdicts
+    verdicts = run_tournament(updated, incumbent, challenger, judge, routed)
     for s in routed:
         verdict = verdicts[s]
         incumbent_mask = incumbent.labels == s

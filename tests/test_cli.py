@@ -4,8 +4,12 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
+import signal
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 from unittest import mock
 
@@ -18,6 +22,7 @@ from hypothesis import strategies as st
 import emcurate.volume_io as vio
 from emcurate.cli import build_parser, main
 from emcurate.config import load_run_config
+from emcurate.errors import ShapeError
 
 from oracles import full_grid_nsd
 
@@ -684,6 +689,46 @@ def test_bad_loop_setting_exits_2_before_out_is_touched(cfg_file, tmp_path, caps
     assert [p.name for p in run.iterdir()] == ["summary.json"]
     assert (run / "summary.json").read_text() == "previous run"
     assert not refined.exists()
+
+
+# answers every request with a tie, then sleeps after stdin closes, so it
+# outlives a command that never closes it
+LINGERING_JUDGE = textwrap.dedent("""
+    import json, os, sys, time
+    with open(sys.argv[1], "w") as fh:
+        fh.write(str(os.getpid()))
+    for line in sys.stdin:
+        print(json.dumps({"id": json.loads(line)["id"], "preference": "tie"}), flush=True)
+    time.sleep(1)
+""")
+
+
+def _failing_change_count(before, after):
+    raise ShapeError("injected after judging")
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "error_exit"])
+@pytest.mark.parametrize("command", ["refine", "run-loop"])
+def test_external_judge_child_ends_with_the_command(tmp_path, monkeypatch, command, fails):
+    pid_file = tmp_path / "judge.pid"
+    raw = copy.deepcopy(BASE_CFG)
+    raw["judge"] = {"kind": "external",
+                    "command": [sys.executable, "-u", "-c", LINGERING_JUDGE, str(pid_file)]}
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", str(cfg), "--out", str(corpus)]) == 0
+    if fails:  # both commands count changes after the judge has answered
+        monkeypatch.setattr("emcurate.loop.changed_structures", _failing_change_count)
+    assert main([command, "--config", str(cfg), "--corpus", str(corpus), "--threads", "1",
+                 "--out", str(tmp_path / "out")]) == (4 if fails else 0)
+    pid = int(pid_file.read_text())  # the judge was started
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return
+    os.kill(pid, signal.SIGKILL)
+    pytest.fail(f"judge process {pid} outlived {command}")
 
 
 def test_review_scripted(tmp_path, monkeypatch, capsys):

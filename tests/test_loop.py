@@ -6,7 +6,7 @@ import pytest
 import emcurate as em
 from emcurate import EMConfig, RuleBasedJudge, SimulatedExpert, TieKeeperOracle
 from emcurate.errors import ConfigError
-from emcurate.expert import JudgeVerdict, Preference
+from emcurate.expert import JudgeVerdict, Preference, shape_cleanup
 from emcurate.grid import LabelMap, StructureCatalog, StructureEntry, StructureKind
 from emcurate.loop import (
     Annealing,
@@ -169,7 +169,6 @@ def test_shape_cleanup_uses_model_connectivity(noisy_corpus, judge, monkeypatch)
     """The judge's incumbent is cleaned with the model's connectivities, not
     with shape_cleanup's defaults."""
     import emcurate.loop as loop_mod
-    from emcurate.expert import shape_cleanup
     from emcurate.verifier import GaussianIntensityModel
     cases, _ = noisy_corpus
     model = em.fit_model(cases, new_model=lambda catalog: GaussianIntensityModel(
@@ -183,6 +182,40 @@ def test_shape_cleanup_uses_model_connectivity(noisy_corpus, judge, monkeypatch)
     monkeypatch.setattr(loop_mod, "shape_cleanup", spy)
     expectation_pass(cases, model, judge, TieKeeperOracle(), em_cfg())
     assert seen and set(seen) == {(6, 26)}
+
+
+class RecordingJudge(RuleBasedJudge):
+    def __init__(self, priors):
+        super().__init__(priors)
+        self.calls = []
+
+    def compare(self, case_id, structure, volume, mask_a, mask_b):
+        self.calls.append((case_id, structure, mask_a, mask_b))
+        return super().compare(case_id, structure, volume, mask_a, mask_b)
+
+
+def test_judge_compares_prediction_with_cleaned_incumbent(noisy_corpus, run_cfg_module):
+    """The external judge numbers its requests in call order, so the calls
+    are pinned: per case, one per routed structure in ascending label order,
+    the prediction's mask first and the cleaned incumbent's second."""
+    cases, _ = noisy_corpus
+    model = em.fit_model(cases)
+    cfg = em_cfg()
+    judge = RecordingJudge(run_cfg_module.priors)
+    expectation_pass(cases, model, judge, TieKeeperOracle(), cfg)
+    expected = []
+    for case in cases:
+        outcome = em.audit_case(model, case, cfg.auto_replace_dsc, cfg.route_dsc)
+        updated, _ = em.apply_update_rule(case, outcome)
+        incumbent = shape_cleanup(updated.pseudo, model.organ_connectivity,
+                                  model.tumor_connectivity)
+        for s in sorted(outcome.actions(em.AuditAction.ROUTE_TO_EXPERT)):
+            expected.append((case.case_id, s, outcome.prediction.labels == s,
+                             incumbent.labels == s))
+    assert [c[:2] for c in judge.calls] == [e[:2] for e in expected]
+    assert any(not np.array_equal(a, b) for _, _, a, b in expected)
+    for (_, _, a, b), (_, _, want_a, want_b) in zip(judge.calls, expected):
+        assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
 
 
 class TieJudge:

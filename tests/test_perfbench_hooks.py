@@ -2,7 +2,8 @@
 workload names the layers it must and must not hit. A rename, deletion or
 signature change in ``src/`` would break traced runs only when the benchmark
 runs, so check the hooks here: every target resolves, every hit/absent name
-is a target, and every work measure finds the arguments it reads."""
+is a target, every work measure finds the arguments it reads, and a traced
+em_loop run calls its hit layers and none of its absent ones."""
 
 import importlib.util
 import sys
@@ -127,3 +128,41 @@ def test_work_measure_reads_the_traced_arguments(layer, monkeypatch, tmp_path):
     expected = WORK_CALLS[layer](recorder.wrap(layer, fn, work), tmp_path)
     assert expected > 0
     assert [s.work for s in recorder.spans] == [expected]
+
+
+def _install_undoably(tracer, recorder, monkeypatch) -> None:
+    """recorder.install(), with every binding it replaces restored at teardown."""
+    modules = [m for n, m in sys.modules.items() if n == "emcurate" or n.startswith("emcurate.")]
+    for _layer, module_name, attr, _work_name, _work in tracer.TARGETS:
+        owner = importlib.import_module(module_name)
+        *cls_path, fn_name = attr.split(".")
+        for part in cls_path:
+            owner = getattr(owner, part)
+        original = getattr(owner, fn_name)
+        monkeypatch.setattr(owner, fn_name, original)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, value)
+    recorder.install()
+
+
+def test_em_loop_calls_its_hit_layers_and_no_absent_one(monkeypatch, tmp_path):
+    """A traced em_loop run fails when a hit layer has no span or an absent
+    one has any; run the workload's command in process, as the tracer does."""
+    from emcurate.cli import main
+    tracer = _load("tracer", monkeypatch)
+    workloads = _load("workloads", monkeypatch)
+    workload = workloads.WORKLOADS["em_loop"]
+    cfg, corpus, out = tmp_path / "em_loop.yaml", tmp_path / "corpus", tmp_path / "out"
+    workloads.write_config(workload, cfg)
+    # the benchmark generates its corpora untraced, in another process
+    assert main(["generate", "--config", str(cfg), "--seed", "0", "--out", str(corpus)]) == 0
+    recorder = tracer.Tracer()
+    _install_undoably(tracer, recorder, monkeypatch)
+    assert main(workload.command(str(cfg), str(corpus), str(out), 0)) == 0
+    _digest, counts = workload.digest(out)
+    assert counts["loop.routed"] > 0
+    stats = tracer.layer_stats(recorder.spans)
+    assert [layer for layer in workload.hit if stats[layer]["calls"] == 0] == []
+    assert [layer for layer in workload.absent if stats[layer]["calls"] > 0] == []
