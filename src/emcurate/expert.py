@@ -48,13 +48,6 @@ class Preference(str, Enum):
     SECOND = "second"
     TIE = "tie"
 
-    def swapped(self) -> "Preference":
-        if self is Preference.FIRST:
-            return Preference.SECOND
-        if self is Preference.SECOND:
-            return Preference.FIRST
-        return self
-
 
 @dataclass(frozen=True)
 class CentroidBox:
@@ -304,6 +297,10 @@ class ExternalJudge:
     of "first", "second" or "tie". A timeout yields a tie with a warning and
     a fresh child for the next request; a malformed response raises
     ProtocolError so the caller can fall back to the rule-based judge.
+
+    It is not thread-safe: request ids count the calls, which the
+    expectation pass makes from one thread in case order, so a run's ids do
+    not depend on its thread count.
     """
 
     def __init__(self, command: Sequence[str], priors: dict[int, AnatomicalPrior],
@@ -312,7 +309,6 @@ class ExternalJudge:
         self.priors = priors
         self.timeout_s = timeout_s
         self._proc: Optional[subprocess.Popen] = None
-        self._lock = threading.Lock()
         self._counter = 0
 
     def _ensure_proc(self) -> subprocess.Popen:
@@ -354,24 +350,22 @@ class ExternalJudge:
         proj_a = front_view_projection(volume, mask_a)
         proj_b = front_view_projection(volume, mask_b)
         nx, nz = proj_a.overlay.shape
-        with self._lock:
-            self._counter += 1
-            request = JudgePairRequest(
-                id=f"{case_id}/{structure}/{self._counter}",
-                structure=prior.name, prompt=prior.prompt,
-                overlay_a_rle=rle_encode(proj_a.overlay),
-                overlay_b_rle=rle_encode(proj_b.overlay),
-                width=nx, height=nz)
-            proc = self._ensure_proc()
-            try:
-                proc.stdin.write(request.to_json() + "\n")
-                proc.stdin.flush()
-            except (BrokenPipeError, OSError) as exc:
-                raise ProtocolError(f"judge process unavailable: {exc}") from exc
-            line = self._read_line(proc)
-            if line is None:
-                self.close(wait_s=0)  # its late reply must not answer the next request
+        self._counter += 1
+        request = JudgePairRequest(
+            id=f"{case_id}/{structure}/{self._counter}",
+            structure=prior.name, prompt=prior.prompt,
+            overlay_a_rle=rle_encode(proj_a.overlay),
+            overlay_b_rle=rle_encode(proj_b.overlay),
+            width=nx, height=nz)
+        proc = self._ensure_proc()
+        try:
+            proc.stdin.write(request.to_json() + "\n")
+            proc.stdin.flush()
+        except (BrokenPipeError, OSError) as exc:
+            raise ProtocolError(f"judge process unavailable: {exc}") from exc
+        line = self._read_line(proc)
         if line is None:
+            self.close(wait_s=0)  # its late reply must not answer the next request
             log.warning("external judge timed out on %s; treating as tie", request.id)
             return JudgeVerdict(preference=Preference.TIE, score_first=0.0, score_second=0.0,
                                 protocol_issue=True, scored=False)

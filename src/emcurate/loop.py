@@ -7,9 +7,12 @@ structures through the projection judge, escalates unresolvable ones to a
 human oracle, then refits the model on a mix of refined, synthetic and
 hard-case data with an optional gold-subset annealing pass.
 
-Within an iteration case-level work may run on a thread pool; results are
-merged in case order and all randomness is derived from (seed, iteration,
-case, structure), so outputs are byte-identical regardless of thread count.
+Within an iteration only the audit runs on a thread pool. Its outcomes are
+consumed in case order by one loop, which alone applies the update rule,
+asks the judge and the oracle and writes the labels; all randomness is
+derived from (seed, iteration, case, structure). So outputs, the order of
+judge requests and oracle prompts included, are byte-identical regardless
+of thread count.
 """
 
 from __future__ import annotations
@@ -19,12 +22,13 @@ import logging
 import math
 import sys
 import time
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, astuple, dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Protocol, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence, Union
 
 import numpy as np
 
@@ -39,7 +43,6 @@ from .verifier import (
     GaussianIntensityModel,
     ModelFactory,
     SegmentationModel,
-    StructureWrite,
     audit_case,
     apply_update_rule,
     changed_structures,
@@ -108,15 +111,15 @@ class EscalationReason(str, Enum):
 @dataclass
 class EscalationEntry:
     """A structure neither the audit nor the judge could settle, and how it
-    was resolved. ``candidates`` are the 3D masks (None when read back from
-    a queue file); ``chosen`` (a candidate index) and ``source`` (who
-    answered) stay None until the entry is resolved, and ``chosen`` stays
-    None when the answer was a skip."""
+    was resolved. ``chosen`` (a candidate index) stays None until the entry
+    is resolved, and when the answer was a skip. ``source`` names who was
+    asked: the oracle's class name, set when the expectation pass makes the
+    entry, or "interactive" once ``review`` has asked; it is None on an
+    entry read back from a queue file until then."""
     case_id: str
     structure: int
     reason: EscalationReason
     overlays: list[np.ndarray]  # 2D front-view silhouettes, incumbent first
-    candidates: Optional[list[np.ndarray]] = None
     chosen: Optional[int] = None
     source: Optional[str] = None
 
@@ -231,12 +234,6 @@ class ExpectationStats:
     per_case_audit_dsc: dict[str, float] = field(default_factory=dict)
     all_changes: list[ChangeLogEntry] = field(default_factory=list)
 
-    def merge(self, other: "ExpectationStats") -> None:
-        """Add the counts of ``other`` to these and append its changes."""
-        self.counts.update(other.counts)
-        self.per_case_audit_dsc.update(other.per_case_audit_dsc)
-        self.all_changes.extend(other.all_changes)
-
     @property
     def escalation_fraction(self) -> float:
         if self.counts["structures_audited"] == 0:
@@ -262,73 +259,21 @@ class IterationReport:
     per_structure_dsc_vs_gold: Optional[dict[str, dict[str, float]]] = None
 
 
-def ordered_parallel_map(fn: Callable, items: Sequence, threads: int) -> list:
-    """Apply fn to items, preserving input order regardless of thread count."""
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+def ordered_parallel_map(fn: Callable, items: Iterable, threads: int) -> Iterator:
+    """Yield fn(item) for each item in input order, whatever the thread
+    count. With more than one thread, at most ``threads`` results are
+    computed ahead of the consumer, so they do not pile up in memory."""
+    if threads <= 1:
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _expectation_case(case: CaseRecord, model: SegmentationModel, judge, cfg: EMConfig
-                      ) -> tuple[CaseRecord, list[StructureWrite], list[EscalationEntry],
-                                 ExpectationStats]:
-    """Audit one case, auto-replace, and judge its routed structures.
-
-    Returns the case after its auto-replacements, the judge's decisions as
-    writes still to apply, the structures to escalate, and this case's
-    counts and changes so far."""
-    outcome = audit_case(model, case, cfg.auto_replace_dsc, cfg.route_dsc)
-    updated, changes = apply_update_rule(case, outcome)
-    routed = sorted(outcome.actions(AuditAction.ROUTE_TO_EXPERT))
-    auto = outcome.actions(AuditAction.AUTO_REPLACE)
-    stats = ExpectationStats(
-        counts=Counter(structures_audited=len(outcome.per_structure),
-                       keep=len(outcome.actions(AuditAction.KEEP)),
-                       auto_replace=len(auto), route=len(routed)),
-        per_case_audit_dsc={case.case_id: outcome.mean_dsc}, all_changes=changes)
-    writes: list[StructureWrite] = []
-    escalations: list[EscalationEntry] = []
-    if not routed:
-        return updated, writes, escalations, stats
-
-    incumbent = shape_cleanup(updated.pseudo, model.organ_connectivity,
-                              model.tumor_connectivity)
-    challenger = outcome.prediction
-    verdicts = run_tournament(updated, incumbent, challenger, judge, routed)
-    for s in routed:
-        verdict = verdicts[s]
-        incumbent_mask = incumbent.labels == s
-        challenger_mask = challenger.labels == s
-        tie = verdict.preference is Preference.TIE
-        # verdicts with both scores under the floor are uninformative, tie
-        # or not: neither candidate resembles the expected anatomy
-        low_confidence = (verdict.scored
-                          and max(verdict.score_first, verdict.score_second)
-                          < cfg.low_confidence_floor)
-        if tie and np.array_equal(incumbent_mask, challenger_mask):
-            writes.append((s, incumbent_mask, "expert_auto_resolved"))
-            stats.counts["auto_resolved"] += 1
-        elif low_confidence or tie:
-            if low_confidence:
-                reason = EscalationReason.LOW_CONFIDENCE
-            elif verdict.protocol_issue:
-                reason = EscalationReason.PROTOCOL_FAILURE
-            else:
-                reason = EscalationReason.EXPERT_TIE
-            candidates = [incumbent_mask, challenger_mask]
-            escalations.append(EscalationEntry(
-                case_id=case.case_id, structure=s, reason=reason,
-                overlays=[front_view_projection(case.volume, m).overlay for m in candidates],
-                candidates=candidates))
-            stats.counts["escalate"] += 1
-        elif verdict.preference is Preference.FIRST:
-            writes.append((s, challenger_mask, "expert_replace"))
-            stats.counts["tournament_decided"] += 1
-        else:
-            writes.append((s, incumbent_mask, "expert_keep"))
-            stats.counts["tournament_decided"] += 1
-    return updated, writes, escalations, stats
+        pending: deque = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOracle,
@@ -338,40 +283,85 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
 
     Per case: audit against the model, apply zero-overlap replacements, route
     low-agreement structures through the judge, and escalate per-structure
-    ties to the oracle. Escalations are resolved serially in case order so
-    results do not depend on the thread count; each returned entry carries
+    ties to the oracle. Only the audits run on ``threads`` worker threads;
+    the rest runs in case order, so the judge and the oracle are asked in
+    the same order whatever the thread count. Each returned entry carries
     the oracle's answer and the oracle's class name as its source. A case's
-    judge decisions and oracle answers are written in one write_structures
-    call; its changed structures are then counted against its input labels.
+    judge decisions, then its oracle answers, are written in one
+    write_structures call; its changed structures are then counted against
+    its input labels.
     """
-    results = ordered_parallel_map(
-        lambda case: _expectation_case(case, model, judge, cfg), list(corpus), threads)
-
     stats = ExpectationStats()
     entries: list[EscalationEntry] = []
     updated_corpus: list[CaseRecord] = []
-    for original, (case, writes, escalations, case_stats) in zip(corpus, results):
-        stats.merge(case_stats)
-        for entry in escalations:
-            entries.append(entry)
-            context = f"{iteration}:{entry.case_id}:{entry.structure}"
-            try:
-                chosen = oracle.review(case, entry.structure, entry.candidates, context)
-            except Exception as exc:  # a failing oracle leaves the entry unresolved
-                log.warning("oracle %s failed on %s (%s: %s); left unresolved",
-                            type(oracle).__name__, context, type(exc).__name__, exc)
-                chosen = None
-            entry.source = type(oracle).__name__
-            if chosen is None:
-                stats.counts["unresolved"] += 1
-                continue
-            entry.chosen = int(chosen)
-            writes.append((entry.structure, entry.candidates[entry.chosen],
-                           f"escalated_{entry.chosen}"))
-        case, changes = write_structures(case, writes)
-        stats.all_changes.extend(changes)
-        stats.changed_structures += changed_structures(original.pseudo, case.pseudo)
-        updated_corpus.append(case)
+    outcomes = ordered_parallel_map(
+        lambda case: audit_case(model, case, cfg.auto_replace_dsc, cfg.route_dsc),
+        corpus, threads)
+    with closing(outcomes):
+        for original, outcome in zip(corpus, outcomes):
+            case, changes = apply_update_rule(original, outcome)
+            routed = sorted(outcome.actions(AuditAction.ROUTE_TO_EXPERT))
+            stats.counts.update(structures_audited=len(outcome.per_structure),
+                                keep=len(outcome.actions(AuditAction.KEEP)),
+                                auto_replace=len(outcome.actions(AuditAction.AUTO_REPLACE)),
+                                route=len(routed))
+            stats.per_case_audit_dsc[case.case_id] = outcome.mean_dsc
+            stats.all_changes.extend(changes)
+            writes, answers = [], []
+            verdicts = {}
+            if routed:
+                incumbent = shape_cleanup(case.pseudo, model.organ_connectivity,
+                                          model.tumor_connectivity)
+                verdicts = run_tournament(case, incumbent, outcome.prediction, judge, routed)
+            for s, verdict in verdicts.items():
+                incumbent_mask = incumbent.labels == s
+                challenger_mask = outcome.prediction.labels == s
+                tie = verdict.preference is Preference.TIE
+                # verdicts with both scores under the floor are uninformative, tie
+                # or not: neither candidate resembles the expected anatomy
+                low_confidence = (verdict.scored
+                                  and max(verdict.score_first, verdict.score_second)
+                                  < cfg.low_confidence_floor)
+                if tie and np.array_equal(incumbent_mask, challenger_mask):
+                    writes.append((s, incumbent_mask, "expert_auto_resolved"))
+                    stats.counts["auto_resolved"] += 1
+                elif low_confidence or tie:
+                    if low_confidence:
+                        reason = EscalationReason.LOW_CONFIDENCE
+                    elif verdict.protocol_issue:
+                        reason = EscalationReason.PROTOCOL_FAILURE
+                    else:
+                        reason = EscalationReason.EXPERT_TIE
+                    candidates = [incumbent_mask, challenger_mask]
+                    entry = EscalationEntry(
+                        case_id=case.case_id, structure=s, reason=reason,
+                        overlays=[front_view_projection(case.volume, m).overlay
+                                  for m in candidates],
+                        source=type(oracle).__name__)
+                    entries.append(entry)
+                    stats.counts["escalate"] += 1
+                    context = f"{iteration}:{case.case_id}:{s}"
+                    try:
+                        chosen = oracle.review(case, s, candidates, context)
+                    except Exception as exc:  # a failing oracle leaves the entry unresolved
+                        log.warning("oracle %s failed on %s (%s: %s); left unresolved",
+                                    type(oracle).__name__, context, type(exc).__name__, exc)
+                        chosen = None
+                    if chosen is None:
+                        stats.counts["unresolved"] += 1
+                    else:
+                        entry.chosen = int(chosen)
+                        answers.append((s, candidates[entry.chosen], f"escalated_{entry.chosen}"))
+                elif verdict.preference is Preference.FIRST:
+                    writes.append((s, challenger_mask, "expert_replace"))
+                    stats.counts["tournament_decided"] += 1
+                else:
+                    writes.append((s, incumbent_mask, "expert_keep"))
+                    stats.counts["tournament_decided"] += 1
+            case, changes = write_structures(case, writes + answers)
+            stats.all_changes.extend(changes)
+            stats.changed_structures += changed_structures(original.pseudo, case.pseudo)
+            updated_corpus.append(case)
 
     return updated_corpus, entries, stats
 
@@ -555,14 +545,17 @@ def prompt_choice(header: str, overlays: Sequence[np.ndarray],
                   input_fn: Optional[Callable[[str], str]] = None,
                   print_fn: Callable[[str], None] = print) -> Optional[int]:
     """Show the candidates' overlays and prompt 1/2/skip; returns the chosen
-    candidate index, or None when skipped."""
+    candidate index, or None when skipped or at the end of input."""
     ask = input_fn if input_fn is not None else input  # late: tests patch builtins
     print_fn(header)
     for i, overlay in enumerate(overlays):
         print_fn(f"--- candidate {i + 1} ---")
         print_fn(render_overlay_ascii(overlay))
     while True:
-        answer = ask("choose 1/2/skip> ").strip().lower()
+        try:
+            answer = ask("choose 1/2/skip> ").strip().lower()
+        except EOFError:
+            return None
         if answer in ("1", "2"):
             return int(answer) - 1
         if answer in ("s", "skip", ""):

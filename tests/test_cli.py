@@ -703,8 +703,16 @@ LINGERING_JUDGE = textwrap.dedent("""
 """)
 
 
-def _failing_change_count(before, after):
-    raise ShapeError("injected after judging")
+def _failing_change_count(pid_file: Path):
+    """A change count that raises once the judge has started."""
+    from emcurate.loop import changed_structures
+
+    def count(before, after):
+        if pid_file.exists():
+            raise ShapeError("injected after judging")
+        return changed_structures(before, after)
+
+    return count
 
 
 @pytest.mark.parametrize("fails", [False, True], ids=["ok", "error_exit"])
@@ -718,8 +726,8 @@ def test_external_judge_child_ends_with_the_command(tmp_path, monkeypatch, comma
     cfg.write_text(yaml.safe_dump(raw))
     corpus = tmp_path / "corpus"
     assert main(["generate", "--config", str(cfg), "--out", str(corpus)]) == 0
-    if fails:  # both commands count changes after the judge has answered
-        monkeypatch.setattr("emcurate.loop.changed_structures", _failing_change_count)
+    if fails:  # both commands count each case's changes after its judge requests
+        monkeypatch.setattr("emcurate.loop.changed_structures", _failing_change_count(pid_file))
     assert main([command, "--config", str(cfg), "--corpus", str(corpus), "--threads", "1",
                  "--out", str(tmp_path / "out")]) == (4 if fails else 0)
     pid = int(pid_file.read_text())  # the judge was started
@@ -729,6 +737,44 @@ def test_external_judge_child_ends_with_the_command(tmp_path, monkeypatch, comma
         return
     os.kill(pid, signal.SIGKILL)
     pytest.fail(f"judge process {pid} outlived {command}")
+
+
+# logs each request and answers by a hash of its id, so a request that
+# changes its id or its place in the sequence changes the refined corpus
+HASHING_JUDGE = textwrap.dedent("""
+    import hashlib, json, sys
+    with open(sys.argv[1], "a") as log:
+        for line in sys.stdin:
+            log.write(line)
+            log.flush()
+            request_id = json.loads(line)["id"]
+            pick = hashlib.sha256(request_id.encode()).digest()[0] % 3
+            print(json.dumps({"id": request_id, "preference": ("first", "second", "tie")[pick]}),
+                  flush=True)
+""")
+
+
+def test_refine_judge_requests_do_not_depend_on_the_thread_count(tmp_path):
+    requests = tmp_path / "requests.jsonl"
+    raw = copy.deepcopy(BASE_CFG)
+    raw["corpus"]["n_cases"] = 24
+    raw["judge"] = {"kind": "external",
+                    "command": [sys.executable, "-u", "-c", HASHING_JUDGE, str(requests)]}
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", str(cfg), "--out", str(corpus)]) == 0
+    runs = []
+    for run, threads in enumerate(["1", "2", "2"]):
+        out = tmp_path / f"out_{run}"
+        assert main(["refine", "--config", str(cfg), "--corpus", str(corpus),
+                     "--threads", threads, "--out", str(out)]) == 0
+        runs.append((tree_digest(out), requests.read_text()))
+        requests.unlink()
+    case_ids = {json.loads(line)["id"].split("/")[0] for line in runs[0][1].splitlines()}
+    assert len(case_ids) > 1
+    assert runs[1] == runs[0]
+    assert runs[2] == runs[0]
 
 
 def test_review_scripted(tmp_path, monkeypatch, capsys):
@@ -747,6 +793,23 @@ def test_review_scripted(tmp_path, monkeypatch, capsys):
     rows = [json.loads(line) for line in dpath.read_text().splitlines()]
     assert rows == [{"case_id": "c", "structure": 1, "chosen": 1,
                      "source": "interactive"}]
+
+
+def test_review_end_of_input_skips_the_rest(tmp_path, monkeypatch, capsys):
+    from emcurate.loop import EscalationEntry, EscalationReason, save_queue
+    overlay = np.zeros((3, 3), bool)
+    overlay[1, 1] = True
+    qpath = tmp_path / "q.json"
+    save_queue(qpath, [EscalationEntry(case_id=f"c{i}", structure=1,
+                                       reason=EscalationReason.EXPERT_TIE,
+                                       overlays=[overlay, ~overlay]) for i in range(3)])
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1\n"))
+    dpath = tmp_path / "d.jsonl"
+    assert main(["review", "--queue", str(qpath), "--decisions", str(dpath),
+                 "--allow-pipe"]) == 0
+    rows = [json.loads(line) for line in dpath.read_text().splitlines()]
+    assert rows == [{"case_id": f"c{i}", "structure": 1, "chosen": chosen,
+                     "source": "interactive"} for i, chosen in enumerate([0, None, None])]
 
 
 def test_review_of_empty_refine_queue(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 import json
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from emcurate.loop import (
     interactive_review,
     load_queue,
     maximization_pass,
+    ordered_parallel_map,
     render_overlay_ascii,
     run_em,
     save_queue,
@@ -102,14 +105,71 @@ def test_expectation_counts_sum(noisy_corpus, run_cfg_module, judge):
     assert len(entries) == counts["escalate"]
 
 
-def test_expectation_thread_count_invariant(noisy_corpus, run_cfg_module, judge):
+class RecordingJudge(RuleBasedJudge):
+    def __init__(self, priors, **kwargs):
+        super().__init__(priors, **kwargs)
+        self.calls = []
+
+    def compare(self, case_id, structure, volume, mask_a, mask_b):
+        self.calls.append((case_id, structure, mask_a, mask_b))
+        return super().compare(case_id, structure, volume, mask_a, mask_b)
+
+
+class RecordingOracle(SimulatedExpert):
+    """A simulated expert that records the context of each review."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.contexts = []
+
+    def review(self, case, structure, candidates, context):
+        self.contexts.append(context)
+        return super().review(case, structure, candidates, context)
+
+
+def test_expectation_thread_count_invariant(noisy_corpus, run_cfg_module):
     cases, _ = noisy_corpus
     model = em.fit_model(cases)
-    oracle = SimulatedExpert(accuracy=0.9, seed=5)
-    a, _, _ = expectation_pass(cases, model, judge, oracle, em_cfg(), threads=1)
-    b, _, _ = expectation_pass(cases, model, judge, oracle, em_cfg(), threads=4)
+    runs = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # frequent thread switches expose any race
+    try:
+        for threads in (1, 4):
+            # a tie band wider than any score gap sends every routed structure on
+            recorder = RecordingJudge(run_cfg_module.priors, tie_epsilon=1.1)
+            oracle = RecordingOracle(accuracy=0.9, seed=5)
+            updated, _, _ = expectation_pass(cases, model, recorder, oracle, em_cfg(),
+                                             threads=threads)
+            runs.append((updated, [call[:2] for call in recorder.calls], oracle.contexts))
+    finally:
+        sys.setswitchinterval(interval)
+    (a, calls_a, contexts_a), (b, calls_b, contexts_b) = runs
     for ca, cb in zip(a, b):
         assert np.array_equal(ca.pseudo.labels, cb.pseudo.labels)
+    assert len({case_id for case_id, _ in calls_a}) > 1
+    assert len({context.split(":")[1] for context in contexts_a}) > 1
+    assert calls_b == calls_a
+    assert contexts_b == contexts_a
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ordered_parallel_map_stays_lazy(threads):
+    """Results arrive in input order, and no more than ``threads`` of them
+    are computed ahead of the consumer, however slow it is."""
+    started = []
+
+    def square(x):
+        started.append(x)
+        return x * x
+
+    ahead = []
+    results = []
+    for result in ordered_parallel_map(square, range(12), threads):
+        time.sleep(0.01)  # a slow consumer: an eager map would run ahead
+        results.append(result)
+        ahead.append(len(started) - len(results))
+    assert results == [x * x for x in range(12)]
+    assert max(ahead) <= threads
 
 
 def test_simulated_expert_deterministic_and_gold_seeking(noisy_corpus):
@@ -182,16 +242,6 @@ def test_shape_cleanup_uses_model_connectivity(noisy_corpus, judge, monkeypatch)
     monkeypatch.setattr(loop_mod, "shape_cleanup", spy)
     expectation_pass(cases, model, judge, TieKeeperOracle(), em_cfg())
     assert seen and set(seen) == {(6, 26)}
-
-
-class RecordingJudge(RuleBasedJudge):
-    def __init__(self, priors):
-        super().__init__(priors)
-        self.calls = []
-
-    def compare(self, case_id, structure, volume, mask_a, mask_b):
-        self.calls.append((case_id, structure, mask_a, mask_b))
-        return super().compare(case_id, structure, volume, mask_a, mask_b)
 
 
 def test_judge_compares_prediction_with_cleaned_incumbent(noisy_corpus, run_cfg_module):
@@ -589,10 +639,17 @@ def test_interactive_oracle_scripted(run_cfg_module):
     a = case.gold.labels == 1
     b = np.roll(a, 5, axis=0)
     answers = iter(["nonsense", "2", "skip"])
-    oracle = InteractiveCliOracle(input_fn=lambda _: next(answers),
-                                  print_fn=lambda _: None)
+
+    def ask(_prompt):
+        answer = next(answers, None)
+        if answer is None:
+            raise EOFError
+        return answer
+
+    oracle = InteractiveCliOracle(input_fn=ask, print_fn=lambda _: None)
     assert oracle.review(case, 1, [a, b], "1:io:1") == 1   # after a re-prompt
     assert oracle.review(case, 1, [a, b], "1:io:1") is None
+    assert oracle.review(case, 1, [a, b], "1:io:1") is None  # end of input
 
 
 def test_interactive_oracle_config_requires_tty(run_cfg_module):
