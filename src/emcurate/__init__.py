@@ -69,7 +69,6 @@ from .expert import (
     AnatomicalPrior,
     CentroidBox,
     ExternalJudge,
-    FallbackJudge,
     JudgeVerdict,
     Preference,
     RuleBasedJudge,

@@ -17,7 +17,7 @@ from typing import Optional, Union, get_type_hints
 import yaml
 
 from .errors import CatalogError, ConfigError
-from .expert import AnatomicalPrior, ExternalJudge, FallbackJudge, RuleBasedJudge
+from .expert import TIE_EPSILON, AnatomicalPrior, ExternalJudge, RuleBasedJudge
 from .grid import StructureCatalog
 from .loop import (
     EMConfig,
@@ -64,7 +64,7 @@ class JudgeConfig:
     kind: str = "rule_based"
     command: tuple[str, ...] = ()
     timeout_s: float = 10.0
-    tie_epsilon: float = 0.02
+    tie_epsilon: float = TIE_EPSILON
 
     def __post_init__(self):
         if self.kind not in ("rule_based", "external"):
@@ -140,8 +140,7 @@ class RunConfig:
             return rule
         if shutil.which(self.judge.command[0]) is None:  # fail now, not at the first comparison
             raise ConfigError(f"judge.command {self.judge.command[0]!r} cannot be run")
-        primary = ExternalJudge(self.judge.command, self.priors, timeout_s=self.judge.timeout_s)
-        return FallbackJudge(primary, rule)
+        return ExternalJudge(self.judge.command, rule, self.judge.timeout_s)
 
     def build_oracle(self):
         if self.oracle.kind == "simulated":

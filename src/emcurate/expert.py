@@ -14,7 +14,8 @@ import json
 import logging
 import subprocess
 import threading
-from dataclasses import dataclass, field
+from contextlib import suppress
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -95,12 +96,14 @@ class AnatomicalPrior:
 
 @dataclass(frozen=True)
 class JudgeVerdict:
+    """A judge's preference between two candidates; the scores are None when
+    the judge gives none (an external judge's answer or timeout)."""
+
     preference: Preference
-    score_first: float
-    score_second: float
+    score_first: Optional[float] = None
+    score_second: Optional[float] = None
     rationale: dict[str, tuple[float, float]] = field(default_factory=dict)
     protocol_issue: bool = False  # tie produced by a judge timeout, not by scores
-    scored: bool = True           # False when the judge reports no numeric scores
 
 
 def _interval_iou(a: tuple[float, float], b: tuple[float, float]) -> float:
@@ -195,12 +198,15 @@ class RuleBasedJudge:
         self.priors = priors
         self.tie_epsilon = tie_epsilon
 
-    def compare(self, case_id: str, structure: int, volume: VoxelGrid,
-                mask_a: np.ndarray, mask_b: np.ndarray) -> JudgeVerdict:
+    def prior(self, structure: int) -> AnatomicalPrior:
         prior = self.priors.get(structure)
         if prior is None:
             raise ConfigError(f"no anatomical prior for structure {structure}")
-        return judge_pair(volume, mask_a, mask_b, prior, self.tie_epsilon)
+        return prior
+
+    def compare(self, case_id: str, structure: int, volume: VoxelGrid,
+                mask_a: np.ndarray, mask_b: np.ndarray) -> JudgeVerdict:
+        return judge_pair(volume, mask_a, mask_b, self.prior(structure), self.tie_epsilon)
 
     def close(self) -> None:
         """Nothing to release; present so that every judge can be closed."""
@@ -284,9 +290,6 @@ class JudgePairRequest:
     width: int
     height: int
 
-    def to_json(self) -> str:
-        return canonical_json(self.__dict__)
-
 
 class ExternalJudge:
     """Adapter for an external judge over newline-delimited JSON on the
@@ -294,20 +297,24 @@ class ExternalJudge:
 
     Requests carry the structure name, its prompt text and both overlays
     run-length encoded; the response echoes the request id with a preference
-    of "first", "second" or "tie". A timeout yields a tie with a warning and
-    a fresh child for the next request; a malformed response raises
-    ProtocolError so the caller can fall back to the rule-based judge.
+    of "first", "second" or "tie", and its verdict carries no scores. A
+    timeout yields an unscored tie flagged as a protocol issue. A malformed
+    response, or a child that cannot be written to, is logged, counted in
+    ``protocol_failures`` and answered by the rule-based ``fallback``, which
+    also holds the prior table. After a timeout or a protocol failure the
+    child is ended, so a late or stray line never answers a later request;
+    the next request starts a fresh child.
 
     It is not thread-safe: request ids count the calls, which the
     expectation pass makes from one thread in case order, so a run's ids do
     not depend on its thread count.
     """
 
-    def __init__(self, command: Sequence[str], priors: dict[int, AnatomicalPrior],
-                 timeout_s: float = 10.0):
+    def __init__(self, command: Sequence[str], fallback: RuleBasedJudge, timeout_s: float):
         self.command = list(command)
-        self.priors = priors
+        self.fallback = fallback
         self.timeout_s = timeout_s
+        self.protocol_failures = 0
         self._proc: Optional[subprocess.Popen] = None
         self._counter = 0
 
@@ -322,7 +329,8 @@ class ExternalJudge:
         """Close the child's input; kill it if it has not exited within ``wait_s``."""
         proc, self._proc = self._proc, None
         if proc is not None and proc.poll() is None:
-            proc.stdin.close()
+            with suppress(OSError):  # a child that stopped reading breaks the pipe
+                proc.stdin.close()
             try:
                 proc.wait(timeout=wait_s)
             except subprocess.TimeoutExpired:
@@ -344,9 +352,7 @@ class ExternalJudge:
 
     def compare(self, case_id: str, structure: int, volume: VoxelGrid,
                 mask_a: np.ndarray, mask_b: np.ndarray) -> JudgeVerdict:
-        prior = self.priors.get(structure)
-        if prior is None:
-            raise ConfigError(f"no anatomical prior for structure {structure}")
+        prior = self.fallback.prior(structure)
         proj_a = front_view_projection(volume, mask_a)
         proj_b = front_view_projection(volume, mask_b)
         nx, nz = proj_a.overlay.shape
@@ -357,48 +363,34 @@ class ExternalJudge:
             overlay_a_rle=rle_encode(proj_a.overlay),
             overlay_b_rle=rle_encode(proj_b.overlay),
             width=nx, height=nz)
+        try:
+            return self._ask(request)
+        except ProtocolError as exc:
+            self.close(wait_s=0)  # its next line must not answer the next request
+            self.protocol_failures += 1
+            log.warning("external judge failed (%s); falling back to rule-based judge", exc)
+            return self.fallback.compare(case_id, structure, volume, mask_a, mask_b)
+
+    def _ask(self, request: JudgePairRequest) -> JudgeVerdict:
+        """The child's verdict on one request; ProtocolError if it cannot be
+        asked or its reply is malformed."""
         proc = self._ensure_proc()
         try:
-            proc.stdin.write(request.to_json() + "\n")
+            proc.stdin.write(canonical_json(asdict(request)) + "\n")
             proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+        except OSError as exc:
             raise ProtocolError(f"judge process unavailable: {exc}") from exc
         line = self._read_line(proc)
         if line is None:
             self.close(wait_s=0)  # its late reply must not answer the next request
             log.warning("external judge timed out on %s; treating as tie", request.id)
-            return JudgeVerdict(preference=Preference.TIE, score_first=0.0, score_second=0.0,
-                                protocol_issue=True, scored=False)
+            return JudgeVerdict(preference=Preference.TIE, protocol_issue=True)
         try:
             payload = json.loads(line)
             if not isinstance(payload, dict):
                 raise ValueError("response is not a JSON object")
             if payload.get("id") != request.id:
                 raise ValueError(f"response id {payload.get('id')!r} != {request.id!r}")
-            pref = Preference(payload["preference"])
+            return JudgeVerdict(preference=Preference(payload["preference"]))
         except (ValueError, KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed judge response {line!r}: {exc}") from exc
-        return JudgeVerdict(preference=pref, score_first=0.0, score_second=0.0,
-                            scored=False)
-
-
-class FallbackJudge:
-    """External judge with automatic fallback to the rule-based judge on
-    protocol errors (the failure is logged and counted)."""
-
-    def __init__(self, primary: ExternalJudge, fallback: RuleBasedJudge):
-        self.primary = primary
-        self.fallback = fallback
-        self.protocol_failures = 0
-
-    def compare(self, case_id: str, structure: int, volume: VoxelGrid,
-                mask_a: np.ndarray, mask_b: np.ndarray) -> JudgeVerdict:
-        try:
-            return self.primary.compare(case_id, structure, volume, mask_a, mask_b)
-        except ProtocolError as exc:
-            self.protocol_failures += 1
-            log.warning("external judge failed (%s); falling back to rule-based judge", exc)
-            return self.fallback.compare(case_id, structure, volume, mask_a, mask_b)
-
-    def close(self) -> None:
-        self.primary.close()

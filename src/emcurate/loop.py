@@ -319,7 +319,7 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
                 tie = verdict.preference is Preference.TIE
                 # verdicts with both scores under the floor are uninformative, tie
                 # or not: neither candidate resembles the expected anatomy
-                low_confidence = (verdict.scored
+                low_confidence = (verdict.score_first is not None
                                   and max(verdict.score_first, verdict.score_second)
                                   < cfg.low_confidence_floor)
                 if tie and np.array_equal(incumbent_mask, challenger_mask):
@@ -547,6 +547,8 @@ def prompt_choice(header: str, overlays: Sequence[np.ndarray],
     """Show the candidates' overlays and prompt 1/2/skip; returns the chosen
     candidate index, or None when skipped or at the end of input."""
     ask = input_fn if input_fn is not None else input  # late: tests patch builtins
+    # input() from a pipe echoes no newline, so the prompt line is ended here
+    end_prompt = input_fn is None and not sys.stdin.isatty()
     print_fn(header)
     for i, overlay in enumerate(overlays):
         print_fn(f"--- candidate {i + 1} ---")
@@ -554,8 +556,10 @@ def prompt_choice(header: str, overlays: Sequence[np.ndarray],
     while True:
         try:
             answer = ask("choose 1/2/skip> ").strip().lower()
-        except EOFError:
-            return None
+        except EOFError:  # end of input skips
+            answer = "skip"
+        if end_prompt:
+            print()
         if answer in ("1", "2"):
             return int(answer) - 1
         if answer in ("s", "skip", ""):

@@ -810,6 +810,10 @@ def test_review_end_of_input_skips_the_rest(tmp_path, monkeypatch, capsys):
     rows = [json.loads(line) for line in dpath.read_text().splitlines()]
     assert rows == [{"case_id": f"c{i}", "structure": 1, "chosen": chosen,
                      "source": "interactive"} for i, chosen in enumerate([0, None, None])]
+    # piped input echoes no newline, so each prompt line must be ended for
+    # the next header to start its own line
+    headers = [line for line in capsys.readouterr().out.splitlines() if "case c" in line]
+    assert headers == [f"case c{i}  structure 1  [expert_tie]" for i in range(3)]
 
 
 def test_review_of_empty_refine_queue(tmp_path, monkeypatch):

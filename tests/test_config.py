@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -370,6 +371,22 @@ def test_unknown_judge_and_oracle_kinds(run_cfg, tmp_path):
         path = _write(run_cfg, tmp_path, **section)
         with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: {where} must"):
             load_run_config(path)
+
+
+@pytest.mark.parametrize("kind", ["rule_based", "external"])
+def test_build_judge_wires_the_judge_section(run_cfg, tmp_path, kind):
+    """The external judge gets the configured timeout and a rule-based
+    fallback with the configured tie epsilon."""
+    section = {"kind": kind, "command": [sys.executable, "-c", "pass"], "timeout_s": 3.0,
+               "tie_epsilon": 0.05}
+    judge = load_run_config(_write(run_cfg, tmp_path, judge=section)).build_judge()
+    if kind == "external":
+        assert type(judge) is em.ExternalJudge
+        assert judge.timeout_s == 3.0
+        judge = judge.fallback
+    assert type(judge) is em.RuleBasedJudge
+    assert judge.tie_epsilon == 0.05
+    assert judge.priors == run_cfg.priors
 
 
 @pytest.mark.parametrize("field,value", [

@@ -1,14 +1,26 @@
 import json
+import os
+import signal
 import sys
 import textwrap
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import emcurate as em
-from emcurate import ExternalJudge, FallbackJudge, Preference, RuleBasedJudge
+from emcurate import ExternalJudge, Preference, RuleBasedJudge
 from emcurate.errors import ProtocolError
 from emcurate.expert import rle_decode, rle_encode
+
+# Each child script below runs after these lines, which append the child's pid
+# to the file named by its first argument.
+PID_LINE = textwrap.dedent("""
+    import os, sys
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+""")
 
 ECHO_FIRST = textwrap.dedent("""
     import json, sys
@@ -25,7 +37,7 @@ BAD_JSON = textwrap.dedent("""
 
 NON_OBJECT_REPLY = textwrap.dedent("""
     import sys
-    reply = sys.argv[1]
+    reply = sys.argv[2]
     for line in sys.stdin:
         print(reply, flush=True)
 """)
@@ -46,8 +58,59 @@ SLOW_ON_SLOW_IDS = textwrap.dedent("""
 """)
 
 
-def judge_command(script: str) -> list[str]:
-    return [sys.executable, "-u", "-c", script]
+# the first child prints a stray line before its first reply; every child
+# answers "second"
+STRAY_LINE = textwrap.dedent("""
+    import json, sys
+    stray = open(sys.argv[1]).read().count("\\n") == 1
+    for line in sys.stdin:
+        if stray:
+            print("debug: thinking", flush=True)
+            stray = False
+        print(json.dumps({"id": json.loads(line)["id"], "preference": "second"}), flush=True)
+""")
+
+# stops reading its input, then says so by creating <pid file>.closed
+CLOSES_STDIN = textwrap.dedent("""
+    import os, sys, time
+    os.close(0)
+    open(sys.argv[1] + ".closed", "w").close()
+    time.sleep(30)
+""")
+
+
+def started_children(judge: ExternalJudge) -> list[int]:
+    """The pids of the children that a judge made by ``external_judge`` started."""
+    return [int(pid) for pid in Path(judge.command[4]).read_text().split()]
+
+
+@pytest.fixture
+def external_judge(tmp_path, run_cfg):
+    """Makes external judges that run a child script with its own pid file.
+    At the end of the test each judge is closed, and every child it started,
+    restarted ones included, must have exited by then."""
+    judges = []
+
+    def make(script, *args, timeout_s=10.0):
+        pid_file = tmp_path / f"pids_{len(judges)}"
+        judge = ExternalJudge([sys.executable, "-u", "-c", PID_LINE + script, str(pid_file),
+                               *args], RuleBasedJudge(run_cfg.priors), timeout_s)
+        judges.append(judge)
+        return judge
+
+    yield make
+    for judge in judges:
+        judge.close()
+        pids = started_children(judge)
+        assert pids
+        running = []  # each is killed, so a failing test leaves no child behind
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                running.append(pid)
+            except ProcessLookupError:
+                pass
+        assert not running, f"children {running} outlived close()"
 
 
 def masks(run_cfg):
@@ -81,26 +144,25 @@ def test_rle_rejects_wrong_length():
         rle_decode("0:3", width=2, height=2)
 
 
-def test_echo_judge_round_trip(run_cfg):
+def test_echo_judge_round_trip(run_cfg, external_judge):
     vol, a, b = masks(run_cfg)
-    judge = ExternalJudge(judge_command(ECHO_FIRST), run_cfg.priors, timeout_s=10)
-    try:
-        verdict = judge.compare("case", 6, vol, a, b)
-        assert verdict.preference is Preference.FIRST
-        verdict = judge.compare("case", 6, vol, b, a)
-        assert verdict.preference is Preference.FIRST  # echo double always says first
-    finally:
-        judge.close()
+    judge = external_judge(ECHO_FIRST)
+    verdict = judge.compare("case", 6, vol, a, b)
+    assert verdict.preference is Preference.FIRST
+    assert verdict.score_first is None and verdict.score_second is None
+    verdict = judge.compare("case", 6, vol, b, a)
+    assert verdict.preference is Preference.FIRST  # echo double always says first
 
 
-def test_malformed_response_raises_protocol_error(run_cfg):
+def test_malformed_response_falls_back_and_ends_the_child(run_cfg, external_judge):
+    """Each malformed reply is answered by the rule judge, and the child that
+    sent it is replaced."""
     vol, a, b = masks(run_cfg)
-    judge = ExternalJudge(judge_command(BAD_JSON), run_cfg.priors, timeout_s=10)
-    try:
-        with pytest.raises(ProtocolError):
-            judge.compare("case", 6, vol, a, b)
-    finally:
-        judge.close()
+    judge = external_judge(BAD_JSON)
+    verdicts = [judge.compare("case", 6, vol, a, b) for _ in range(2)]
+    assert verdicts == [RuleBasedJudge(run_cfg.priors).compare("case", 6, vol, a, b)] * 2
+    assert judge.protocol_failures == 2
+    assert len(started_children(judge)) == 2
 
 
 def rule_decided_pair():
@@ -112,58 +174,73 @@ def rule_decided_pair():
     return vol, good, np.roll(good, 20, axis=0)
 
 
-def test_fallback_engages_on_protocol_error(run_cfg):
+def test_fallback_engages_on_protocol_error(external_judge):
     vol, good, displaced = rule_decided_pair()
-    primary = ExternalJudge(judge_command(BAD_JSON), run_cfg.priors, timeout_s=10)
-    fallback = FallbackJudge(primary, RuleBasedJudge(run_cfg.priors))
-    try:
-        verdict = fallback.compare("case", 6, vol, good, displaced)
-        assert verdict.preference is Preference.FIRST  # rule judge decided
-        assert fallback.protocol_failures == 1
-    finally:
-        primary.close()
+    judge = external_judge(BAD_JSON)
+    verdict = judge.compare("case", 6, vol, good, displaced)
+    assert verdict.preference is Preference.FIRST  # rule judge decided
+    assert judge.protocol_failures == 1
 
 
 @pytest.mark.parametrize("reply", ["[1]", '"x"', "null", "3"])
-def test_non_object_reply_falls_back(run_cfg, reply):
+def test_non_object_reply_falls_back(external_judge, reply):
     """A reply that is JSON but not an object is malformed like any other."""
     vol, good, displaced = rule_decided_pair()
-    primary = ExternalJudge(judge_command(NON_OBJECT_REPLY) + [reply], run_cfg.priors,
-                            timeout_s=10)
-    fallback = FallbackJudge(primary, RuleBasedJudge(run_cfg.priors))
-    try:
-        with pytest.raises(ProtocolError):
-            primary.compare("case", 6, vol, good, displaced)
-        verdict = fallback.compare("case", 6, vol, good, displaced)
-        assert verdict.preference is Preference.FIRST  # rule judge decided
-        assert fallback.protocol_failures == 1
-    finally:
-        primary.close()
+    judge = external_judge(NON_OBJECT_REPLY, reply)
+    verdict = judge.compare("case", 6, vol, good, displaced)
+    assert verdict.preference is Preference.FIRST  # rule judge decided
+    assert judge.protocol_failures == 1
 
 
-def test_timeout_yields_protocol_tie(run_cfg):
+def test_child_that_stops_reading_falls_back(external_judge):
+    """A request that cannot be written is answered by the rule judge, and
+    the child that stopped reading is ended without an error."""
+    vol, good, displaced = rule_decided_pair()
+    judge = external_judge(CLOSES_STDIN)
+    judge._ensure_proc()
+    closed = Path(judge.command[4] + ".closed")
+    deadline = time.monotonic() + 10
+    while not closed.exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert closed.exists()
+    verdict = judge.compare("case", 6, vol, good, displaced)
+    assert verdict.preference is Preference.FIRST  # rule judge decided
+    assert judge.protocol_failures == 1
+
+
+def test_timeout_yields_protocol_tie(run_cfg, external_judge):
     vol, a, b = masks(run_cfg)
-    judge = ExternalJudge(judge_command(SLOW), run_cfg.priors, timeout_s=0.3)
-    try:
-        verdict = judge.compare("case", 6, vol, a, b)
-        assert verdict.preference is Preference.TIE
-        assert verdict.protocol_issue is True
-    finally:
-        judge.close()
+    judge = external_judge(SLOW, timeout_s=0.3)
+    verdict = judge.compare("case", 6, vol, a, b)
+    assert verdict.preference is Preference.TIE
+    assert verdict.protocol_issue is True
+    assert verdict.score_first is None and verdict.score_second is None
+    assert judge.protocol_failures == 0
 
 
-def test_late_reply_cannot_answer_a_later_request(run_cfg):
+def test_late_reply_cannot_answer_a_later_request(run_cfg, external_judge):
     """A timed-out child is replaced, so its late reply is never read as the
     answer to the requests that follow."""
     vol, a, b = masks(run_cfg)
-    judge = ExternalJudge(judge_command(SLOW_ON_SLOW_IDS), run_cfg.priors, timeout_s=2.0)
-    try:
-        verdicts = [judge.compare(case_id, 6, vol, a, b)
-                    for case_id in ("slow", "fast", "fast", "fast", "fast")]
-    finally:
-        judge.close()
+    judge = external_judge(SLOW_ON_SLOW_IDS, timeout_s=2.0)
+    verdicts = [judge.compare(case_id, 6, vol, a, b)
+                for case_id in ("slow", "fast", "fast", "fast", "fast")]
     assert [v.preference for v in verdicts] == [Preference.TIE] + [Preference.FIRST] * 4
     assert [v.protocol_issue for v in verdicts] == [True] + [False] * 4
+    assert len(started_children(judge)) == 2
+
+
+def test_stray_line_cannot_answer_a_later_request(run_cfg, external_judge):
+    """A child whose reply is malformed is replaced, so the reply it sends
+    after a stray line is never read as the answer to the next request."""
+    vol, a, b = masks(run_cfg)
+    judge = external_judge(STRAY_LINE)
+    verdicts = [judge.compare(f"case_{i}", 6, vol, a, b) for i in range(5)]
+    assert verdicts[0] == RuleBasedJudge(run_cfg.priors).compare("case_0", 6, vol, a, b)
+    assert [v.preference for v in verdicts[1:]] == [Preference.SECOND] * 4
+    assert all(v.score_first is None for v in verdicts[1:])
+    assert judge.protocol_failures == 1
+    assert len(started_children(judge)) == 2
 
 
 def test_request_payload_shape(run_cfg, monkeypatch):
@@ -189,7 +266,7 @@ def test_request_payload_shape(run_cfg, monkeypatch):
             return None
 
     vol, a, b = masks(run_cfg)
-    judge = ExternalJudge(["unused"], run_cfg.priors, timeout_s=5)
+    judge = ExternalJudge(["unused"], RuleBasedJudge(run_cfg.priors), 5.0)
     judge._proc = FakeProc()
     verdict = judge.compare("case_7", 6, vol, a, b)
     assert verdict.preference is Preference.TIE

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 import emcurate as em
-from emcurate import EMConfig, RuleBasedJudge, SimulatedExpert, TieKeeperOracle
+from emcurate import (
+    EMConfig,
+    ExternalJudge,
+    RuleBasedJudge,
+    SimulatedExpert,
+    TieKeeperOracle,
+)
 from emcurate.errors import ConfigError
 from emcurate.expert import JudgeVerdict, Preference, shape_cleanup
 from emcurate.grid import LabelMap, StructureCatalog, StructureEntry, StructureKind
@@ -347,6 +353,42 @@ def test_failing_oracle_is_logged_and_leaves_the_entry_unresolved(caplog):
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert any("FailingOracle" in w and "RuntimeError" in w and "1:c0:1" in w
                for w in warnings), warnings
+
+
+# external judge children: one answers every request with a tie, the other
+# never answers
+TIE_REPLY = ("import json, sys\n"
+             "for line in sys.stdin:\n"
+             "    print(json.dumps({'id': json.loads(line)['id'], 'preference': 'tie'}),"
+             " flush=True)\n")
+NO_REPLY = "import sys, time\nfor line in sys.stdin:\n    time.sleep(5)\n"
+
+
+@pytest.mark.parametrize("script,timeout_s,reason", [
+    (TIE_REPLY, 10.0, EscalationReason.EXPERT_TIE),
+    (NO_REPLY, 0.3, EscalationReason.PROTOCOL_FAILURE),
+], ids=["tie", "timeout"])
+def test_unscored_verdicts_escape_the_low_confidence_floor(run_cfg_module, script, timeout_s,
+                                                          reason):
+    """An external judge's tie and a timeout carry no scores, so they escalate
+    for their own reason even with a floor no scored verdict can pass."""
+    cat = StructureCatalog((StructureEntry(1, "organ_a", StructureKind.ORGAN),))
+    labels = np.zeros((8, 1, 1), np.uint16)
+    labels[0:3, 0, 0] = 1
+    pred_labels = np.zeros((8, 1, 1), np.uint16)
+    pred_labels[2:5, 0, 0] = 1   # dsc 1/3: route
+    case = make_case(np.zeros((8, 1, 1)), labels, cat, case_id="c0")
+    model, cfg = fixed_model(case, pred_labels), em_cfg(low_confidence_floor=1.0)
+    _, scored, _ = expectation_pass([case], model, TieJudge(), SkippingOracle(), cfg)
+    assert [e.reason for e in scored] == [EscalationReason.LOW_CONFIDENCE]
+    judge = ExternalJudge([sys.executable, "-u", "-c", script],
+                          RuleBasedJudge(run_cfg_module.priors), timeout_s)
+    try:
+        _, entries, stats = expectation_pass([case], model, judge, SkippingOracle(), cfg)
+    finally:
+        judge.close()
+    assert [(e.structure, e.reason) for e in entries] == [(1, reason)]
+    assert stats.counts["escalate"] == 1 and judge.protocol_failures == 0
 
 
 def test_answered_escalations_share_one_label_write(monkeypatch):
