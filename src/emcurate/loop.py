@@ -174,8 +174,8 @@ def _context_rng(seed: int, context: str) -> np.random.Generator:
 
 
 class SimulatedExpert:
-    """Stand-in reviewer: picks the gold-closest candidate with probability
-    `accuracy`, otherwise one of the others; deterministic given the seed."""
+    """Stand-in reviewer of the two candidates: picks the gold-closer one with
+    probability `accuracy`, otherwise the other; deterministic given the seed."""
 
     def __init__(self, accuracy: float = 0.9, seed: int = 0):
         if not 0.0 <= accuracy <= 1.0:
@@ -190,11 +190,7 @@ class SimulatedExpert:
         gold_mask = case.gold.labels == structure
         scores = [dsc(c, gold_mask) for c in candidates]
         best = int(np.argmax(scores))
-        rng = _context_rng(self.seed, context)
-        if rng.random() < self.accuracy or len(candidates) == 1:
-            return best
-        others = [i for i in range(len(candidates)) if i != best]
-        return others[int(rng.integers(0, len(others)))]
+        return best if _context_rng(self.seed, context).random() < self.accuracy else 1 - best
 
 
 class TieKeeperOracle:
@@ -367,7 +363,7 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
 
 
 def maximization_pass(corpus: Sequence[CaseRecord], cfg: EMConfig,
-                      loss_proxy: Optional[dict[str, float]] = None,
+                      audit_dsc: Optional[dict[str, float]] = None,
                       phantom_source: Optional[PhantomSource] = None,
                       iteration: int = 1,
                       new_model: ModelFactory = GaussianIntensityModel) -> SegmentationModel:
@@ -375,9 +371,9 @@ def maximization_pass(corpus: Sequence[CaseRecord], cfg: EMConfig,
 
     The training multiset is: a deterministic sample of round(labeled*N)
     refined cases, round(synthetic*N) freshly generated clean phantoms, and
-    ceil(selective*N) extra copies of the case with the worst audit agreement
-    (loss proxy 1 - mean audit DSC). Annealing appends each is_gold case with
-    elevated weight.
+    ceil(selective*N) extra copies of the case with the worst audit agreement:
+    the lowest of ``audit_dsc``, each case's mean audit DSC by case id, where
+    higher is better. Annealing appends each is_gold case with elevated weight.
     """
     if len(corpus) == 0:
         raise ConfigError("maximization requires a nonempty corpus")
@@ -385,7 +381,7 @@ def maximization_pass(corpus: Sequence[CaseRecord], cfg: EMConfig,
     mix = cfg.data_mix
     n_lab = round(mix.labeled * n)
     n_syn = round(mix.synthetic * n)
-    n_sel = math.ceil(mix.selective * n) if mix.selective > 0 else 0
+    n_sel = math.ceil(mix.selective * n)
 
     train: list[CaseRecord] = []
     weights: list[float] = []
@@ -407,8 +403,8 @@ def maximization_pass(corpus: Sequence[CaseRecord], cfg: EMConfig,
             train.append(phantom_source.sample(ss, case_id=f"synth_{iteration:02d}_{j:04d}"))
             weights.append(1.0)
 
-    if n_sel > 0 and loss_proxy:
-        worst_id = max(sorted(loss_proxy), key=lambda cid: 1.0 - loss_proxy[cid])
+    if n_sel > 0 and audit_dsc:
+        worst_id = max(sorted(audit_dsc), key=lambda cid: 1.0 - audit_dsc[cid])
         worst = next(c for c in corpus if c.case_id == worst_id)
         for _ in range(n_sel):
             train.append(worst)

@@ -9,6 +9,10 @@ Binary volume layout (little-endian throughout)::
     spacing   3 x f32  mm per voxel
     payload   raw voxels, x fastest: index = ix + nx*(iy + ny*iz)
 
+One codec reads and writes it: ``encode_volume`` turns a VoxelGrid or a
+LabelMap into these bytes, and ``decode_volume`` turns them back, raising a
+VolumeFormatError that names the file for anything it cannot decode.
+
 Each case additionally gets a JSON sidecar (<case_id>.json) holding the
 report, metadata and relative file paths; a corpus directory carries a
 manifest.json with the catalog and per-file sha256 checksums so byte-level
@@ -163,34 +167,28 @@ def _section(cls, value, where: str):
     return cls(**kwargs)
 
 
-def volume_bytes(dims, spacing, payload: np.ndarray, dtype_code: int) -> bytes:
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, dtype_code, *map(int, dims), *map(float, spacing))
-    return header + payload.tobytes(order="F")
-
-
 def stored_lattice(dims, spacing) -> tuple[tuple[int, ...], tuple[float, ...]]:
     """(dims, spacing) as a volume header stores them: spacing in float32."""
     return tuple(map(int, dims)), struct.unpack("<3f", struct.pack("<3f", *map(float, spacing)))
 
 
-def write_voxel_grid(path: Union[str, Path], grid: VoxelGrid) -> bytes:
-    """Write an intensity volume; returns the bytes written."""
-    raw = volume_bytes(grid.dims, grid.spacing, grid.data, DTYPE_F32)
-    Path(path).write_bytes(raw)
-    return raw
+def encode_volume(volume: Union[VoxelGrid, LabelMap]) -> bytes:
+    """The volume file of ``volume``: the header, then the x-fastest payload,
+    labels for a LabelMap and intensities for a VoxelGrid."""
+    if isinstance(volume, LabelMap):
+        dtype_code, payload = DTYPE_U16, volume.labels
+    else:
+        dtype_code, payload = DTYPE_F32, volume.data
+    header = _HEADER.pack(MAGIC, FORMAT_VERSION, dtype_code, *volume.dims, *volume.spacing)
+    return header + payload.tobytes(order="F")
 
 
-def write_label_map(path: Union[str, Path], label_map: LabelMap) -> bytes:
-    """Write a label volume; returns the bytes written."""
-    raw = volume_bytes(label_map.dims, label_map.spacing, label_map.labels, DTYPE_U16)
-    Path(path).write_bytes(raw)
-    return raw
-
-
-def _read_volume(path: Union[str, Path], raw: Optional[bytes] = None
-                 ) -> tuple[int, tuple, tuple, np.ndarray]:
-    """Decode the volume file at ``path``; ``raw`` is its bytes when already read."""
-    raw = Path(path).read_bytes() if raw is None else raw
+def decode_volume(raw: bytes, path: Union[str, Path], catalog: Optional[StructureCatalog] = None
+                  ) -> Union[VoxelGrid, LabelMap]:
+    """The volume in ``raw``, the bytes of the volume file at ``path``: a
+    LabelMap over ``catalog``, or a VoxelGrid when none is given. A bad
+    header, the other type's dtype code, a payload of the wrong size and
+    content the type rejects are each a VolumeFormatError naming ``path``."""
     if len(raw) < _HEADER.size:
         raise VolumeFormatError(f"{path}: truncated header")
     magic, version, dtype_code, nx, ny, nz, sx, sy, sz = _HEADER.unpack_from(raw)
@@ -198,51 +196,37 @@ def _read_volume(path: Union[str, Path], raw: Optional[bytes] = None
         raise VolumeFormatError(f"{path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise VolumeFormatError(f"{path}: unsupported format version {version}")
-    if dtype_code == DTYPE_F32:
-        np_dtype = np.dtype("<f4")
-    elif dtype_code == DTYPE_U16:
-        np_dtype = np.dtype("<u2")
-    else:
-        raise VolumeFormatError(f"{path}: unknown dtype code {dtype_code}")
-    dims = (nx, ny, nz)
-    expected = nx * ny * nz * np_dtype.itemsize
-    size = len(raw) - _HEADER.size
+    kind, code, np_dtype = ("an intensity", DTYPE_F32, np.dtype("<f4")) if catalog is None \
+        else ("a label", DTYPE_U16, np.dtype("<u2"))
+    if dtype_code != code:
+        raise VolumeFormatError(f"{path}: dtype code {dtype_code}, expected {kind} volume")
+    dims, spacing = (nx, ny, nz), (sx, sy, sz)
+    size, expected = len(raw) - _HEADER.size, nx * ny * nz * np_dtype.itemsize
     if size != expected:
         raise VolumeFormatError(f"{path}: payload is {size} bytes, expected {expected}")
     data = np.frombuffer(raw, dtype=np_dtype, offset=_HEADER.size).reshape(dims, order="F")
-    return dtype_code, dims, (sx, sy, sz), data
-
-
-def read_voxel_grid(path: Union[str, Path], raw: Optional[bytes] = None) -> VoxelGrid:
-    dtype_code, dims, spacing, data = _read_volume(path, raw)
-    if dtype_code != DTYPE_F32:
-        raise VolumeFormatError(f"{path}: expected intensity volume, found dtype {dtype_code}")
-    return VoxelGrid(dims=dims, spacing=spacing, data=data)
-
-
-def read_label_map(path: Union[str, Path], catalog: StructureCatalog,
-                   raw: Optional[bytes] = None) -> LabelMap:
-    dtype_code, dims, spacing, data = _read_volume(path, raw)
-    if dtype_code != DTYPE_U16:
-        raise VolumeFormatError(f"{path}: expected label volume, found dtype {dtype_code}")
-    return LabelMap(dims=dims, spacing=spacing, labels=data, catalog=catalog)
+    try:
+        if catalog is None:
+            return VoxelGrid(dims=dims, spacing=spacing, data=data)
+        return LabelMap(dims=dims, spacing=spacing, labels=data, catalog=catalog)
+    except (ShapeError, CatalogError) as exc:
+        raise VolumeFormatError(f"{path}: {exc}") from None
 
 
 def write_case(out_dir: Union[str, Path], case: CaseRecord) -> dict[str, str]:
     """Write one case (volume, label maps, sidecar); returns the sha256 of
     each written file's bytes by relative file name."""
     out_dir = Path(out_dir)
-    files = {
-        "volume": f"{case.case_id}_vol.smai",
-        "pseudo": f"{case.case_id}_pseudo.smai",
-    }
-    written = {
-        files["volume"]: write_voxel_grid(out_dir / files["volume"], case.volume),
-        files["pseudo"]: write_label_map(out_dir / files["pseudo"], case.pseudo),
-    }
+    files = {"volume": f"{case.case_id}_vol.smai", "pseudo": f"{case.case_id}_pseudo.smai"}
+    volumes = [case.volume, case.pseudo]
     if case.gold is not None:
         files["gold"] = f"{case.case_id}_gold.smai"
-        written[files["gold"]] = write_label_map(out_dir / files["gold"], case.gold)
+        volumes.append(case.gold)
+    written = {}
+    # each file is written right after it is encoded, while its bytes are in cache
+    for name, volume in zip(files.values(), volumes):
+        written[name] = encode_volume(volume)
+        (out_dir / name).write_bytes(written[name])
     sidecar = {
         "case_id": case.case_id,
         "report": asdict(case.report),
@@ -257,11 +241,10 @@ def write_case(out_dir: Union[str, Path], case: CaseRecord) -> dict[str, str]:
 def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCatalog,
               checksums: dict[str, str], lattice: Optional[tuple] = None) -> CaseRecord:
     """One case of a corpus directory; each file's bytes must have the sha256
-    that ``checksums`` (the manifest's) lists for its name, the sidecar must
-    carry ``catalog``'s id, and content the in-memory types reject (a label
-    outside the catalog, a non-finite intensity, a label map on another
-    lattice than the volume, a volume on another ``lattice`` than the given
-    ``(dims, spacing)``) is a VolumeFormatError naming its file.
+    that ``checksums`` (the manifest's) lists for its name and the sidecar
+    must carry ``catalog``'s id. A volume that decode_volume rejects, a label
+    map off the volume's lattice or a volume off the given ``lattice``
+    ``(dims, spacing)`` is a VolumeFormatError naming its file.
 
     A gold file whose bytes equal the pseudo file's, under the same listed
     sha256, is verified by that comparison: the pseudo bytes have just been
@@ -291,9 +274,10 @@ def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCata
         if sidecar["catalog_id"] != catalog.catalog_id:
             raise ValueError(f"catalog_id {sidecar['catalog_id']!r} != manifest.json catalog "
                              f"{catalog.catalog_id!r}")
-        files = decode(dict[str, str], sidecar["files"], "files")
-        files = {role: files[role] for role in ("volume", "pseudo", "gold")
-                 if role != "gold" or "gold" in files}
+        files = decode(dict[str, str], decode_mapping(sidecar["files"], "files",
+                                                      ("volume", "pseudo", "gold")), "files")
+        if not {"volume", "pseudo"} <= files.keys():
+            raise ValueError(f"files {sorted(files)} lack a volume or pseudo file")
         for name in files.values():
             if name not in checksums:
                 raise ValueError(f"{name!r} is not listed in manifest.json")
@@ -303,26 +287,22 @@ def read_case(corpus_dir: Union[str, Path], case_id: str, catalog: StructureCata
     except (KeyError, TypeError, ValueError, ConfigError, ShapeError) as exc:
         raise VolumeFormatError(f"{sidecar_path}: malformed case sidecar: {exc!r}") from None
 
-    def read_map(role: str, raw: bytes, reader, *args):
-        path = corpus_dir / files[role]
-        try:
-            return reader(path, *args, raw=verified(files[role], raw))
-        except (ShapeError, CatalogError) as exc:
-            raise VolumeFormatError(f"{path}: {exc}") from None
-
-    volume = read_map("volume", read(files["volume"]), read_voxel_grid)
+    volume = decode_volume(verified(files["volume"], read(files["volume"])),
+                           corpus_dir / files["volume"])
     if lattice is not None and (volume.dims, volume.spacing) != lattice:
         raise VolumeFormatError(f"{corpus_dir / files['volume']}: lattice {volume.dims} x "
                                 f"{volume.spacing} differs from the corpus's "
                                 f"{lattice[0]} x {lattice[1]}")
     pseudo_raw = read(files["pseudo"])
-    maps = {"pseudo": read_map("pseudo", pseudo_raw, read_label_map, catalog)}
+    maps = {"pseudo": decode_volume(verified(files["pseudo"], pseudo_raw),
+                                    corpus_dir / files["pseudo"], catalog)}
     if "gold" in files:
         gold_raw = read(files["gold"])
         if checksums[files["gold"]] == checksums[files["pseudo"]] and gold_raw == pseudo_raw:
             maps["gold"] = maps["pseudo"]
         else:
-            maps["gold"] = read_map("gold", gold_raw, read_label_map, catalog)
+            maps["gold"] = decode_volume(verified(files["gold"], gold_raw),
+                                         corpus_dir / files["gold"], catalog)
     for role, m in maps.items():
         if (m.dims, m.spacing) != (volume.dims, volume.spacing):
             raise VolumeFormatError(f"{corpus_dir / files[role]}: lattice {m.dims} x {m.spacing} "

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import emcurate as em
+import emcurate.volume_io as vio
 from emcurate.grid import (
     CaseMeta,
     CaseRecord,
@@ -105,3 +106,16 @@ def intensities_for(labels, rng) -> np.ndarray:
     """Float32 intensities whose per-label levels overlap, so a fitted model
     predicts fragmented structures."""
     return (labels * 20.0 + rng.normal(0.0, 12.0, labels.shape)).astype(np.float32)
+
+
+def repacked_volume(raw: bytes, edit) -> bytes:
+    """The volume file ``raw`` with its spacing and voxels rewritten as
+    edit(spacing, voxels) -> (spacing, voxels) under a header packed by hand
+    with the same dtype code, so it can hold content that encode_volume would
+    not write, such as a NaN or a label outside the catalog."""
+    _magic, _version, dtype_code, nx, ny, nz, *spacing = vio._HEADER.unpack_from(raw)
+    np_dtype = "<f4" if dtype_code == vio.DTYPE_F32 else "<u2"
+    data = np.frombuffer(raw, np_dtype, offset=vio._HEADER.size).reshape((nx, ny, nz), order="F")
+    spacing, data = edit(tuple(spacing), data.copy())
+    header = vio._HEADER.pack(vio.MAGIC, vio.FORMAT_VERSION, dtype_code, *data.shape, *spacing)
+    return header + data.tobytes(order="F")

@@ -24,6 +24,7 @@ from emcurate.cli import build_parser, main
 from emcurate.config import load_run_config
 from emcurate.errors import ShapeError
 
+from conftest import repacked_volume
 from oracles import full_grid_nsd
 
 BASE_CFG = {
@@ -235,6 +236,8 @@ SIDECAR_CORRUPTIONS = {
     "unknown_meta_key": _edit_sidecar(lambda s: s["meta"].update(weight=70)),
     "schema_version": _edit_sidecar(lambda s: s.update(schema_version=99)),
     "unknown_key": _edit_sidecar(lambda s: s.update(note="x")),
+    # the unknown role names a listed file, so only the role is wrong
+    "unknown_file_role": _edit_sidecar(lambda s: s["files"].update(bogus=s["files"]["gold"])),
 }
 
 
@@ -258,9 +261,7 @@ def _edit_volume(name: str, edit):
     wrong."""
     def corrupt(corpus: Path) -> None:
         path = corpus / name
-        dtype_code, _dims, spacing, data = vio._read_volume(path)
-        data = edit(data.copy())
-        path.write_bytes(vio.volume_bytes(data.shape, spacing, data, dtype_code))
+        path.write_bytes(repacked_volume(path.read_bytes(), lambda sp, data: (sp, edit(data))))
         _resign(path)
     return corrupt
 
@@ -323,19 +324,17 @@ def _phantom_config(tmp_path: Path, name: str, n_cases: int = 6, **phantom) -> s
 
 
 def _relattice_case(corpus: Path, case_id: str, edit) -> None:
-    """Rewrite every volume of one case as edit(dims, spacing, voxels) ->
+    """Rewrite every volume of one case as edit(spacing, voxels) ->
     (spacing, voxels) and re-sign it, so each file is well formed, the case's
     maps share the volume's lattice, and only the lattice is new."""
     for path in sorted(corpus.glob(f"{case_id}_*.smai")):
-        dtype_code, dims, spacing, data = vio._read_volume(path)
-        spacing, data = edit(dims, spacing, data.copy())
-        path.write_bytes(vio.volume_bytes(data.shape, spacing, data, dtype_code))
+        path.write_bytes(repacked_volume(path.read_bytes(), edit))
         _resign(path)
 
 
 LATTICE_EDITS = {
-    "spacing": lambda dims, spacing, data: ((3.0, 3.0, 3.0), data),
-    "dims": lambda dims, spacing, data: (spacing, np.pad(data, ((0, 16), (0, 16), (0, 16)))),
+    "spacing": lambda spacing, data: ((3.0, 3.0, 3.0), data),
+    "dims": lambda spacing, data: (spacing, np.pad(data, ((0, 16), (0, 16), (0, 16)))),
 }
 
 
@@ -362,7 +361,7 @@ def test_corpus_of_non_finite_spacing_is_io_error(tmp_path, capsys, spacing):
     corpus = tmp_path / "corpus"
     assert main(["generate", "--config", cfg, "--out", str(corpus)]) == 0
     for case_id in ("case_0000", "case_0001"):
-        _relattice_case(corpus, case_id, lambda dims, _, data: ((spacing, 1.0, 1.0), data))
+        _relattice_case(corpus, case_id, lambda _, data: ((spacing, 1.0, 1.0), data))
     out = tmp_path / "eval"
     assert main(["evaluate", "--config", cfg, "--corpus", str(corpus),
                  "--out", str(out)]) == 3

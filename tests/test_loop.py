@@ -482,8 +482,8 @@ def test_maximization_pure_synthetic_matches_generator(run_cfg_module, noisy_cor
 def test_maximization_selective_duplicates_worst_case(noisy_corpus):
     cases, _ = noisy_corpus
     n = len(cases)
-    loss = {c.case_id: 1.0 for c in cases}
-    loss[cases[3].case_id] = 0.2  # worst audit agreement
+    audit_dsc = {c.case_id: 1.0 for c in cases}
+    audit_dsc[cases[3].case_id] = 0.2  # worst audit agreement
     seen = {}
 
     class SpyModel:
@@ -495,7 +495,7 @@ def test_maximization_selective_duplicates_worst_case(noisy_corpus):
             seen["weights"] = list(weights)
 
     cfg = em_cfg(data_mix=DataMix(0.7, 0.0, 0.3), annealing=Annealing(enabled=False))
-    maximization_pass(cases, cfg, loss_proxy=loss, new_model=SpyModel)
+    maximization_pass(cases, cfg, audit_dsc=audit_dsc, new_model=SpyModel)
     import math
     extra = [c for c in seen["corpus"] if c.case_id == cases[3].case_id]
     n_lab = round(0.7 * n)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -13,33 +14,32 @@ import emcurate.volume_io as vio
 from emcurate import VolumeFormatError, VoxelGrid, generate_case, generate_corpus
 from emcurate.cli import main
 
-from conftest import CAT4, intensities_for, label_volumes, make_case
+from conftest import (CAT4, intensities_for, label_volumes, make_case, make_label_map,
+                      repacked_volume)
 
 
-def test_voxel_grid_round_trip(tmp_path, run_cfg):
-    case = generate_case(run_cfg.phantom, 5)
-    path = tmp_path / "vol.smai"
-    vio.write_voxel_grid(path, case.volume)
-    back = vio.read_voxel_grid(path)
-    assert back.dims == case.volume.dims
-    assert back.spacing == case.volume.spacing
-    assert np.array_equal(back.data, case.volume.data)
+@given(volumes=label_volumes(), spacing=st.tuples(*[st.floats(0.01, 100.0)] * 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_volume_round_trip(volumes, spacing, seed):
+    """decode_volume(encode_volume(v)) is v, for intensities and for labels,
+    on a random lattice, with the spacing the header stores in float32."""
+    labels = volumes[0]
+    grid = VoxelGrid(dims=labels.shape, spacing=spacing,
+                     data=intensities_for(labels, np.random.default_rng(seed)))
+    for volume, catalog in ((grid, None), (make_label_map(labels, CAT4, spacing), CAT4)):
+        back = vio.decode_volume(vio.encode_volume(volume), "v.smai", catalog)
+        assert type(back) is type(volume)
+        assert (back.dims, back.spacing) == vio.stored_lattice(volume.dims, volume.spacing)
+        if catalog is None:
+            assert np.array_equal(back.data, volume.data)
+        else:
+            assert back.catalog == CAT4 and np.array_equal(back.labels, volume.labels)
 
 
-def test_label_map_round_trip(tmp_path, run_cfg):
-    case = generate_case(run_cfg.phantom, 5)
-    path = tmp_path / "lab.smai"
-    vio.write_label_map(path, case.gold)
-    back = vio.read_label_map(path, run_cfg.catalog)
-    assert np.array_equal(back.labels, case.gold.labels)
-
-
-def test_header_layout_bit_exact(tmp_path):
+def test_header_layout_bit_exact():
     grid = VoxelGrid(dims=(2, 1, 1), spacing=(1.0, 2.0, 3.0),
                      data=np.array([[[1.0]], [[2.0]]], dtype=np.float32))
-    path = tmp_path / "t.smai"
-    vio.write_voxel_grid(path, grid)
-    raw = path.read_bytes()
+    raw = vio.encode_volume(grid)
     assert raw[:4] == b"SMAI"
     assert int.from_bytes(raw[4:6], "little") == 1          # format version
     assert raw[6] == 1                                      # dtype f32
@@ -48,23 +48,28 @@ def test_header_layout_bit_exact(tmp_path):
     assert np.frombuffer(raw[31:], dtype="<f4").tolist() == [1.0, 2.0]
 
 
-def test_x_fastest_payload_order(tmp_path):
-    labels = np.arange(8, dtype=np.uint16).reshape(2, 2, 2)  # label values 0..7
-    catalog = None
-    # write through the low-level encoder to check byte order only
-    payload = vio.volume_bytes((2, 2, 2), (1, 1, 1), labels, vio.DTYPE_U16)
-    flat = np.frombuffer(payload[31:], dtype="<u2")
+def test_x_fastest_payload_order():
+    data = np.arange(8, dtype=np.float32).reshape(2, 2, 2)  # voxel values 0..7
+    raw = vio.encode_volume(VoxelGrid(dims=(2, 2, 2), spacing=(1, 1, 1), data=data))
+    flat = np.frombuffer(raw[31:], dtype="<f4")
     # x fastest: index = ix + 2*(iy + 2*iz)
-    expected = [labels[ix, iy, iz] for iz in range(2) for iy in range(2) for ix in range(2)]
+    expected = [data[ix, iy, iz] for iz in range(2) for iy in range(2) for ix in range(2)]
     assert flat.tolist() == expected
 
 
-@pytest.mark.parametrize("corruption", ["magic", "version", "dtype", "truncate"])
+def _first_voxel(value):
+    def edit(spacing, data):
+        data[0, 0, 0] = value
+        return spacing, data
+    return edit
+
+
+@pytest.mark.parametrize("corruption", ["magic", "version", "dtype", "truncate", "nan_intensity",
+                                        "label_outside_catalog", "labels_as_intensities"])
 def test_corrupt_files_rejected(tmp_path, run_cfg, corruption):
     case = generate_case(run_cfg.phantom, 1)
-    path = tmp_path / "vol.smai"
-    vio.write_voxel_grid(path, case.volume)
-    raw = bytearray(path.read_bytes())
+    labels = corruption in ("label_outside_catalog", "labels_as_intensities")
+    raw = bytearray(vio.encode_volume(case.pseudo if labels else case.volume))
     if corruption == "magic":
         raw[:4] = b"NOPE"
     elif corruption == "version":
@@ -73,9 +78,15 @@ def test_corrupt_files_rejected(tmp_path, run_cfg, corruption):
         raw[6] = 7
     elif corruption == "truncate":
         raw = raw[:100]
+    elif corruption == "nan_intensity":
+        raw = repacked_volume(bytes(raw), _first_voxel(np.nan))
+    elif corruption == "label_outside_catalog":
+        raw = repacked_volume(bytes(raw), _first_voxel(len(run_cfg.catalog.entries) + 1))
+    path = tmp_path / "case.smai"
     path.write_bytes(bytes(raw))
-    with pytest.raises(VolumeFormatError):
-        vio.read_voxel_grid(path)
+    catalog = run_cfg.catalog if corruption == "label_outside_catalog" else None
+    with pytest.raises(VolumeFormatError, match=re.escape(str(path))):
+        vio.decode_volume(path.read_bytes(), path, catalog)
 
 
 def test_corpus_round_trip_and_manifest(tmp_path, run_cfg):
@@ -95,8 +106,8 @@ def test_corpus_round_trip_and_manifest(tmp_path, run_cfg):
 
 def test_read_corpus_shares_gold_only_when_byte_equal(tmp_path, run_cfg):
     """A case's gold is its pseudo LabelMap itself exactly when the two files
-    hold the same bytes, and every decoded array equals its own file's
-    stand-alone decode."""
+    hold the same bytes, and every decoded volume encodes to its own file's
+    bytes."""
     cases, _ = generate_corpus(run_cfg.phantom, run_cfg.noise, 4, 0.5, seed=9)
     vio.write_corpus(tmp_path, cases, run_cfg.catalog)
     back, _ = vio.read_corpus(tmp_path)
@@ -106,10 +117,9 @@ def test_read_corpus_shares_gold_only_when_byte_equal(tmp_path, run_cfg):
         same = (tmp_path / files["gold"]).read_bytes() == (tmp_path / files["pseudo"]).read_bytes()
         shared.append(case.gold is case.pseudo)
         assert shared[-1] == same
-        for role, got in (("volume", case.volume.data), ("pseudo", case.pseudo.labels),
-                          ("gold", case.gold.labels)):
-            want = vio._read_volume(tmp_path / files[role])[3]
-            assert got.dtype == want.dtype and np.array_equal(got, want)
+        for role, volume in (("volume", case.volume), ("pseudo", case.pseudo),
+                             ("gold", case.gold)):
+            assert vio.encode_volume(volume) == (tmp_path / files[role]).read_bytes()
     assert True in shared and False in shared
 
 
