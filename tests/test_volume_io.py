@@ -18,6 +18,26 @@ from conftest import (CAT4, intensities_for, label_volumes, make_case, make_labe
                       repacked_volume)
 
 
+def test_voxel_grid_round_trip(tmp_path, run_cfg):
+    case = generate_case(run_cfg.phantom, 5)
+    path = tmp_path / "vol.smai"
+    path.write_bytes(vio.encode_volume(case.volume))
+    back = vio.decode_volume(path.read_bytes(), path)
+    assert type(back) is VoxelGrid
+    assert back.dims == case.volume.dims
+    assert back.spacing == case.volume.spacing
+    assert np.array_equal(back.data, case.volume.data)
+
+
+def test_label_map_round_trip(tmp_path, run_cfg):
+    case = generate_case(run_cfg.phantom, 5)
+    path = tmp_path / "lab.smai"
+    path.write_bytes(vio.encode_volume(case.gold))
+    back = vio.decode_volume(path.read_bytes(), path, run_cfg.catalog)
+    assert back.catalog == run_cfg.catalog
+    assert np.array_equal(back.labels, case.gold.labels)
+
+
 @given(volumes=label_volumes(), spacing=st.tuples(*[st.floats(0.01, 100.0)] * 3),
        seed=st.integers(0, 2**32 - 1))
 def test_volume_round_trip(volumes, spacing, seed):
