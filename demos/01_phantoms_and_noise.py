@@ -10,7 +10,7 @@ import numpy as np
 
 import emcurate as em
 
-cfg = em.default_run_config()
+cfg = em.load_run_config()
 catalog = cfg.catalog
 
 case = em.generate_case(cfg.phantom, seed=0, case_id="demo")

@@ -1,4 +1,4 @@
-"""Tour of the evaluation suite: DSC, NSD, detection rates, confusion matrices.
+"""Tour of the evaluation suite: DSC, NSD, classification and detection rates.
 
 All metrics follow the empty-set conventions used by the annotation audit:
 DSC(empty, empty) = 1 so that DSC = 0 means exactly "one side asserts
@@ -39,11 +39,3 @@ tw = em.tumor_wise_detection(pred, ref, connectivity=6)
 print(f"tumor-wise counts:    tp={tw.tp} fp={tw.fp} fn={tw.fn} "
       "(per-instance scoring is stricter)")
 
-# --- diagnosis confusion ------------------------------------------------------
-classes = ["PDAC", "cyst", "PNET"]
-ref_dx = ["PDAC", "PDAC", "cyst", "cyst", "PNET", "PNET"]
-pred_dx = ["PDAC", "cyst", "cyst", "cyst", "PNET", "PDAC"]
-matrix, acc = em.diagnosis_confusion(pred_dx, ref_dx, classes)
-print(f"\n3-class diagnosis accuracy {acc:.2f}; confusion matrix (rows = truth):")
-for cls, row in zip(classes, matrix):
-    print(f"  {cls:<5} {row}")

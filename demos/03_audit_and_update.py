@@ -11,7 +11,7 @@ import numpy as np
 import emcurate as em
 from emcurate import AuditAction
 
-cfg = em.default_run_config()
+cfg = em.load_run_config()
 cases, logs = em.generate_corpus(cfg.phantom, cfg.noise, n_cases=20,
                                  gold_fraction=0.2, seed=11)
 model = em.fit_model(cases)

@@ -14,7 +14,7 @@ from emcurate.grid import front_view_projection
 from emcurate.loop import render_overlay_ascii
 from emcurate.phantom import InjectionOp, apply_injections
 
-cfg = em.default_run_config()
+cfg = em.load_run_config()
 case = em.generate_case(cfg.phantom, seed=3, case_id="demo")
 judge = RuleBasedJudge(cfg.priors, tie_epsilon=cfg.judge.tie_epsilon)
 
@@ -27,8 +27,8 @@ proj_bad = front_view_projection(case.volume, displaced.labels == 6)
 
 print("gold aorta silhouette (x across, z up):")
 print(render_overlay_ascii(proj_good.overlay[::2, ::2]))
-print(f"\nscore vs prior: good {em.score_overlay(cfg.priors[6], proj_good):.3f}, "
-      f"displaced {em.score_overlay(cfg.priors[6], proj_bad):.3f}")
+print(f"\nscore vs prior: good {em.score_overlay(cfg.priors[6], proj_good)[0]:.3f}, "
+      f"displaced {em.score_overlay(cfg.priors[6], proj_bad)[0]:.3f}")
 
 verdict = judge.compare(case.case_id, 6, case.volume, aorta,
                         displaced.labels == 6)

@@ -11,7 +11,7 @@ import emcurate as em
 from emcurate.metrics import build_roc, default_threshold_grid
 from emcurate.roc import annotation_savings, process_case, select_threshold
 
-cfg = em.default_run_config()
+cfg = em.load_run_config()
 
 # a clean validation split: expert-grade labels, fresh seeds
 cases = [em.generate_case(cfg.phantom, 40_000 + s, case_id=f"v{s:03d}")

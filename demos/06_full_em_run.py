@@ -14,7 +14,7 @@ import numpy as np
 
 import emcurate as em
 
-cfg = em.default_run_config()
+cfg = em.load_run_config()
 n_cases = 40  # keep the demo quick; the shipped default is 100
 
 cases, _ = em.generate_corpus(cfg.phantom, cfg.noise, n_cases,

@@ -31,12 +31,10 @@ from .grid import (
 from .metrics import (
     ConfusionCounts,
     DetectionOutcome,
-    MetricReport,
     RocCurve,
     RocPoint,
     build_roc,
     classification_rates,
-    diagnosis_confusion,
     dsc,
     nsd,
     patient_wise_detection,
@@ -97,6 +95,6 @@ from .loop import (
     maximization_pass,
     run_em,
 )
-from .config import RunConfig, default_run_config, load_priors, load_run_config
+from .config import RunConfig, load_priors, load_run_config
 
 __version__ = "0.1.0"

@@ -2,11 +2,12 @@
 
 Subcommands: generate, audit, refine, roc, run-loop, evaluate, review.
 Exit codes: 0 success, 2 configuration problem, 3 I/O or file-format
-problem, 4 violated invariant. All randomness flows from --seed (or the
-config's seed); no wall-clock entropy is used, so identical invocations
-produce byte-identical outputs. --out and --threads take precedence;
-EMCURATE_OUT and EMCURATE_THREADS are the fallbacks when they are absent.
-A non-empty --out is emptied with --force and refused without it.
+problem, 4 violated invariant, 130 interrupted (Ctrl-C). All randomness
+flows from --seed (or the config's seed); no wall-clock entropy is used, so
+identical invocations produce byte-identical outputs. --out and --threads
+take precedence; EMCURATE_OUT and EMCURATE_THREADS are the fallbacks when
+they are absent. A non-empty --out is emptied with --force and refused
+without it.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_INVARIANT = 4
+EXIT_INTERRUPTED = 130
 
 _IO_ERRORS = (VolumeFormatError, OSError)
 _INVARIANT_ERRORS = (ShapeError, CatalogError, UndefinedRateError, ModelError, ProtocolError)
@@ -274,7 +276,7 @@ def cmd_evaluate(args) -> int:
     reports = {case.case_id: evaluate_pair(case.pseudo, case.gold, tolerance)
                for case in cases}
     payload = {
-        "cases": {cid: {str(s): asdict(sc) for s, sc in rep.per_structure.items()}
+        "cases": {cid: {str(s): asdict(sc) for s, sc in rep.items()}
                   for cid, rep in reports.items()},
         "aggregate": corpus_summary(reports, catalog),
     }
@@ -365,6 +367,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _IO_ERRORS as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:  # every closing(judge) has ended its child by now
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -208,7 +208,3 @@ def load_run_config(path: Optional[Union[str, Path]] = None) -> RunConfig:
     except (CatalogError, ConfigError) as exc:
         raise ConfigError(f"malformed config {cfg_path}: {exc}") from None
     return RunConfig(priors=priors, raw=raw, **sections)
-
-
-def default_run_config() -> RunConfig:
-    return load_run_config(None)

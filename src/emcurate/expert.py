@@ -42,6 +42,7 @@ log = logging.getLogger(__name__)
 
 TIE_EPSILON = 0.02
 CRITERIA = ("centroid", "components", "extent", "elongation")
+_REPLY_LIMIT = 64 * 1024  # bytes; a judge reply with no newline within them is malformed
 
 
 class Preference(str, Enum):
@@ -141,7 +142,8 @@ def overlay_features(proj: Projection2D) -> Optional[dict]:
     }
 
 
-def _scored(prior: AnatomicalPrior, proj: Projection2D) -> tuple[float, dict[str, float]]:
+def score_overlay(prior: AnatomicalPrior, proj: Projection2D
+                  ) -> tuple[float, dict[str, float]]:
     """The weighted product of the per-criterion scores, and those scores;
     an empty overlay scores 0 with no criterion scores."""
     feats = overlay_features(proj)
@@ -152,11 +154,6 @@ def _scored(prior: AnatomicalPrior, proj: Projection2D) -> tuple[float, dict[str
     for criterion, s in scores.items():
         total *= s ** prior.weight(criterion)
     return float(total), scores
-
-
-def score_overlay(prior: AnatomicalPrior, proj: Projection2D) -> float:
-    """Weighted product of the per-criterion scores; an empty overlay scores 0."""
-    return _scored(prior, proj)[0]
 
 
 def criterion_scores(prior: AnatomicalPrior, feats: dict) -> dict[str, float]:
@@ -180,8 +177,8 @@ def judge_pair(volume: VoxelGrid, mask_a: np.ndarray, mask_b: np.ndarray,
                prior: AnatomicalPrior, tie_epsilon: float = TIE_EPSILON) -> JudgeVerdict:
     """Score two candidate masks against a prior; a score gap below
     tie_epsilon is a tie (absorbs projection quantization noise)."""
-    score_a, sa = _scored(prior, front_view_projection(volume, mask_a))
-    score_b, sb = _scored(prior, front_view_projection(volume, mask_b))
+    score_a, sa = score_overlay(prior, front_view_projection(volume, mask_a))
+    score_b, sb = score_overlay(prior, front_view_projection(volume, mask_b))
     if abs(score_a - score_b) < tie_epsilon:
         pref = Preference.TIE
     else:
@@ -299,7 +296,8 @@ class ExternalJudge:
     run-length encoded; the response echoes the request id with a preference
     of "first", "second" or "tie", and its verdict carries no scores. A
     timeout yields an unscored tie flagged as a protocol issue. A malformed
-    response, or a child that cannot be written to, is logged, counted in
+    response (one that is not a UTF-8 JSON line of at most _REPLY_LIMIT
+    bytes), or a child that cannot be written to, is logged, counted in
     ``protocol_failures`` and answered by the rule-based ``fallback``, which
     also holds the prior table. After a timeout or a protocol failure the
     child is ended, so a late or stray line never answers a later request;
@@ -321,8 +319,7 @@ class ExternalJudge:
     def _ensure_proc(self) -> subprocess.Popen:
         if self._proc is None or self._proc.poll() is not None:
             self._proc = subprocess.Popen(
-                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                text=True, bufsize=1)
+                self.command, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         return self._proc
 
     def close(self, wait_s: float = 5.0) -> None:
@@ -337,11 +334,11 @@ class ExternalJudge:
                 proc.kill()
                 proc.wait()
 
-    def _read_line(self, proc: subprocess.Popen) -> Optional[str]:
-        box: list[Optional[str]] = [None]
+    def _read_line(self, proc: subprocess.Popen) -> Optional[bytes]:
+        box: list[Optional[bytes]] = [None]
 
         def reader():
-            box[0] = proc.stdout.readline()
+            box[0] = proc.stdout.readline(_REPLY_LIMIT)
 
         t = threading.Thread(target=reader, daemon=True)
         t.start()
@@ -376,7 +373,7 @@ class ExternalJudge:
         asked or its reply is malformed."""
         proc = self._ensure_proc()
         try:
-            proc.stdin.write(canonical_json(asdict(request)) + "\n")
+            proc.stdin.write((canonical_json(asdict(request)) + "\n").encode())
             proc.stdin.flush()
         except OSError as exc:
             raise ProtocolError(f"judge process unavailable: {exc}") from exc
@@ -386,6 +383,8 @@ class ExternalJudge:
             log.warning("external judge timed out on %s; treating as tie", request.id)
             return JudgeVerdict(preference=Preference.TIE, protocol_issue=True)
         try:
+            if not line.endswith(b"\n"):
+                raise ValueError(f"no newline-ended line within {_REPLY_LIMIT} bytes")
             payload = json.loads(line)
             if not isinstance(payload, dict):
                 raise ValueError("response is not a JSON object")
@@ -393,4 +392,4 @@ class ExternalJudge:
                 raise ValueError(f"response id {payload.get('id')!r} != {request.id!r}")
             return JudgeVerdict(preference=Preference(payload["preference"]))
         except (ValueError, KeyError, TypeError) as exc:
-            raise ProtocolError(f"malformed judge response {line!r}: {exc}") from exc
+            raise ProtocolError(f"malformed judge response {line[:200]!r}: {exc}") from exc

@@ -2,8 +2,8 @@
 
 Implements the full evaluation suite: Dice similarity (DSC), normalized
 surface distance (NSD), sensitivity/specificity/F1 from confusion counts,
-patient-wise and tumor-wise detection, multi-class diagnosis confusion
-matrices, and ROC curves over probability maps.
+patient-wise and tumor-wise detection, and ROC curves over probability
+maps.
 
 Empty-set conventions (applied consistently everywhere):
 
@@ -58,17 +58,6 @@ class StructureScores:
     nsd: Optional[float]
     pred_voxels: int
     ref_voxels: int
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """Per-structure scores for one (prediction, reference) pair of label maps."""
-
-    per_structure: dict[int, StructureScores]
-
-    @property
-    def mean_dsc(self) -> float:
-        return float(np.mean([s.dsc for s in self.per_structure.values()]))
 
 
 class DetectionOutcome(str, Enum):
@@ -211,21 +200,6 @@ def tumor_wise_detection(pred_tumor, ref_tumor, connectivity: int = 6,
     fp = int(np.count_nonzero((component_hits(pred_comp, ref[pred_box]) == 0)
                               & (pred_comp.sizes >= fp_min_voxels)))
     return ConfusionCounts(tp=tp, tn=0, fp=fp, fn=ref_comp.count - tp)
-
-
-def diagnosis_confusion(pred: Sequence, ref: Sequence,
-                        classes: Sequence) -> tuple[np.ndarray, float]:
-    """Square count matrix (rows = reference, cols = predicted) and accuracy."""
-    if len(pred) != len(ref):
-        raise ShapeError(f"pred/ref length mismatch: {len(pred)} vs {len(ref)}")
-    if len(ref) == 0:
-        raise ShapeError("diagnosis_confusion requires at least one case")
-    index = {c: i for i, c in enumerate(classes)}
-    matrix = np.zeros((len(classes), len(classes)), dtype=np.int64)
-    for p, r in zip(pred, ref):
-        matrix[index[r], index[p]] += 1
-    accuracy = float(np.trace(matrix) / len(ref))
-    return matrix, accuracy
 
 
 def _check_thresholds(thresholds: Sequence[float]) -> list[float]:
@@ -377,9 +351,9 @@ def build_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray],
 
 
 def evaluate_pair(pred: LabelMap, ref: LabelMap,
-                  nsd_tolerance_mm: Optional[float]) -> MetricReport:
-    """Per-structure DSC, and NSD at nsd_tolerance_mm unless it is None,
-    between two label maps. NSD is scored at the maps' own spacing, which
+                  nsd_tolerance_mm: Optional[float]) -> dict[int, StructureScores]:
+    """Per-structure scores, keyed by label: DSC, and NSD at
+    nsd_tolerance_mm unless it is None, between two label maps. NSD is scored at the maps' own spacing, which
     the lattice check makes one value.
 
     Each structure's mask pair is built only inside the hull of its two
@@ -396,18 +370,17 @@ def evaluate_pair(pred: LabelMap, ref: LabelMap,
             pred_voxels=int(np.count_nonzero(a)),
             ref_voxels=int(np.count_nonzero(b)),
         )
-    return MetricReport(per_structure=scores)
+    return scores
 
 
-def corpus_summary(reports: dict[str, MetricReport],
+def corpus_summary(reports: dict[str, dict[int, StructureScores]],
                    catalog: StructureCatalog) -> dict:
     """Aggregate per-case reports into median (Q1-Q3) per structure plus corpus means."""
     summary: dict = {"per_structure": {}, "n_cases": len(reports)}
     all_dsc = []
     for label in catalog.labels:
-        ds = [r.per_structure[label].dsc for r in reports.values()]
-        ns = [r.per_structure[label].nsd for r in reports.values()
-              if r.per_structure[label].nsd is not None]
+        ds = [r[label].dsc for r in reports.values()]
+        ns = [r[label].nsd for r in reports.values() if r[label].nsd is not None]
         all_dsc.extend(ds)
         entry = {
             "name": catalog.entry(label).name,

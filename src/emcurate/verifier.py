@@ -35,7 +35,7 @@ from .grid import (
     structure_mask_pairs,
 )
 from .metrics import dsc
-from .volume_io import canonical_json, read_json
+from .volume_io import canonical_json
 
 STD_FLOOR = 1e-3
 PROB_FLOOR = 0.01  # posterior below this is clamped to exact zero (sparse maps)
@@ -62,7 +62,6 @@ def classify_action(d: float, auto_replace_dsc: float = 0.0,
 
 @dataclass(frozen=True)
 class StructureAudit:
-    label: int
     dsc: float
     action: AuditAction
 
@@ -392,28 +391,12 @@ class GaussianIntensityModel:
             },
         }
 
-    @classmethod
-    def from_dict(cls, d: dict, catalog: StructureCatalog) -> "GaussianIntensityModel":
-        model = cls(catalog, d["organ_connectivity"], d["tumor_connectivity"])
-        model.tumor_min_component_voxels = int(
-            d.get("tumor_min_component_voxels", model.tumor_min_component_voxels))
-        model.background = (float(d["background"]["mean"]), float(d["background"]["std"]))
-        model.params = {}
-        for s, p in d["structures"].items():
-            box = tuple(slice(int(lo), int(hi) + 1) for lo, hi in zip(p["bbox_lo"], p["bbox_hi"]))
-            model.params[int(s)] = _StructureParams(float(p["mean"]), float(p["std"]),
-                                                    box if p["modeled"] else None)
-        return model
-
     def save(self, path: Union[str, Path]) -> str:
-        """Write the snapshot (unversioned); returns its canonical JSON."""
+        """Write the snapshot (unversioned; no command reads it back); returns
+        its canonical JSON."""
         blob = canonical_json(self.to_dict())
         Path(path).write_text(blob + "\n")
         return blob
-
-    @classmethod
-    def load(cls, path: Union[str, Path], catalog: StructureCatalog) -> "GaussianIntensityModel":
-        return cls.from_dict(read_json(path), catalog)
 
 
 ModelFactory = Callable[[StructureCatalog], SegmentationModel]
@@ -439,8 +422,7 @@ def audit_case(model: SegmentationModel, case: CaseRecord,
     per_structure: dict[int, StructureAudit] = {}
     for s, a, b in structure_mask_pairs(case.pseudo, prediction):
         d = dsc(a, b)
-        per_structure[s] = StructureAudit(label=s, dsc=d,
-                                          action=classify_action(d, auto_replace_dsc, route_dsc))
+        per_structure[s] = StructureAudit(d, classify_action(d, auto_replace_dsc, route_dsc))
     return AuditOutcome(case_id=case.case_id, per_structure=per_structure,
                         prediction=prediction)
 

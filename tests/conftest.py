@@ -27,7 +27,7 @@ settings.load_profile("emcurate")
 
 @pytest.fixture(scope="session")
 def run_cfg():
-    return em.default_run_config()
+    return em.load_run_config()
 
 
 @pytest.fixture(scope="session")

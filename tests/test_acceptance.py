@@ -39,7 +39,7 @@ def criterion(number, description):
 
 @pytest.fixture(scope="module")
 def cfg():
-    return em.default_run_config()
+    return em.load_run_config()
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,11 @@ import math
 import os
 import shutil
 import signal
+import subprocess
 import sys
 import tempfile
 import textwrap
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -736,6 +738,49 @@ def test_external_judge_child_ends_with_the_command(tmp_path, monkeypatch, comma
         return
     os.kill(pid, signal.SIGKILL)
     pytest.fail(f"judge process {pid} outlived {command}")
+
+
+# writes its pid file once asked, never answers, and exits when its input closes
+SILENT_JUDGE = textwrap.dedent("""
+    import os, sys
+    sys.stdin.readline()
+    with open(sys.argv[1], "w") as fh:
+        fh.write(str(os.getpid()))
+    sys.stdin.read()
+""")
+
+
+def test_ctrl_c_ends_run_loop_with_one_line(tmp_path):
+    """SIGINT while run-loop waits on its judge: exit 130, one stderr line,
+    no traceback, and the judge child ended."""
+    pid_file = tmp_path / "judge.pid"
+    raw = copy.deepcopy(BASE_CFG)
+    raw["judge"] = {"kind": "external", "timeout_s": 120.0,
+                    "command": [sys.executable, "-u", "-c", SILENT_JUDGE, str(pid_file)]}
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "out"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(  # SIGINT acts as at a terminal even if this process ignores it
+        [sys.executable, "-m", "emcurate.cli", "run-loop", "--config", str(cfg), "--out",
+         str(out), "--threads", "1"], env=env, stderr=subprocess.PIPE, text=True,
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 120
+        while not ((out / "model_000.json").exists() and pid_file.exists()):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert err == "interrupted\n"
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
 
 
 # logs each request and answers by a hash of its id, so a request that

@@ -30,7 +30,7 @@ def vertical_line_mask(dims=(64, 64, 64), x=31, z_lo=9, z_hi=55, width=4):
 def test_empty_overlay_scores_zero(run_cfg):
     vol = make_volume()
     proj = front_view_projection(vol, np.zeros(vol.dims, bool))
-    assert score_overlay(aorta_prior(run_cfg), proj) == 0.0
+    assert score_overlay(aorta_prior(run_cfg), proj)[0] == 0.0
 
 
 def test_ideal_aorta_overlay_scores_high(run_cfg):
@@ -38,7 +38,7 @@ def test_ideal_aorta_overlay_scores_high(run_cfg):
     mask = vertical_line_mask()
     proj = front_view_projection(vol, mask)
     # every criterion is satisfied, so the weighted product is 1.0 >= 0.9
-    assert score_overlay(aorta_prior(run_cfg), proj) >= 0.9
+    assert score_overlay(aorta_prior(run_cfg), proj)[0] >= 0.9
 
 
 def test_fragmented_overlay_scores_strictly_lower(run_cfg):
@@ -47,8 +47,8 @@ def test_fragmented_overlay_scores_strictly_lower(run_cfg):
     fragmented = whole.copy()
     fragmented[:, :, 20:23] = False
     fragmented[:, :, 40:43] = False  # 3 pieces
-    s_whole = score_overlay(aorta_prior(run_cfg), front_view_projection(vol, whole))
-    s_frag = score_overlay(aorta_prior(run_cfg), front_view_projection(vol, fragmented))
+    s_whole = score_overlay(aorta_prior(run_cfg), front_view_projection(vol, whole))[0]
+    s_frag = score_overlay(aorta_prior(run_cfg), front_view_projection(vol, fragmented))[0]
     assert s_frag < s_whole
 
 

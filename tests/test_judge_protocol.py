@@ -12,7 +12,7 @@ import pytest
 import emcurate as em
 from emcurate import ExternalJudge, Preference, RuleBasedJudge
 from emcurate.errors import ProtocolError
-from emcurate.expert import rle_decode, rle_encode
+from emcurate.expert import _REPLY_LIMIT, rle_decode, rle_encode
 
 # Each child script below runs after these lines, which append the child's pid
 # to the file named by its first argument.
@@ -68,6 +68,23 @@ STRAY_LINE = textwrap.dedent("""
             print("debug: thinking", flush=True)
             stray = False
         print(json.dumps({"id": json.loads(line)["id"], "preference": "second"}), flush=True)
+""")
+
+# answers every request with one line that is not UTF-8
+NON_UTF8_REPLY = textwrap.dedent("""
+    import sys
+    for line in sys.stdin:
+        sys.stdout.buffer.write(b'{"id": "\\xff\\xfe"}\\n')
+        sys.stdout.buffer.flush()
+""")
+
+# answers its first request with argv[2] bytes and no newline, then sleeps
+OVERLONG_REPLY = textwrap.dedent("""
+    import sys, time
+    sys.stdin.readline()
+    sys.stdout.buffer.write(b"x" * int(sys.argv[2]))
+    sys.stdout.buffer.flush()
+    time.sleep(30)
 """)
 
 # stops reading its input, then says so by creating <pid file>.closed
@@ -192,6 +209,26 @@ def test_non_object_reply_falls_back(external_judge, reply):
     assert judge.protocol_failures == 1
 
 
+@pytest.mark.parametrize("script, args", [(NON_UTF8_REPLY, ()),
+                                          (OVERLONG_REPLY, (str(_REPLY_LIMIT + 1),))],
+                         ids=["non_utf8", "overlong"])
+def test_undecodable_reply_falls_back_without_a_traceback(external_judge, capfd, script, args):
+    """A reply that is not UTF-8, or that has no newline within the reply
+    limit, is malformed: the rule judge answers, the failure is counted and
+    the child is ended, and no thread dies with a traceback."""
+    vol, good, displaced = rule_decided_pair()
+    judge = external_judge(script, *args, timeout_s=5.0)
+    verdict = judge.compare("case", 6, vol, good, displaced)
+    assert verdict == judge.fallback.compare("case", 6, vol, good, displaced)
+    assert judge.protocol_failures == 1
+    assert judge._proc is None
+    for pid in started_children(judge):
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    err = capfd.readouterr().err
+    assert "Traceback" not in err and "Exception in thread" not in err
+
+
 def test_child_that_stops_reading_falls_back(external_judge):
     """A request that cannot be written is answered by the rule judge, and
     the child that stopped reading is ended without an error."""
@@ -258,9 +295,9 @@ def test_request_payload_shape(run_cfg, monkeypatch):
         def flush(self):
             pass
 
-        def readline(self):
+        def readline(self, limit):
             req = json.loads(captured["line"])
-            return json.dumps({"id": req["id"], "preference": "tie"}) + "\n"
+            return (json.dumps({"id": req["id"], "preference": "tie"}) + "\n").encode()
 
         def poll(self):
             return None

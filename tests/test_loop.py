@@ -1,3 +1,4 @@
+import hashlib
 import json
 import sys
 import time
@@ -49,7 +50,7 @@ def judge(run_cfg_module):
 
 @pytest.fixture(scope="module")
 def run_cfg_module():
-    return em.default_run_config()
+    return em.load_run_config()
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +196,7 @@ def test_simulated_expert_deterministic_and_gold_seeking(noisy_corpus):
 
 def test_simulated_expert_without_gold_fails():
     oracle = SimulatedExpert(accuracy=1.0, seed=0)
-    cfg = em.default_run_config()
+    cfg = em.load_run_config()
     case = em.generate_case(cfg.phantom, 0).without_gold()
     assert oracle.review(case, 1, [np.zeros(cfg.phantom.dims, bool)], "ctx") is None
 
@@ -615,6 +616,22 @@ def test_recorder_outputs(tmp_path, noisy_corpus, run_cfg_module, judge):
     counts = report["counts"]
     assert counts["keep"] + counts["auto_replace"] + counts["route"] == \
         counts["structures_audited"]
+
+
+def test_model_snapshot_id_is_the_snapshot_file_hash(tmp_path, noisy_corpus, run_cfg_module,
+                                                     judge):
+    """Each report's model_snapshot_id is the first 12 hex digits of the
+    sha256 of its model_NNN.json without the trailing newline."""
+    cases, _ = noisy_corpus
+    source = em.PhantomSource(run_cfg_module.phantom,
+                               run_cfg_module.synthetic.intensity_jitter)
+    _, _, reports = run_em(cases, em_cfg(max_iterations=2), judge, SimulatedExpert(seed=0),
+                           phantom_source=source, out_dir=tmp_path)
+    assert reports
+    for r in reports:
+        raw = (tmp_path / f"model_{r.iteration:03d}.json").read_bytes()
+        assert raw.endswith(b"}\n")
+        assert r.model_snapshot_id == hashlib.sha256(raw[:-1]).hexdigest()[:12]
 
 
 # -- escalation queue & interactive review -----------------------------------

@@ -13,7 +13,6 @@ from emcurate import (
     UndefinedRateError,
     build_roc,
     classification_rates,
-    diagnosis_confusion,
     dsc,
     nsd,
     patient_wise_detection,
@@ -258,44 +257,6 @@ def test_tumor_wise_matches_oracle_at_border(connectivity, pair, fp_min_voxels):
         brute_tumor_wise(pred, ref, connectivity, fp_min_voxels)
 
 
-# -- diagnosis confusion -----------------------------------------------------
-
-def test_diagnosis_identity():
-    classes = ["PDAC", "cyst", "PNET"]
-    ref = ["PDAC", "cyst", "PNET", "cyst"]
-    matrix, acc = diagnosis_confusion(ref, ref, classes)
-    assert acc == 1.0
-    assert matrix.sum() == 4
-    assert np.trace(matrix) == 4
-
-
-def test_diagnosis_single_class_predictor():
-    classes = ["PDAC", "cyst", "PNET"]
-    ref = ["PDAC", "cyst", "PNET"] * 2
-    pred = ["PDAC"] * 6
-    _, acc = diagnosis_confusion(pred, ref, classes)
-    assert acc == pytest.approx(1 / 3)
-
-
-def test_diagnosis_hand_tally():
-    classes = ["PDAC", "cyst", "PNET"]
-    ref = ["PDAC", "PDAC", "PDAC", "cyst", "cyst", "cyst",
-           "cyst", "PNET", "PNET", "PNET", "PNET", "PNET"]
-    pred = ["PDAC", "cyst", "PDAC", "cyst", "cyst", "PNET",
-            "PDAC", "PNET", "PNET", "PDAC", "PNET", "cyst"]
-    matrix, acc = diagnosis_confusion(pred, ref, classes)
-    expected = np.array([[2, 1, 0],
-                         [1, 2, 1],
-                         [1, 1, 3]])
-    assert np.array_equal(matrix, expected)
-    assert acc == pytest.approx(7 / 12)
-
-
-def test_diagnosis_empty_input():
-    with pytest.raises(ShapeError):
-        diagnosis_confusion([], [], ["a"])
-
-
 # -- roc ---------------------------------------------------------------------
 
 def _roc_case(rng, with_tumor):
@@ -487,11 +448,11 @@ def test_roc_sensitivity_monotone_random():
        tolerance_mm=st.sampled_from([0.5, 1.0, 1.6, 3.0]))
 def test_evaluate_pair_matches_full_grid_oracle(volumes, spacing, tolerance_mm):
     pred, ref = volumes
-    report = evaluate_pair(make_label_map(pred, CAT4, spacing), make_label_map(ref, CAT4, spacing),
+    scores = evaluate_pair(make_label_map(pred, CAT4, spacing), make_label_map(ref, CAT4, spacing),
                            tolerance_mm)
     for s in CAT4.labels:
         a, b = pred == s, ref == s
-        got = report.per_structure[s]
+        got = scores[s]
         assert got.dsc == brute_dsc(a, b)
         assert got.nsd == full_grid_nsd(a, b, tolerance_mm, spacing)
         assert (got.pred_voxels, got.ref_voxels) == (np.count_nonzero(a), np.count_nonzero(b))

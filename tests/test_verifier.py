@@ -14,6 +14,7 @@ from emcurate.verifier import (
     PROB_FLOOR,
     GaussianIntensityModel,
     _log_ratio_intervals,
+    _StructureParams,
     apply_update_rule,
     audit_case,
     changed_structures,
@@ -340,19 +341,30 @@ def test_injected_deletions_recovered_at_injected_rate(run_cfg):
     assert recovered / max(len(deleted), 1) >= 0.95
 
 
-def test_model_serialization_round_trip(run_cfg, tmp_path):
+def test_model_serialization_round_trip(run_cfg):
+    """The snapshot records every setting, the background and every field of
+    every structure's parameters, each learned box as inclusive bounds."""
     cases = [em.generate_case(run_cfg.phantom, s, case_id=f"c{s}") for s in range(3)]
     # the default model, and one whose tumor size filter differs from the default
-    for new_model in (GaussianIntensityModel,
-                      lambda catalog: GaussianIntensityModel(
-                          catalog, tumor_min_component_voxels=400)):
+    for new_model, min_voxels in ((GaussianIntensityModel, 20),
+                                  (lambda catalog: GaussianIntensityModel(
+                                      catalog, tumor_min_component_voxels=400), 400)):
         model = em.fit_model(cases, new_model=new_model)
-        path = tmp_path / "model.json"
-        model.save(path)
-        loaded = GaussianIntensityModel.load(path, run_cfg.catalog)
-        pred_a = model.predict(cases[0].volume)
-        pred_b = loaded.predict(cases[0].volume)
-        assert np.array_equal(pred_a.labels, pred_b.labels)
+        d = model.to_dict()
+        assert {k: v for k, v in d.items() if k not in ("background", "structures")} == {
+            "kind": "gaussian_intensity", "catalog_id": run_cfg.catalog.catalog_id,
+            "organ_connectivity": 26, "tumor_connectivity": 6,
+            "tumor_min_component_voxels": min_voxels}
+        assert d["background"] == {"mean": model.background[0], "std": model.background[1]}
+        assert list(d["structures"]) == [str(s) for s in run_cfg.catalog.labels]
+        for s, p in model.params.items():
+            row = d["structures"][str(s)]
+            assert (row["mean"], row["std"], row["modeled"]) == (p.mean, p.std, p.modeled)
+            box = tuple(slice(lo, hi + 1) for lo, hi in zip(row["bbox_lo"], row["bbox_hi"]))
+            if p.modeled:
+                assert box == p.box
+            else:
+                assert row["bbox_lo"] == row["bbox_hi"] == [0, 0, 0]
 
 
 def test_model_dict_round_trip_with_unmodeled_structures():
@@ -362,11 +374,12 @@ def test_model_dict_round_trip_with_unmodeled_structures():
     labels[4, 5, 6] = 3
     model = em.fit_model([make_case(intensities_for(labels, rng), labels, CAT4)])
     assert [p.modeled for p in model.params.values()] == [True, False, True, False]
-    loaded = GaussianIntensityModel.from_dict(model.to_dict(), CAT4)
-    assert loaded.to_dict() == model.to_dict()
-    assert loaded.params == model.params
-    assert model.to_dict()["structures"]["2"]["bbox_lo"] == [0, 0, 0]
-    assert model.to_dict()["structures"]["3"]["bbox_hi"] == [4, 5, 6]
+    rows = model.to_dict()["structures"]
+    assert [row["modeled"] for row in rows.values()] == [True, False, True, False]
+    assert rows["2"]["bbox_lo"] == rows["2"]["bbox_hi"] == [0, 0, 0]
+    assert rows["4"]["bbox_lo"] == rows["4"]["bbox_hi"] == [0, 0, 0]
+    assert rows["1"]["bbox_lo"] == [1, 2, 0] and rows["1"]["bbox_hi"] == [2, 4, 1]
+    assert rows["3"]["bbox_lo"] == rows["3"]["bbox_hi"] == [4, 5, 6]
 
 
 def test_fit_deterministic(small_corpus):
@@ -434,16 +447,12 @@ def test_predict_prob_matches_full_grid_oracle(labels, pads, seed, label):
 def _hand_model(background, structures, dims):
     """A CAT4 model with the given background and per-label (mean, std),
     None for unmodeled; every learned box is the whole grid."""
-    def entry(p):
-        if p is None:
-            return {"mean": 0.0, "std": 1e-3, "modeled": False, "bbox_lo": [0, 0, 0],
-                    "bbox_hi": [0, 0, 0]}
-        return {"mean": p[0], "std": p[1], "modeled": True, "bbox_lo": [0, 0, 0],
-                "bbox_hi": [d - 1 for d in dims]}
-    return GaussianIntensityModel.from_dict({
-        "organ_connectivity": 26, "tumor_connectivity": 6,
-        "background": {"mean": background[0], "std": background[1]},
-        "structures": {str(s): entry(p) for s, p in structures.items()}}, CAT4)
+    model = GaussianIntensityModel(CAT4)
+    model.background = background
+    whole = tuple(slice(0, d) for d in dims)
+    model.params = {s: _StructureParams() if p is None else _StructureParams(*p, whole)
+                    for s, p in structures.items()}
+    return model
 
 
 FLOOR_LOG_ODDS = math.log(PROB_FLOOR / (1.0 - PROB_FLOOR))
