@@ -18,7 +18,7 @@ import yaml
 
 from .errors import CatalogError, ConfigError
 from .expert import TIE_EPSILON, AnatomicalPrior, ExternalJudge, RuleBasedJudge
-from .grid import StructureCatalog
+from .grid import StructureCatalog, StructureKind
 from .loop import (
     EMConfig,
     InteractiveCliOracle,
@@ -52,11 +52,18 @@ class MetricsConfig:
         if not 0.0 < self.roc_target_sensitivity <= 1.0:
             raise ConfigError("metrics.roc_target_sensitivity must lie in (0, 1], "
                               f"got {self.roc_target_sensitivity}")
+        if self.fp_min_voxels < 1:
+            raise ConfigError(f"metrics.fp_min_voxels must be >= 1, got {self.fp_min_voxels}")
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     tumor_min_component_voxels: int = 20
+
+    def __post_init__(self):
+        if self.tumor_min_component_voxels < 1:
+            raise ConfigError("model.tumor_min_component_voxels must be >= 1, "
+                              f"got {self.tumor_min_component_voxels}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +80,8 @@ class JudgeConfig:
             raise ConfigError("judge.command must not be empty when judge.kind is 'external'")
         if self.timeout_s <= 0:  # else every external request times out at once, a tie
             raise ConfigError(f"judge.timeout_s must be > 0, got {self.timeout_s}")
+        if self.tie_epsilon < 0:
+            raise ConfigError(f"judge.tie_epsilon must be >= 0, got {self.tie_epsilon}")
 
 
 @dataclass(frozen=True)
@@ -103,6 +112,11 @@ class CorpusConfig:
 @dataclass(frozen=True)
 class SyntheticConfig:
     intensity_jitter: float = 3.0
+
+    def __post_init__(self):
+        if self.intensity_jitter < 0:
+            raise ConfigError("synthetic.intensity_jitter must be >= 0, "
+                              f"got {self.intensity_jitter}")
 
 
 @dataclass(frozen=True)
@@ -202,9 +216,14 @@ def load_run_config(path: Optional[Union[str, Path]] = None) -> RunConfig:
     try:
         decode_mapping(raw, "", (*names, "schema_version", "priors_file"))
         sections = {name: decode(hints[name], raw.get(name), name) for name in names}
-        for label in sections["phantom"].catalog.labels:
+        catalog = sections["phantom"].catalog
+        for label in catalog.labels:
             if label not in priors:
                 raise ConfigError(f"no prior for catalog structure {label}")
+        host = sections["noise"].tumor_fp_host
+        if host is not None and host not in [e.label for e in catalog.entries
+                                             if e.kind is StructureKind.ORGAN]:
+            raise ConfigError(f"noise.tumor_fp_host must be an organ label, got {host}")
     except (CatalogError, ConfigError) as exc:
         raise ConfigError(f"malformed config {cfg_path}: {exc}") from None
     return RunConfig(priors=priors, raw=raw, **sections)

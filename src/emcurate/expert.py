@@ -20,18 +20,17 @@ from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError, ProtocolError
 from .grid import (
     BACKGROUND,
-    FACE,
     CaseRecord,
     LabelMap,
     Projection2D,
     StructureKind,
     VoxelGrid,
     connected_components,
+    face_closing,
     front_view_projection,
     largest_component,
     pad_box,
@@ -231,7 +230,7 @@ def shape_cleanup(label_map: LabelMap, organ_connectivity: int = 26,
         conn = tumor_connectivity if entry.kind is StructureKind.TUMOR else organ_connectivity
         kept = largest_component(mask, conn)
         region[mask & ~kept] = BACKGROUND
-        closed = ndimage.binary_closing(kept, structure=FACE)
+        closed = face_closing(kept)
         region[closed & (region == BACKGROUND)] = entry.label
     return label_map.with_labels(labels)
 

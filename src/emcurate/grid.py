@@ -11,6 +11,11 @@ Conventions used throughout the package:
 All types are immutable after construction (array buffers are marked
 read-only) and every operation here is a pure function, so values can be
 shared freely across threads.
+
+This is the one module that calls ``scipy.ndimage``. Every voxel kernel
+the package runs on (component labeling, face morphology, the surface
+distance test) is a named function here, so swapping a kernel's library
+changes one function and its oracle test, and nothing that calls it.
 """
 
 from __future__ import annotations
@@ -34,13 +39,19 @@ BACKGROUND = 0
 # voxels start <= i < stop on every axis.
 Box = tuple[slice, ...]
 
-# face-neighbor structuring element: 6-connectivity, one-voxel morphology
-FACE = ndimage.generate_binary_structure(3, 1)
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+# The 3x3x3 structuring element of each connectivity: 6 joins face
+# neighbors (and is the element of one-voxel face morphology), 26 joins
+# faces, edges and corners.
+STRUCTURES = {
+    6: _freeze(ndimage.generate_binary_structure(3, 1)),
+    26: _freeze(ndimage.generate_binary_structure(3, 3)),
+}
 
 
 def _check_dims_spacing(dims, spacing) -> tuple[tuple[int, int, int], tuple[float, float, float]]:
@@ -279,22 +290,16 @@ class Projection2D:
     spacing: tuple[float, float]  # mm per pixel along (x, z)
 
 
-_STRUCTS = {
-    6: FACE,
-    26: ndimage.generate_binary_structure(3, 3),
-}
-
-
 def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentLabeling:
     """Label connected components of a 3D boolean mask.
 
     connectivity 6 joins face neighbors only; 26 joins faces, edges and
     corners. Component ids are dense from 1 in raster order; 0 is background.
     """
-    if connectivity not in _STRUCTS:
+    if connectivity not in STRUCTURES:
         raise ShapeError(f"connectivity must be 6 or 26, got {connectivity}")
     mask = np.asarray(mask, dtype=bool)
-    ids, count = ndimage.label(mask, structure=_STRUCTS[connectivity])
+    ids, count = ndimage.label(mask, structure=STRUCTURES[connectivity])
     sizes = np.bincount(ids.ravel(), minlength=count + 1)[1:] if count else np.zeros(0, dtype=np.int64)
     return ComponentLabeling(ids=_freeze(ids), count=int(count), sizes=_freeze(sizes))
 
@@ -396,6 +401,38 @@ def largest_component(mask: np.ndarray, connectivity: int = 26) -> np.ndarray:
         return np.asarray(mask, dtype=bool)
     keep = int(np.argmax(comp.sizes)) + 1
     return comp.ids == keep
+
+
+def boundary_voxels(mask: np.ndarray) -> np.ndarray:
+    """Surface voxels: in the mask with a face neighbor outside it or on the grid border."""
+    mask = np.asarray(mask, dtype=bool)
+    interior = ndimage.binary_erosion(mask, structure=STRUCTURES[6], border_value=0)
+    return mask & ~interior
+
+
+def face_dilation(mask: np.ndarray) -> np.ndarray:
+    """The mask grown by its face neighbors, computed on the mask's box
+    padded by one voxel only: no voxel outside it is a neighbor."""
+    mask = np.asarray(mask, dtype=bool)
+    box = pad_box(nonzero_box(mask), 1, mask.shape)
+    out = np.zeros_like(mask)
+    out[box] = ndimage.binary_dilation(mask[box], structure=STRUCTURES[6])
+    return out
+
+
+def face_closing(mask: np.ndarray) -> np.ndarray:
+    """Face dilation then face erosion. The erosion treats everything
+    outside the grid as background, so it can clear mask voxels on a grid
+    face."""
+    return ndimage.binary_closing(mask, structure=STRUCTURES[6])
+
+
+def within_mm(mask: np.ndarray, tolerance_mm: float, spacing: Sequence[float]) -> np.ndarray:
+    """The voxels whose exact Euclidean distance (mm, at the given voxel
+    spacing) to the nearest voxel of a nonempty mask is strictly below
+    tolerance_mm."""
+    return ndimage.distance_transform_edt(~np.asarray(mask, dtype=bool),
+                                          sampling=spacing) < tolerance_mm
 
 
 def front_view_projection(volume: VoxelGrid, mask: np.ndarray) -> Projection2D:

@@ -100,6 +100,9 @@ class EMConfig:
             raise ConfigError("convergence_mode must be 'gold' or 'changes'")
         if self.seed < 0:
             raise ConfigError(f"em.seed must be >= 0, got {self.seed}")
+        if not 0.0 <= self.low_confidence_floor <= 1.0:
+            raise ConfigError("em.low_confidence_floor must lie in [0, 1], "
+                              f"got {self.low_confidence_floor}")
 
 
 class EscalationReason(str, Enum):

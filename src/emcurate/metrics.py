@@ -16,23 +16,24 @@ Empty-set conventions (applied consistently everywhere):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ShapeError, UndefinedRateError
 from .grid import (
-    _STRUCTS,
-    FACE,
+    STRUCTURES,
     LabelMap,
     StructureCatalog,
+    boundary_voxels,
     component_hits,
     connected_components,
     nonzero_box,
     structure_mask_pairs,
+    within_mm,
 )
 
 
@@ -106,31 +107,24 @@ def dsc(a, b) -> float:
     return 2.0 * int(np.count_nonzero(a & b)) / total
 
 
-def boundary_voxels(mask: np.ndarray) -> np.ndarray:
-    """Surface voxels: in the mask with a face neighbor outside it or on the grid border."""
-    mask = np.asarray(mask, dtype=bool)
-    interior = ndimage.binary_erosion(mask, structure=FACE, border_value=0)
-    return mask & ~interior
-
-
 def nsd(a, b, tolerance_mm: float, spacing: Sequence[float]) -> float:
     """Normalized surface distance at tolerance_mm, for masks on a lattice of
     the given voxel spacing (mm).
 
     Boundary voxels of each mask are tested against the exact Euclidean
-    distance (in mm, via the spacing-scaled distance transform) to the other
-    mask's boundary; the score is the fraction strictly within tolerance.
+    distance (in mm, at the spacing) to the other mask's boundary; the score
+    is the fraction strictly within tolerance (grid.within_mm).
 
     Cropping both masks to any box that holds nonzero_box(a | b) leaves the
     score unchanged (evaluate_pair passes such crops): a mask voxel on the
     crop edge has a face neighbor outside the mask, so it is a surface voxel
     either way, and every boundary voxel, hence every nearest one, lies
-    inside the crop. Only the EDTs' cost shrinks.
+    inside the crop. Only the distance tests' cost shrinks.
     """
-    if tolerance_mm <= 0:
+    if not tolerance_mm > 0:
         raise ShapeError(f"tolerance_mm must be > 0, got {tolerance_mm}")
-    if len(spacing) != 3 or any(s <= 0 for s in spacing):
-        raise ShapeError(f"spacing must be a positive triple, got {spacing}")
+    if len(spacing) != 3 or not all(0 < s < math.inf for s in spacing):
+        raise ShapeError(f"spacing must be a positive finite triple, got {spacing}")
     a, b = _as_mask_pair(a, b)
     surf_a = boundary_voxels(a)
     surf_b = boundary_voxels(b)
@@ -140,10 +134,8 @@ def nsd(a, b, tolerance_mm: float, spacing: Sequence[float]) -> float:
         return 1.0
     if n_a == 0 or n_b == 0:
         return 0.0
-    dist_to_b = ndimage.distance_transform_edt(~surf_b, sampling=spacing)
-    dist_to_a = ndimage.distance_transform_edt(~surf_a, sampling=spacing)
-    close_a = int(np.count_nonzero(dist_to_b[surf_a] < tolerance_mm))
-    close_b = int(np.count_nonzero(dist_to_a[surf_b] < tolerance_mm))
+    close_a = int(np.count_nonzero(within_mm(surf_b, tolerance_mm, spacing)[surf_a]))
+    close_b = int(np.count_nonzero(within_mm(surf_a, tolerance_mm, spacing)[surf_b]))
     return (close_a + close_b) / (n_a + n_b)
 
 
@@ -229,7 +221,7 @@ def _support_graph(p: np.ndarray, connectivity: int
     node = np.full(p.shape, -1, dtype=np.int64)
     node[support] = np.arange(int(np.count_nonzero(support)))
     values = p[support]
-    offsets = np.argwhere(_STRUCTS[connectivity]) - 1
+    offsets = np.argwhere(STRUCTURES[connectivity]) - 1
     us, vs = [], []
     for off in offsets[[tuple(o) > (0, 0, 0) for o in offsets.tolist()]]:
         src = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(off, p.shape))
@@ -330,7 +322,9 @@ def build_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray],
         if comp.count == 0:
             neg_max.append(float(values.max(initial=0.0)))
         else:
-            inst_max.extend(ndimage.maximum(p[r], comp.ids[r], np.arange(1, comp.count + 1)))
+            maxima = np.full(comp.count, -np.inf)
+            np.maximum.at(maxima, comp.ids[r] - 1, p[r])
+            inst_max.extend(maxima.tolist())
         graphs.append((values, ~r[p > 0], u + n_nodes, v + n_nodes, w))
         n_nodes += len(values)
     values, clean, u, v, w = (np.concatenate(parts) for parts in zip(*graphs))

@@ -21,12 +21,10 @@ from enum import Enum
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import ConfigError
 from .grid import (
     BACKGROUND,
-    FACE,
     CaseMeta,
     CaseRecord,
     ContrastPhase,
@@ -38,11 +36,12 @@ from .grid import (
     StructuredReport,
     TumorType,
     VoxelGrid,
+    boundary_voxels,
     connected_components,
+    face_dilation,
     nonzero_box,
     pad_box,
 )
-from .metrics import boundary_voxels
 
 
 class ShapeKind(str, Enum):
@@ -170,6 +169,15 @@ class NoiseSpec:
         if any(w < 0 for w in self.shift_axes) or sum(self.shift_axes) <= 0:
             raise ConfigError("noise.shift_axes must be nonnegative with a positive sum, "
                               f"got {list(self.shift_axes)}")
+        if self.fragment_thickness < 1:
+            raise ConfigError("noise.fragment_thickness must be >= 1, "
+                              f"got {self.fragment_thickness}")
+        if self.spurious_margin < 0:
+            raise ConfigError(f"noise.spurious_margin must be >= 0, got {self.spurious_margin}")
+        for name in ("spurious_radius", "tumor_fp_radius"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo <= hi:
+                raise ConfigError(f"noise.{name} must satisfy 0 < lo <= hi, got {[lo, hi]}")
 
 
 @dataclass(frozen=True)
@@ -212,14 +220,6 @@ def _sphere_mask_vox(dims, center_vox, radius_vox) -> np.ndarray:
     grids = np.ogrid[box]
     q = sum((g - c) ** 2 for g, c in zip(grids, center_vox))
     out[box] = q <= radius_vox ** 2
-    return out
-
-
-def _dilate(mask: np.ndarray) -> np.ndarray:
-    """Face-connected dilation, computed on the padded bounding box only."""
-    box = pad_box(nonzero_box(mask), 1, mask.shape)
-    out = np.zeros_like(mask)
-    out[box] = ndimage.binary_dilation(mask[box], structure=FACE)
     return out
 
 
@@ -352,7 +352,7 @@ def _apply_op(labels: np.ndarray, op: InjectionOp) -> None:
         labels[blob & (labels == BACKGROUND)] = s
     elif op.op == "jitter":
         if p["mode"] == "dilate":
-            labels[_dilate(mask) & (labels == BACKGROUND)] = s
+            labels[face_dilation(mask) & (labels == BACKGROUND)] = s
         else:
             # the padded layer lies outside the mask, so the crop's surface
             # voxels are the grid's
@@ -426,7 +426,7 @@ def inject_noise(case: CaseRecord, noise: NoiseSpec,
                 # annotation slips land near the structure, not anywhere
                 idx = np.nonzero(mask)
                 r = float(rng.uniform(*noise.spurious_radius))
-                near_self = _dilate(mask)
+                near_self = face_dilation(mask)
                 for _ in range(50):
                     center = []
                     for axis, d in enumerate(dims):
@@ -457,7 +457,7 @@ def inject_noise(case: CaseRecord, noise: NoiseSpec,
                 break
             r = float(rng.uniform(*noise.tumor_fp_radius))
             placed = False
-            near_tumor = _dilate(labels == tumor_label)
+            near_tumor = face_dilation(labels == tumor_label)
             for _ in range(50):
                 if noise.tumor_fp_host is not None:
                     host = int(noise.tumor_fp_host)

@@ -14,6 +14,8 @@ Expectation step's change count without box crops. find_objects_boxes is
 label_boxes as it was before the bit-packed projection pass.
 overlay_component_count is overlay_features' component count as it was
 before it moved to grid.connected_components: a 2D 8-connected labeling.
+full_grid_face_dilation and edt_within_mm are the scipy calls behind
+grid.face_dilation and grid.within_mm, on the whole grid.
 """
 
 from __future__ import annotations
@@ -138,6 +140,19 @@ def brute_front_overlay(mask: np.ndarray) -> np.ndarray:
 
 STRUCTURES = {6: ndimage.generate_binary_structure(3, 1),
               26: ndimage.generate_binary_structure(3, 3)}
+
+
+def full_grid_face_dilation(mask: np.ndarray) -> np.ndarray:
+    """The face dilation of a mask, taken over the whole grid."""
+    return ndimage.binary_dilation(mask, structure=STRUCTURES[6])
+
+
+def edt_within_mm(mask: np.ndarray, tolerance_mm: float, spacing) -> np.ndarray:
+    """True where the spacing-scaled distance transform to the mask is
+    strictly below tolerance_mm."""
+    return ndimage.distance_transform_edt(~mask, sampling=spacing) < tolerance_mm
+
+
 STD_FLOOR = 1e-3
 PROB_FLOOR = 0.01
 PRIOR_MARGIN_VOXELS = 2

@@ -226,6 +226,49 @@ def test_negative_seed_flag_exits_2(run_cfg, tmp_path, capsys):
     assert not out.exists()
 
 
+# (section, key, value): a value the loop or the generator cannot use.
+OUT_OF_RANGE = [
+    ("metrics", "fp_min_voxels", 0),
+    ("model", "tumor_min_component_voxels", 0),
+    ("em", "low_confidence_floor", -0.1),
+    ("em", "low_confidence_floor", 1.5),
+    ("judge", "tie_epsilon", -0.01),
+    ("synthetic", "intensity_jitter", -1.0),
+    ("noise", "fragment_thickness", 0),
+    ("noise", "spurious_margin", -1),
+    ("noise", "spurious_radius", [0.0, 2.0]),
+    ("noise", "spurious_radius", [3.0, 2.0]),
+    ("noise", "tumor_fp_radius", [-1.0, 2.0]),
+    ("noise", "tumor_fp_radius", [2.5, 2.0]),
+    ("noise", "tumor_fp_host", 99),  # not in the catalog
+    ("noise", "tumor_fp_host", 6),   # the aorta, a vessel
+    ("noise", "tumor_fp_host", 7),   # the tumor
+]
+
+
+@pytest.mark.parametrize("section,key,value", OUT_OF_RANGE,
+                         ids=[f"{s}.{k}=" + "_".join(map(str, v if isinstance(v, list) else [v]))
+                              for s, k, v in OUT_OF_RANGE])
+def test_out_of_range_value_exits_2_naming_its_key(run_cfg, tmp_path, capsys, section, key,
+                                                   value):
+    out = tmp_path / "out"
+    edited = {section: {**run_cfg.raw[section], key: value}}
+    assert main(["generate", "--config", str(_write(run_cfg, tmp_path, **edited)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_negative_convergence_epsilon_loads(run_cfg, tmp_path):
+    """A negative em.convergence_epsilon never stops the loop early, so it
+    runs every em.max_iterations pass; the benchmark's fixed-length loop
+    relies on it."""
+    cfg = load_run_config(_write(run_cfg, tmp_path,
+                                 em={**run_cfg.raw["em"], "convergence_epsilon": -1.0}))
+    assert cfg.em.convergence_epsilon == -1.0
+
+
 def _edit_priors(edit) -> dict:
     """The packaged priors file changed in place by ``edit``."""
     priors = copy.deepcopy(PACKAGED_PRIORS)

@@ -1,3 +1,4 @@
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,14 +25,22 @@ from emcurate.grid import (
     TumorType,
     box_hull,
     component_hits,
+    face_dilation,
     label_boxes,
     nonzero_box,
     pad_box,
     structure_mask_pairs,
+    within_mm,
 )
 
 from conftest import CAT4, label_volumes, make_label_map
-from oracles import brute_components, brute_front_overlay, find_objects_boxes
+from oracles import (
+    brute_components,
+    brute_front_overlay,
+    edt_within_mm,
+    find_objects_boxes,
+    full_grid_face_dilation,
+)
 
 CAT = StructureCatalog((
     StructureEntry(1, "a", StructureKind.ORGAN),
@@ -191,6 +200,66 @@ def test_box_hull_and_pad_box_match_mask_boxes(masks, margin):
     for m in filter(np.any, masks):
         grown = ndimage.binary_dilation(m, cube, iterations=margin) if margin else m
         assert pad_box(nonzero_box(m), margin, m.shape) == nonzero_box(grown)
+
+
+def _corner_voxel(shape):
+    mask = np.zeros(shape, bool)
+    mask[-1, 0, -1] = True
+    return mask
+
+
+@given(volumes=label_volumes())
+@example(volumes=(np.zeros((3, 4, 5), np.uint16),))
+@example(volumes=(np.ones((3, 4, 5), np.uint16),))
+@example(volumes=(_corner_voxel((4, 3, 5)).astype(np.uint16),))
+def test_face_dilation_matches_full_grid_dilation(volumes):
+    """face_dilation works on the mask's box padded by one voxel; it must
+    equal the full-grid dilation for empty masks, masks that fill the grid
+    and masks on grid faces."""
+    mask = volumes[0] == 1
+    assert np.array_equal(face_dilation(mask), full_grid_face_dilation(mask))
+
+
+SPACINGS = st.sampled_from([0.5, 1.0, 1.5, 2.0, 2.5])
+
+
+@st.composite
+def within_cases(draw):
+    """(mask, tolerance_mm, spacing): a mask of one to three voxels, or a
+    dense one, an anisotropic spacing and a tolerance that is, in most
+    draws, exactly some voxel's distance to the mask (by brute force over
+    all voxel pairs), so that voxel lies at the tolerance itself."""
+    shape = draw(SHAPES)
+    mask = draw(arrays(bool, shape)) if draw(st.booleans()) else np.zeros(shape, bool)
+    for _ in range(draw(st.integers(1, 3))):
+        mask[tuple(draw(st.integers(0, n - 1)) for n in shape)] = True
+    spacing = draw(st.tuples(SPACINGS, SPACINGS, SPACINGS))
+    delta = (np.argwhere(np.ones(shape))[:, None] - np.argwhere(mask)[None]) * spacing
+    nearest = np.unique(np.sqrt((delta ** 2).sum(axis=2)).min(axis=1))
+    if nearest[-1] > 0 and not draw(st.booleans()):
+        tolerance = float(draw(st.sampled_from(nearest[nearest > 0].tolist())))
+    else:
+        tolerance = draw(st.floats(0.1, 8.0))
+    return mask, tolerance, spacing
+
+
+@given(case=within_cases())
+def test_within_mm_matches_the_distance_transform(case):
+    mask, tolerance, spacing = case
+    assert np.array_equal(within_mm(mask, tolerance, spacing),
+                          edt_within_mm(mask, tolerance, spacing))
+
+
+def test_within_mm_is_strict_at_the_tolerance():
+    mask = np.zeros((3, 2, 2), bool)
+    mask[0, 0, 0] = True
+    spacing = (1.5, 2.0, 1.0)
+    assert not within_mm(mask, 1.5, spacing)[1, 0, 0]
+    assert within_mm(mask, math.nextafter(1.5, 2.0), spacing)[1, 0, 0]
+    # voxel (1, 1, 0) lies at exactly sqrt(1.5**2 + 2**2) = 2.5 mm
+    assert within_mm(mask, 2.5, spacing).tolist() == [
+        [[True, True], [True, True]], [[True, True], [False, False]],
+        [[False, False], [False, False]]]
 
 
 @st.composite

@@ -19,10 +19,10 @@ from emcurate import (
     tumor_wise_detection,
 )
 from emcurate import metrics
+from emcurate.grid import boundary_voxels
 from emcurate.metrics import (
     RocCurve,
     RocPoint,
-    boundary_voxels,
     default_threshold_grid,
     evaluate_pair,
     f1_score,
@@ -146,7 +146,9 @@ def test_nsd_respects_anisotropic_spacing():
 
 @pytest.mark.parametrize("tolerance_mm, spacing", [
     (0.0, UNIT), (-1.0, UNIT), (1.0, (1.0, 1.0)), (1.0, (1.0, 0.0, 1.0)), (1.0, (1.0, 1.0, -2.0)),
-], ids=["zero_tolerance", "negative_tolerance", "two_axes", "zero_spacing", "negative_spacing"])
+    (math.nan, UNIT), (1.5, (math.nan, 1.0, 1.0)), (1.5, (1.0, math.inf, 1.0)),
+], ids=["zero_tolerance", "negative_tolerance", "two_axes", "zero_spacing", "negative_spacing",
+        "nan_tolerance", "nan_spacing", "inf_spacing"])
 def test_nsd_rejects_nonpositive_tolerance_and_spacing(tolerance_mm, spacing):
     m = cube((3, 3, 3), (0, 0, 0), (2, 2, 2))
     with pytest.raises(ShapeError):

@@ -4,7 +4,7 @@ from scipy import ndimage
 
 import emcurate as em
 from emcurate import ConfigError, NoiseSpec, PhantomSpec, TumorSpec
-from emcurate.grid import FACE, StructureKind
+from emcurate.grid import StructureKind
 from emcurate.phantom import (
     Gaussian,
     InjectionOp,
@@ -13,6 +13,8 @@ from emcurate.phantom import (
     _apply_op,
     apply_injections,
 )
+
+from oracles import STRUCTURES, full_grid_face_dilation
 
 
 def test_zero_structure_spec():
@@ -196,8 +198,9 @@ def test_jitter_matches_full_grid_morphology(mode, box):
         mask = labels == 1
         expected = labels.copy()
         if mode == "dilate":
-            expected[ndimage.binary_dilation(mask, structure=FACE) & (labels == 0)] = 1
+            expected[full_grid_face_dilation(mask) & (labels == 0)] = 1
         else:
-            expected[mask & ~ndimage.binary_erosion(mask, structure=FACE, border_value=0)] = 0
+            expected[mask & ~ndimage.binary_erosion(mask, structure=STRUCTURES[6],
+                                                    border_value=0)] = 0
         _apply_op(labels, InjectionOp(1, "jitter", {"mode": mode}))
         assert np.array_equal(labels, expected)
