@@ -4,10 +4,10 @@ Subcommands: generate, audit, refine, roc, run-loop, evaluate, review.
 Exit codes: 0 success, 2 configuration problem, 3 I/O or file-format
 problem, 4 violated invariant, 130 interrupted (Ctrl-C). All randomness
 flows from --seed (or the config's seed); no wall-clock entropy is used, so
-identical invocations produce byte-identical outputs. --out and --threads
-take precedence; EMCURATE_OUT and EMCURATE_THREADS are the fallbacks when
-they are absent. A non-empty --out is emptied with --force and refused
-without it.
+identical invocations produce byte-identical outputs. The commands read
+flags only, never the environment: --out names the output directory, and
+--threads defaults to all cores. A non-empty --out is emptied with --force
+and refused without it.
 """
 
 from __future__ import annotations
@@ -56,18 +56,11 @@ _INVARIANT_ERRORS = (ShapeError, CatalogError, UndefinedRateError, ModelError, P
 
 
 def _resolve_threads(args) -> int:
-    source, value = "--threads", args.threads
-    if value is None:
-        source, value = "EMCURATE_THREADS", os.environ.get("EMCURATE_THREADS")
-        if not value:
-            return os.cpu_count() or 1
-    try:
-        threads = int(value)
-    except ValueError:
-        raise ConfigError(f"{source} must be an integer, got {value!r}") from None
-    if threads < 1:
-        raise ConfigError(f"{source} must be >= 1, got {threads}")
-    return threads
+    if args.threads is None:
+        return os.cpu_count() or 1
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be >= 1, got {args.threads}")
+    return args.threads
 
 
 def _load_config(args) -> RunConfig:
@@ -98,14 +91,13 @@ def _read_config_corpus(cfg: RunConfig, corpus_dir: str) -> list[CaseRecord]:
 
 
 def _prepare_out_dir(args) -> Path:
-    """The output directory (--out, else EMCURATE_OUT), created and empty.
+    """The output directory --out, created and empty.
     A non-empty one is emptied with --force and refused without it; one
     that is or holds --corpus is refused either way. Commands call this
     after their input checks, so a failed check leaves it untouched."""
-    out = args.out or os.environ.get("EMCURATE_OUT")
-    if not out:
-        raise ConfigError("no output directory given (use --out or EMCURATE_OUT)")
-    out_dir = Path(out)
+    if not args.out:
+        raise ConfigError("no output directory given (use --out)")
+    out_dir = Path(args.out)
     if getattr(args, "corpus", None):
         corpus = Path(args.corpus).resolve()
         if out_dir.resolve() in (corpus, *corpus.parents):
@@ -303,8 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         if threads:
             p.add_argument("--threads", type=int, default=None,
-                           help="worker threads, >= 1 (or EMCURATE_THREADS; default: all cores)")
-        p.add_argument("--out", help="output directory (or EMCURATE_OUT)")
+                           help="worker threads, >= 1 (default: all cores)")
+        p.add_argument("--out", help="output directory")
         p.add_argument("--force", action="store_true", help="empty a non-empty output directory")
 
     p = sub.add_parser("generate", help="generate a phantom corpus")

@@ -18,7 +18,7 @@ import yaml
 
 from .errors import CatalogError, ConfigError
 from .expert import TIE_EPSILON, AnatomicalPrior, ExternalJudge, RuleBasedJudge
-from .grid import StructureCatalog, StructureKind
+from .grid import StructureCatalog
 from .loop import (
     EMConfig,
     InteractiveCliOracle,
@@ -220,10 +220,6 @@ def load_run_config(path: Optional[Union[str, Path]] = None) -> RunConfig:
         for label in catalog.labels:
             if label not in priors:
                 raise ConfigError(f"no prior for catalog structure {label}")
-        host = sections["noise"].tumor_fp_host
-        if host is not None and host not in [e.label for e in catalog.entries
-                                             if e.kind is StructureKind.ORGAN]:
-            raise ConfigError(f"noise.tumor_fp_host must be an organ label, got {host}")
     except (CatalogError, ConfigError) as exc:
         raise ConfigError(f"malformed config {cfg_path}: {exc}") from None
     return RunConfig(priors=priors, raw=raw, **sections)

@@ -42,7 +42,6 @@ from .verifier import (
     ChangeLogEntry,
     GaussianIntensityModel,
     ModelFactory,
-    SegmentationModel,
     audit_case,
     apply_update_rule,
     changed_structures,
@@ -369,7 +368,7 @@ def maximization_pass(corpus: Sequence[CaseRecord], cfg: EMConfig,
                       audit_dsc: Optional[dict[str, float]] = None,
                       phantom_source: Optional[PhantomSource] = None,
                       iteration: int = 1,
-                      new_model: ModelFactory = GaussianIntensityModel) -> SegmentationModel:
+                      new_model: ModelFactory = GaussianIntensityModel) -> GaussianIntensityModel:
     """Refit the model on the data mix, with optional gold-subset annealing.
 
     The training multiset is: a deterministic sample of round(labeled*N)
@@ -448,7 +447,7 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
            phantom_source: Optional[PhantomSource] = None, out_dir: Optional[Path] = None,
            timing: bool = False, threads: int = 1,
            new_model: ModelFactory = GaussianIntensityModel
-           ) -> tuple[list[CaseRecord], SegmentationModel, list[IterationReport]]:
+           ) -> tuple[list[CaseRecord], GaussianIntensityModel, list[IterationReport]]:
     """Alternate expectation and maximization passes until convergence.
 
     Stops at max_iterations or when the convergence metric (mean DSC vs gold,
@@ -464,7 +463,7 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
     seconds of its expectation pass, maximization pass, gold metrics and
     record writes (the model snapshot included).
     """
-    def snapshot(iteration: int, model: SegmentationModel) -> str:
+    def snapshot(iteration: int, model: GaussianIntensityModel) -> str:
         if out_dir is None:
             return ""
         blob = model.save(out_dir / f"model_{iteration:03d}.json")
@@ -525,12 +524,12 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
 # interactive review
 
 
-def render_overlay_ascii(overlay: np.ndarray, on: str = "#", off: str = ".") -> str:
+def render_overlay_ascii(overlay: np.ndarray) -> str:
     """ASCII front view: x across, z up (superior row first)."""
     nx, nz = overlay.shape
     rows = []
     for z in range(nz - 1, -1, -1):
-        rows.append("".join(on if overlay[x, z] else off for x in range(nx)))
+        rows.append("".join("#" if overlay[x, z] else "." for x in range(nx)))
     return "\n".join(rows)
 
 

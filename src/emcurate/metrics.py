@@ -367,6 +367,14 @@ def evaluate_pair(pred: LabelMap, ref: LabelMap,
     return scores
 
 
+def _quartiles(metric: str, scores: Sequence[float]) -> dict[str, float]:
+    """The median, Q1, Q3 and mean of scores, keyed ``<metric>_median`` and so on."""
+    return {f"{metric}_median": float(np.median(scores)),
+            f"{metric}_q1": float(np.percentile(scores, 25)),
+            f"{metric}_q3": float(np.percentile(scores, 75)),
+            f"{metric}_mean": float(np.mean(scores))}
+
+
 def corpus_summary(reports: dict[str, dict[int, StructureScores]],
                    catalog: StructureCatalog) -> dict:
     """Aggregate per-case reports into median (Q1-Q3) per structure plus corpus means."""
@@ -376,20 +384,9 @@ def corpus_summary(reports: dict[str, dict[int, StructureScores]],
         ds = [r[label].dsc for r in reports.values()]
         ns = [r[label].nsd for r in reports.values() if r[label].nsd is not None]
         all_dsc.extend(ds)
-        entry = {
-            "name": catalog.entry(label).name,
-            "dsc_median": float(np.median(ds)),
-            "dsc_q1": float(np.percentile(ds, 25)),
-            "dsc_q3": float(np.percentile(ds, 75)),
-            "dsc_mean": float(np.mean(ds)),
-        }
+        entry = {"name": catalog.entry(label).name, **_quartiles("dsc", ds)}
         if ns:
-            entry.update({
-                "nsd_median": float(np.median(ns)),
-                "nsd_q1": float(np.percentile(ns, 25)),
-                "nsd_q3": float(np.percentile(ns, 75)),
-                "nsd_mean": float(np.mean(ns)),
-            })
+            entry.update(_quartiles("nsd", ns))
         summary["per_structure"][str(label)] = entry
     summary["mean_dsc"] = float(np.mean(all_dsc)) if all_dsc else float("nan")
     return summary

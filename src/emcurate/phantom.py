@@ -152,7 +152,6 @@ class NoiseSpec:
     tumor_miss: float = 0.25
     tumor_fp_rate: float = 0.20
     tumor_fp_radius: tuple[float, float] = (2.0, 3.0)
-    tumor_fp_host: Optional[int] = None  # organ to seed false blobs in; None = any organ
 
     def __post_init__(self):
         for name in ("delete", "shift", "fragment", "spurious", "boundary_jitter",
@@ -459,10 +458,7 @@ def inject_noise(case: CaseRecord, noise: NoiseSpec,
             placed = False
             near_tumor = face_dilation(labels == tumor_label)
             for _ in range(50):
-                if noise.tumor_fp_host is not None:
-                    host = int(noise.tumor_fp_host)
-                else:
-                    host = organ_labels[int(rng.integers(0, len(organ_labels)))]
+                host = organ_labels[int(rng.integers(0, len(organ_labels)))]
                 host_vox = np.argwhere(labels == host)
                 if len(host_vox) == 0:
                     break

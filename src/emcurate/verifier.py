@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Protocol, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -70,7 +70,6 @@ class StructureAudit:
 class AuditOutcome:
     """Per-structure audit verdicts plus the prediction they were scored against."""
 
-    case_id: str
     per_structure: dict[int, StructureAudit]
     prediction: LabelMap
 
@@ -90,18 +89,6 @@ class ChangeLogEntry:
     voxels_before: int
     voxels_after: int
     conflicts: int = 0
-
-
-class SegmentationModel(Protocol):
-    organ_connectivity: int
-    tumor_connectivity: int
-
-    def fit(self, corpus: Sequence[CaseRecord],
-            weights: Optional[Sequence[float]] = None) -> None: ...
-
-    def predict(self, volume: VoxelGrid) -> LabelMap: ...
-
-    def predict_prob(self, volume: VoxelGrid, tumor_label: int) -> np.ndarray: ...
 
 
 @dataclass
@@ -399,11 +386,11 @@ class GaussianIntensityModel:
         return blob
 
 
-ModelFactory = Callable[[StructureCatalog], SegmentationModel]
+ModelFactory = Callable[[StructureCatalog], GaussianIntensityModel]
 
 
 def fit_model(corpus: Sequence[CaseRecord], weights: Optional[Sequence[float]] = None,
-              new_model: ModelFactory = GaussianIntensityModel) -> SegmentationModel:
+              new_model: ModelFactory = GaussianIntensityModel) -> GaussianIntensityModel:
     """Fit a fresh model from `new_model` on a corpus' pseudo annotations."""
     if len(corpus) == 0:
         raise ModelError("fit_model requires a nonempty corpus")
@@ -412,7 +399,7 @@ def fit_model(corpus: Sequence[CaseRecord], weights: Optional[Sequence[float]] =
     return model
 
 
-def audit_case(model: SegmentationModel, case: CaseRecord,
+def audit_case(model: GaussianIntensityModel, case: CaseRecord,
                auto_replace_dsc: float = 0.0, route_dsc: float = 0.5) -> AuditOutcome:
     """Score every catalog structure's pseudo mask against the model prediction.
 
@@ -423,8 +410,7 @@ def audit_case(model: SegmentationModel, case: CaseRecord,
     for s, a, b in structure_mask_pairs(case.pseudo, prediction):
         d = dsc(a, b)
         per_structure[s] = StructureAudit(d, classify_action(d, auto_replace_dsc, route_dsc))
-    return AuditOutcome(case_id=case.case_id, per_structure=per_structure,
-                        prediction=prediction)
+    return AuditOutcome(per_structure=per_structure, prediction=prediction)
 
 
 # One label write of the Expectation step: the structure, its new 3D mask

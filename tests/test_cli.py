@@ -133,6 +133,12 @@ def _truncate(path: Path) -> None:
     path.write_bytes(path.read_bytes()[:40])
 
 
+def _truncate_header(path: Path) -> None:
+    """Cut a volume file inside its header and re-sign it in the manifest."""
+    path.write_bytes(path.read_bytes()[:20])
+    _resign(path)
+
+
 def _edit_json(edit):
     def corrupt(path: Path) -> None:
         payload = json.loads(path.read_text())
@@ -150,6 +156,10 @@ CORRUPTIONS = {
     "manifest_truncated": ("manifest.json", _truncate),
     "file_not_in_manifest": ("manifest.json",
                              _edit_json(lambda m: m["checksums"].pop("case_0001_vol.smai"))),
+    "volume_header_truncated": ("case_0001_vol.smai", _truncate_header),
+    # the manifest's checksums omit the sidecar named first
+    "sidecar_not_in_manifest": ("case_0001.json", lambda p: _edit_json(
+        lambda m: m["checksums"].pop(p.name))(p.parent / "manifest.json")),
     "no_cases": ("manifest.json", _edit_json(lambda m: m.update(case_ids=[]))),
     "checksums_not_a_dict": ("manifest.json",
                              _edit_json(lambda m: m.update(checksums=sorted(m["checksums"])))),
@@ -414,6 +424,20 @@ def test_invariant_violation_is_exit_4(tmp_path):
                  "--out", str(tmp_path / "roc")]) == 4
 
 
+def test_roc_without_a_tumor_is_config_error_before_out(tmp_path, capsys):
+    cfg = dict(BASE_CFG, phantom={k: v for k, v in BASE_CFG["phantom"].items()
+                                  if k != "tumor"})
+    path = tmp_path / "organs.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    corpus = tmp_path / "corpus"
+    assert main(["generate", "--config", str(path), "--out", str(corpus)]) == 0
+    out = tmp_path / "roc"
+    assert main(["roc", "--config", str(path), "--corpus", str(corpus), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "requires a tumor structure" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_invalid_roc_points_is_config_error(tmp_path, capsys):
     cfg = dict(BASE_CFG, metrics={"roc_points": -1})
     path = tmp_path / "cfg.yaml"
@@ -529,35 +553,22 @@ def test_refine_outputs(cfg_file, tmp_path):
     assert (out / "queue.json").exists()
 
 
-def test_bad_thread_count_env_is_config_error(cfg_file, tmp_path, monkeypatch, capsys):
-    corpus = tmp_path / "corpus"
-    main(["generate", "--config", cfg_file, "--out", str(corpus)])
-    monkeypatch.setenv("EMCURATE_THREADS", "two")
-    assert main(["refine", "--config", cfg_file, "--corpus", str(corpus),
-                 "--out", str(tmp_path / "refine")]) == 2
-    assert "EMCURATE_THREADS" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("env", [None, ""], ids=["unset", "empty"])
-def test_no_out_is_config_error(cfg_file, tmp_path, monkeypatch, capsys, env):
-    """An empty EMCURATE_OUT names no directory, not the working directory."""
+@pytest.mark.parametrize("out", [None, ""], ids=["unset", "empty"])
+def test_no_out_is_config_error(cfg_file, tmp_path, monkeypatch, capsys, out):
+    """An empty --out names no directory, not the working directory."""
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("EMCURATE_OUT", raising=False)
-    if env is not None:
-        monkeypatch.setenv("EMCURATE_OUT", env)
     before = _paths(tmp_path)
-    assert main(["generate", "--config", cfg_file]) == 2
+    assert main(["generate", "--config", cfg_file] + ([] if out is None else ["--out", out])) == 2
     assert "no output directory" in capsys.readouterr().err
     assert _paths(tmp_path) == before
 
 
-@pytest.mark.parametrize("flag,env", [("0", None), ("-3", None), (None, "0")])
-def test_thread_count_below_one_is_config_error(cfg_file, tmp_path, monkeypatch, capsys,
-                                                flag, env):
-    if env is not None:
-        monkeypatch.setenv("EMCURATE_THREADS", env)
+# the ids are the names these cases had when the test also set the thread
+# count through the environment
+@pytest.mark.parametrize("flag", ["0", "-3"], ids=["0-None", "-3-None"])
+def test_thread_count_below_one_is_config_error(cfg_file, tmp_path, capsys, flag):
     argv = ["run-loop", "--config", cfg_file, "--out", str(tmp_path / "run")]
-    assert main(argv + (["--threads", flag] if flag else [])) == 2
+    assert main(argv + ["--threads", flag]) == 2
     assert "must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 

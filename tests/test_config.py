@@ -41,7 +41,7 @@ OVERRIDES = {
         "shift_axes": [0.2, 0.3, 0.5], "fragment_thickness": 4,
         "spurious_radius": [1.0, 2.0], "spurious_margin": 7,
         "tumor_miss": 0.61, "tumor_fp_rate": 0.71,
-        "tumor_fp_radius": [1.5, 2.5], "tumor_fp_host": 5,
+        "tumor_fp_radius": [1.5, 2.5],
     },
     "em": {
         "max_iterations": 7, "auto_replace_dsc": 0.1, "route_dsc": 0.6,
@@ -149,6 +149,8 @@ MALFORMED = [
     ({"corpus": {"gold_fraction": 1.5}}, "corpus.gold_fraction must lie in [0, 1], got 1.5"),
     ({"judge": {"command": ["judge", 5]}}, "judge.command"),
     ({"noise": {"shift_voxels": [4]}}, "noise.shift_voxels"),
+    ({"noise": {"tumor_fp_host": 5}}, "noise.tumor_fp_host"),
+    ({"priors_file": 5}, "priors_file must be a path"),
     ({"em": {"data_mix": [0.7, 0.2, 0.1]}}, "em.data_mix"),
     ({"em": {"data_mix": {"labeled": 0.8, "synthetic": 0.2}}}, "em.data_mix"),
     ({"phantom": {"structures": [3]}}, "malformed config"),
@@ -240,9 +242,6 @@ OUT_OF_RANGE = [
     ("noise", "spurious_radius", [3.0, 2.0]),
     ("noise", "tumor_fp_radius", [-1.0, 2.0]),
     ("noise", "tumor_fp_radius", [2.5, 2.0]),
-    ("noise", "tumor_fp_host", 99),  # not in the catalog
-    ("noise", "tumor_fp_host", 6),   # the aorta, a vessel
-    ("noise", "tumor_fp_host", 7),   # the tumor
 ]
 
 
@@ -286,6 +285,8 @@ MALFORMED_PRIORS = [
     (_edit_priors(lambda p: p["priors"][6].update(centroid_falloff=0.0)),
      "centroid_falloff must be > 0"),
     ("priors: [unclosed", "cannot load"),
+    (_edit_priors(lambda p: p.update(priors={"label": 1})), "'priors' must be a list"),
+    (_edit_priors(lambda p: p["priors"].append(p["priors"][0])), "label 1 is listed twice"),
 ]
 
 

@@ -70,6 +70,16 @@ STRAY_LINE = textwrap.dedent("""
         print(json.dumps({"id": json.loads(line)["id"], "preference": "second"}), flush=True)
 """)
 
+# the first child answers with another request's id; every child answers
+# "second"
+WRONG_ID_FIRST = textwrap.dedent("""
+    import json, sys
+    wrong = open(sys.argv[1]).read().count("\\n") == 1
+    for line in sys.stdin:
+        rid = "other/0/0" if wrong else json.loads(line)["id"]
+        print(json.dumps({"id": rid, "preference": "second"}), flush=True)
+""")
+
 # answers every request with one line that is not UTF-8
 NON_UTF8_REPLY = textwrap.dedent("""
     import sys
@@ -276,6 +286,27 @@ def test_stray_line_cannot_answer_a_later_request(run_cfg, external_judge):
     assert verdicts[0] == RuleBasedJudge(run_cfg.priors).compare("case_0", 6, vol, a, b)
     assert [v.preference for v in verdicts[1:]] == [Preference.SECOND] * 4
     assert all(v.score_first is None for v in verdicts[1:])
+    assert judge.protocol_failures == 1
+    assert len(started_children(judge)) == 2
+
+
+def test_reply_with_another_id_falls_back_and_ends_the_child(external_judge, caplog):
+    """A well-formed reply to another request's id is malformed: the rule
+    judge answers, the failure is counted, the child is ended and the next
+    request goes to a fresh child."""
+    vol, good, displaced = rule_decided_pair()
+    judge = external_judge(WRONG_ID_FIRST)
+    with caplog.at_level("WARNING", logger="emcurate.expert"):
+        verdict = judge.compare("case", 6, vol, good, displaced)
+    assert "response id 'other/0/0' != 'case/6/1'" in caplog.text
+    assert verdict == judge.fallback.compare("case", 6, vol, good, displaced)
+    assert verdict.preference is Preference.FIRST  # not the child's "second"
+    assert judge.protocol_failures == 1
+    assert judge._proc is None
+    [first] = started_children(judge)
+    with pytest.raises(ProcessLookupError):
+        os.kill(first, 0)
+    assert judge.compare("case", 6, vol, good, displaced).preference is Preference.SECOND
     assert judge.protocol_failures == 1
     assert len(started_children(judge)) == 2
 

@@ -42,3 +42,16 @@ def test_no_module_imports_a_private_name():
     private = [(p.name, module, name) for p in MODULES for module, names in _imports(p)
                for name in names if name.startswith("_")]
     assert private == []
+
+
+def test_no_module_reads_the_environment():
+    """The commands take their settings from flags and the config alone:
+    no module names os.environ or os.getenv, as an attribute, a bare name
+    or an imported one."""
+    names = ("environ", "getenv")
+    readers = [(p.name, node.lineno) for p in MODULES
+               for node in ast.walk(ast.parse(p.read_text(), str(p)))
+               if isinstance(node, ast.Attribute) and node.attr in names
+               or isinstance(node, ast.Name) and node.id in names
+               or isinstance(node, ast.alias) and node.name in names]
+    assert readers == []

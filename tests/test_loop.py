@@ -322,6 +322,29 @@ def test_escalated_write_logs_conflicts():
     assert list(updated[0].pseudo.labels[2:6, 0, 0]) == [1, 1, 2, 1]
 
 
+def test_tie_on_identical_masks_is_auto_resolved(judge):
+    """Structure 2 is ten isolated voxels, so its cleanup keeps one, and the
+    audit DSC against a prediction equal to that cleanup is 2/11: routed.
+    The rule judge ties on the identical masks, so the pass writes the
+    cleaned mask as an auto-resolution and escalates nothing."""
+    cat = StructureCatalog((StructureEntry(1, "organ_a", StructureKind.ORGAN),
+                            StructureEntry(2, "organ_b", StructureKind.ORGAN)))
+    labels = np.zeros((24, 1, 1), np.uint16)
+    labels[0:20:2, 0, 0] = 2
+    labels[21:24, 0, 0] = 1      # kept: the cleanup leaves it as it is
+    case = make_case(np.zeros((24, 1, 1)), labels, cat)
+    cleaned = shape_cleanup(case.pseudo)  # at fixed_model's connectivities
+    updated, entries, stats = expectation_pass([case], fixed_model(case, cleaned.labels), judge,
+                                               TieKeeperOracle(), em_cfg())
+    assert np.count_nonzero(cleaned.labels == 2) == 1
+    assert stats.per_case_audit_dsc[case.case_id] == pytest.approx((1 + 2 / 11) / 2)
+    assert (stats.counts["keep"], stats.counts["route"]) == (1, 1)
+    assert stats.counts["auto_resolved"] == 1
+    assert [e.action for e in stats.all_changes] == ["expert_auto_resolved"]
+    assert entries == [] and stats.counts["escalate"] == 0
+    assert np.array_equal(updated[0].pseudo.labels, cleaned.labels)
+
+
 class FailingOracle:
     def review(self, case, structure, candidates, context):
         raise RuntimeError("reviewer crashed")
