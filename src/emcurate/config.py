@@ -43,17 +43,17 @@ class MetricsConfig:
 
     def __post_init__(self):
         if self.nsd_tolerance_mm <= 0:
-            raise ConfigError(f"metrics.nsd_tolerance_mm must be > 0, got {self.nsd_tolerance_mm}")
+            raise ConfigError(f"nsd_tolerance_mm must be > 0, got {self.nsd_tolerance_mm}")
         for name in ("organ_connectivity", "tumor_connectivity"):
             if getattr(self, name) not in (6, 26):
-                raise ConfigError(f"metrics.{name} must be 6 or 26, got {getattr(self, name)}")
+                raise ConfigError(f"{name} must be 6 or 26, got {getattr(self, name)}")
         if self.roc_points < 1:
-            raise ConfigError(f"metrics.roc_points must be >= 1, got {self.roc_points}")
+            raise ConfigError(f"roc_points must be >= 1, got {self.roc_points}")
         if not 0.0 < self.roc_target_sensitivity <= 1.0:
-            raise ConfigError("metrics.roc_target_sensitivity must lie in (0, 1], "
+            raise ConfigError("roc_target_sensitivity must lie in (0, 1], "
                               f"got {self.roc_target_sensitivity}")
         if self.fp_min_voxels < 1:
-            raise ConfigError(f"metrics.fp_min_voxels must be >= 1, got {self.fp_min_voxels}")
+            raise ConfigError(f"fp_min_voxels must be >= 1, got {self.fp_min_voxels}")
 
 
 @dataclass(frozen=True)
@@ -62,26 +62,21 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.tumor_min_component_voxels < 1:
-            raise ConfigError("model.tumor_min_component_voxels must be >= 1, "
+            raise ConfigError("tumor_min_component_voxels must be >= 1, "
                               f"got {self.tumor_min_component_voxels}")
 
 
 @dataclass(frozen=True)
 class JudgeConfig:
-    kind: str = "rule_based"
-    command: tuple[str, ...] = ()
+    command: tuple[str, ...] = ()  # the external judge's argv; empty: the rule judge
     timeout_s: float = 10.0
     tie_epsilon: float = TIE_EPSILON
 
     def __post_init__(self):
-        if self.kind not in ("rule_based", "external"):
-            raise ConfigError(f"judge.kind must be 'rule_based' or 'external', got {self.kind!r}")
-        if self.kind == "external" and not self.command:
-            raise ConfigError("judge.command must not be empty when judge.kind is 'external'")
         if self.timeout_s <= 0:  # else every external request times out at once, a tie
-            raise ConfigError(f"judge.timeout_s must be > 0, got {self.timeout_s}")
+            raise ConfigError(f"timeout_s must be > 0, got {self.timeout_s}")
         if self.tie_epsilon < 0:
-            raise ConfigError(f"judge.tie_epsilon must be >= 0, got {self.tie_epsilon}")
+            raise ConfigError(f"tie_epsilon must be >= 0, got {self.tie_epsilon}")
 
 
 @dataclass(frozen=True)
@@ -91,10 +86,10 @@ class OracleConfig:
 
     def __post_init__(self):
         if self.kind not in ("simulated", "tie_keeper", "interactive"):
-            raise ConfigError("oracle.kind must be 'simulated', 'tie_keeper' or 'interactive', "
+            raise ConfigError("kind must be 'simulated', 'tie_keeper' or 'interactive', "
                               f"got {self.kind!r}")
         if not 0.0 <= self.accuracy <= 1.0:
-            raise ConfigError(f"oracle.accuracy must lie in [0, 1], got {self.accuracy}")
+            raise ConfigError(f"accuracy must lie in [0, 1], got {self.accuracy}")
 
 
 @dataclass(frozen=True)
@@ -104,9 +99,9 @@ class CorpusConfig:
 
     def __post_init__(self):
         if self.n_cases < 1:
-            raise ConfigError(f"corpus.n_cases must be >= 1, got {self.n_cases}")
+            raise ConfigError(f"n_cases must be >= 1, got {self.n_cases}")
         if not 0.0 <= self.gold_fraction <= 1.0:
-            raise ConfigError(f"corpus.gold_fraction must lie in [0, 1], got {self.gold_fraction}")
+            raise ConfigError(f"gold_fraction must lie in [0, 1], got {self.gold_fraction}")
 
 
 @dataclass(frozen=True)
@@ -115,8 +110,7 @@ class SyntheticConfig:
 
     def __post_init__(self):
         if self.intensity_jitter < 0:
-            raise ConfigError("synthetic.intensity_jitter must be >= 0, "
-                              f"got {self.intensity_jitter}")
+            raise ConfigError(f"intensity_jitter must be >= 0, got {self.intensity_jitter}")
 
 
 @dataclass(frozen=True)
@@ -150,10 +144,10 @@ class RunConfig:
 
     def build_judge(self):
         rule = RuleBasedJudge(self.priors, tie_epsilon=self.judge.tie_epsilon)
-        if self.judge.kind == "rule_based":
+        if not self.judge.command:
             return rule
         if shutil.which(self.judge.command[0]) is None:  # fail now, not at the first comparison
-            raise ConfigError(f"judge.command {self.judge.command[0]!r} cannot be run")
+            raise ConfigError(f"cannot run judge.command {self.judge.command[0]!r}")
         return ExternalJudge(self.judge.command, rule, self.judge.timeout_s)
 
     def build_oracle(self):

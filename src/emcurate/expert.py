@@ -77,18 +77,22 @@ class AnatomicalPrior:
     centroid_falloff: float = 0.15
 
     def __post_init__(self):
-        for lo, hi in (self.centroid_box.x, self.centroid_box.z, self.vertical_extent):
-            if not (0.0 <= lo <= hi <= 1.0):
-                raise ConfigError(f"prior '{self.name}': normalized ranges must be ordered in [0,1]")
-        if self.components[0] < 0 or self.components[1] < self.components[0]:
-            raise ConfigError(f"prior '{self.name}': bad component range")
-        if self.elongation[0] <= 0 or self.elongation[1] < self.elongation[0]:
-            raise ConfigError(f"prior '{self.name}': bad elongation range")
+        ranges = {"centroid_box.x": self.centroid_box.x, "centroid_box.z": self.centroid_box.z,
+                  "vertical_extent": self.vertical_extent}
+        for name, (lo, hi) in ranges.items():
+            if not 0.0 <= lo <= hi <= 1.0:
+                raise ConfigError(f"{name} must satisfy 0 <= lo <= hi <= 1, got {[lo, hi]}")
+        lo, hi = self.components
+        if not 0 <= lo <= hi:
+            raise ConfigError(f"components must satisfy 0 <= lo <= hi, got {[lo, hi]}")
+        lo, hi = self.elongation
+        if not 0 < lo <= hi:
+            raise ConfigError(f"elongation must satisfy 0 < lo <= hi, got {[lo, hi]}")
         if not set(self.weights) <= set(CRITERIA) or min(self.weights.values(), default=0) < 0:
-            raise ConfigError(f"prior '{self.name}': weights must map some of "
-                              f"{', '.join(CRITERIA)} to values >= 0, got {self.weights}")
+            raise ConfigError(f"weights must map some of {', '.join(CRITERIA)} to values >= 0, "
+                              f"got {self.weights}")
         if self.centroid_falloff <= 0:
-            raise ConfigError(f"prior '{self.name}': centroid_falloff must be > 0")
+            raise ConfigError(f"centroid_falloff must be > 0, got {self.centroid_falloff}")
 
     def weight(self, criterion: str) -> float:
         return float(self.weights.get(criterion, 1.0))

@@ -184,8 +184,9 @@ class LabelMap:
 
         Reusing it is exact because the labels are read-only. It lives
         outside the dataclass fields, so dataclasses.replace (and with_labels)
-        start without one. Two threads that race compute the same pure
-        value, and either may keep it."""
+        start without one. Before Python 3.12, cached_property holds one RLock
+        per descriptor, shared by every instance, so first reads of any two
+        maps serialize across threads (3.12 drops the lock)."""
         return label_boxes(self.labels, len(self.catalog.entries))
 
     def with_labels(self, labels: np.ndarray) -> "LabelMap":
@@ -240,7 +241,8 @@ class CaseRecord:
     def label_moments(self) -> dict[int, tuple[int, float, float]]:
         """(count, sum x, sum x^2) of the float64 intensities under each label
         of pseudo (background always, a structure when its box exists),
-        computed on first use and kept on the instance like LabelMap.boxes.
+        computed on first use and kept on the instance like LabelMap.boxes,
+        so first reads of any two records serialize across threads before Python 3.12.
 
         Each entry gathers the voxels with one boolean index (inside the
         label's box for a structure, which picks the same voxels in the same

@@ -83,24 +83,26 @@ class EMConfig:
 
     def __post_init__(self):
         if self.max_iterations < 0:
-            raise ConfigError("max_iterations must be >= 0")
+            raise ConfigError(f"max_iterations must be >= 0, got {self.max_iterations}")
         fractions = astuple(self.data_mix)
         if abs(sum(fractions) - 1.0) > 1e-9 or any(f < 0 for f in fractions):
-            raise ConfigError("data_mix fractions must be nonnegative and sum to 1")
+            raise ConfigError(f"data_mix must be nonnegative and sum to 1, got {fractions}")
         if not 0.0 < self.escalation_budget_fraction < 1.0:
-            raise ConfigError("escalation budget must lie in (0, 1)")
+            raise ConfigError("escalation_budget_fraction must lie in (0, 1), "
+                              f"got {self.escalation_budget_fraction}")
         for name in ("auto_replace_dsc", "route_dsc"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must lie in [0, 1]")
+                raise ConfigError(f"{name} must lie in [0, 1], got {v}")
         if self.annealing.weight < 0:
-            raise ConfigError(f"em.annealing.weight must be >= 0, got {self.annealing.weight}")
+            raise ConfigError(f"annealing.weight must be >= 0, got {self.annealing.weight}")
         if self.convergence_mode not in ("gold", "changes"):
-            raise ConfigError("convergence_mode must be 'gold' or 'changes'")
+            raise ConfigError("convergence_mode must be 'gold' or 'changes', "
+                              f"got {self.convergence_mode!r}")
         if self.seed < 0:
-            raise ConfigError(f"em.seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.low_confidence_floor <= 1.0:
-            raise ConfigError("em.low_confidence_floor must lie in [0, 1], "
+            raise ConfigError("low_confidence_floor must lie in [0, 1], "
                               f"got {self.low_confidence_floor}")
 
 

@@ -68,12 +68,12 @@ class StructureShapeSpec:
 
     def __post_init__(self):
         if any(r <= 0 for r in self.radii):
-            raise ConfigError(f"{self.name}: radii must be positive")
-        for c, r in zip(self.center, self.radii):
-            if c - r < 0.0 or c + r > 1.0:
-                raise ConfigError(f"{self.name}: shape must lie within the unit cube")
+            raise ConfigError(f"radii must be positive, got {list(self.radii)}")
+        if any(c - r < 0.0 or c + r > 1.0 for c, r in zip(self.center, self.radii)):
+            raise ConfigError("center +- radii must lie within the unit cube, "
+                              f"got center {list(self.center)}, radii {list(self.radii)}")
         if self.intensity.std <= 0:
-            raise ConfigError(f"{self.name}: intensity.std must be positive")
+            raise ConfigError(f"intensity.std must be > 0, got {self.intensity.std}")
 
 
 @dataclass(frozen=True)
@@ -89,12 +89,12 @@ class TumorSpec:
     def __post_init__(self):
         lo, hi = self.count_range
         if lo < 0 or hi < lo:
-            raise ConfigError("tumor count_range must satisfy 0 <= lo <= hi")
-        if self.radius_range[0] <= 0 or self.radius_range[1] < self.radius_range[0]:
-            raise ConfigError("tumor radius_range must be positive and ordered")
+            raise ConfigError(f"count_range must satisfy 0 <= lo <= hi, got {[lo, hi]}")
+        lo, hi = self.radius_range
+        if not 0 < lo <= hi:
+            raise ConfigError(f"radius_range must satisfy 0 < lo <= hi, got {[lo, hi]}")
         if self.intensity_std < 0:
-            raise ConfigError("phantom.tumor.intensity_std must be >= 0, "
-                              f"got {self.intensity_std}")
+            raise ConfigError(f"intensity_std must be >= 0, got {self.intensity_std}")
 
 
 @dataclass(frozen=True)
@@ -108,15 +108,14 @@ class PhantomSpec:
     def __post_init__(self):
         object.__setattr__(self, "structures", tuple(self.structures))
         if any(d <= 0 for d in self.dims):
-            raise ConfigError(f"phantom.dims must be positive, got {list(self.dims)}")
+            raise ConfigError(f"dims must be positive, got {list(self.dims)}")
         if any(s <= 0 for s in self.spacing):
-            raise ConfigError(f"phantom.spacing must be positive, got {list(self.spacing)}")
+            raise ConfigError(f"spacing must be positive, got {list(self.spacing)}")
         if self.background.std < 0:
-            raise ConfigError(f"phantom.background.std must be >= 0, got {self.background.std}")
-        if self.tumor is not None:
-            hosts = [s for s in self.structures if s.label == self.tumor.host_label]
-            if not hosts:
-                raise ConfigError(f"tumor host label {self.tumor.host_label} not among structures")
+            raise ConfigError(f"background.std must be >= 0, got {self.background.std}")
+        if self.tumor and all(s.label != self.tumor.host_label for s in self.structures):
+            raise ConfigError("tumor.host_label must name a structure, "
+                              f"got {self.tumor.host_label}")
 
     @property
     def catalog(self) -> StructureCatalog:
@@ -140,7 +139,7 @@ class NoiseSpec:
     """
 
     delete: float = 0.06
-    shift: float = 0.10
+    shift: float = 0.12
     fragment: float = 0.05
     spurious: float = 0.05
     boundary_jitter: float = 0.02
@@ -149,34 +148,31 @@ class NoiseSpec:
     fragment_thickness: int = 2
     spurious_radius: tuple[float, float] = (2.0, 3.0)
     spurious_margin: int = 10  # blobs land within this many voxels of the structure
-    tumor_miss: float = 0.25
-    tumor_fp_rate: float = 0.20
+    tumor_miss: float = 0.30
+    tumor_fp_rate: float = 0.50
     tumor_fp_radius: tuple[float, float] = (2.0, 3.0)
 
     def __post_init__(self):
-        for name in ("delete", "shift", "fragment", "spurious", "boundary_jitter",
-                     "tumor_miss"):
+        for name in ("delete", "shift", "fragment", "spurious", "boundary_jitter", "tumor_miss"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise ConfigError(f"noise probability {name}={p} outside [0,1]")
+                raise ConfigError(f"{name} must lie in [0, 1], got {p}")
         if self.tumor_fp_rate < 0:
-            raise ConfigError("tumor_fp_rate must be >= 0")
+            raise ConfigError(f"tumor_fp_rate must be >= 0, got {self.tumor_fp_rate}")
         lo, hi = self.shift_voxels
         if lo < 0 or hi < lo:
-            raise ConfigError("noise.shift_voxels must satisfy 0 <= lo <= hi, "
-                              f"got {list(self.shift_voxels)}")
+            raise ConfigError(f"shift_voxels must satisfy 0 <= lo <= hi, got {[lo, hi]}")
         if any(w < 0 for w in self.shift_axes) or sum(self.shift_axes) <= 0:
-            raise ConfigError("noise.shift_axes must be nonnegative with a positive sum, "
+            raise ConfigError("shift_axes must be nonnegative with a positive sum, "
                               f"got {list(self.shift_axes)}")
         if self.fragment_thickness < 1:
-            raise ConfigError("noise.fragment_thickness must be >= 1, "
-                              f"got {self.fragment_thickness}")
+            raise ConfigError(f"fragment_thickness must be >= 1, got {self.fragment_thickness}")
         if self.spurious_margin < 0:
-            raise ConfigError(f"noise.spurious_margin must be >= 0, got {self.spurious_margin}")
+            raise ConfigError(f"spurious_margin must be >= 0, got {self.spurious_margin}")
         for name in ("spurious_radius", "tumor_fp_radius"):
             lo, hi = getattr(self, name)
             if not 0 < lo <= hi:
-                raise ConfigError(f"noise.{name} must satisfy 0 < lo <= hi, got {[lo, hi]}")
+                raise ConfigError(f"{name} must satisfy 0 < lo <= hi, got {[lo, hi]}")
 
 
 @dataclass(frozen=True)

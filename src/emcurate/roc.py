@@ -33,11 +33,11 @@ class ThresholdPolicy:
 class CostModel:
     seconds_per_fp_removal: float = 5.0
     seconds_per_scratch_annotation: float = 270.0  # midpoint of the 4-5 min range
-    report_autoremoval: bool = True
 
     def __post_init__(self):
-        if self.seconds_per_fp_removal <= 0 or self.seconds_per_scratch_annotation <= 0:
-            raise ConfigError("cost model durations must be positive")
+        for name in ("seconds_per_fp_removal", "seconds_per_scratch_annotation"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -81,15 +81,13 @@ def process_case(case: CaseRecord, tumor_pred: np.ndarray, gold_tumor: np.ndarra
                  cost: CostModel, connectivity: int = 6) -> ConfusionCounts:
     """The case's cleanup workload: report suppression, then simulated
     erasure of the false positives against gold, as the tumor-wise counts
-    of the suppressed prediction.
+    of the suppressed prediction. ``cost`` is not read.
 
     Erasure keeps each predicted component that touches gold, so a gold
     instance is hit after erasure iff it is hit before (fn are the missed
     instances, tp + fn all of them), and it spends one click per component
     touching no gold, whatever its size: fp at fp_min_voxels=1."""
-    if cost.report_autoremoval:
-        tumor_pred = suppress_fp_by_report(case, tumor_pred)
-    return tumor_wise_detection(tumor_pred, gold_tumor, connectivity)
+    return tumor_wise_detection(suppress_fp_by_report(case, tumor_pred), gold_tumor, connectivity)
 
 
 def annotation_savings(counts: Sequence[ConfusionCounts], cost: CostModel) -> SavingsReport:

@@ -152,8 +152,8 @@ def _coerce(hint, value, where: str):
 def _section(cls, value, where: str):
     """Build the dataclass ``cls`` from the mapping at ``where``, whose keys
     are its field names: an absent key keeps its default; a missing required
-    key, an unknown key or an unconvertible value is a ConfigError naming its
-    key path."""
+    key, an unknown key, an unconvertible value or one ``cls`` rejects (its
+    validator names the field; this adds ``where``) is a ConfigError."""
     hints = get_type_hints(cls)
     kwargs = {}
     for name, v in decode_mapping(value, where, [f.name for f in fields(cls)]).items():
@@ -164,7 +164,10 @@ def _section(cls, value, where: str):
     for f in fields(cls):
         if f.name not in kwargs and f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"missing key '{where}.{f.name}'")
-    return cls(**kwargs)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}.{exc}") from None
 
 
 def stored_lattice(dims, spacing) -> tuple[tuple[int, ...], tuple[float, ...]]:

@@ -670,12 +670,10 @@ def test_run_loop_timing_adds_only_timing_jsonl(cfg_file, tmp_path):
 
 BAD_LOOP_SETTINGS = {
     "unknown_oracle": {"oracle": {"kind": "bogus"}},
-    "external_judge_without_command": {"judge": {"kind": "external"}},
     "oracle_accuracy": {"oracle": {"accuracy": 2}},
     "negative_annealing_weight": {"em": dict(BASE_CFG["em"], annealing={"weight": -1.0})},
     "interactive_oracle_without_terminal": {"oracle": {"kind": "interactive"}},
-    "unrunnable_judge_command": {"judge": {"kind": "external",
-                                           "command": ["/nonexistent/judge"]}},
+    "unrunnable_judge_command": {"judge": {"command": ["/nonexistent/judge"]}},
 }
 # settings checked when the judge or oracle is built: the error names the
 # setting, not the config file
@@ -732,8 +730,7 @@ def _failing_change_count(pid_file: Path):
 def test_external_judge_child_ends_with_the_command(tmp_path, monkeypatch, command, fails):
     pid_file = tmp_path / "judge.pid"
     raw = copy.deepcopy(BASE_CFG)
-    raw["judge"] = {"kind": "external",
-                    "command": [sys.executable, "-u", "-c", LINGERING_JUDGE, str(pid_file)]}
+    raw["judge"] = {"command": [sys.executable, "-u", "-c", LINGERING_JUDGE, str(pid_file)]}
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(raw))
     corpus = tmp_path / "corpus"
@@ -766,7 +763,7 @@ def test_ctrl_c_ends_run_loop_with_one_line(tmp_path):
     no traceback, and the judge child ended."""
     pid_file = tmp_path / "judge.pid"
     raw = copy.deepcopy(BASE_CFG)
-    raw["judge"] = {"kind": "external", "timeout_s": 120.0,
+    raw["judge"] = {"timeout_s": 120.0,
                     "command": [sys.executable, "-u", "-c", SILENT_JUDGE, str(pid_file)]}
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(raw))
@@ -813,8 +810,7 @@ def test_refine_judge_requests_do_not_depend_on_the_thread_count(tmp_path):
     requests = tmp_path / "requests.jsonl"
     raw = copy.deepcopy(BASE_CFG)
     raw["corpus"]["n_cases"] = 24
-    raw["judge"] = {"kind": "external",
-                    "command": [sys.executable, "-u", "-c", HASHING_JUDGE, str(requests)]}
+    raw["judge"] = {"command": [sys.executable, "-u", "-c", HASHING_JUDGE, str(requests)]}
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(yaml.safe_dump(raw))
     corpus = tmp_path / "corpus"

@@ -10,6 +10,7 @@ import yaml
 import emcurate as em
 from emcurate import ConfigError, EMConfig
 from emcurate.cli import main
+from emcurate.loop import InteractiveCliOracle
 from emcurate.config import (
     CorpusConfig,
     JudgeConfig,
@@ -51,10 +52,8 @@ OVERRIDES = {
         "annealing": {"enabled": False, "weight": 2.0},
         "low_confidence_floor": 0.1, "seed": 9,
     },
-    "cost": {"seconds_per_fp_removal": 7.0, "seconds_per_scratch_annotation": 100.0,
-             "report_autoremoval": False},
-    "judge": {"kind": "external", "command": ["judge", "--fast"], "timeout_s": 3.0,
-              "tie_epsilon": 0.05},
+    "cost": {"seconds_per_fp_removal": 7.0, "seconds_per_scratch_annotation": 100.0},
+    "judge": {"command": ["judge", "--fast"], "timeout_s": 3.0, "tie_epsilon": 0.05},
     "oracle": {"kind": "tie_keeper", "accuracy": 0.8},
     "corpus": {"n_cases": 7, "gold_fraction": 0.3},
     "metrics": {"nsd_tolerance_mm": 1.5, "organ_connectivity": 6, "tumor_connectivity": 26,
@@ -142,7 +141,8 @@ MALFORMED = [
     ({"em": {"annealing_enabled": False}}, "em.annealing_enabled"),
     ({"metrics": 3}, "'metrics'"),
     ({"judge": {"timeout_s": "fast"}}, "judge.timeout_s"),
-    ({"cost": {"report_autoremoval": "yes"}}, "cost.report_autoremoval"),
+    ({"cost": {"report_autoremoval": True}}, "cost.report_autoremoval"),
+    ({"judge": {"kind": "rule_based"}}, "judge.kind"),
     ({"corpus": {"n_cases": True}}, "corpus.n_cases"),
     ({"corpus": {"n_cases": 2.7}}, "corpus.n_cases"),
     ({"corpus": {"n_cases": 0}}, "corpus.n_cases must be >= 1, got 0"),
@@ -181,6 +181,36 @@ MALFORMED = [
     ({"oracle": {"accuracy": 2}}, "oracle.accuracy must lie in [0, 1], got 2"),
     ({"judge": {"timeout_s": 0.0}}, "judge.timeout_s must be > 0, got 0.0"),
     ({"em": {"annealing": {"weight": -1.0}}}, "em.annealing.weight must be >= 0, got -1.0"),
+    # a value a section's validator rejects is named by its full key path
+    ({"em": {"max_iterations": -1}}, "em.max_iterations must be >= 0, got -1"),
+    ({"em": {"data_mix": {"labeled": 0.5, "synthetic": 0.2, "selective": 0.1}}},
+     "em.data_mix must be nonnegative and sum to 1, got (0.5, 0.2, 0.1)"),
+    ({"em": {"escalation_budget_fraction": 1.5}},
+     "em.escalation_budget_fraction must lie in (0, 1), got 1.5"),
+    ({"em": {"auto_replace_dsc": -0.1}}, "em.auto_replace_dsc must lie in [0, 1], got -0.1"),
+    ({"em": {"route_dsc": 1.5}}, "em.route_dsc must lie in [0, 1], got 1.5"),
+    ({"em": {"convergence_mode": "never"}},
+     "em.convergence_mode must be 'gold' or 'changes', got 'never'"),
+    (_phantom(lambda p: p["structures"][2].update(radii=[0.06, 0.0, 0.1])),
+     "phantom.structures[2].radii must be positive, got [0.06, 0.0, 0.1]"),
+    (_phantom(lambda p: p["structures"][2].update(center=[0.97, 0.58, 0.36])),
+     "phantom.structures[2].center +- radii must lie within the unit cube, "
+     "got center [0.97, 0.58, 0.36], radii [0.06, 0.055, 0.1]"),
+    (_phantom(lambda p: p["structures"][1]["intensity"].update(std=0.0)),
+     "phantom.structures[1].intensity.std must be > 0, got 0.0"),
+    (_phantom(lambda p: p["tumor"].update(count_range=[3, 1])),
+     "phantom.tumor.count_range must satisfy 0 <= lo <= hi, got [3, 1]"),
+    (_phantom(lambda p: p["tumor"].update(radius_range=[0.0, 0.05])),
+     "phantom.tumor.radius_range must satisfy 0 < lo <= hi, got [0.0, 0.05]"),
+    (_phantom(lambda p: p["tumor"].update(host_label=9)),
+     "phantom.tumor.host_label must name a structure, got 9"),
+    ({"noise": {"shift": 1.5}}, "noise.shift must lie in [0, 1], got 1.5"),
+    ({"noise": {"tumor_miss": -0.25}}, "noise.tumor_miss must lie in [0, 1], got -0.25"),
+    ({"noise": {"tumor_fp_rate": -0.5}}, "noise.tumor_fp_rate must be >= 0, got -0.5"),
+    ({"cost": {"seconds_per_fp_removal": 0.0}},
+     "cost.seconds_per_fp_removal must be > 0, got 0.0"),
+    ({"cost": {"seconds_per_scratch_annotation": -1.0}},
+     "cost.seconds_per_scratch_annotation must be > 0, got -1.0"),
 ]
 
 
@@ -224,7 +254,7 @@ def test_negative_seed_flag_exits_2(run_cfg, tmp_path, capsys):
     assert main(["generate", "--config", str(_write(run_cfg, tmp_path)), "--seed", "-1",
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert "--seed" in err and "Traceback" not in err
+    assert "--seed: seed must be >= 0, got -1" in err and "Traceback" not in err
     assert not out.exists()
 
 
@@ -287,6 +317,22 @@ MALFORMED_PRIORS = [
     ("priors: [unclosed", "cannot load"),
     (_edit_priors(lambda p: p.update(priors={"label": 1})), "'priors' must be a list"),
     (_edit_priors(lambda p: p["priors"].append(p["priors"][0])), "label 1 is listed twice"),
+    # a value a row's validator rejects is named by its full key path
+    (_edit_priors(lambda p: p["priors"][0]["centroid_box"].update(x=[0.6, 0.4])),
+     "priors[0].centroid_box.x must satisfy 0 <= lo <= hi <= 1, got [0.6, 0.4]"),
+    (_edit_priors(lambda p: p["priors"][1]["centroid_box"].update(z=[0.2, 1.2])),
+     "priors[1].centroid_box.z must satisfy 0 <= lo <= hi <= 1, got [0.2, 1.2]"),
+    (_edit_priors(lambda p: p["priors"][2].update(vertical_extent=[-0.1, 0.5])),
+     "priors[2].vertical_extent must satisfy 0 <= lo <= hi <= 1, got [-0.1, 0.5]"),
+    (_edit_priors(lambda p: p["priors"][3].update(components=[2, 1])),
+     "priors[3].components must satisfy 0 <= lo <= hi, got [2, 1]"),
+    (_edit_priors(lambda p: p["priors"][4].update(elongation=[0.0, 2.0])),
+     "priors[4].elongation must satisfy 0 < lo <= hi, got [0.0, 2.0]"),
+    (_edit_priors(lambda p: p["priors"][5].update(weights={"centroid": -1.0})),
+     "priors[5].weights must map some of centroid, components, extent, elongation to values "
+     ">= 0, got {'centroid': -1.0}"),
+    (_edit_priors(lambda p: p["priors"][5].update(centroid_falloff=-0.1)),
+     "priors[5].centroid_falloff must be > 0, got -0.1"),
 ]
 
 
@@ -408,21 +454,20 @@ def test_malformed_yaml_rejected(tmp_path):
 
 
 def test_unknown_judge_and_oracle_kinds(run_cfg, tmp_path):
-    """Judge and oracle kinds are checked when the config loads."""
-    for section, where in (({"judge": {"kind": "psychic"}}, "judge.kind"),
-                           ({"judge": {"kind": "external", "command": []}}, "judge.command"),
-                           ({"oracle": {"kind": "psychic"}}, "oracle.kind")):
-        path = _write(run_cfg, tmp_path, **section)
-        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: {where} must"):
-            load_run_config(path)
+    """The oracle kind is checked when the config loads; the judge has no
+    kind (a non-empty judge.command selects the external judge)."""
+    path = _write(run_cfg, tmp_path, oracle={"kind": "psychic"})
+    with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: oracle.kind must"):
+        load_run_config(path)
 
 
 @pytest.mark.parametrize("kind", ["rule_based", "external"])
 def test_build_judge_wires_the_judge_section(run_cfg, tmp_path, kind):
-    """The external judge gets the configured timeout and a rule-based
-    fallback with the configured tie epsilon."""
-    section = {"kind": kind, "command": [sys.executable, "-c", "pass"], "timeout_s": 3.0,
-               "tie_epsilon": 0.05}
+    """A non-empty judge.command selects the external judge, with the
+    configured timeout and a rule-based fallback with the configured tie
+    epsilon; an empty one selects the rule-based judge."""
+    command = [sys.executable, "-c", "pass"] if kind == "external" else []
+    section = {"command": command, "timeout_s": 3.0, "tie_epsilon": 0.05}
     judge = load_run_config(_write(run_cfg, tmp_path, judge=section)).build_judge()
     if kind == "external":
         assert type(judge) is em.ExternalJudge
@@ -431,6 +476,26 @@ def test_build_judge_wires_the_judge_section(run_cfg, tmp_path, kind):
     assert type(judge) is em.RuleBasedJudge
     assert judge.tie_epsilon == 0.05
     assert judge.priors == run_cfg.priors
+
+
+@pytest.mark.parametrize("kind,oracle", [("simulated", em.SimulatedExpert),
+                                         ("tie_keeper", em.TieKeeperOracle),
+                                         ("interactive", InteractiveCliOracle)])
+def test_build_oracle_wires_the_oracle_section(run_cfg, tmp_path, monkeypatch, kind, oracle):
+    """Each oracle kind builds its oracle; the interactive one needs a
+    terminal on standard input."""
+    monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+    cfg = load_run_config(_write(run_cfg, tmp_path, oracle={"kind": kind, "accuracy": 0.7}))
+    built = cfg.build_oracle()
+    assert type(built) is oracle
+    if kind == "simulated":
+        assert (built.accuracy, built.seed) == (0.7, cfg.em.seed)
+
+
+def test_packaged_noise_profile_is_the_noise_spec_default():
+    """A config that leaves out a noise key gets the packaged "standard"
+    profile's value for it."""
+    assert load_run_config().noise == em.NoiseSpec()
 
 
 @pytest.mark.parametrize("field,value", [

@@ -33,7 +33,7 @@ from emcurate.grid import (
     within_mm,
 )
 
-from conftest import CAT4, label_volumes, make_label_map
+from conftest import CAT4, label_volumes, make_case, make_label_map
 from oracles import (
     brute_components,
     brute_front_overlay,
@@ -55,6 +55,19 @@ def test_catalog_requires_dense_labels():
     with pytest.raises(CatalogError):
         StructureCatalog((StructureEntry(1, "x", StructureKind.ORGAN),
                           StructureEntry(1, "y", StructureKind.ORGAN)))
+
+
+def test_catalog_entry_of_unknown_label():
+    assert CAT.entry(2).name == "b"
+    with pytest.raises(CatalogError, match="label 4 not in catalog"):
+        CAT.entry(4)
+
+
+def test_case_record_label_maps_share_the_volume_lattice():
+    volume, other = np.zeros((2, 2, 2)), np.zeros((2, 2, 3))
+    for labels, gold in ((other, None), (volume, other)):
+        with pytest.raises(ShapeError, match="lattice differs from volume"):
+            make_case(volume, labels, CAT4, gold_labels=gold)
 
 
 def test_voxel_grid_validation():

@@ -1,7 +1,10 @@
 """Which package module may import what, read from the source with ast."""
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from emcurate.config import RunConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "emcurate"
 MODULES = sorted(SRC.glob("*.py"))
@@ -55,3 +58,27 @@ def test_no_module_reads_the_environment():
                or isinstance(node, ast.Name) and node.id in names
                or isinstance(node, ast.alias) and node.name in names]
     assert readers == []
+
+
+def _message_head(call: ast.Call) -> str:
+    """The literal text that a call's first argument starts with, '' when
+    it starts with a replacement field or is not a string."""
+    arg = call.args[0] if call.args else None
+    if isinstance(arg, ast.JoinedStr) and arg.values:
+        arg = arg.values[0]
+    return arg.value if isinstance(arg, ast.Constant) and isinstance(arg.value, str) else ""
+
+
+def test_validators_leave_the_key_path_to_the_decoder():
+    """A dataclass validator names only the field it rejects, and the config
+    decoder (volume_io._section) prefixes the key path it decodes: so no
+    ConfigError raised in a __post_init__ starts with a RunConfig section
+    name and a dot, or with a prior's name."""
+    heads = tuple(f"{f.name}." for f in dataclasses.fields(RunConfig)) + ("prior '",)
+    raises = [(p.name, node.lineno, _message_head(node)) for p in MODULES
+              for fn in ast.walk(ast.parse(p.read_text(), str(p)))
+              if isinstance(fn, ast.FunctionDef) and fn.name == "__post_init__"
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError"]
+    assert len(raises) > 40
+    assert [r for r in raises if r[2].startswith(heads)] == []

@@ -179,6 +179,15 @@ def test_ordered_parallel_map_stays_lazy(threads):
     assert max(ahead) <= threads
 
 
+def test_expectation_pass_on_an_empty_corpus(run_cfg_module, judge):
+    model = run_cfg_module.build_model(run_cfg_module.catalog)  # never asked
+    corpus, entries, stats = expectation_pass([], model, judge, TieKeeperOracle(), em_cfg())
+    assert corpus == [] and entries == []
+    assert stats.counts["structures_audited"] == 0
+    assert stats.escalation_fraction == 0.0
+    assert stats.change_fraction == 0.0
+
+
 def test_simulated_expert_deterministic_and_gold_seeking(noisy_corpus):
     cases, _ = noisy_corpus
     case = next(c for c in cases if c.gold is not None and (c.gold.labels == 1).any())

@@ -184,6 +184,15 @@ def test_undefined_rates_named():
     with pytest.raises(UndefinedRateError) as err:
         f1_score(ConfusionCounts(tp=0, tn=1, fp=0, fn=1))
     assert err.value.rate == "precision"
+    with pytest.raises(UndefinedRateError) as err:  # precision and recall both 0
+        f1_score(ConfusionCounts(tp=0, tn=0, fp=1, fn=1))
+    assert err.value.rate == "f1"
+
+
+def test_confusion_counts_reject_negatives():
+    for counts in ({"tp": -1}, {"tn": -1}, {"fp": -1}, {"fn": -1}):
+        with pytest.raises(ShapeError, match="non-negative"):
+            ConfusionCounts(**counts)
 
 
 # -- detection ---------------------------------------------------------------
@@ -421,6 +430,11 @@ def test_roc_validates_inputs():
         build_roc([prob], [ref], [0.2, 0.5])  # not decreasing
     with pytest.raises(ShapeError):
         build_roc([prob], [ref], [])
+    with pytest.raises(ShapeError, match="shape"):
+        build_roc([prob], [np.zeros((2, 2, 3), bool)], [0.5])
+    for thresholds in ([1.5, 0.5], [0.5, -0.1]):
+        with pytest.raises(ShapeError, match=r"within \[0, 1\]"):
+            build_roc([prob], [ref], thresholds)
 
 
 def test_roc_curve_invariants_enforced():
@@ -458,3 +472,11 @@ def test_evaluate_pair_matches_full_grid_oracle(volumes, spacing, tolerance_mm):
         assert got.dsc == brute_dsc(a, b)
         assert got.nsd == full_grid_nsd(a, b, tolerance_mm, spacing)
         assert (got.pred_voxels, got.ref_voxels) == (np.count_nonzero(a), np.count_nonzero(b))
+
+
+def test_evaluate_pair_rejects_other_lattices():
+    pred = make_label_map(np.zeros((2, 2, 2)), CAT4)
+    for ref in (make_label_map(np.zeros((2, 2, 3)), CAT4),
+                make_label_map(np.zeros((2, 2, 2)), CAT4, spacing=(1.0, 1.0, 2.0))):
+        with pytest.raises(ShapeError, match="lattices differ"):
+            evaluate_pair(pred, ref, 2.0)

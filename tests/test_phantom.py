@@ -14,6 +14,7 @@ from emcurate.phantom import (
     apply_injections,
 )
 
+from conftest import CAT4, make_case, make_label_map
 from oracles import STRUCTURES, full_grid_face_dilation
 
 
@@ -119,6 +120,28 @@ def test_shift_overlap_matches_direct_computation(run_cfg):
         d = em.dsc(shifted.labels == s, gold_mask)
         assert d == pytest.approx(em.dsc(rolled, gold_mask), abs=1e-12)
         assert 0.0 < d < 1.0
+
+
+def test_shift_of_at_least_the_grid_size_empties_the_structure(run_cfg):
+    case = em.generate_case(run_cfg.phantom, 5)
+    n = case.gold.dims[0]
+    for vec in ([n, 0, 0], [-n, 0, 0], [0, 0, n + 3]):
+        shifted = apply_injections(case.gold, [InjectionOp(1, "shift", {"vector": vec})])
+        assert not (shifted.labels == 1).any()
+        assert np.array_equal(shifted.labels, np.where(case.gold.labels == 1, 0,
+                                                       case.gold.labels))
+
+
+def test_unknown_injection_op_is_rejected():
+    gold = make_label_map(np.ones((2, 2, 2)), CAT4)
+    with pytest.raises(ConfigError, match="unknown injection op 'teleport'"):
+        apply_injections(gold, [InjectionOp(1, "teleport", {})])
+
+
+def test_inject_noise_needs_gold():
+    case = make_case(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)), CAT4)
+    with pytest.raises(ConfigError, match="noise injection needs gold labels"):
+        em.inject_noise(case, NoiseSpec(), 1)
 
 
 def test_gold_never_mutated(run_cfg, small_corpus):

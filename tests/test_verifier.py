@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import emcurate as em
-from emcurate import AuditAction, ModelError, classify_action
+from emcurate import AuditAction, ModelError, ShapeError, classify_action
 from emcurate.grid import StructureCatalog, StructureEntry, StructureKind, VoxelGrid
 from emcurate.verifier import (
     _FLOOR_SLACK_NATS,
@@ -80,6 +80,8 @@ def test_fit_rejects_bad_weights(small_corpus):
         em.fit_model(cases[:2], weights=[0.0, 0.0])
     with pytest.raises(ModelError):
         em.fit_model([])
+    with pytest.raises(ShapeError, match="one weight per case"):
+        em.fit_model(cases[:2], weights=[1.0])
 
 
 def test_fitted_means_close_to_generator(run_cfg):
