@@ -35,7 +35,7 @@ pred = np.zeros((12, 12, 12), bool)
 pred[1:3, 1:3, 1:3] = True                   # hits instance 1 only
 pred[5:6, 5:6, 5:6] = True                   # a false positive blob
 print(f"\npatient-wise outcome: {em.patient_wise_detection(pred, ref).value}")
-tw = em.tumor_wise_detection(pred, ref, connectivity=6)
+tw = em.tumor_wise_detection(pred, ref)
 print(f"tumor-wise counts:    tp={tw.tp} fp={tw.fp} fn={tw.fn} "
       "(per-instance scoring is stricter)")
 

@@ -35,7 +35,7 @@ print(f"\nselected threshold {policy.selected_threshold:.2f}: "
 counts = []
 for case, prob in zip(cases, probs):
     pred = prob > policy.selected_threshold
-    case_counts = process_case(case, pred, case.gold.labels == tumor, cfg.cost)
+    case_counts = process_case(case, pred, case.gold.labels == tumor)
     counts.append(case_counts)
     # report-negative cases are emptied outright, at no click
     if not case.report.tumor_present:

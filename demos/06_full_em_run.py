@@ -34,8 +34,7 @@ source = em.PhantomSource(cfg.phantom, cfg.synthetic.intensity_jitter)
 
 started = time.perf_counter()
 corpus, model, reports = em.run_em(
-    cases, cfg.em, judge, oracle, phantom_source=source, threads=2,
-    new_model=cfg.build_model)
+    cases, cfg.em, judge, oracle, phantom_source=source, threads=2)
 elapsed = time.perf_counter() - started
 
 print(f"\nit  mean_dsc  keep  auto  route  escalate  esc_frac")

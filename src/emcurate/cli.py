@@ -131,7 +131,7 @@ def cmd_audit(args) -> int:
     cfg = _load_config(args)
     cases = _read_config_corpus(cfg, args.corpus)
     out_dir = _prepare_out_dir(args)
-    model = fit_model(cases, new_model=cfg.build_model)
+    model = fit_model(cases)
     model.save(out_dir / "model.json")
     rows = []
     changes = []
@@ -163,7 +163,7 @@ def cmd_refine(args) -> int:
         oracle = cfg.build_oracle()
         cases = _read_config_corpus(cfg, args.corpus)
         out_dir = _prepare_out_dir(args)
-        model = fit_model(cases, new_model=cfg.build_model)
+        model = fit_model(cases)
         updated, entries, stats = expectation_pass(cases, model, judge, oracle, cfg.em,
                                                    threads=threads)
     volume_io.write_corpus(out_dir / "refined", updated, cfg.catalog)
@@ -195,7 +195,7 @@ def cmd_roc(args) -> int:
             raise ConfigError(f"case {case.case_id} lacks gold labels; "
                               "the ROC workflow is a simulation against gold")
     out_dir = _prepare_out_dir(args)
-    model = fit_model(cases, new_model=cfg.build_model)
+    model = fit_model(cases)
     # Each case keeps only its support crop, nonzero_box((prob > 0) | ref):
     # build_roc crops to that box itself, and process_case counts components,
     # which the crop holds whole, so no curve point or count changes.
@@ -207,7 +207,6 @@ def cmd_roc(args) -> int:
         probs.append(prob[box].copy())
         refs.append(ref[box].copy())
     curve = build_roc(probs, refs, default_threshold_grid(cfg.metrics.roc_points),
-                      connectivity=model.tumor_connectivity,
                       fp_min_voxels=cfg.metrics.fp_min_voxels)
     with (out_dir / "roc_curve.csv").open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -217,8 +216,7 @@ def cmd_roc(args) -> int:
                              f"{p.fp_per_scan:.9f}", f"{p.specificity:.9f}"])
     policy = select_threshold(curve, cfg.metrics.roc_target_sensitivity)
     volume_io.write_json(out_dir / "policy.json", asdict(policy))
-    counts = [process_case(case, prob > policy.selected_threshold, gold, cfg.cost,
-                           connectivity=model.tumor_connectivity)
+    counts = [process_case(case, prob > policy.selected_threshold, gold)
               for case, prob, gold in zip(cases, probs, refs)]
     savings = annotation_savings(counts, cfg.cost)
     volume_io.write_json(out_dir / "savings.json", asdict(savings))
@@ -244,7 +242,7 @@ def cmd_run_loop(args) -> int:
         source = PhantomSource(cfg.phantom, intensity_jitter=cfg.synthetic.intensity_jitter)
         corpus, model, reports = run_em(
             cases, cfg.em, judge, oracle, phantom_source=source, out_dir=out_dir,
-            timing=args.timing, threads=threads, new_model=cfg.build_model)
+            timing=args.timing, threads=threads)
     volume_io.write_corpus(out_dir / "final_corpus", corpus, cfg.catalog)
     volume_io.write_json(out_dir / "summary.json", {
         "iterations": len(reports),

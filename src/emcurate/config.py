@@ -28,15 +28,12 @@ from .loop import (
 )
 from .phantom import NoiseSpec, PhantomSpec
 from .roc import CostModel
-from .verifier import GaussianIntensityModel
 from .volume_io import check_record, decode, decode_mapping
 
 
 @dataclass(frozen=True)
 class MetricsConfig:
     nsd_tolerance_mm: float = 2.0
-    organ_connectivity: int = 26
-    tumor_connectivity: int = 6
     roc_points: int = 101
     roc_target_sensitivity: float = 0.99
     fp_min_voxels: int = 1
@@ -44,9 +41,6 @@ class MetricsConfig:
     def __post_init__(self):
         if self.nsd_tolerance_mm <= 0:
             raise ConfigError(f"nsd_tolerance_mm must be > 0, got {self.nsd_tolerance_mm}")
-        for name in ("organ_connectivity", "tumor_connectivity"):
-            if getattr(self, name) not in (6, 26):
-                raise ConfigError(f"{name} must be 6 or 26, got {getattr(self, name)}")
         if self.roc_points < 1:
             raise ConfigError(f"roc_points must be >= 1, got {self.roc_points}")
         if not 0.0 < self.roc_target_sensitivity <= 1.0:
@@ -54,16 +48,6 @@ class MetricsConfig:
                               f"got {self.roc_target_sensitivity}")
         if self.fp_min_voxels < 1:
             raise ConfigError(f"fp_min_voxels must be >= 1, got {self.fp_min_voxels}")
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    tumor_min_component_voxels: int = 20
-
-    def __post_init__(self):
-        if self.tumor_min_component_voxels < 1:
-            raise ConfigError("tumor_min_component_voxels must be >= 1, "
-                              f"got {self.tumor_min_component_voxels}")
 
 
 @dataclass(frozen=True)
@@ -124,7 +108,6 @@ class RunConfig:
     oracle: OracleConfig
     corpus: CorpusConfig
     metrics: MetricsConfig
-    model: ModelConfig
     synthetic: SyntheticConfig
     raw: dict
 
@@ -135,12 +118,6 @@ class RunConfig:
     def with_seed(self, seed: int) -> "RunConfig":
         raw = {**self.raw, "em": {**(self.raw.get("em") or {}), "seed": seed}}
         return replace(self, em=replace(self.em, seed=seed), raw=raw)
-
-    def build_model(self, catalog: StructureCatalog) -> GaussianIntensityModel:
-        """A fresh, unfitted segmentation model with the configured settings."""
-        return GaussianIntensityModel(catalog, self.metrics.organ_connectivity,
-                                      self.metrics.tumor_connectivity,
-                                      self.model.tumor_min_component_voxels)
 
     def build_judge(self):
         rule = RuleBasedJudge(self.priors, tie_epsilon=self.judge.tie_epsilon)

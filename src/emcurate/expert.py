@@ -24,6 +24,8 @@ import numpy as np
 from .errors import ConfigError, ProtocolError
 from .grid import (
     BACKGROUND,
+    ORGAN_CONNECTIVITY,
+    TUMOR_CONNECTIVITY,
     CaseRecord,
     LabelMap,
     Projection2D,
@@ -212,10 +214,10 @@ class RuleBasedJudge:
         """Nothing to release; present so that every judge can be closed."""
 
 
-def shape_cleanup(label_map: LabelMap, organ_connectivity: int = 26,
-                  tumor_connectivity: int = 6) -> LabelMap:
-    """Largest-component retention plus one-voxel morphological closing per
-    structure (closing only claims background voxels).
+def shape_cleanup(label_map: LabelMap) -> LabelMap:
+    """Largest-component retention, at the grid connectivities, plus
+    one-voxel morphological closing per structure (closing only claims
+    background voxels).
 
     Each structure is processed inside its input box grown by one voxel and
     clipped to the grid, which is exact: earlier structures' closings only
@@ -231,7 +233,7 @@ def shape_cleanup(label_map: LabelMap, organ_connectivity: int = 26,
             continue
         region = labels[pad_box(box, 1, labels.shape)]  # a view
         mask = region == entry.label
-        conn = tumor_connectivity if entry.kind is StructureKind.TUMOR else organ_connectivity
+        conn = TUMOR_CONNECTIVITY if entry.kind is StructureKind.TUMOR else ORGAN_CONNECTIVITY
         kept = largest_component(mask, conn)
         region[mask & ~kept] = BACKGROUND
         closed = face_closing(kept)

@@ -53,6 +53,11 @@ STRUCTURES = {
     26: _freeze(ndimage.generate_binary_structure(3, 3)),
 }
 
+# What one component of a structure is, for every cleanup and count: tumor
+# instances are face-joined; an organ or vessel is 26-joined.
+TUMOR_CONNECTIVITY = 6
+ORGAN_CONNECTIVITY = 26
+
 
 def _check_dims_spacing(dims, spacing) -> tuple[tuple[int, int, int], tuple[float, float, float]]:
     dims = tuple(int(d) for d in dims)

@@ -41,7 +41,6 @@ from .verifier import (
     AuditAction,
     ChangeLogEntry,
     GaussianIntensityModel,
-    ModelFactory,
     audit_case,
     apply_update_rule,
     changed_structures,
@@ -310,8 +309,7 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
             writes, answers = [], []
             verdicts = {}
             if routed:
-                incumbent = shape_cleanup(case.pseudo, model.organ_connectivity,
-                                          model.tumor_connectivity)
+                incumbent = shape_cleanup(case.pseudo)
                 verdicts = run_tournament(case, incumbent, outcome.prediction, judge, routed)
             for s, verdict in verdicts.items():
                 incumbent_mask = incumbent.labels == s
@@ -369,8 +367,7 @@ def expectation_pass(corpus: Sequence[CaseRecord], model, judge, oracle: HumanOr
 def maximization_pass(corpus: Sequence[CaseRecord], cfg: EMConfig,
                       audit_dsc: Optional[dict[str, float]] = None,
                       phantom_source: Optional[PhantomSource] = None,
-                      iteration: int = 1,
-                      new_model: ModelFactory = GaussianIntensityModel) -> GaussianIntensityModel:
+                      iteration: int = 1) -> GaussianIntensityModel:
     """Refit the model on the data mix, with optional gold-subset annealing.
 
     The training multiset is: a deterministic sample of round(labeled*N)
@@ -423,7 +420,7 @@ def maximization_pass(corpus: Sequence[CaseRecord], cfg: EMConfig,
                 train.append(c)
                 weights.append(cfg.annealing.weight)
 
-    return fit_model(train, weights, new_model)
+    return fit_model(train, weights)
 
 
 def _gold_metrics(corpus: Sequence[CaseRecord]) -> tuple[Optional[float], Optional[dict]]:
@@ -447,15 +444,13 @@ def _gold_metrics(corpus: Sequence[CaseRecord]) -> tuple[Optional[float], Option
 
 def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOracle,
            phantom_source: Optional[PhantomSource] = None, out_dir: Optional[Path] = None,
-           timing: bool = False, threads: int = 1,
-           new_model: ModelFactory = GaussianIntensityModel
+           timing: bool = False, threads: int = 1
            ) -> tuple[list[CaseRecord], GaussianIntensityModel, list[IterationReport]]:
     """Alternate expectation and maximization passes until convergence.
 
     Stops at max_iterations or when the convergence metric (mean DSC vs gold,
     or the fraction of changed structures in no-gold mode) improves by less
     than convergence_epsilon. Deterministic given corpus, config and seed.
-    Every model, the initial fit and each refit, comes from `new_model`.
 
     With ``out_dir``, the run is recorded there: ``model_NNN.json`` for the
     initial fit (000) and each refit, and per iteration ``iteration_NNN.json``,
@@ -472,7 +467,7 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
     corpus = list(corpus)
-    model = fit_model(corpus, new_model=new_model)
+    model = fit_model(corpus)
     snapshot(0, model)
     reports: list[IterationReport] = []
     prev_metric, _ = _gold_metrics(corpus) if cfg.convergence_mode == "gold" else (None, None)
@@ -482,7 +477,7 @@ def run_em(corpus: Sequence[CaseRecord], cfg: EMConfig, judge, oracle: HumanOrac
                                                   iteration=iteration, threads=threads)
         expected = time.perf_counter()
         model = maximization_pass(corpus, cfg, stats.per_case_audit_dsc, phantom_source,
-                                  iteration=iteration, new_model=new_model)
+                                  iteration=iteration)
         maximized = time.perf_counter()
         mean_gold, per_structure = _gold_metrics(corpus)
         scored = time.perf_counter()

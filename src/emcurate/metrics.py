@@ -26,6 +26,7 @@ import numpy as np
 from .errors import ShapeError, UndefinedRateError
 from .grid import (
     STRUCTURES,
+    TUMOR_CONNECTIVITY,
     LabelMap,
     StructureCatalog,
     boundary_voxels,
@@ -176,7 +177,7 @@ def patient_wise_detection(pred_tumor, ref_tumor) -> DetectionOutcome:
     return DetectionOutcome.FP if pred_pos else DetectionOutcome.TN
 
 
-def tumor_wise_detection(pred_tumor, ref_tumor, connectivity: int = 6,
+def tumor_wise_detection(pred_tumor, ref_tumor, connectivity: int = TUMOR_CONNECTIVITY,
                          fp_min_voxels: int = 1) -> ConfusionCounts:
     """Instance-level counts: a reference component is TP iff it meets the
     prediction; predicted components of at least fp_min_voxels voxels meeting
@@ -278,7 +279,7 @@ def _fp_sweep(values: np.ndarray, clean: np.ndarray, u: np.ndarray, v: np.ndarra
 
 
 def build_roc(prob_maps: Sequence[np.ndarray], refs: Sequence[np.ndarray],
-              thresholds: Sequence[float], connectivity: int = 6,
+              thresholds: Sequence[float], connectivity: int = TUMOR_CONNECTIVITY,
               fp_min_voxels: int = 1) -> RocCurve:
     """Sweep thresholds over per-case tumor probability maps.
 

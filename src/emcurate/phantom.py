@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ConfigError
 from .grid import (
     BACKGROUND,
+    TUMOR_CONNECTIVITY,
     CaseMeta,
     CaseRecord,
     ContrastPhase,
@@ -47,7 +48,6 @@ from .grid import (
 class ShapeKind(str, Enum):
     ELLIPSOID = "ellipsoid"
     CYLINDER = "cylinder"
-    SPHERE = "sphere"
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,8 @@ def generate_case(spec: PhantomSpec, seed: Union[int, np.random.SeedSequence],
     if spec.tumor is not None:
         tumors = _sample_tumors(spec, geom_rng)
         for center, r in tumors:
-            labels[_shape_mask(spec.dims, ShapeKind.SPHERE, center, (r, r, r))] = spec.tumor.label
+            sphere = _shape_mask(spec.dims, ShapeKind.ELLIPSOID, center, (r, r, r))
+            labels[sphere] = spec.tumor.label
 
     data = intens_rng.normal(spec.background.mean, spec.background.std,
                              size=spec.dims).astype(np.float32)
@@ -356,7 +357,7 @@ def _apply_op(labels: np.ndarray, op: InjectionOp) -> None:
     elif op.op == "tumor_miss":
         # raster-order ids are the same on the bounding box as on the grid
         box = nonzero_box(mask)
-        comp = connected_components(mask[box], connectivity=6)
+        comp = connected_components(mask[box], TUMOR_CONNECTIVITY)
         labels[box][comp.ids == int(p["instance"])] = BACKGROUND
     elif op.op == "tumor_fp":
         blob = _sphere_mask_vox(labels.shape, p["center"], float(p["radius"]))
@@ -440,7 +441,7 @@ def inject_noise(case: CaseRecord, noise: NoiseSpec,
 
     for tumor_label in catalog.tumor_labels:
         tumor_mask = labels == tumor_label
-        comp = connected_components(tumor_mask[nonzero_box(tumor_mask)], connectivity=6)
+        comp = connected_components(tumor_mask[nonzero_box(tumor_mask)], TUMOR_CONNECTIVITY)
         for inst in range(1, comp.count + 1):
             if rng.random() < noise.tumor_miss:
                 fire(InjectionOp(tumor_label, "tumor_miss", {"instance": inst}))

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError, ShapeError, UndefinedRateError
-from .grid import CaseRecord
+from .grid import TUMOR_CONNECTIVITY, CaseRecord
 from .metrics import ConfusionCounts, RocCurve, tumor_wise_detection
 
 
@@ -78,10 +78,10 @@ def suppress_fp_by_report(case: CaseRecord, tumor_pred: np.ndarray) -> np.ndarra
 
 
 def process_case(case: CaseRecord, tumor_pred: np.ndarray, gold_tumor: np.ndarray,
-                 cost: CostModel, connectivity: int = 6) -> ConfusionCounts:
+                 connectivity: int = TUMOR_CONNECTIVITY) -> ConfusionCounts:
     """The case's cleanup workload: report suppression, then simulated
     erasure of the false positives against gold, as the tumor-wise counts
-    of the suppressed prediction. ``cost`` is not read.
+    of the suppressed prediction.
 
     Erasure keeps each predicted component that touches gold, so a gold
     instance is hit after erasure iff it is hit before (fn are the missed

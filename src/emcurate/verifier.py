@@ -15,13 +15,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import ModelError, ShapeError
 from .grid import (
     BACKGROUND,
+    ORGAN_CONNECTIVITY,
+    TUMOR_CONNECTIVITY,
     Box,
     CaseRecord,
     LabelMap,
@@ -180,12 +182,8 @@ class GaussianIntensityModel:
     then reduced to its largest connected component.
     """
 
-    def __init__(self, catalog: StructureCatalog,
-                 organ_connectivity: int = 26, tumor_connectivity: int = 6,
-                 tumor_min_component_voxels: int = 20):
+    def __init__(self, catalog: StructureCatalog, tumor_min_component_voxels: int = 20):
         self.catalog = catalog
-        self.organ_connectivity = organ_connectivity
-        self.tumor_connectivity = tumor_connectivity
         self.tumor_min_component_voxels = tumor_min_component_voxels
         self.params: dict[int, _StructureParams] = {}
         self.background: Optional[tuple[float, float]] = None
@@ -252,8 +250,8 @@ class GaussianIntensityModel:
 
     def predict(self, volume: VoxelGrid) -> LabelMap:
         """Maximum-likelihood labeling gated by spatial priors, then component
-        cleanup: single-instance structures keep their largest connected
-        component; tumor-kind structures keep every component at least
+        cleanup at the grid connectivities: single-instance structures keep
+        their largest component; tumor-kind structures keep every component at least
         tumor_min_component_voxels large (tumors are legitimately
         multi-instance, so largest-only would drop real instances).
 
@@ -290,12 +288,12 @@ class GaussianIntensityModel:
             if not m.any():
                 continue
             if self.catalog.entry(s).kind is StructureKind.TUMOR:
-                comp = connected_components(m, self.tumor_connectivity)
+                comp = connected_components(m, TUMOR_CONNECTIVITY)
                 small = np.flatnonzero(comp.sizes < self.tumor_min_component_voxels) + 1
                 if small.size:
                     region[np.isin(comp.ids, small)] = BACKGROUND
             else:
-                kept = largest_component(m, self.organ_connectivity)
+                kept = largest_component(m, ORGAN_CONNECTIVITY)
                 region[m & ~kept] = BACKGROUND
         return LabelMap(dims=volume.dims, spacing=volume.spacing, labels=out,
                         catalog=self.catalog)
@@ -357,7 +355,9 @@ class GaussianIntensityModel:
 
     def to_dict(self) -> dict:
         """The snapshot; a learned box is written as inclusive voxel bounds
-        bbox_lo/bbox_hi, [0, 0, 0] for an unmodeled structure."""
+        bbox_lo/bbox_hi, [0, 0, 0] for an unmodeled structure. The cleanup
+        settings are recorded too: the fixed grid connectivities and
+        tumor_min_component_voxels."""
         self._require_fitted()
 
         def bounds(box: Optional[Box]) -> dict:
@@ -368,8 +368,8 @@ class GaussianIntensityModel:
         return {
             "kind": "gaussian_intensity",
             "catalog_id": self.catalog.catalog_id,
-            "organ_connectivity": self.organ_connectivity,
-            "tumor_connectivity": self.tumor_connectivity,
+            "organ_connectivity": ORGAN_CONNECTIVITY,
+            "tumor_connectivity": TUMOR_CONNECTIVITY,
             "tumor_min_component_voxels": self.tumor_min_component_voxels,
             "background": {"mean": self.background[0], "std": self.background[1]},
             "structures": {
@@ -386,15 +386,12 @@ class GaussianIntensityModel:
         return blob
 
 
-ModelFactory = Callable[[StructureCatalog], GaussianIntensityModel]
-
-
-def fit_model(corpus: Sequence[CaseRecord], weights: Optional[Sequence[float]] = None,
-              new_model: ModelFactory = GaussianIntensityModel) -> GaussianIntensityModel:
-    """Fit a fresh model from `new_model` on a corpus' pseudo annotations."""
+def fit_model(corpus: Sequence[CaseRecord],
+              weights: Optional[Sequence[float]] = None) -> GaussianIntensityModel:
+    """Fit a fresh model on a corpus' pseudo annotations."""
     if len(corpus) == 0:
         raise ModelError("fit_model requires a nonempty corpus")
-    model = new_model(corpus[0].pseudo.catalog)
+    model = GaussianIntensityModel(corpus[0].pseudo.catalog)
     model.fit(corpus, weights)
     return model
 

@@ -4,7 +4,8 @@ The brute_* functions are deliberately written with plain loops and sets.
 The full_grid_* functions are the package's per-structure kernels as they
 were before they were cropped to label boxes: every mask spans the whole
 grid, built with numpy and scipy directly. They call nothing in the package
-under test and only read a model's fitted attributes. per_threshold_roc is
+under test and only read a model's fitted attributes and the grid's
+component connectivities. per_threshold_roc is
 build_roc as it was before the one-pass sweep: it relabels every case at
 every threshold through the package's tumor_wise_detection, whose own
 oracle is brute_tumor_wise. write_structure is the one-structure label
@@ -26,7 +27,15 @@ import numpy as np
 from scipy import ndimage
 
 from emcurate.errors import ShapeError
-from emcurate.grid import BACKGROUND, Box, StructureCatalog, connected_components, nonzero_box
+from emcurate.grid import (
+    BACKGROUND,
+    ORGAN_CONNECTIVITY,
+    TUMOR_CONNECTIVITY,
+    Box,
+    StructureCatalog,
+    connected_components,
+    nonzero_box,
+)
 from emcurate.metrics import RocCurve, RocPoint, _check_thresholds, tumor_wise_detection
 from emcurate.verifier import ChangeLogEntry
 
@@ -234,12 +243,12 @@ def full_grid_predict(model, data: np.ndarray) -> np.ndarray:
         if not m.any():
             continue
         if entry.kind.value == "tumor":
-            ids, count = ndimage.label(m, structure=STRUCTURES[model.tumor_connectivity])
+            ids, count = ndimage.label(m, structure=STRUCTURES[TUMOR_CONNECTIVITY])
             small = np.bincount(ids.ravel(), minlength=count + 1) < model.tumor_min_component_voxels
             small[0] = False
             out[small[ids]] = 0
         else:
-            out[m & ~_largest(m, model.organ_connectivity)] = 0
+            out[m & ~_largest(m, ORGAN_CONNECTIVITY)] = 0
     return out
 
 
@@ -282,15 +291,14 @@ def full_grid_predict_prob(model, data: np.ndarray, tumor_label: int) -> np.ndar
     return probs
 
 
-def full_grid_shape_cleanup(labels: np.ndarray, kinds: dict, organ_connectivity: int,
-                            tumor_connectivity: int) -> np.ndarray:
+def full_grid_shape_cleanup(labels: np.ndarray, kinds: dict) -> np.ndarray:
     """expert.shape_cleanup on full-grid masks; kinds maps label -> kind value."""
     labels = labels.copy()
     for s, kind in kinds.items():
         mask = labels == s
         if not mask.any():
             continue
-        kept = _largest(mask, tumor_connectivity if kind == "tumor" else organ_connectivity)
+        kept = _largest(mask, TUMOR_CONNECTIVITY if kind == "tumor" else ORGAN_CONNECTIVITY)
         labels[mask & ~kept] = 0
         closed = ndimage.binary_closing(kept, structure=STRUCTURES[6])
         labels[closed & (labels == 0)] = s

@@ -58,8 +58,7 @@ def default_run(cfg, default_corpus):
     source = em.PhantomSource(cfg.phantom, cfg.synthetic.intensity_jitter)
     started = time.perf_counter()
     corpus, model, reports = em.run_em(
-        default_corpus, cfg.em, judge, oracle, phantom_source=source, threads=1,
-        new_model=cfg.build_model)
+        default_corpus, cfg.em, judge, oracle, phantom_source=source, threads=1)
     elapsed = time.perf_counter() - started
     return corpus, model, reports, elapsed
 
@@ -132,7 +131,7 @@ def test_criterion_3_update_rule_law():
 def test_criterion_4_expectation_idempotence(cfg, default_corpus):
     with criterion(4, "a full expectation pass then re-audit under the frozen "
                       "model yields zero further auto-replacements"):
-        model = fit_model(default_corpus, new_model=cfg.build_model)
+        model = fit_model(default_corpus)
         judge = cfg.build_judge()
         oracle = cfg.build_oracle()
         updated, _queue, _stats = expectation_pass(default_corpus, model, judge,
@@ -203,7 +202,7 @@ def test_criterion_7_roc_workflow(cfg):
                       "exhaustive sweep; report suppression; savings arithmetic"):
         cases = [em.generate_case(cfg.phantom, 40_000 + s, case_id=f"v{s:03d}")
                  for s in range(30)]
-        model = fit_model(cases, new_model=cfg.build_model)
+        model = fit_model(cases)
         tumor = cfg.catalog.tumor_labels[0]
         probs = [model.predict_prob(c.volume, tumor) for c in cases]
         refs = [c.gold.labels == tumor for c in cases]
@@ -235,7 +234,7 @@ def test_criterion_7_roc_workflow(cfg):
                 assert em.patient_wise_detection(
                     cleaned_report, case.gold.labels == tumor) is \
                     em.DetectionOutcome.TN
-            workloads.append(process_case(case, pred, case.gold.labels == tumor, cfg.cost))
+            workloads.append(process_case(case, pred, case.gold.labels == tumor))
         savings = annotation_savings(workloads, cfg.cost)
         clicks = sum(w.fp for w in workloads)
         missed = sum(w.fn for w in workloads)

@@ -1141,13 +1141,12 @@ def test_any_edited_config_exits_0_or_2(edit):
 # them as generate does, and the generate test above edits them.
 _PACKAGED = yaml.safe_load((Path(vio.__file__).parent / "data" / "default_run.yaml").read_text())
 _LOOP_CONFIG = {**copy.deepcopy(_CONFIG),
-                **{k: _PACKAGED[k] for k in ("judge", "oracle", "model", "synthetic")}}
+                **{k: _PACKAGED[k] for k in ("judge", "oracle", "synthetic")}}
 _LOOP_CONFIG["em"]["annealing"] = _PACKAGED["em"]["annealing"]
 
 
 @settings(max_examples=80)
-@given(edit=record_edits(_LOOP_CONFIG, ("em", "metrics", "judge", "oracle", "model",
-                                         "synthetic")))
+@given(edit=record_edits(_LOOP_CONFIG, ("em", "metrics", "judge", "oracle", "synthetic")))
 def test_any_edited_config_runs_the_loop_or_exits_2(edit):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "cfg.yaml"

@@ -15,7 +15,6 @@ from emcurate.config import (
     CorpusConfig,
     JudgeConfig,
     MetricsConfig,
-    ModelConfig,
     OracleConfig,
     SyntheticConfig,
     _data_path,
@@ -56,14 +55,13 @@ OVERRIDES = {
     "judge": {"command": ["judge", "--fast"], "timeout_s": 3.0, "tie_epsilon": 0.05},
     "oracle": {"kind": "tie_keeper", "accuracy": 0.8},
     "corpus": {"n_cases": 7, "gold_fraction": 0.3},
-    "metrics": {"nsd_tolerance_mm": 1.5, "organ_connectivity": 6, "tumor_connectivity": 26,
-                "roc_points": 11, "roc_target_sensitivity": 0.9, "fp_min_voxels": 3},
-    "model": {"tumor_min_component_voxels": 5},
+    "metrics": {"nsd_tolerance_mm": 1.5, "roc_points": 11, "roc_target_sensitivity": 0.9,
+                "fp_min_voxels": 3},
     "synthetic": {"intensity_jitter": 1.5},
 }
 SECTIONS = {"noise": em.NoiseSpec, "em": EMConfig, "cost": em.CostModel,
             "judge": JudgeConfig, "oracle": OracleConfig, "corpus": CorpusConfig,
-            "metrics": MetricsConfig, "model": ModelConfig, "synthetic": SyntheticConfig}
+            "metrics": MetricsConfig, "synthetic": SyntheticConfig}
 
 
 def _tuples(value):
@@ -143,6 +141,11 @@ MALFORMED = [
     ({"judge": {"timeout_s": "fast"}}, "judge.timeout_s"),
     ({"cost": {"report_autoremoval": True}}, "cost.report_autoremoval"),
     ({"judge": {"kind": "rule_based"}}, "judge.kind"),
+    ({"metrics": {"organ_connectivity": 26}}, "metrics.organ_connectivity"),
+    ({"metrics": {"tumor_connectivity": 6}}, "metrics.tumor_connectivity"),
+    ({"model": {"tumor_min_component_voxels": 20}}, "unknown key 'model'"),
+    (_phantom(lambda p: p["structures"][0].update(shape="sphere")),
+     "phantom.structures[0].shape"),
     ({"corpus": {"n_cases": True}}, "corpus.n_cases"),
     ({"corpus": {"n_cases": 2.7}}, "corpus.n_cases"),
     ({"corpus": {"n_cases": 0}}, "corpus.n_cases must be >= 1, got 0"),
@@ -261,7 +264,6 @@ def test_negative_seed_flag_exits_2(run_cfg, tmp_path, capsys):
 # (section, key, value): a value the loop or the generator cannot use.
 OUT_OF_RANGE = [
     ("metrics", "fp_min_voxels", 0),
-    ("model", "tumor_min_component_voxels", 0),
     ("em", "low_confidence_floor", -0.1),
     ("em", "low_confidence_floor", 1.5),
     ("judge", "tie_epsilon", -0.01),
@@ -503,7 +505,7 @@ def test_packaged_noise_profile_is_the_noise_spec_default():
     ("roc_points", 0),
     ("nsd_tolerance_mm", 0.0),
     ("nsd_tolerance_mm", -2.0),
-    ("organ_connectivity", 18),
+    ("organ_connectivity", 18),  # connectivity is fixed: an unknown key
     ("tumor_connectivity", 4),
     ("roc_target_sensitivity", 0.0),
     ("roc_target_sensitivity", 1.5),

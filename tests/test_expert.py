@@ -164,17 +164,13 @@ TIES[2, 0, 1] = TIES[2, 3, 1] = 3
 TIES[0, 2, 2] = TIES[4, 1, 0] = 4
 
 
-@given(volumes=label_volumes(), organ_connectivity=st.sampled_from([6, 26]),
-       tumor_connectivity=st.sampled_from([6, 26]))
-@example(volumes=(TIES,), organ_connectivity=26, tumor_connectivity=6)
-@example(volumes=(TIES,), organ_connectivity=6, tumor_connectivity=26)
-def test_shape_cleanup_matches_full_grid_oracle(volumes, organ_connectivity,
-                                                tumor_connectivity):
+@given(volumes=label_volumes())
+@example(volumes=(TIES,))
+def test_shape_cleanup_matches_full_grid_oracle(volumes):
     (labels,) = volumes
-    got = shape_cleanup(make_label_map(labels, CAT4), organ_connectivity, tumor_connectivity)
+    got = shape_cleanup(make_label_map(labels, CAT4))
     kinds = {e.label: e.kind.value for e in CAT4.entries}
-    assert np.array_equal(got.labels, full_grid_shape_cleanup(
-        labels, kinds, organ_connectivity, tumor_connectivity))
+    assert np.array_equal(got.labels, full_grid_shape_cleanup(labels, kinds))
 
 
 @settings(max_examples=300)

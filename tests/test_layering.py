@@ -82,3 +82,27 @@ def test_validators_leave_the_key_path_to_the_decoder():
               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConfigError"]
     assert len(raises) > 40
     assert [r for r in raises if r[2].startswith(heads)] == []
+
+
+def test_component_connectivity_is_defined_once_in_grid():
+    """What one component is (grid.TUMOR_CONNECTIVITY for tumors,
+    grid.ORGAN_CONNECTIVITY for the rest) is stated in grid alone: no call
+    outside it passes an int literal as its connectivity= keyword, and no
+    function takes an organ_connectivity or tumor_connectivity parameter."""
+    per_kind = ("organ_connectivity", "tumor_connectivity")
+    found = []
+    for p in MODULES:
+        if p.name == "grid.py":
+            continue
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if isinstance(node, ast.Call):
+                found.extend((p.name, node.lineno, "connectivity=")
+                             for kw in node.keywords if kw.arg == "connectivity"
+                             and isinstance(kw.value, ast.Constant)
+                             and isinstance(kw.value.value, int))
+            elif isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                found.extend((p.name, node.lineno, a.arg)
+                             for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                             if a.arg in per_kind)
+    assert found == []

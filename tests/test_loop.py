@@ -180,7 +180,7 @@ def test_ordered_parallel_map_stays_lazy(threads):
 
 
 def test_expectation_pass_on_an_empty_corpus(run_cfg_module, judge):
-    model = run_cfg_module.build_model(run_cfg_module.catalog)  # never asked
+    model = em.GaussianIntensityModel(run_cfg_module.catalog)  # never asked
     corpus, entries, stats = expectation_pass([], model, judge, TieKeeperOracle(), em_cfg())
     assert corpus == [] and entries == []
     assert stats.counts["structures_audited"] == 0
@@ -228,9 +228,6 @@ def test_low_confidence_escalation(run_cfg_module):
     pred_labels[blob_b] = 1
 
     class Fixed:
-        organ_connectivity = 26
-        tumor_connectivity = 6
-
         def predict(self, volume):
             return case.pseudo.with_labels(pred_labels)
 
@@ -239,25 +236,6 @@ def test_low_confidence_escalation(run_cfg_module):
                                          em_cfg())
     reasons = {e.structure: e.reason for e in entries}
     assert reasons.get(1) is EscalationReason.LOW_CONFIDENCE
-
-
-def test_shape_cleanup_uses_model_connectivity(noisy_corpus, judge, monkeypatch):
-    """The judge's incumbent is cleaned with the model's connectivities, not
-    with shape_cleanup's defaults."""
-    import emcurate.loop as loop_mod
-    from emcurate.verifier import GaussianIntensityModel
-    cases, _ = noisy_corpus
-    model = em.fit_model(cases, new_model=lambda catalog: GaussianIntensityModel(
-        catalog, organ_connectivity=6, tumor_connectivity=26))
-    seen = []
-
-    def spy(label_map, organ_connectivity=26, tumor_connectivity=6):
-        seen.append((organ_connectivity, tumor_connectivity))
-        return shape_cleanup(label_map, organ_connectivity, tumor_connectivity)
-
-    monkeypatch.setattr(loop_mod, "shape_cleanup", spy)
-    expectation_pass(cases, model, judge, TieKeeperOracle(), em_cfg())
-    assert seen and set(seen) == {(6, 26)}
 
 
 def test_judge_compares_prediction_with_cleaned_incumbent(noisy_corpus, run_cfg_module):
@@ -273,8 +251,7 @@ def test_judge_compares_prediction_with_cleaned_incumbent(noisy_corpus, run_cfg_
     for case in cases:
         outcome = em.audit_case(model, case, cfg.auto_replace_dsc, cfg.route_dsc)
         updated, _ = em.apply_update_rule(case, outcome)
-        incumbent = shape_cleanup(updated.pseudo, model.organ_connectivity,
-                                  model.tumor_connectivity)
+        incumbent = shape_cleanup(updated.pseudo)
         for s in sorted(outcome.actions(em.AuditAction.ROUTE_TO_EXPERT)):
             expected.append((case.case_id, s, outcome.prediction.labels == s,
                              incumbent.labels == s))
@@ -297,9 +274,6 @@ class PickChallenger:
 def fixed_model(case, pred_labels):
     """A model whose prediction for every volume is pred_labels."""
     class FixedModel:
-        organ_connectivity = 26
-        tumor_connectivity = 6
-
         def predict(self, volume):
             return case.pseudo.with_labels(pred_labels)
 
@@ -512,23 +486,20 @@ def test_maximization_pure_synthetic_matches_generator(run_cfg_module, noisy_cor
         assert abs(model.params[s.label].mean - s.intensity.mean) < 1.5
 
 
-def test_maximization_selective_duplicates_worst_case(noisy_corpus):
+def test_maximization_selective_duplicates_worst_case(noisy_corpus, monkeypatch):
     cases, _ = noisy_corpus
     n = len(cases)
     audit_dsc = {c.case_id: 1.0 for c in cases}
     audit_dsc[cases[3].case_id] = 0.2  # worst audit agreement
     seen = {}
 
-    class SpyModel:
-        def __init__(self, *a, **k):
-            pass
+    def spy_fit(corpus, weights):
+        seen["corpus"] = list(corpus)
+        seen["weights"] = list(weights)
 
-        def fit(self, corpus, weights):
-            seen["corpus"] = list(corpus)
-            seen["weights"] = list(weights)
-
+    monkeypatch.setattr("emcurate.loop.fit_model", spy_fit)
     cfg = em_cfg(data_mix=DataMix(0.7, 0.0, 0.3), annealing=Annealing(enabled=False))
-    maximization_pass(cases, cfg, audit_dsc=audit_dsc, new_model=SpyModel)
+    maximization_pass(cases, cfg, audit_dsc=audit_dsc)
     import math
     extra = [c for c in seen["corpus"] if c.case_id == cases[3].case_id]
     n_lab = round(0.7 * n)
@@ -538,16 +509,16 @@ def test_maximization_selective_duplicates_worst_case(noisy_corpus):
     assert len(seen["corpus"]) == n_lab + expected_extra
 
 
-def test_maximization_annealing_weights_gold(noisy_corpus):
+def test_maximization_annealing_weights_gold(noisy_corpus, monkeypatch):
     cases, _ = noisy_corpus
     seen = {}
 
-    class SpyModel:
-        def fit(self, corpus, weights):
-            seen["pairs"] = [(c.case_id, w) for c, w in zip(corpus, weights)]
+    def spy_fit(corpus, weights):
+        seen["pairs"] = [(c.case_id, w) for c, w in zip(corpus, weights)]
 
+    monkeypatch.setattr("emcurate.loop.fit_model", spy_fit)
     cfg = em_cfg(data_mix=DataMix(1.0, 0.0, 0.0), annealing=Annealing(enabled=True, weight=5.0))
-    maximization_pass(cases, cfg, new_model=lambda *a, **k: SpyModel())
+    maximization_pass(cases, cfg)
     gold_ids = {c.case_id for c in cases if c.meta.is_gold}
     weighted = {cid for cid, w in seen["pairs"] if w == 5.0}
     assert weighted == gold_ids

@@ -30,7 +30,7 @@ def test_zero_structure_spec():
 def test_structure_must_fit_unit_cube():
     with pytest.raises(ConfigError):
         StructureShapeSpec(label=1, name="big", kind=StructureKind.ORGAN,
-                           shape=ShapeKind.SPHERE, center=(0.1, 0.5, 0.5),
+                           shape=ShapeKind.ELLIPSOID, center=(0.1, 0.5, 0.5),
                            radii=(0.2, 0.2, 0.2), intensity=Gaussian(10, 1))
 
 

@@ -96,12 +96,12 @@ def test_suppression_identity_on_report_positive():
 
 def test_erasure_no_false_positives():
     case, pred = tumor_case("p", 1, [(1, 1, 1)], [(1, 1, 1)])
-    assert process_case(case, pred, case.gold.labels == 1, COST) == ConfusionCounts(tp=1)
+    assert process_case(case, pred, case.gold.labels == 1) == ConfusionCounts(tp=1)
 
 
 def test_erasure_counts_clicks():
     case, pred = tumor_case("p", 1, [(1, 1, 1), (6, 6, 6), (9, 9, 9)], [(1, 1, 1)])
-    assert process_case(case, pred, case.gold.labels == 1, COST) == ConfusionCounts(tp=1, fp=2)
+    assert process_case(case, pred, case.gold.labels == 1) == ConfusionCounts(tp=1, fp=2)
 
 
 @st.composite
@@ -150,7 +150,7 @@ def test_erasure_and_process_case_match_component_loop(inputs):
     missed = sum(not expected[gold_comp.ids == k].any()
                  for k in range(1, gold_comp.count + 1))
 
-    counts = process_case(case, pred, gold, COST, connectivity)
+    counts = process_case(case, pred, gold, connectivity)
     assert counts == ConfusionCounts(tp=gold_comp.count - missed, fp=clicks, fn=missed)
 
 
@@ -191,7 +191,7 @@ def test_savings_monotone_in_fp_and_sensitivity():
 
 def test_process_case_report_negative_suppression_end_to_end():
     case, pred = tumor_case("neg", 0, [(2, 2, 2), (8, 8, 8)], [])
-    counts = process_case(case, pred, case.gold.labels == 1, COST)
+    counts = process_case(case, pred, case.gold.labels == 1)
     assert counts.fp == 0  # report removal costs nothing
     assert counts.tp + counts.fn == 0
 

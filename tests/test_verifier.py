@@ -348,10 +348,9 @@ def test_model_serialization_round_trip(run_cfg):
     every structure's parameters, each learned box as inclusive bounds."""
     cases = [em.generate_case(run_cfg.phantom, s, case_id=f"c{s}") for s in range(3)]
     # the default model, and one whose tumor size filter differs from the default
-    for new_model, min_voxels in ((GaussianIntensityModel, 20),
-                                  (lambda catalog: GaussianIntensityModel(
-                                      catalog, tumor_min_component_voxels=400), 400)):
-        model = em.fit_model(cases, new_model=new_model)
+    filtered = GaussianIntensityModel(run_cfg.catalog, tumor_min_component_voxels=400)
+    filtered.fit(cases)
+    for model, min_voxels in ((em.fit_model(cases), 20), (filtered, 400)):
         d = model.to_dict()
         assert {k: v for k, v in d.items() if k not in ("background", "structures")} == {
             "kind": "gaussian_intensity", "catalog_id": run_cfg.catalog.catalog_id,
@@ -408,14 +407,11 @@ def test_fit_matches_full_grid_oracle_bit_for_bit(volumes, seed, weights):
 
 
 @given(volumes=label_volumes(n=2), seed=st.integers(0, 2**32 - 1),
-       organ_connectivity=st.sampled_from([6, 26]), tumor_connectivity=st.sampled_from([6, 26]),
        tumor_min_component_voxels=st.integers(1, 4))
-def test_predict_matches_full_grid_oracle(volumes, seed, organ_connectivity,
-                                          tumor_connectivity, tumor_min_component_voxels):
+def test_predict_matches_full_grid_oracle(volumes, seed, tumor_min_component_voxels):
     train, test = volumes
     rng = np.random.default_rng(seed)
-    model = GaussianIntensityModel(CAT4, organ_connectivity, tumor_connectivity,
-                                   tumor_min_component_voxels)
+    model = GaussianIntensityModel(CAT4, tumor_min_component_voxels)
     model.fit([make_case(intensities_for(train, rng), train, CAT4)])
     volume = VoxelGrid(dims=test.shape, spacing=(1.0, 1.0, 1.0),
                        data=intensities_for(test, rng))
