@@ -12,10 +12,11 @@ All types are immutable after construction (array buffers are marked
 read-only) and every operation here is a pure function, so values can be
 shared freely across threads.
 
-This is the one module that calls ``scipy.ndimage``. Every voxel kernel
-the package runs on (component labeling, face morphology, the surface
-distance test) is a named function here, so swapping a kernel's library
-changes one function and its oracle test, and nothing that calls it.
+Every voxel kernel the package runs on (component labeling, face
+morphology, the surface distance test) is a named function here, written in
+plain numpy: the package calls no library kernel. Each one reproduces a
+``scipy.ndimage`` call exactly (ids, counts and voxels), and scipy is kept
+only as the test oracle of that call, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import CatalogError, ShapeError
 
@@ -47,11 +47,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 # The 3x3x3 structuring element of each connectivity: 6 joins face
 # neighbors (and is the element of one-voxel face morphology), 26 joins
-# faces, edges and corners.
+# faces, edges and corners. An element holds the offsets whose summed
+# absolute steps reach at most 1 or 3.
+_STEPS = np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0)
 STRUCTURES = {
-    6: _freeze(ndimage.generate_binary_structure(3, 1)),
-    26: _freeze(ndimage.generate_binary_structure(3, 3)),
+    6: _freeze(_STEPS <= 1),
+    26: _freeze(_STEPS <= 3),
 }
+_FACE_OFFSETS = [tuple(d) for d in (np.argwhere(STRUCTURES[6]) - 1).tolist() if any(d)]
 
 # What one component of a structure is, for every cleanup and count: tumor
 # instances are face-joined; an organ or vessel is 26-joined.
@@ -297,18 +300,71 @@ class Projection2D:
     spacing: tuple[float, float]  # mm per pixel along (x, z)
 
 
+# Per connectivity, the (dx, dy) steps from a row of z-runs to its neighbor
+# rows later in raster order, each with its slack: 1 where a diagonal step in
+# z joins too, so two runs a step apart touch with one voxel to spare.
+# Column vectors, one row per step, to broadcast over the runs.
+_ROW_STEPS = {c: np.array([(dx, dy, element[1 + dx, 1 + dy, 0])
+                           for dx, dy in ((0, 1), (1, -1), (1, 0), (1, 1))
+                           if element[1 + dx, 1 + dy, 1]], dtype=np.int64).T[:, :, None]
+              for c, element in STRUCTURES.items()}
+
+
 def connected_components(mask: np.ndarray, connectivity: int = 26) -> ComponentLabeling:
     """Label connected components of a 3D boolean mask.
 
     connectivity 6 joins face neighbors only; 26 joins faces, edges and
     corners. Component ids are dense from 1 in raster order; 0 is background.
+
+    The mask is cut into runs along z, the contiguous axis, on a copy with a
+    background row before and after every y row and after the last x, and
+    background at both ends of every row, so a run's start and stop are
+    sorted keys row * (nz + 1) + z and every neighbor row exists. Two runs
+    join when their rows are neighbors under the connectivity and their z
+    intervals overlap (with the step's slack), found by binary search over
+    the keys. Merging hooks each root under the smaller one and jumps
+    pointers until every run points at the smallest run of its component,
+    so the components are numbered in the raster order of their first
+    voxels, and the ids are int32, as scipy.ndimage.label numbers and types
+    them.
     """
     if connectivity not in STRUCTURES:
         raise ShapeError(f"connectivity must be 6 or 26, got {connectivity}")
     mask = np.asarray(mask, dtype=bool)
-    ids, count = ndimage.label(mask, structure=STRUCTURES[connectivity])
-    sizes = np.bincount(ids.ravel(), minlength=count + 1)[1:] if count else np.zeros(0, dtype=np.int64)
-    return ComponentLabeling(ids=_freeze(ids), count=int(count), sizes=_freeze(sizes))
+    nx, ny, nz = mask.shape
+    rows = np.zeros((nx + 1, ny + 2, nz + 2), dtype=bool)
+    rows[:nx, 1:-1, 1:-1] = mask
+    edges = np.flatnonzero(np.diff(rows, axis=2))
+    start, stop = edges[0::2], edges[1::2]
+    dx, dy, slack = _ROW_STEPS[connectivity]
+    step = (dx * (ny + 2) + dy) * (nz + 1)
+    first = np.searchsorted(stop, start + step - slack, side="right").ravel()
+    n = np.searchsorted(start, stop + step + slack, side="left").ravel() - first
+    ends = np.cumsum(n)  # run a[p] touches runs first[p] .. first[p] + n[p] - 1
+    a = np.repeat(np.tile(np.arange(start.size), len(step)), n)
+    b = np.repeat(first - ends + n, n) + np.arange(ends[-1] if ends.size else 0)
+    root = np.arange(start.size)
+    while True:
+        ra, rb = root[a], root[b]
+        apart = ra != rb
+        if not apart.any():
+            break
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        low = np.minimum(ra, rb)  # hook each root under the smaller one
+        np.minimum.at(root, ra, low)
+        np.minimum.at(root, rb, low)
+        while True:  # point every run straight at its root
+            hop = root[root]
+            if np.array_equal(hop, root):
+                break
+            root = hop
+    label = np.cumsum(root == np.arange(root.size))[root]  # roots numbered in run order
+    count = int(label.max(initial=0))
+    lengths = stop - start
+    ids = np.zeros(mask.shape, dtype=np.int32)
+    ids[mask] = np.repeat(label, lengths)
+    sizes = np.bincount(label - 1, weights=lengths, minlength=count).astype(np.int64)
+    return ComponentLabeling(ids=_freeze(ids), count=count, sizes=_freeze(sizes))
 
 
 def component_hits(comp: ComponentLabeling, other_mask: np.ndarray) -> np.ndarray:
@@ -410,11 +466,39 @@ def largest_component(mask: np.ndarray, connectivity: int = 26) -> np.ndarray:
     return comp.ids == keep
 
 
+def _shifted(mask: np.ndarray, offsets: Iterable[Sequence[int]]) -> Iterator[np.ndarray]:
+    """mask read at v + d for every voxel v, one view per offset d; voxels
+    beyond the grid read as background."""
+    offsets = np.asarray(list(offsets), dtype=np.int64).reshape(-1, mask.ndim)
+    reach = np.abs(offsets).max(axis=0, initial=0).tolist()
+    padded = np.zeros([n + 2 * r for n, r in zip(mask.shape, reach)], dtype=mask.dtype)
+    padded[tuple(slice(r, r + n) for r, n in zip(reach, mask.shape))] = mask
+    for d in offsets.tolist():
+        yield padded[tuple(slice(r + k, r + k + n) for r, k, n in zip(reach, d, mask.shape))]
+
+
+def _face_erosion(mask: np.ndarray) -> np.ndarray:
+    """The voxels of mask whose face neighbors are all in it, everything
+    outside the grid counting as background: binary_erosion with border_value
+    0, so the grid's outer layer is always cleared."""
+    out = mask.copy()
+    for near in _shifted(mask, _FACE_OFFSETS):
+        out &= near
+    return out
+
+
+def _face_dilation(mask: np.ndarray) -> np.ndarray:
+    """mask grown by its face neighbors, within the grid."""
+    out = mask.copy()
+    for near in _shifted(mask, _FACE_OFFSETS):
+        out |= near
+    return out
+
+
 def boundary_voxels(mask: np.ndarray) -> np.ndarray:
     """Surface voxels: in the mask with a face neighbor outside it or on the grid border."""
     mask = np.asarray(mask, dtype=bool)
-    interior = ndimage.binary_erosion(mask, structure=STRUCTURES[6], border_value=0)
-    return mask & ~interior
+    return mask & ~_face_erosion(mask)
 
 
 def face_dilation(mask: np.ndarray) -> np.ndarray:
@@ -423,23 +507,60 @@ def face_dilation(mask: np.ndarray) -> np.ndarray:
     mask = np.asarray(mask, dtype=bool)
     box = pad_box(nonzero_box(mask), 1, mask.shape)
     out = np.zeros_like(mask)
-    out[box] = ndimage.binary_dilation(mask[box], structure=STRUCTURES[6])
+    out[box] = _face_dilation(mask[box])
     return out
 
 
 def face_closing(mask: np.ndarray) -> np.ndarray:
-    """Face dilation then face erosion. The erosion treats everything
-    outside the grid as background, so it can clear mask voxels on a grid
-    face."""
-    return ndimage.binary_closing(mask, structure=STRUCTURES[6])
+    """Face dilation then face erosion, as binary_closing does it: the
+    dilation stops at the grid, and the erosion treats everything outside
+    the grid as background, so it can clear mask voxels on a grid face."""
+    return _face_erosion(_face_dilation(np.asarray(mask, dtype=bool)))
 
 
 def within_mm(mask: np.ndarray, tolerance_mm: float, spacing: Sequence[float]) -> np.ndarray:
     """The voxels whose exact Euclidean distance (mm, at the given voxel
     spacing) to the nearest voxel of a nonempty mask is strictly below
-    tolerance_mm."""
-    return ndimage.distance_transform_edt(~np.asarray(mask, dtype=bool),
-                                          sampling=spacing) < tolerance_mm
+    tolerance_mm.
+
+    The mask is grown by every voxel offset d within the tolerance, the
+    distance of d computed as distance_transform_edt computes it: each step
+    times its spacing, squared, summed over the axes in order, then the
+    square root; so a voxel exactly at the tolerance is out. The distance
+    grows with |dz|, so the dz of one (dx, dy) form a range [-r, r]: the mask
+    is grown along z one step at a time, and at each r, shifted once per
+    (dx, dy) of that radius."""
+    mask = np.asarray(mask, dtype=bool)
+    steps = [float(s) for s in spacing]
+
+    def near(*d: int) -> bool:
+        x, y, z = ((k * s) * (k * s) for k, s in zip(d, steps))
+        return math.sqrt(x + y + z) < tolerance_mm
+
+    def reach(*head: int) -> int:
+        """The largest k < the grid's side on the axis after head with
+        head + (k, 0, ...) near; -1 for none."""
+        axis, k = len(head), -1
+        while k + 1 < mask.shape[axis] and near(*head, k + 1, *[0] * (2 - axis)):
+            k += 1
+        return k
+
+    radius = {}  # (dx, dy) -> r
+    for dx in range(reach() + 1):
+        for dy in range(reach(dx) + 1):
+            r = reach(dx, dy)
+            radius.update(dict.fromkeys([(dx, dy), (-dx, dy), (dx, -dy), (-dx, -dy)], r))
+    out = np.zeros_like(mask)
+    top = max(radius.values(), default=-1)
+    grown = mask.copy()
+    along_z = _shifted(mask, [(0, 0, k) for r in range(1, top + 1) for k in (r, -r)])
+    for r in range(top + 1):
+        if r:
+            grown |= next(along_z)
+            grown |= next(along_z)
+        for moved in _shifted(grown, [(dx, dy, 0) for (dx, dy), k in radius.items() if k == r]):
+            out |= moved
+    return out
 
 
 def front_view_projection(volume: VoxelGrid, mask: np.ndarray) -> Projection2D:

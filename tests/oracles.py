@@ -16,7 +16,12 @@ label_boxes as it was before the bit-packed projection pass.
 overlay_component_count is overlay_features' component count as it was
 before it moved to grid.connected_components: a 2D 8-connected labeling.
 full_grid_face_dilation and edt_within_mm are the scipy calls behind
-grid.face_dilation and grid.within_mm, on the whole grid.
+grid.face_dilation and grid.within_mm, on the whole grid; ndimage_label,
+eroded_boundary and ndimage_closing are those behind
+grid.connected_components, grid.boundary_voxels and grid.face_closing, and
+STRUCTURES holds the elements behind grid.STRUCTURES. The package itself
+imports no scipy: these calls are the reference its numpy kernels must
+reproduce exactly.
 """
 
 from __future__ import annotations
@@ -160,6 +165,21 @@ def edt_within_mm(mask: np.ndarray, tolerance_mm: float, spacing) -> np.ndarray:
     """True where the spacing-scaled distance transform to the mask is
     strictly below tolerance_mm."""
     return ndimage.distance_transform_edt(~mask, sampling=spacing) < tolerance_mm
+
+
+def ndimage_label(mask: np.ndarray, connectivity: int) -> tuple[np.ndarray, int]:
+    """Component ids (int32, numbered in raster order) and count."""
+    return ndimage.label(mask, structure=STRUCTURES[connectivity])
+
+
+def eroded_boundary(mask: np.ndarray) -> np.ndarray:
+    """The mask minus its face erosion, outside the grid counted as background."""
+    return mask & ~ndimage.binary_erosion(mask, structure=STRUCTURES[6], border_value=0)
+
+
+def ndimage_closing(mask: np.ndarray) -> np.ndarray:
+    """The face closing of a mask, with binary_closing's border rule."""
+    return ndimage.binary_closing(mask, structure=STRUCTURES[6])
 
 
 STD_FLOOR = 1e-3

@@ -975,6 +975,37 @@ def test_e_step_outputs_match_pinned_fixture(tmp_path):
         assert (tmp_path / rel).read_bytes() == p.read_bytes(), rel
 
 
+TREE_DIGESTS = Path(__file__).parent / "fixtures" / "tree_digests.json"
+TREE_COMMANDS = (("generate", "corpus", []), ("audit", "audit", ["--apply"]),
+                 ("refine", "refine", ["--threads", "1"]),
+                 ("run-loop", "run_loop", ["--threads", "1"]),
+                 ("evaluate", "evaluate", []), ("roc", "roc", []))
+
+
+def test_every_command_tree_matches_pinned_digests(tmp_path):
+    """Every file that generate, audit --apply, refine, run-loop, evaluate
+    and roc write, each run once on the E-step fixture's config, has the
+    sha256 pinned in tree_digests.json. A command that changes its outputs
+    on purpose edits that file; the digests this run saw are written beside
+    its trees, for that edit."""
+    raw = copy.deepcopy(BASE_CFG)
+    raw["corpus"]["n_cases"] = 16
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump(raw))
+    runs = tmp_path / "runs"
+    for command, out, extra in TREE_COMMANDS:
+        source = [] if command == "generate" else ["--corpus", str(runs / "corpus")]
+        assert main([command, "--config", str(cfg), "--seed", "16", *extra, *source,
+                     "--out", str(runs / out)]) == 0, command
+    got = tree_digest(runs)
+    (tmp_path / "tree_digests.json").write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
+    pinned = json.loads(TREE_DIGESTS.read_text())
+    differ = sorted(name for name in got.keys() | pinned.keys()
+                    if got.get(name) != pinned.get(name))
+    assert not differ, (f"{len(differ)} files differ from the pinned digests: {differ} "
+                        f"(this run's digests: {tmp_path / 'tree_digests.json'})")
+
+
 def test_json_artifacts_carry_schema_version(cfg_file, tmp_path):
     corpus = tmp_path / "corpus"
     main(["generate", "--config", cfg_file, "--out", str(corpus)])

@@ -21,10 +21,13 @@ from emcurate import (
     largest_component,
 )
 from emcurate.grid import (
+    STRUCTURES,
     StructuredReport,
     TumorType,
+    boundary_voxels,
     box_hull,
     component_hits,
+    face_closing,
     face_dilation,
     label_boxes,
     nonzero_box,
@@ -34,12 +37,17 @@ from emcurate.grid import (
 )
 
 from conftest import CAT4, label_volumes, make_case, make_label_map
+from oracles import STRUCTURES as SCIPY_STRUCTURES
 from oracles import (
     brute_components,
     brute_front_overlay,
     edt_within_mm,
+    eroded_boundary,
     find_objects_boxes,
     full_grid_face_dilation,
+    ndimage_closing,
+    ndimage_label,
+    overlay_component_count,
 )
 
 CAT = StructureCatalog((
@@ -143,6 +151,94 @@ def test_connected_components_match_flood_fill(connectivity):
                for k in range(1, comp.count + 1)]
         assert sorted(map(sorted, got)) == sorted(map(sorted, expected))
         assert sorted(comp.sizes.tolist()) == sorted(len(c) for c in expected)
+
+
+def test_structures_match_generate_binary_structure():
+    for connectivity, element in SCIPY_STRUCTURES.items():
+        got = STRUCTURES[connectivity]
+        assert got.dtype == element.dtype and np.array_equal(got, element)
+        assert not got.flags.writeable
+
+
+@st.composite
+def voxel_masks(draw, sides=st.integers(0, 7)):
+    """A mask of random shape (sides of 0 and 1 included) and density, drawn
+    from a seeded generator, so it holds many components of many shapes,
+    often on the grid faces; density 0 and 1 give empty and full masks."""
+    shape = draw(st.tuples(sides, sides, sides))
+    density = draw(st.sampled_from([0.0, 0.1, 0.3, 0.5, 0.7, 1.0]))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(shape) < density
+
+
+def _seeded(shape, density=0.5):
+    return np.random.default_rng(0).random(shape) < density
+
+
+def _shell(mask):
+    """mask's voxels on the grid faces only: components on every face."""
+    inner = np.zeros_like(mask)
+    inner[1:-1, 1:-1, 1:-1] = True
+    return mask & ~inner
+
+
+# Masks every kernel oracle test runs on: empty, full, components on every
+# grid face, each axis one voxel thick, and a crop with no voxel at all.
+KERNEL_EXAMPLES = (np.zeros((3, 4, 5), bool), np.ones((3, 4, 5), bool),
+                   _shell(_seeded((5, 6, 7))), _seeded((1, 6, 7)), _seeded((6, 1, 7)),
+                   _seeded((6, 7, 1)), np.zeros((0, 3, 4), bool))
+
+
+def kernel_examples(test):
+    for mask in KERNEL_EXAMPLES:
+        test = example(mask=mask)(test)
+    return test
+
+
+@pytest.mark.parametrize("connectivity", [6, 26])
+@given(mask=voxel_masks())
+@kernel_examples
+def test_connected_components_match_ndimage_label(connectivity, mask):
+    """Equal ids, so equal raster-order numbering, which the flood-fill
+    comparison above (made on sets of voxels) cannot tell apart; equal
+    counts and sizes, and ndimage.label's int32 ids."""
+    comp = connected_components(mask, connectivity)
+    ids, count = ndimage_label(mask, connectivity)
+    assert comp.count == count
+    assert comp.ids.dtype == ids.dtype == np.int32
+    assert np.array_equal(comp.ids, ids)
+    assert comp.sizes.dtype == np.int64
+    assert comp.sizes.tolist() == np.bincount(ids.ravel(), minlength=count + 1)[1:].tolist()
+
+
+@given(mask=voxel_masks(sides=st.integers(1, 9)))
+def test_overlay_components_match_ndimage_label(mask):
+    """expert.overlay_features counts a front view's components on its
+    (x, 1, z) grid at 26, which is 8-connectivity in (x, z)."""
+    overlay = mask.any(axis=1)
+    comp = connected_components(overlay[:, None, :], 26)
+    ids, count = ndimage_label(overlay[:, None, :], 26)
+    assert np.array_equal(comp.ids, ids)
+    assert comp.count == count == overlay_component_count(overlay)
+
+
+@given(mask=voxel_masks())
+@kernel_examples
+def test_boundary_voxels_match_ndimage_erosion(mask):
+    assert np.array_equal(boundary_voxels(mask), eroded_boundary(mask))
+
+
+@given(mask=voxel_masks())
+@kernel_examples
+def test_face_closing_matches_ndimage_closing(mask):
+    """Border rule included: the erosion clears mask voxels on a grid face."""
+    assert np.array_equal(face_closing(mask), ndimage_closing(mask))
+
+
+def test_kernels_keep_an_empty_crop_empty():
+    crop = np.zeros((0, 3, 4), bool)
+    for out in (boundary_voxels(crop), face_closing(crop), face_dilation(crop),
+                connected_components(crop, 6).ids):
+        assert out.shape == crop.shape
 
 
 SHAPES = st.tuples(*[st.integers(1, 6)] * 3)

@@ -2,6 +2,9 @@
 
 import ast
 import dataclasses
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from emcurate.config import RunConfig
@@ -28,11 +31,25 @@ def test_the_modules_are_found():
     assert {"grid.py", "metrics.py", "phantom.py", "expert.py"} <= {p.name for p in MODULES}
 
 
-def test_only_grid_imports_scipy():
-    """grid owns every scipy kernel, so swapping one changes one module."""
+def test_no_module_imports_scipy():
+    """grid's voxel kernels are plain numpy; scipy is only the tests' oracle,
+    so no module imports it, not even inside a function."""
     importers = [p.name for p in MODULES
                  if any(m == "scipy" or m.startswith("scipy.") for m, _ in _imports(p))]
-    assert importers == ["grid.py"]
+    assert importers == []
+
+
+def test_the_cli_loads_no_scipy():
+    """Importing the command line in a fresh interpreter loads no scipy
+    module, through any dependency either: every command starts without
+    paying scipy's import."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, emcurate.cli; "
+             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_phantom_imports_nothing_from_metrics():
